@@ -14,12 +14,14 @@ from itertools import product
 from pathlib import Path
 from typing import Sequence
 
-from . import profile1d, profile3d
+import numpy as np
+
+from . import gp3d, profile1d, profile3d
 from .config import RunConfig, load_config
 from .exceptions import ConfigError, ConvergenceError, DomainError
 from .feshbach import m_to_bohr
 from .geometry import ShapeFunction, embedding_height
-from .gp3d import solve_matching, write_solution_csv
+from .gp3d import solve_matching
 from .profile3d import LabLayout, feasibility_report_3d, lab_profiles_3d
 from .tableio import write_csv, write_json
 
@@ -129,7 +131,12 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
                               throat_epsilon=cfg.throat_epsilon)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"vinf{_fmt(cfg.v_inf)}_b0{_fmt(b0)}"
-    write_solution_csv(solution, cfg.out_dir / f"gp_solution_{tag}.csv")
+    _write_table(cfg.out_dir / f"gp_solution_{tag}", gp3d.CSV_COLUMNS,
+                 list(zip(solution.radii.tolist(), solution.cs0.tolist(),
+                          solution.vr.tolist(), solution.residual1.tolist(),
+                          solution.residual2.tolist(),
+                          solution.converged.tolist())),
+                 cfg.out_format)
     dev_cs0, dev_vr = solution.zero_order_deviation()
     write_json(cfg.out_dir / f"gp_summary_{tag}.json", {
         "v_inf_m_per_s": cfg.v_inf,
@@ -179,12 +186,12 @@ def cmd_embed(cfg: RunConfig, strict: bool) -> int:
             raise ConfigError(f"[grid] r_max_um must exceed b0, got {r_max!r}")
         r_step = cfg.r_step if cfg.r_step is not None else (r_max - b0) / 200.0
         count = int((r_max - b0) / r_step + 1e-9) + 1
-        rows = []
-        for k in range(count):
-            r = b0 + k * r_step
-            rows.append((r, embedding_height(shape, r)))
+        radii = b0 + np.arange(count) * r_step
+        heights = embedding_height(shape, radii)
         _write_table(cfg.out_dir / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}",
-                     ("r_um", "z_um"), rows, cfg.out_format)
+                     ("r_um", "z_um"),
+                     list(zip(radii.tolist(), heights.tolist())),
+                     cfg.out_format)
     return EXIT_OK
 
 

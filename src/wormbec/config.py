@@ -5,6 +5,7 @@ registries, and upfront validation of every pipeline precondition.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,9 +45,12 @@ def _merge(base: dict[str, dict[str, str]], parser: configparser.ConfigParser) -
 
 def _parse_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:

@@ -12,8 +12,6 @@ import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from scipy import constants as const
-
 from .exceptions import DomainError, PoleError
 
 __all__ = [
@@ -38,9 +36,13 @@ __all__ = [
     "cesium_condensate",
 ]
 
-HBAR = const.hbar
-BOHR_RADIUS = const.physical_constants["Bohr radius"][0]
-ATOMIC_MASS = const.physical_constants["atomic mass constant"][0]
+# CODATA 2022 recommended values (SI). hbar is h / (2 pi) evaluated in
+# double precision from the exact SI Planck constant h = 6.62607015e-34
+# J s; the Bohr radius and the atomic mass constant are the tabulated
+# CODATA 2022 values. Changing any bit here changes the emitted tables.
+HBAR = 1.0545718176461565e-34        # J s
+BOHR_RADIUS = 5.29177210544e-11      # m
+ATOMIC_MASS = 1.66053906892e-27      # kg
 
 
 def bohr_to_m(a_bohr: float) -> float:

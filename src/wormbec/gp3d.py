@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exceptions import ConvergenceError, DomainError, PoleError
-from .tableio import write_csv
+from .geometry import _integrate_from_throat
 
 __all__ = [
     "DEFAULT_LIGHT_SPEED",
@@ -38,7 +36,6 @@ __all__ = [
     "zero_order_solution",
     "solve_matching",
     "solve_matching_point",
-    "write_solution_csv",
 ]
 
 DEFAULT_LIGHT_SPEED = 2.998e8  # m/s
@@ -119,11 +116,11 @@ def radial_geodesic_velocity(r: float, energy: float, b0: float) -> float:
     return -math.sqrt(_ellis_factor(r, b0) * (energy * energy - 1.0))
 
 
-def _offset_integrand(u: float, b0: float, energy_term: float) -> float:
+def _offset_integrand(u: np.ndarray, b0: float, energy_term: float) -> np.ndarray:
     # r = b0 + u**2; 1 - b0**2/r**2 = u**2 (2 b0 + u**2) / r**2 keeps the
     # integrand finite at the throat.
     r = b0 + u * u
-    return 2.0 * energy_term * r / math.sqrt(u * u + 2.0 * b0)
+    return 2.0 * energy_term * r / np.sqrt(u * u + 2.0 * b0)
 
 
 def gp_time_offset(r: float, energy: float, b0: float, *,
@@ -135,14 +132,10 @@ def gp_time_offset(r: float, energy: float, b0: float, *,
     _ellis_factor(r, b0)  # domain check
     if r == b0 or energy == 1.0:
         return 0.0
-    u_max = math.sqrt(r - b0)
     energy_term = math.sqrt(energy * energy - 1.0)
-    result = quad(_offset_integrand, 0.0, u_max, args=(b0, energy_term),
-                  epsabs=abs_tol, epsrel=rel_tol, limit=200, full_output=1)
-    if len(result) > 3:
-        raise ConvergenceError(
-            f"time-offset quadrature failed on [{b0!r}, {r!r}]: {result[3]}")
-    return result[0]
+    return float(_integrate_from_throat(
+        lambda u: _offset_integrand(u, b0, energy_term),
+        b0, math.sqrt(r - b0), rel_tol, abs_tol))
 
 
 def gp_metric(r: float, gamma: float, c_ref: float, b0: float) -> MetricAtPoint:
@@ -372,11 +365,3 @@ def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
             f"matching solve failed at every radius in [{r_min!r}, {r_max!r}]")
     return GpSolution(radii=radii, cs0=cs0, vr=vr, residual1=res1,
                       residual2=res2, converged=converged, v_inf=v_inf, b0=b0)
-
-
-def write_solution_csv(solution: GpSolution, path: str | Path) -> Path:
-    rows = [(float(solution.radii[i]), float(solution.cs0[i]), float(solution.vr[i]),
-             float(solution.residual1[i]), float(solution.residual2[i]),
-             bool(solution.converged[i]))
-            for i in range(solution.radii.size)]
-    return write_csv(path, CSV_COLUMNS, rows)

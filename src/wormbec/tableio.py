@@ -12,16 +12,19 @@ import math
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 
 def format_value(value: Any) -> str:
+    if type(value) is float:  # nearly every cell, so tested first
+        return "nan" if math.isnan(value) else repr(value)
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # numpy reals; np.float64 subclasses float but reprs as np.float64(...)
+        return format_value(float(value))
     return str(value)
 
 

@@ -82,6 +82,29 @@ def test_solve_gp_outputs(tmp_path):
     assert summary["max_rel_deviation_from_zero_order"]["vr"] < 1e-9
 
 
+def test_solve_gp_table_layout(tmp_path):
+    """The solution table has one row per radius, in either format."""
+    args = ("solve-gp", "--set", "wormhole.b0_um=1",
+            "--set", "grid.r_min_um=1.1", "--set", "grid.r_max_um=2",
+            "--set", "grid.r_step_um=0.3")
+    columns = ["r_um", "cs0_m_per_s", "vr_m_per_s", "res1", "res2", "converged"]
+    assert run(tmp_path / "csv", *args) == 0
+    lines = (tmp_path / "csv" / "gp_solution_vinf0.01_b01.csv").read_text().splitlines()
+    assert lines[0] == ",".join(columns)
+    assert len(lines) == 1 + 4
+    assert all(line.endswith(",true") for line in lines[1:])
+
+    assert run(tmp_path / "json", *args, "--format", "json") == 0
+    assert not (tmp_path / "json" / "gp_solution_vinf0.01_b01.csv").exists()
+    payload = json.loads(
+        (tmp_path / "json" / "gp_solution_vinf0.01_b01.json").read_text())
+    assert payload["columns"] == columns
+    assert len(payload["rows"]) == 4
+    for line, row in zip(lines[1:], payload["rows"]):
+        assert row[5] is True
+        assert row[:5] == [float(v) for v in line.split(",")[:5]]
+
+
 def test_solve_gp_rejects_multiple_b0(tmp_path):
     code = run(tmp_path, "solve-gp", "--set", "wormhole.b0_um=1,2")
     assert code == 1
@@ -205,6 +228,26 @@ def test_config_validation_errors(tmp_path):
     assert main(["profile1d", "--set", "wormhole.b0_um=-1"]) == 1
 
 
+@pytest.mark.parametrize("command, override", [
+    ("profile1d", "wormhole.q=nan"),
+    ("profile3d", "observer.v_inf_m_per_s=nan"),
+    ("profile3d", "thresholds.pole_delta=nan"),
+    ("profile1d", "grid.step_um=nan"),
+    ("profile1d", "grid.x_max_um=inf"),
+    ("profile3d", "layout.R_um=inf"),
+    ("profile3d", "observer.v_inf_m_per_s=inf"),
+    ("embed", "grid.r_max_um=nan"),
+])
+def test_non_finite_setting_is_config_error(tmp_path, capsys, command, override):
+    """nan and inf are rejected with a one-line error before any output."""
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"wormbec {command}: error: ")
+    assert "finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_file_plus_override(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text("[wormhole]\nb0_um = 2.0\nq = 0.5\n"
@@ -253,6 +296,23 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
     assert "Cs" in result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import wormbec"],
+    ["-m", "wormbec", "embed", "--out", "{out}"],
+])
+def test_scipy_is_never_imported(tmp_path, argv):
+    """Neither the package import nor a CLI run loads scipy."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *(a.format(out=tmp_path) for a in argv)],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    modules = [line.rsplit("|", 1)[1].strip()
+               for line in result.stderr.splitlines()
+               if line.startswith("import time:") and "|" in line]
+    assert "wormbec" in modules
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
 def test_usage_error_exits_1():

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from wormbec.exceptions import DomainError
-from wormbec.geometry import (ShapeFunction, ThroatClass, classify_throat,
+from wormbec.exceptions import ConvergenceError, DomainError
+from wormbec.geometry import (ShapeFunction, ThroatClass,
+                              _integrate_from_throat, classify_throat,
                               effective_light_speed, embedding_height,
                               metric_factor, proper_distance, shape_b)
 
@@ -193,3 +194,65 @@ def test_flare_out_matches_shape_derivative_at_throat():
         slope = (shape_b(shape, 2.0 + h) - shape_b(shape, 2.0)) / h
         assert slope == pytest.approx(q, abs=1e-5)
         assert (classify_throat(q) is ThroatClass.TRAVERSABLE) == (slope < 1.0 - 1e-5)
+
+
+def mpmath_reference(kind, b0, q, r):
+    """Proper distance ("l") or embedding height ("z") by tanh-sinh
+    quadrature at 20 digits, in u = sqrt(r'-b0) on doubling panels."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        b0m, one_minus_q = mp.mpf(b0), 1 - mp.mpf(q)
+        sign = 1 if kind == "z" else -1
+
+        def integrand(u):
+            rise = sign * mp.expm1(sign * one_minus_q * mp.log1p(u * u / b0m))
+            return 2 * u / mp.sqrt(rise)
+
+        u_max = mp.sqrt(mp.mpf(r) - b0m)
+        points = [mp.mpf(0), mp.sqrt(b0m)]
+        while points[-1] < u_max:
+            points.append(2 * points[-1])
+        points[-1] = u_max
+        return float(mp.quad(integrand, points))
+
+
+@pytest.mark.parametrize("q", [-2.0, 0.5, 0.95])
+@pytest.mark.parametrize("ratio", [1e3, 1e6])
+def test_far_field_mpmath_reference(q, ratio):
+    """Both integrals hold 1e-12 far outside the throat, where the CLI's
+    grid.r_max_um can reach."""
+    b0 = 2.5
+    shape = ShapeFunction(b0, q)
+    r = b0 * ratio
+    assert proper_distance(shape, r) == pytest.approx(
+        mpmath_reference("l", b0, q, r), rel=1e-12)
+    assert embedding_height(shape, r) == pytest.approx(
+        mpmath_reference("z", b0, q, r), rel=1e-12)
+
+
+def test_embedding_height_array_matches_scalar_calls():
+    """One call over an array of radii equals one call per radius; the
+    panels differ, so agreement is to a few hundred ulps, not bit for bit."""
+    for q in (-1.0, 0.5, 0.95):
+        shape = ShapeFunction(3.0, q)
+        radii = 3.0 + np.linspace(0.0, 50.0, 201)
+        heights = embedding_height(shape, radii)
+        assert isinstance(heights, np.ndarray) and heights.shape == radii.shape
+        assert heights[0] == 0.0
+        scalar = [embedding_height(shape, float(r)) for r in radii]
+        np.testing.assert_allclose(heights, scalar, rtol=1e-13, atol=0.0)
+    with pytest.raises(DomainError):
+        embedding_height(ShapeFunction(3.0, 0.5), np.array([3.0, 2.9]))
+
+
+def test_quadrature_check_rejects_jump():
+    """A jump inside one panel makes the 16- and 20-node sums disagree."""
+    def step(u):
+        return np.where(u < 0.3, 0.0, 1.0)
+
+    with pytest.raises(ConvergenceError):
+        _integrate_from_throat(step, 1.0, 0.7, rel_tol=1e-10, abs_tol=1e-12)
+    # the same jump on a panel edge integrates exactly
+    value = _integrate_from_throat(step, 1.0, np.array([0.3, 0.7]),
+                                   rel_tol=1e-10, abs_tol=1e-12)
+    np.testing.assert_allclose(value, [0.0, 0.4], rtol=1e-14, atol=1e-15)

@@ -12,7 +12,7 @@ from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, GpSolution, MetricAtPoint,
                           lorentz_gamma, matching_residuals,
                           metric_congruence_check, radial_geodesic_velocity,
                           solve_matching, solve_matching_point,
-                          write_solution_csv, zero_order_solution)
+                          zero_order_solution)
 
 
 def riemann_offset(b0, energy, r, panels=10**6):
@@ -238,12 +238,3 @@ def test_solver_grid_preconditions():
         solve_matching(0.01, 1.0, 1.1, 10.0, -0.1)
     with pytest.raises(DomainError):
         solve_matching(-0.01, 1.0, 1.1, 10.0, 0.1)
-
-
-def test_solution_csv_layout(tmp_path):
-    solution = solve_matching(0.01, 1.0, 1.1, 2.0, 0.3)
-    path = write_solution_csv(solution, tmp_path / "sol.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r_um,cs0_m_per_s,vr_m_per_s,res1,res2,converged"
-    assert len(lines) == 1 + solution.radii.size
-    assert lines[1].endswith(",true")
