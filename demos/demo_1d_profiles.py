@@ -13,7 +13,8 @@ from pathlib import Path
 
 from wormbec import (ShapeFunction, cesium_condensate, feasibility_1d,
                      sample_profile_1d, slope_metric)
-from wormbec.profile1d import write_profile_csv
+from wormbec.profile1d import CSV_COLUMNS
+from wormbec.tableio import write_csv
 
 try:
     import matplotlib
@@ -44,13 +45,13 @@ def main() -> None:
     for col, q in enumerate(Q_VALUES):
         for b0 in B0_VALUES:
             shape = ShapeFunction(b0=b0, q=q)
-            samples = sample_profile_1d(shape, spec, x_max=20.0, step=0.1)
-            write_profile_csv(samples, out / f"profile1d_q{q:g}_b0{b0:g}.csv")
+            profile = sample_profile_1d(shape, spec, x_max=20.0, step=0.1)
+            write_csv(out / f"profile1d_q{q:g}_b0{b0:g}.csv", CSV_COLUMNS,
+                      profile.columns())
             if plt is not None:
-                xs = [s.x for s in samples]
-                axes[0, col].plot(xs, [s.a_over_100a0 for s in samples],
+                axes[0, col].plot(profile.x, profile.a_over_100a0,
                                   label=f"b0={b0:g}")
-                axes[1, col].plot(xs, [s.b_gauss for s in samples])
+                axes[1, col].plot(profile.x, profile.b_gauss)
         if plt is not None:
             axes[0, col].set_title(f"q = {q:g}")
             axes[0, col].set_ylabel("a / (100 a0)")

@@ -23,12 +23,12 @@ from .gp3d import (DEFAULT_LIGHT_SPEED, GpSolution, MetricAtPoint,
                    lorentz_gamma, matching_residuals,
                    metric_congruence_check, radial_geodesic_velocity,
                    solve_matching, zero_order_solution)
-from .profile1d import (Feasibility1D, ProfileSample1D,
+from .profile1d import (Feasibility1D, Profile1D,
                         SLOPE_CAPABILITY_PER_UM, feasibility_1d,
                         field_profile_1d, lab_coordinate_1d,
                         lab_coordinate_inverse, sample_profile_1d,
                         scattering_profile_1d, slope_metric)
-from .profile3d import (LabLayout, ProfileSample3D, ResolutionReport,
+from .profile3d import (LabLayout, LabProfile3D, ResolutionReport,
                         asymptote_radius, detect_asymptotes,
                         field_profile_3d, lab_profiles_3d,
                         resolution_audit, scattering_profile_3d,

@@ -11,19 +11,16 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import product
-from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from . import gp3d, profile1d, profile3d
 from .config import RunConfig, load_config
 from .exceptions import ConfigError, ConvergenceError, DomainError
 from .feshbach import m_to_bohr
-from .geometry import ShapeFunction, embedding_height
+from .geometry import ShapeFunction, embedding_height, uniform_grid
 from .gp3d import solve_matching
 from .profile3d import LabLayout, feasibility_report_3d, lab_profiles_3d
-from .tableio import write_csv, write_json
+from .tableio import write_json, write_table
 
 __all__ = ["main"]
 
@@ -75,32 +72,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_table(stem: Path, columns: Sequence[str], rows: list[tuple],
-                 out_format: str) -> Path:
-    # extensions are appended, not with_suffix: stems carry dots (q0.95)
-    if out_format == "json":
-        payload = {"columns": list(columns),
-                   "rows": [[None if isinstance(v, float) and v != v else v
-                             for v in row] for row in rows]}
-        return write_json(stem.parent / (stem.name + ".json"), payload)
-    return write_csv(stem.parent / (stem.name + ".csv"), columns, rows)
-
-
 def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     all_feasible = True
     for q, b0 in product(cfg.q_list, cfg.b0_list):
         shape = ShapeFunction(b0=b0, q=q)
-        samples = profile1d.sample_profile_1d(shape, cfg.spec, cfg.x_max, cfg.x_step)
-        tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
-        _write_table(cfg.out_dir / f"profile1d_{tag}",
-                     profile1d.CSV_COLUMNS,
-                     [(s.x, s.r, s.a_over_abg, s.a_over_100a0, s.b_gauss,
-                       s.c_s, s.valid) for s in samples],
-                     cfg.out_format)
+        profile = profile1d.sample_profile_1d(shape, cfg.spec, cfg.x_max, cfg.x_step)
         audit = profile1d.feasibility_1d(
             shape, cfg.spec, cfg.x_max, cfg.x_step,
             threshold=cfg.slope_threshold, window=cfg.throat_exclusion)
+        tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
+        write_table(cfg.out_dir / f"profile1d_{tag}", profile1d.CSV_COLUMNS,
+                    profile.columns(), cfg.out_format)
         all_feasible = all_feasible and audit.feasible
         write_json(cfg.out_dir / f"feasibility_{tag}.json", {
             "wormhole": {"b0_um": b0, "q": q,
@@ -129,41 +111,36 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
     r_step = cfg.r_step if cfg.r_step is not None else 0.05 * b0
     solution = solve_matching(cfg.v_inf, b0, r_min, r_max, r_step,
                               throat_epsilon=cfg.throat_epsilon)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"vinf{_fmt(cfg.v_inf)}_b0{_fmt(b0)}"
-    _write_table(cfg.out_dir / f"gp_solution_{tag}", gp3d.CSV_COLUMNS,
-                 list(zip(solution.radii.tolist(), solution.cs0.tolist(),
-                          solution.vr.tolist(), solution.residual1.tolist(),
-                          solution.residual2.tolist(),
-                          solution.converged.tolist())),
-                 cfg.out_format)
+    write_table(cfg.out_dir / f"gp_solution_{tag}", gp3d.CSV_COLUMNS,
+                solution.columns(), cfg.out_format)
     dev_cs0, dev_vr = solution.zero_order_deviation()
+    points_converged = int(solution.converged.sum())
     write_json(cfg.out_dir / f"gp_summary_{tag}.json", {
         "v_inf_m_per_s": cfg.v_inf,
         "b0_um": b0,
         "grid": {"r_min_um": r_min, "r_max_um": r_max, "step_um": r_step},
         "points": int(solution.radii.size),
-        "points_converged": int(solution.converged.sum()),
+        "points_converged": points_converged,
         "max_abs_residual1": float(abs(solution.residual1).max()),
         "max_abs_residual2": float(abs(solution.residual2).max()),
         "max_rel_deviation_from_zero_order": {"cs0": dev_cs0, "vr": dev_vr},
     })
+    if strict and points_converged < solution.radii.size:
+        return EXIT_INFEASIBLE
     return EXIT_OK
 
 
 def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
     b0 = cfg.single_b0()
     layout = LabLayout(R=cfg.layout_r, b0=b0)
-    samples = lab_profiles_3d(layout, cfg.v_inf, cfg.spec, cfg.x_step,
+    profile = lab_profiles_3d(layout, cfg.v_inf, cfg.spec, cfg.x_step,
                               pole_delta=cfg.pole_delta)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"R{_fmt(cfg.layout_r)}_b0{_fmt(b0)}_vinf{_fmt(cfg.v_inf)}"
-    _write_table(cfg.out_dir / f"profile3d_{tag}",
-                 profile3d.CSV_COLUMNS,
-                 [(s.x, s.r, s.cs0, s.cs, s.b_gauss, s.a_over_abg, s.vr,
-                   s.valid, s.near_asymptote) for s in samples],
-                 cfg.out_format)
-    report = feasibility_report_3d(layout, cfg.v_inf, cfg.spec, samples,
+    write_table(cfg.out_dir / f"profile3d_{tag}", profile3d.CSV_COLUMNS,
+                profile.columns(), cfg.out_format,
+                blank_nan=profile3d.BLANK_NAN_COLUMNS)
+    report = feasibility_report_3d(layout, cfg.v_inf, cfg.spec, profile,
                                    cfg.x_step,
                                    resolution_factor=cfg.resolution_factor)
     write_json(cfg.out_dir / f"report_{tag}.json", report)
@@ -178,20 +155,16 @@ def cmd_embed(cfg: RunConfig, strict: bool) -> int:
     for q in cfg.q_list:
         if q >= 1.0:
             raise DomainError(f"no embedding for q = {q!r}: signature broken")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for q, b0 in product(cfg.q_list, cfg.b0_list):
         shape = ShapeFunction(b0=b0, q=q)
         r_max = cfg.r_max if cfg.r_max is not None else 5.0 * b0
         if r_max <= b0:
             raise ConfigError(f"[grid] r_max_um must exceed b0, got {r_max!r}")
         r_step = cfg.r_step if cfg.r_step is not None else (r_max - b0) / 200.0
-        count = int((r_max - b0) / r_step + 1e-9) + 1
-        radii = b0 + np.arange(count) * r_step
-        heights = embedding_height(shape, radii)
-        _write_table(cfg.out_dir / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}",
-                     ("r_um", "z_um"),
-                     list(zip(radii.tolist(), heights.tolist())),
-                     cfg.out_format)
+        radii = uniform_grid(b0, r_max - b0, r_step)
+        write_table(cfg.out_dir / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}",
+                    ("r_um", "z_um"), (radii, embedding_height(shape, radii)),
+                    cfg.out_format)
     return EXIT_OK
 
 

@@ -47,11 +47,16 @@ __all__ = [
     "effective_light_speed",
     "proper_distance",
     "embedding_height",
+    "MAX_GRID_POINTS",
+    "uniform_grid",
 ]
 
 # Gauss-Legendre (nodes, weights) on [-1, 1]: the rule and its check.
 _GAUSS_16 = np.polynomial.legendre.leggauss(16)
 _GAUSS_20 = np.polynomial.legendre.leggauss(20)
+
+# Largest point count of one grid walk; a symmetric grid mirrors one walk.
+MAX_GRID_POINTS = 10**6
 
 
 class ThroatClass(enum.Enum):
@@ -86,6 +91,20 @@ class ShapeFunction:
     @property
     def throat_class(self) -> ThroatClass:
         return classify_throat(self.q)
+
+
+def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
+    """start + k*step for k = 0 .. floor(span/step + 1e-9); the slack keeps
+    the far end when span/step rounds just below an integer."""
+    if not step > 0.0:
+        raise DomainError(f"step must be positive, got {step!r}")
+    if not span >= 0.0:
+        raise DomainError(f"grid span must be non-negative, got {span!r}")
+    steps = span / step + 1e-9
+    if not steps < MAX_GRID_POINTS:  # before allocating; also inf and nan
+        raise DomainError(f"a grid over {span!r} at step {step!r} exceeds "
+                          f"{MAX_GRID_POINTS} points")
+    return start + np.arange(math.floor(steps) + 1) * step
 
 
 def _require_outside_throat(shape: ShapeFunction, r: float) -> None:

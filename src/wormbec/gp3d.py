@@ -7,7 +7,9 @@ of a condensate's effective metric, so matching the two component by
 component yields, at every radius, a 2-unknown nonlinear system for the
 background sound speed c_s0 and the flow velocity v^r. The system is
 solved here without approximation by a damped Newton iteration seeded
-with its small-velocity limit (v^r = v_inf, c_s0 = v_inf * r / b0).
+with its small-velocity limit (v^r = v_inf, c_s0 = v_inf * r / b0). On
+a grid, the seed and its residuals are evaluated for all radii at once,
+and only the radii where the seed misses the tolerance iterate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, PoleError
-from .geometry import _integrate_from_throat
+from .geometry import _integrate_from_throat, uniform_grid
 
 __all__ = [
     "DEFAULT_LIGHT_SPEED",
@@ -252,6 +254,10 @@ class GpSolution:
         dev_vr = float(np.max(np.abs(self.vr - self.v_inf) / self.v_inf))
         return dev_cs0, dev_vr
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.radii, self.cs0, self.vr, self.residual1,
+                self.residual2, self.converged)
+
 
 def _fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
     n = z.size
@@ -326,6 +332,26 @@ def solve_matching_point(r: float, v_inf: float, b0: float, *,
     return cs0_of(gs), float(vr), float(res[0]), float(res[1]), converged
 
 
+def _seed_residuals(radii: np.ndarray, v_inf: float, b0: float,
+                    light_speed: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cs0 and both residuals of the small-velocity seed at every radius:
+    solve_matching_point's operations in its order, with ``** 2`` per
+    element in the C library, whose pow can differ from x*x in the last bit."""
+    # cs0 <= v_inf gives NaN residuals, so the scalar solver raises there
+    with np.errstate(all="ignore"):
+        factor = (radii - b0) * (radii + b0) / (radii * radii)
+        gs_seed = 1.0 / np.sqrt(factor)
+        cs0 = v_inf * gs_seed / np.sqrt(gs_seed * gs_seed - 1.0)
+        # matching_residuals(r, cs0, v_inf, v_inf, b0, light_speed)
+        gs = 1.0 / np.sqrt(1.0 - np.array([t ** 2 for t in (v_inf / cs0).tolist()]))
+        c2 = light_speed * light_speed
+        res1 = (np.sqrt((gs * gs - 1.0) / factor) / gs
+                - v_inf * (gs / cs0 - cs0 / (gs * c2)))
+        coupling = 1.0 - np.array([t ** 2 for t in (cs0 / (light_speed * gs)).tolist()])
+        res2 = 1.0 / (gs * gs * factor) - 1.0 - coupling * (v_inf / light_speed) ** 2
+    return cs0, res1, res2
+
+
 def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
                    step: float, *, light_speed: float = DEFAULT_LIGHT_SPEED,
                    tol: float = 1e-12, throat_epsilon: float = 1e-3,
@@ -338,8 +364,6 @@ def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
     """
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step!r}")
     if r_max < r_min:
         raise DomainError(f"need r_max >= r_min, got [{r_min!r}, {r_max!r}]")
     if r_min < b0 * (1.0 + throat_epsilon):
@@ -347,17 +371,13 @@ def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
             f"grid must start at r >= b0 * (1 + {throat_epsilon!r}) = "
             f"{b0 * (1.0 + throat_epsilon)!r}, got r_min = {r_min!r}")
 
-    count = int(math.floor((r_max - r_min) / step + 1e-9)) + 1
-    radii = np.array([r_min + k * step for k in range(count)])
-
-    cs0 = np.empty(count)
-    vr = np.empty(count)
-    res1 = np.empty(count)
-    res2 = np.empty(count)
-    converged = np.empty(count, dtype=bool)
-    for i, r in enumerate(radii):
+    radii = uniform_grid(r_min, r_max - r_min, step)
+    cs0, res1, res2 = _seed_residuals(radii, v_inf, b0, light_speed)
+    vr = np.full(radii.size, v_inf)
+    converged = np.maximum(np.abs(res1), np.abs(res2)) < tol
+    for i in np.flatnonzero(~converged).tolist():
         cs0[i], vr[i], res1[i], res2[i], converged[i] = solve_matching_point(
-            float(r), v_inf, b0, light_speed=light_speed, tol=tol,
+            radii[i].item(), v_inf, b0, light_speed=light_speed, tol=tol,
             max_iterations=max_iterations)
 
     if not converged.any():

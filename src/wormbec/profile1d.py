@@ -6,18 +6,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from .exceptions import DomainError
-from .feshbach import (BOHR_RADIUS, CondensateSpec, FeshbachResonance,
-                       sound_speed_from_scattering)
-from .geometry import ShapeFunction, _require_outside_throat, metric_factor
-from .tableio import write_csv
+from .feshbach import BOHR_RADIUS, HBAR, CondensateSpec, FeshbachResonance
+from .geometry import (ShapeFunction, _require_outside_throat, metric_factor,
+                       uniform_grid)
 
 __all__ = [
     "SLOPE_CAPABILITY_PER_UM",
-    "ProfileSample1D",
+    "Profile1D",
     "Feasibility1D",
     "field_profile_1d",
     "scattering_profile_1d",
@@ -27,7 +26,6 @@ __all__ = [
     "symmetric_grid",
     "sample_profile_1d",
     "feasibility_1d",
-    "write_profile_csv",
 ]
 
 # Demonstrated spatial control of a/(100 a0), per micron.
@@ -38,16 +36,19 @@ CSV_COLUMNS = ("x_um", "r_um", "a_over_abg", "a_over_100a0",
 
 
 @dataclass(frozen=True)
-class ProfileSample1D:
-    """One grid point of the 1+1D control profile."""
+class Profile1D:
+    """The 1+1D control profile, one array per CSV column (same order)."""
 
-    x: float
-    r: float
-    a_over_abg: float
-    a_over_100a0: float
-    b_gauss: float
-    c_s: float
-    valid: bool
+    x: np.ndarray
+    r: np.ndarray
+    a_over_abg: np.ndarray
+    a_over_100a0: np.ndarray
+    b_gauss: np.ndarray
+    c_s: np.ndarray
+    valid: np.ndarray
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(vars(self).values())
 
 
 @dataclass(frozen=True)
@@ -102,42 +103,36 @@ def slope_metric(shape: ShapeFunction, res: FeshbachResonance, x: float) -> floa
     return scale * (1.0 - shape.q) * shape.b0 ** (1.0 - shape.q) * r ** (shape.q - 2.0)
 
 
-def symmetric_grid(x_max: float, step: float) -> list[float]:
+def symmetric_grid(x_max: float, step: float) -> np.ndarray:
     """Grid over [-x_max, x_max] containing x = 0 exactly."""
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step!r}")
-    if x_max < 0.0:
-        raise DomainError(f"x_max must be non-negative, got {x_max!r}")
-    half = int(math.floor(x_max / step + 1e-9))
-    return [k * step for k in range(-half, half + 1)]
+    half = uniform_grid(0.0, x_max, step)
+    return np.concatenate((-half[:0:-1], half))
 
 
 def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
-                      x_max: float = 20.0, step: float = 0.1) -> list[ProfileSample1D]:
+                      x_max: float = 20.0, step: float = 0.1) -> Profile1D:
     """Sample all 1+1D control quantities on a symmetric lab grid.
 
     Samples where the scattering length goes negative (q > 1) carry
-    valid=False and a NaN sound speed.
+    valid=False and a NaN sound speed. log, expm1 and pow run per element
+    in the C library, as in the scalar functions: numpy's SIMD versions
+    may round differently in the last bit.
     """
-    grid = symmetric_grid(x_max, step)
-    if not grid:
-        raise DomainError("empty grid")
-    a_bg = spec.resonance.a_bg
-    samples = []
-    for x in grid:
-        r = abs(x) + shape.b0
-        a_over = scattering_profile_1d(shape, r)
-        b = field_profile_1d(shape, spec.resonance, r)
-        valid = a_over >= 0.0
-        # The scattering route keeps c_s(throat) exactly zero; agreement
-        # with the field route is covered by the consistency tests.
-        c_s = sound_speed_from_scattering(a_bg * a_over, spec) if valid else math.nan
-        samples.append(ProfileSample1D(
-            x=x, r=r,
-            a_over_abg=a_over,
-            a_over_100a0=a_over * a_bg / (100.0 * BOHR_RADIUS),
-            b_gauss=b, c_s=c_s, valid=valid))
-    return samples
+    x = symmetric_grid(x_max, step)
+    r = np.abs(x) + shape.b0
+    ratio = (r / shape.b0).tolist()
+    exponent = 1.0 - shape.q
+    res = spec.resonance
+    a_over = np.array([-math.expm1(-exponent * math.log(t)) for t in ratio])
+    b = np.array([t ** exponent for t in ratio]) * res.width + res.b_res
+    valid = a_over >= 0.0
+    # the scattering route keeps c_s(throat) exactly zero
+    rho_term = 4.0 * math.pi * spec.density
+    c_s = HBAR / spec.species.mass * np.sqrt(
+        rho_term * np.where(valid, res.a_bg * a_over, math.nan))
+    return Profile1D(x=x, r=r, a_over_abg=a_over,
+                     a_over_100a0=a_over * res.a_bg / (100.0 * BOHR_RADIUS),
+                     b_gauss=b, c_s=c_s, valid=valid)
 
 
 def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
@@ -149,8 +144,8 @@ def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
     The max of |slope_metric| is taken over grid points with |x| >= window
     (the profile is even in x, so only the x >= 0 half needs scanning).
     """
-    candidates = [x for x in symmetric_grid(x_max, step)
-                  if x >= 0.0 and abs(x) >= window]
+    half = uniform_grid(0.0, x_max, step)
+    candidates = half[half >= window].tolist()
     if not candidates:
         raise DomainError("exclusion window leaves no grid points")
     max_slope = -math.inf
@@ -164,8 +159,3 @@ def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
                          threshold=threshold,
                          feasible=max_slope <= threshold, window=window)
 
-
-def write_profile_csv(samples: Sequence[ProfileSample1D], path: str | Path) -> Path:
-    rows = [(s.x, s.r, s.a_over_abg, s.a_over_100a0, s.b_gauss, s.c_s, s.valid)
-            for s in samples]
-    return write_csv(path, CSV_COLUMNS, rows)

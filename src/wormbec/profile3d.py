@@ -7,17 +7,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence, Union
+import numpy as np
 
 from .exceptions import DomainError, PoleError
 from .feshbach import AtomSpecies, CondensateSpec, healing_length
+from .geometry import uniform_grid
 from .gp3d import GpSolution
-from .tableio import write_csv
 
 __all__ = [
     "LabLayout",
-    "ProfileSample3D",
+    "LabProfile3D",
     "ResolutionReport",
     "sound_speed_profile_3d",
     "detuning_denominator",
@@ -29,11 +28,11 @@ __all__ = [
     "analytic_asymptote_positions",
     "resolution_audit",
     "feasibility_report_3d",
-    "write_profile_csv",
 ]
 
 CSV_COLUMNS = ("x_um", "r_um", "cs0_m_per_s", "cs_m_per_s", "B_gauss",
                "a_over_abg", "vr_m_per_s", "valid", "near_asymptote")
+BLANK_NAN_COLUMNS = ("B_gauss",)  # near-asymptote cells are written empty
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class LabLayout:
         if not self.b0 > 0.0:
             raise DomainError(f"throat radius must be positive, got {self.b0!r}")
 
-    @property
-    def extent(self) -> tuple[float, float]:
-        return 0.0, 2.0 * self.R
-
     def radius_at(self, x: float) -> float:
         if not 0.0 <= x <= 2.0 * self.R:
             raise DomainError(f"x = {x!r} outside the lab extent [0, {2.0 * self.R!r}]")
@@ -61,19 +56,23 @@ class LabLayout:
 
 
 @dataclass(frozen=True)
-class ProfileSample3D:
-    """One grid point of the 3+1D control profile. ``b_gauss`` is None on
-    near-asymptote samples: no finite field realizes them."""
+class LabProfile3D:
+    """The 3+1D control profile, one array per CSV column (same order).
+    ``b_gauss`` is NaN on near-asymptote samples: no finite field realizes
+    them."""
 
-    x: float
-    r: float
-    cs0: float
-    cs: float
-    b_gauss: float | None
-    a_over_abg: float
-    vr: float
-    valid: bool
-    near_asymptote: bool
+    x: np.ndarray
+    r: np.ndarray
+    cs0: np.ndarray
+    cs: np.ndarray
+    b_gauss: np.ndarray
+    a_over_abg: np.ndarray
+    vr: np.ndarray
+    valid: np.ndarray
+    near_asymptote: np.ndarray
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(vars(self).values())
 
 
 def _radius_ratio_term(r: float, b0: float) -> float:
@@ -95,8 +94,7 @@ def sound_speed_profile_3d(r: float, v_inf: float, b0: float) -> tuple[float, fl
 def detuning_denominator(r: float, v_inf: float, b0: float,
                          spec: CondensateSpec) -> float:
     """D(r) = 1 - (v_inf/c~_s)**2 ((r/b0)**2 - 1); the field pole is D = 0."""
-    ratio = v_inf / spec.background_sound_speed
-    return 1.0 - ratio * ratio * _radius_ratio_term(r, b0)
+    return 1.0 - scattering_profile_3d(r, v_inf, b0, spec)
 
 
 def asymptote_radius(v_inf: float, b0: float, spec: CondensateSpec) -> float:
@@ -124,50 +122,44 @@ def scattering_profile_3d(r: float, v_inf: float, b0: float,
 
 
 def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
-                    step: float, *, pole_delta: float = 1e-3) -> list[ProfileSample3D]:
+                    step: float, *, pole_delta: float = 1e-3) -> LabProfile3D:
     """Sample the 3+1D control quantities over x in [0, 2R].
 
     Samples with |D| < pole_delta are flagged near_asymptote and carry no
     field value; they localize the experimentally unrealizable zone
     instead of hiding it.
     """
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step!r}")
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
-    count = int(math.floor(2.0 * layout.R / step + 1e-9)) + 1
-    samples = []
-    for k in range(count):
-        x = k * step
-        r = layout.radius_at(x)
-        cs0, cs = sound_speed_profile_3d(r, v_inf, layout.b0)
-        denom = detuning_denominator(r, v_inf, layout.b0, spec)
-        near = abs(denom) < pole_delta
-        b = None if near else spec.resonance.width / denom + spec.resonance.b_res
-        samples.append(ProfileSample3D(
-            x=x, r=r, cs0=cs0, cs=cs, b_gauss=b,
-            a_over_abg=scattering_profile_3d(r, v_inf, layout.b0, spec),
-            vr=v_inf, valid=not near, near_asymptote=near))
-    return samples
+    x = uniform_grid(0.0, 2.0 * layout.R, step)
+    b0 = layout.b0
+    r = np.abs(x - layout.R) + b0
+    term = (r - b0) * (r + b0) / (b0 * b0)  # _radius_ratio_term
+    ratio = v_inf / spec.background_sound_speed
+    a_over = ratio * ratio * term
+    denom = 1.0 - a_over
+    near = np.abs(denom) < pole_delta
+    b = np.full(x.size, math.nan)
+    b[~near] = spec.resonance.width / denom[~near] + spec.resonance.b_res
+    return LabProfile3D(x=x, r=r, cs0=v_inf * (r / b0), cs=v_inf * np.sqrt(term),
+                        b_gauss=b, a_over_abg=a_over, vr=np.full(x.size, v_inf),
+                        valid=~near, near_asymptote=near)
 
 
-def detect_asymptotes(samples: Sequence[ProfileSample3D]) -> list[float]:
+def detect_asymptotes(profile: LabProfile3D) -> list[float]:
     """Locate field poles from the sampled profile.
 
     Poles sit exactly where a/a_bg crosses 1, so sign changes of
     (a/a_bg - 1) between neighbouring samples localize them to one grid
     step; the midpoint of the bracketing pair is reported.
     """
-    positions = []
-    previous: tuple[float, float] | None = None
-    for s in samples:
-        gap = s.a_over_abg - 1.0
-        if gap == 0.0:
-            positions.append(s.x)
-        elif previous is not None and previous[1] * gap < 0.0:
-            positions.append(0.5 * (previous[0] + s.x))
-        previous = (s.x, gap)
-    return positions
+    x = profile.x
+    gap = profile.a_over_abg - 1.0
+    exact = gap == 0.0
+    crossing = np.concatenate(([False], gap[:-1] * gap[1:] < 0.0))
+    found = np.flatnonzero(exact | crossing)
+    midpoints = 0.5 * (x[found - 1] + x[found])
+    return np.where(exact[found], x[found], midpoints).tolist()
 
 
 def analytic_asymptote_positions(layout: LabLayout, v_inf: float,
@@ -200,11 +192,9 @@ class ResolutionReport:
         return self.step_ok and self.throat_ok is not False
 
 
-ProfileData = Union[float, GpSolution, Sequence[ProfileSample3D]]
-
-
-def resolution_audit(data: ProfileData, species: AtomSpecies, step: float, *,
-                     b0: float | None = None, factor: float = 10.0) -> ResolutionReport:
+def resolution_audit(data: float | GpSolution | LabProfile3D, species: AtomSpecies,
+                     step: float, *, b0: float | None = None,
+                     factor: float = 10.0) -> ResolutionReport:
     """Compare the grid step with the healing length at the smallest
     relevant cs0 (the start-of-profile value, where xi is largest).
 
@@ -222,9 +212,9 @@ def resolution_audit(data: ProfileData, species: AtomSpecies, step: float, *,
     elif isinstance(data, (int, float)):
         reference = float(data)
     else:
-        reference = min(s.cs0 for s in data)
+        reference = float(data.cs0.min())
         if b0 is None:
-            b0 = min(s.r for s in data)
+            b0 = float(data.r.min())
     xi_um = healing_length(reference, species) * 1e6
     return ResolutionReport(
         species=species.name,
@@ -240,10 +230,10 @@ def resolution_audit(data: ProfileData, species: AtomSpecies, step: float, *,
 
 
 def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
-                          samples: Sequence[ProfileSample3D], step: float, *,
+                          profile: LabProfile3D, step: float, *,
                           resolution_factor: float = 10.0) -> dict:
     """Assemble the JSON-ready feasibility report for a sampled profile."""
-    audit = resolution_audit(samples, spec.species, step,
+    audit = resolution_audit(profile, spec.species, step,
                              b0=layout.b0, factor=resolution_factor)
     return {
         "layout": {"R_um": layout.R, "b0_um": layout.b0},
@@ -251,11 +241,11 @@ def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
         "background_sound_speed_m_per_s": spec.background_sound_speed,
         "asymptotes": {
             "analytic_x_um": analytic_asymptote_positions(layout, v_inf, spec),
-            "detected_x_um": detect_asymptotes(samples),
+            "detected_x_um": detect_asymptotes(profile),
             "radius_um": asymptote_radius(v_inf, layout.b0, spec),
         },
-        "max_a_over_abg": max(s.a_over_abg for s in samples),
-        "near_asymptote_samples": sum(1 for s in samples if s.near_asymptote),
+        "max_a_over_abg": float(profile.a_over_abg.max()),
+        "near_asymptote_samples": int(profile.near_asymptote.sum()),
         "resolution": {
             "species": audit.species,
             "reference_cs0_m_per_s": audit.reference_cs0,
@@ -270,9 +260,3 @@ def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
         },
     }
 
-
-def write_profile_csv(samples: Sequence[ProfileSample3D], path: str | Path) -> Path:
-    rows = [(s.x, s.r, s.cs0, s.cs, s.b_gauss, s.a_over_abg, s.vr,
-             s.valid, s.near_asymptote)
-            for s in samples]
-    return write_csv(path, CSV_COLUMNS, rows)

@@ -143,8 +143,8 @@ def test_criterion_6_asymptote_localization():
     v_inf, b0, R, step = 0.01, 1.0, 5.0, 0.0625
     offset = b0 * (math.sqrt(1.0 + (cs_bg / v_inf) ** 2) - 1.0)
     expected = [R - offset, R + offset]
-    samples = lab_profiles_3d(LabLayout(R=R, b0=b0), v_inf, CS, step)
-    detected = detect_asymptotes(samples)
+    profile = lab_profiles_3d(LabLayout(R=R, b0=b0), v_inf, CS, step)
+    detected = detect_asymptotes(profile)
     c.check(len(detected) == 2, f"expected 2 poles, found {detected}")
     for found, target in zip(detected, expected):
         c.check(abs(found - target) <= step,
@@ -172,9 +172,10 @@ def test_criterion_7_throat_identities():
         c.check(cs0 == v_inf, "cs0(throat) != v_inf")
         c.check(field_profile_3d(b0, v_inf, b0, CS) == RES.b_res + RES.width,
                 "B_3d(throat) != B_res + width")
-        samples = sample_profile_1d(shape, CS, x_max=float(2 * b0), step=float(b0))
-        throat = next(s for s in samples if s.x == 0.0)
-        c.check(throat.c_s == 0.0 and throat.a_over_abg == 0.0,
+        profile = sample_profile_1d(shape, CS, x_max=float(2 * b0), step=float(b0))
+        throat = profile.x == 0.0
+        c.check(throat.sum() == 1 and profile.c_s[throat][0] == 0.0
+                and profile.a_over_abg[throat][0] == 0.0,
                 "throat sample not exactly zero")
     c.finish()
 

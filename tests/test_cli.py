@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, config handling, exit codes,
 deterministic output."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -8,9 +9,11 @@ import sys
 
 import pytest
 
+import wormbec.cli
 from wormbec.cli import main
 from wormbec.config import load_config
 from wormbec.exceptions import ConfigError
+from wormbec.gp3d import solve_matching
 
 
 def run(tmp_path, *args):
@@ -45,6 +48,16 @@ def test_profile1d_feasibility_json_slope(tmp_path):
 def test_profile1d_empty_grid_is_config_error(tmp_path):
     code = run(tmp_path, "profile1d", "--set", "grid.step_um=0")
     assert code == 1
+
+
+def test_profile1d_window_beyond_grid_writes_nothing(tmp_path, capsys):
+    """An exclusion window wider than the grid is a one-line error, raised
+    before the first table is written."""
+    out = tmp_path / "out"
+    assert main(["profile1d", "--out", str(out),
+                 "--set", "grid.throat_exclusion_um=30"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_profile1d_strict_infeasible_exits_2(tmp_path):
@@ -103,6 +116,26 @@ def test_solve_gp_table_layout(tmp_path):
     for line, row in zip(lines[1:], payload["rows"]):
         assert row[5] is True
         assert row[:5] == [float(v) for v in line.split(",")[:5]]
+
+
+def test_solve_gp_strict_flags_unconverged_radius(tmp_path, monkeypatch):
+    """--strict exits 2 once any radius is unconverged, after writing the
+    tables; without --strict the same run exits 0."""
+    def one_unconverged(*args, **kwargs):
+        solution = solve_matching(*args, **kwargs)
+        converged = solution.converged.copy()
+        converged[3] = False
+        return dataclasses.replace(solution, converged=converged)
+
+    monkeypatch.setattr(wormbec.cli, "solve_matching", one_unconverged)
+    args = ("solve-gp", "--set", "grid.r_step_um=0.5")
+    assert run(tmp_path / "strict", *args, "--strict") == 2
+    summary = json.loads(
+        (tmp_path / "strict" / "gp_summary_vinf0.01_b01.json").read_text())
+    assert summary["points_converged"] == summary["points"] - 1
+    assert run(tmp_path / "plain", *args) == 0
+    monkeypatch.setattr(wormbec.cli, "solve_matching", solve_matching)
+    assert run(tmp_path / "real", *args, "--strict") == 0
 
 
 def test_solve_gp_rejects_multiple_b0(tmp_path):
@@ -246,6 +279,55 @@ def test_non_finite_setting_is_config_error(tmp_path, capsys, command, override)
     assert err.startswith(f"wormbec {command}: error: ")
     assert "finite" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, override", [
+    ("profile1d", "grid.step_um=0.01"),       # 2001 points a side
+    ("solve-gp", "grid.r_step_um=0.001"),     # 8901 radii
+    ("profile3d", "grid.step_um=0.001"),      # 10001 points
+    ("embed", "grid.r_step_um=0.001"),        # 4001 radii
+])
+def test_grid_above_point_cap_is_one_line_error(tmp_path, capsys, monkeypatch,
+                                                command, override):
+    """A grid above the point cap exits 1 with one line and writes nothing
+    (the cap is lowered to 1000 points so no large grid is ever built)."""
+    monkeypatch.setattr("wormbec.geometry.MAX_GRID_POINTS", 1000)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "capped"
+    assert main([command, "--out", str(out), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"wormbec {command}: error: ")
+    assert "exceeds 1000 points" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+JSON_CELL = {"nan": None, "": None, "true": True, "false": False}
+
+
+def test_csv_and_json_tables_hold_the_same_values(tmp_path):
+    """Each table subcommand writes the same cells in both formats, with
+    NaN as nan/null and the near-asymptote field as an empty cell/null."""
+    runs = {
+        "profile1d_q2_b01": ("profile1d", "--set", "wormhole.q=2"),
+        "gp_solution_vinf0.01_b01": ("solve-gp",),
+        "profile3d_R5_b01_vinf0.01": ("profile3d", "--set", "grid.step_um=0.001"),
+        "embedding_q-1_b01": ("embed",),
+    }
+    for stem, args in runs.items():
+        assert run(tmp_path / "csv", *args) == 0
+        assert run(tmp_path / "json", *args, "--format", "json") == 0
+        lines = (tmp_path / "csv" / f"{stem}.csv").read_text().splitlines()
+        payload = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+        assert payload["columns"] == lines[0].split(",")
+        assert len(payload["rows"]) == len(lines) - 1
+        for line, row in zip(lines[1:], payload["rows"]):
+            assert row == [JSON_CELL[cell] if cell in JSON_CELL else float(cell)
+                           for cell in line.split(",")]
+    blank = [line for line in (tmp_path / "csv" / "profile3d_R5_b01_vinf0.01.csv")
+             .read_text().splitlines() if ",," in line]
+    assert len(blank) == 2
 
 
 def test_config_file_plus_override(tmp_path):

@@ -2,15 +2,17 @@
 embedding height, throat classification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wormbec.exceptions import ConvergenceError, DomainError
-from wormbec.geometry import (ShapeFunction, ThroatClass,
+from wormbec.geometry import (MAX_GRID_POINTS, ShapeFunction, ThroatClass,
                               _integrate_from_throat, classify_throat,
                               effective_light_speed, embedding_height,
-                              metric_factor, proper_distance, shape_b)
+                              metric_factor, proper_distance, shape_b,
+                              uniform_grid)
 
 # Frozen from the brute-force midpoint oracle below at 10^6 panels.
 PROPER_DISTANCE_Q05 = 6.271807848835146   # b0=1, q=0.5, r=4
@@ -256,3 +258,35 @@ def test_quadrature_check_rejects_jump():
     value = _integrate_from_throat(step, 1.0, np.array([0.3, 0.7]),
                                    rel_tol=1e-10, abs_tol=1e-12)
     np.testing.assert_allclose(value, [0.0, 0.4], rtol=1e-14, atol=1e-15)
+
+
+def test_uniform_grid_points():
+    """start + k*step up to the far end, kept when span/step rounds low."""
+    assert uniform_grid(0.0, 0.3, 0.1).tolist() == [0.0, 0.1, 0.2, 3 * 0.1]
+    assert uniform_grid(1.1, 0.0, 0.5).tolist() == [1.1]
+    grid = uniform_grid(2.0, 4.0, 0.02)
+    assert grid.tolist() == [2.0 + k * 0.02 for k in range(201)]
+    with pytest.raises(DomainError):
+        uniform_grid(0.0, 1.0, 0.0)
+    with pytest.raises(DomainError):
+        uniform_grid(0.0, -1.0, 0.1)
+
+
+def test_uniform_grid_cap_trips_before_allocation(monkeypatch):
+    """A grid above MAX_GRID_POINTS is a one-line DomainError raised before
+    any array exists; an unbounded count (inf, nan) is one too."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"exceeds {MAX_GRID_POINTS} points"):
+            uniform_grid(0.0, 2.0, 1.0 / MAX_GRID_POINTS)  # twice the cap
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the grid alone would take 16 MB
+    for span, step in ((1e300, 1e-300), (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            uniform_grid(0.0, span, step)
+    monkeypatch.setattr("wormbec.geometry.MAX_GRID_POINTS", 10)
+    assert len(uniform_grid(0.0, 9.0, 1.0)) == 10
+    with pytest.raises(DomainError):
+        uniform_grid(0.0, 10.0, 1.0)

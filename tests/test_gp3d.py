@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bitcheck import assert_same_bits
 from wormbec.exceptions import DomainError, PoleError
 from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, GpSolution, MetricAtPoint,
                           ObserverSpec, bec_metric, gp_metric, gp_time_offset,
@@ -217,6 +218,26 @@ def test_solver_agrees_with_zero_order():
         assert dev_cs0 < 1e-9
         assert dev_vr < 1e-9
         assert bool((solution.cs0 > v_inf).all())
+
+
+@pytest.mark.parametrize("light_speed", (0.1, 1.0, DEFAULT_LIGHT_SPEED))
+def test_solve_matching_equals_pointwise_solver(light_speed):
+    """The grid solve equals solve_matching_point at every radius, bit for
+    bit, whether the seed converges (large c) or Newton runs and fails at
+    some radii (c = 0.1 m/s)."""
+    v_inf, b0 = 0.01, 1.0
+    solution = solve_matching(v_inf, b0, 1.1, 10.0, 0.05, light_speed=light_speed)
+    assert_same_bits(solution.radii, [1.1 + k * 0.05 for k in range(179)])
+    points = [solve_matching_point(r, v_inf, b0, light_speed=light_speed)
+              for r in solution.radii.tolist()]
+    cs0, vr, res1, res2, converged = zip(*points)
+    assert_same_bits(solution.cs0, cs0)
+    assert_same_bits(solution.vr, vr)
+    assert_same_bits(solution.residual1, res1)
+    assert_same_bits(solution.residual2, res2)
+    assert solution.converged.tolist() == list(converged)
+    if light_speed == 0.1:
+        assert 0 < sum(converged) < len(converged)
 
 
 def test_solver_from_perturbed_seed():

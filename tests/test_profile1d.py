@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from bitcheck import assert_same_bits
 from wormbec.exceptions import DomainError
-from wormbec.feshbach import (cesium_condensate, m_to_bohr,
-                              scattering_from_field, sound_speed_from_field)
+from wormbec.feshbach import (BOHR_RADIUS, cesium_condensate, m_to_bohr,
+                              scattering_from_field, sound_speed_from_field,
+                              sound_speed_from_scattering)
 from wormbec.geometry import ShapeFunction, metric_factor
-from wormbec.profile1d import (SLOPE_CAPABILITY_PER_UM, feasibility_1d,
-                               field_profile_1d, lab_coordinate_1d,
-                               lab_coordinate_inverse, sample_profile_1d,
-                               scattering_profile_1d, slope_metric,
-                               symmetric_grid, write_profile_csv)
+from wormbec.profile1d import (CSV_COLUMNS, SLOPE_CAPABILITY_PER_UM,
+                               feasibility_1d, field_profile_1d,
+                               lab_coordinate_1d, lab_coordinate_inverse,
+                               sample_profile_1d, scattering_profile_1d,
+                               slope_metric, symmetric_grid)
+from wormbec.tableio import write_csv
 
 CS = cesium_condensate()
 RES = CS.resonance
@@ -107,30 +110,30 @@ def test_symmetric_grid_counts():
 
 def test_sample_profile_throat_column():
     """At x=0 the sample is a=0, B=B_res+width, c_s=0."""
-    samples = sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 2.0, 0.5)
-    center = [s for s in samples if s.x == 0.0]
+    profile = sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 2.0, 0.5)
+    center = np.flatnonzero(profile.x == 0.0)
     assert len(center) == 1
-    s = center[0]
-    assert s.a_over_abg == 0.0
-    assert s.a_over_100a0 == 0.0
-    assert s.b_gauss == THROAT_FIELD
-    assert s.c_s == 0.0
-    assert s.valid
+    i = center[0]
+    assert profile.a_over_abg[i] == 0.0
+    assert profile.a_over_100a0[i] == 0.0
+    assert profile.b_gauss[i] == THROAT_FIELD
+    assert profile.c_s[i] == 0.0
+    assert profile.valid[i]
 
 
 def test_sample_profile_reference_shape():
     """q=0.95, b0=1 on [-20, 20]: minimum 0 at the throat, even in x,
     strictly increasing with |x|, saturating toward a_bg/(100 a0) = 9.5."""
-    samples = sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.1)
-    assert len(samples) == 401
-    by_x = {s.x: s for s in samples}
-    assert by_x[0.0].a_over_100a0 == 0.0
-    for s in samples:
-        assert by_x[-s.x].a_over_100a0 == s.a_over_100a0
-        assert s.a_over_100a0 < 9.5
-        assert s.valid
-    positive = [s for s in samples if s.x >= 0.0]
-    values = [s.a_over_100a0 for s in positive]
+    profile = sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.1)
+    assert len(profile.x) == 401
+    xs, values = profile.x.tolist(), profile.a_over_100a0.tolist()
+    by_x = dict(zip(xs, values))
+    assert by_x[0.0] == 0.0
+    for x, value, valid in zip(xs, values, profile.valid.tolist()):
+        assert by_x[-x] == value
+        assert value < 9.5
+        assert valid
+    values = profile.a_over_100a0[profile.x >= 0.0].tolist()
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(9.5 * metric_factor(ShapeFunction(1.0, 0.95), 21.0),
                                        rel=1e-12)
@@ -138,11 +141,31 @@ def test_sample_profile_reference_shape():
 
 def test_sample_profile_flags_broken_signature():
     """q=2 samples have a < 0 away from the throat: flagged, NaN speed."""
-    samples = sample_profile_1d(ShapeFunction(1.0, 2.0), CS, 5.0, 1.0)
-    off_throat = [s for s in samples if s.x != 0.0]
-    assert all(s.a_over_abg < 0.0 and not s.valid for s in off_throat)
-    assert all(math.isnan(s.c_s) for s in off_throat)
-    assert all(s.b_gauss < THROAT_FIELD for s in off_throat)
+    profile = sample_profile_1d(ShapeFunction(1.0, 2.0), CS, 5.0, 1.0)
+    off_throat = profile.x != 0.0
+    assert (profile.a_over_abg[off_throat] < 0.0).all()
+    assert not profile.valid[off_throat].any()
+    assert np.isnan(profile.c_s[off_throat]).all()
+    assert (profile.b_gauss[off_throat] < THROAT_FIELD).all()
+
+
+@pytest.mark.parametrize("q", (2.0, 0.95, -0.5, -1.0))
+@pytest.mark.parametrize("b0", (0.5, 1.0, 10.0))
+def test_sample_profile_columns_equal_scalar_functions(q, b0):
+    """Every column is the scalar recipe evaluated point by point, bit for bit."""
+    shape = ShapeFunction(b0, q)
+    profile = sample_profile_1d(shape, CS, 20.0, 0.01)
+    assert_same_bits(profile.x, [k * 0.01 for k in range(-2000, 2001)])
+    r = [abs(x) + b0 for x in profile.x.tolist()]
+    a = [scattering_profile_1d(shape, ri) for ri in r]
+    assert_same_bits(profile.r, r)
+    assert_same_bits(profile.a_over_abg, a)
+    assert_same_bits(profile.a_over_100a0,
+                     [ai * RES.a_bg / (100.0 * BOHR_RADIUS) for ai in a])
+    assert_same_bits(profile.b_gauss, [field_profile_1d(shape, RES, ri) for ri in r])
+    assert profile.valid.tolist() == [ai >= 0.0 for ai in a]
+    assert_same_bits(profile.c_s, [sound_speed_from_scattering(RES.a_bg * ai, CS)
+                                   if ai >= 0.0 else math.nan for ai in a])
 
 
 def test_profile_consistency_with_field_route():
@@ -195,9 +218,9 @@ def test_feasibility_reference_case():
 
 
 def test_profile_csv_layout(tmp_path):
-    samples = sample_profile_1d(ShapeFunction(1.0, -1.0), CS, 1.0, 0.5)
-    path = write_profile_csv(samples, tmp_path / "p.csv")
+    profile = sample_profile_1d(ShapeFunction(1.0, -1.0), CS, 1.0, 0.5)
+    path = write_csv(tmp_path / "p.csv", CSV_COLUMNS, profile.columns())
     lines = path.read_text().splitlines()
     assert lines[0] == "x_um,r_um,a_over_abg,a_over_100a0,B_gauss,cs_m_per_s,valid"
-    assert len(lines) == 1 + len(samples)
+    assert len(lines) == 1 + len(profile.x)
     assert lines[3].endswith(",true")

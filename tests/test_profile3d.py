@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from bitcheck import assert_same_bits
 from wormbec.exceptions import DomainError, PoleError
 from wormbec.feshbach import (SPECIES, cesium_condensate, healing_length,
                               scattering_from_field, sound_speed_from_field)
 from wormbec.gp3d import solve_matching
-from wormbec.profile3d import (LabLayout, analytic_asymptote_positions,
+from wormbec.profile3d import (BLANK_NAN_COLUMNS, CSV_COLUMNS, LabLayout,
+                               analytic_asymptote_positions,
                                asymptote_radius, detect_asymptotes,
                                detuning_denominator, feasibility_report_3d,
                                field_profile_3d, lab_profiles_3d,
                                resolution_audit, scattering_profile_3d,
-                               sound_speed_profile_3d, write_profile_csv)
+                               sound_speed_profile_3d)
+from wormbec.tableio import write_csv
 
 CS = cesium_condensate()
 RES = CS.resonance
@@ -100,57 +103,83 @@ def test_lab_profiles_reference_run():
     """R=5, b0=1, v_inf=0.01, Cs: a/a_bg at the walls is about 24, far
     above the background value."""
     layout = LabLayout(R=5.0, b0=1.0)
-    samples = lab_profiles_3d(layout, 0.01, CS, 0.5)
-    assert samples[0].x == 0.0
-    assert samples[0].a_over_abg == pytest.approx(24.26, abs=0.3)
-    assert samples[-1].x == 10.0
-    assert max(s.a_over_abg for s in samples) > 1.0
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
+    assert profile.x[0] == 0.0
+    assert profile.a_over_abg[0] == pytest.approx(24.26, abs=0.3)
+    assert profile.x[-1] == 10.0
+    assert profile.a_over_abg.max() > 1.0
 
 
 def test_lab_profiles_throat_column():
     layout = LabLayout(R=5.0, b0=1.0)
-    samples = lab_profiles_3d(layout, 0.01, CS, 0.5)
-    throat = [s for s in samples if s.x == 5.0]
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
+    throat = np.flatnonzero(profile.x == 5.0)
     assert len(throat) == 1
-    s = throat[0]
-    assert s.r == 1.0
-    assert s.a_over_abg == 0.0
-    assert s.b_gauss == THROAT_FIELD
-    assert s.cs == 0.0
-    assert s.cs0 == 0.01
-    assert s.valid and not s.near_asymptote
+    i = throat[0]
+    assert profile.r[i] == 1.0
+    assert profile.a_over_abg[i] == 0.0
+    assert profile.b_gauss[i] == THROAT_FIELD
+    assert profile.cs[i] == 0.0
+    assert profile.cs0[i] == 0.01
+    assert profile.valid[i] and not profile.near_asymptote[i]
 
 
 def test_lab_profiles_mirror_symmetry():
     layout = LabLayout(R=5.0, b0=1.0)
-    samples = lab_profiles_3d(layout, 0.01, CS, 0.125)
-    by_x = {s.x: s for s in samples}
-    for s in samples:
-        mirror = by_x[10.0 - s.x]
-        assert mirror.r == s.r
-        assert mirror.a_over_abg == s.a_over_abg
-        assert mirror.cs0 == s.cs0
-        assert mirror.cs == s.cs
-        assert mirror.b_gauss == s.b_gauss
-        assert mirror.near_asymptote == s.near_asymptote
-    assert all(s.vr == 0.01 for s in samples)
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.125)
+    index = {x: i for i, x in enumerate(profile.x.tolist())}
+    mirror = [index[10.0 - x] for x in profile.x.tolist()]
+    for column in (profile.r, profile.a_over_abg, profile.cs0, profile.cs,
+                   profile.b_gauss, profile.near_asymptote):
+        assert np.array_equal(column[mirror], column, equal_nan=True)
+    assert (profile.vr == 0.01).all()
 
 
 def test_near_asymptote_samples_carry_no_field():
     layout = LabLayout(R=5.0, b0=1.0)
     # a coarse pole_delta makes several samples near-asymptotic
-    samples = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=0.2)
-    flagged = [s for s in samples if s.near_asymptote]
-    assert flagged
-    assert all(s.b_gauss is None and not s.valid for s in flagged)
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=0.2)
+    flagged = profile.near_asymptote
+    assert flagged.any()
+    assert np.isnan(profile.b_gauss[flagged]).all()
+    assert not profile.valid[flagged].any()
+
+
+@pytest.mark.parametrize("v_inf, step, pole_delta, near_count", [
+    (0.01, 0.001, 1e-3, 2),
+    (0.009, 0.0625, 0.2, 8),
+    (0.02, 0.01, 1e-3, 0),
+])
+def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
+                                                    near_count):
+    """Every column is the scalar recipe evaluated point by point, bit for
+    bit; near-asymptote samples, and only they, carry a NaN field."""
+    layout = LabLayout(R=5.0, b0=1.0)
+    profile = lab_profiles_3d(layout, v_inf, CS, step, pole_delta=pole_delta)
+    count = int(math.floor(10.0 / step + 1e-9)) + 1
+    assert_same_bits(profile.x, [k * step for k in range(count)])
+    r = [layout.radius_at(x) for x in profile.x.tolist()]
+    assert_same_bits(profile.r, r)
+    speeds = [sound_speed_profile_3d(ri, v_inf, 1.0) for ri in r]
+    assert_same_bits(profile.cs0, [cs0 for cs0, _ in speeds])
+    assert_same_bits(profile.cs, [cs for _, cs in speeds])
+    assert_same_bits(profile.a_over_abg,
+                     [scattering_profile_3d(ri, v_inf, 1.0, CS) for ri in r])
+    near = [abs(detuning_denominator(ri, v_inf, 1.0, CS)) < pole_delta for ri in r]
+    assert sum(near) == near_count
+    assert profile.near_asymptote.tolist() == near
+    assert profile.valid.tolist() == [not n for n in near]
+    assert_same_bits(profile.b_gauss, [math.nan if n else field_profile_3d(ri, v_inf, 1.0, CS)
+                                       for ri, n in zip(r, near)])
+    assert (profile.vr == v_inf).all()
 
 
 def test_detected_asymptotes_match_analytic():
     """Sign changes of a/a_bg - 1 bracket the analytic pole positions."""
     layout = LabLayout(R=5.0, b0=1.0)
     for step in (0.5, 0.25, 0.125, 0.0625):
-        samples = lab_profiles_3d(layout, 0.01, CS, step)
-        detected = detect_asymptotes(samples)
+        profile = lab_profiles_3d(layout, 0.01, CS, step)
+        detected = detect_asymptotes(profile)
         analytic = analytic_asymptote_positions(layout, 0.01, CS)
         assert len(detected) == len(analytic) == 2
         for found, expected in zip(detected, analytic):
@@ -161,8 +190,8 @@ def test_no_asymptote_when_pole_outside_layout():
     """Small enough v_inf pushes r* beyond the branch end."""
     layout = LabLayout(R=0.1, b0=1.0)
     assert analytic_asymptote_positions(layout, 0.01, CS) == []
-    samples = lab_profiles_3d(layout, 0.01, CS, 0.01)
-    assert detect_asymptotes(samples) == []
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.01)
+    assert detect_asymptotes(profile) == []
 
 
 def test_composition_closure_sound_speed():
@@ -215,16 +244,16 @@ def test_resolution_audit_from_solution_and_profile():
     assert from_solution.throat_b0_um == 1.0
 
     layout = LabLayout(R=5.0, b0=1.0)
-    samples = lab_profiles_3d(layout, 0.01, CS, 0.5)
-    from_profile = resolution_audit(samples, SPECIES["Cs"], 0.5)
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
+    from_profile = resolution_audit(profile, SPECIES["Cs"], 0.5)
     assert from_profile.reference_cs0 == 0.01  # throat value
     assert from_profile.throat_b0_um == 1.0
 
 
 def test_feasibility_report_contents():
     layout = LabLayout(R=5.0, b0=1.0)
-    samples = lab_profiles_3d(layout, 0.01, CS, 0.125)
-    report = feasibility_report_3d(layout, 0.01, CS, samples, 0.125)
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.125)
+    report = feasibility_report_3d(layout, 0.01, CS, profile, 0.125)
     assert report["asymptotes"]["analytic_x_um"] == pytest.approx(
         [5.0 - 0.5628, 5.0 + 0.5628], abs=2e-3)
     assert len(report["asymptotes"]["detected_x_um"]) == 2
@@ -245,9 +274,31 @@ def test_layout_validation():
 
 def test_profile_csv_layout(tmp_path):
     layout = LabLayout(R=1.0, b0=1.0)
-    samples = lab_profiles_3d(layout, 0.01, CS, 0.5)
-    path = write_profile_csv(samples, tmp_path / "p3.csv")
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
+    path = write_csv(tmp_path / "p3.csv", CSV_COLUMNS, profile.columns(),
+                     blank_nan=BLANK_NAN_COLUMNS)
     lines = path.read_text().splitlines()
     assert lines[0] == ("x_um,r_um,cs0_m_per_s,cs_m_per_s,B_gauss,"
                         "a_over_abg,vr_m_per_s,valid,near_asymptote")
-    assert len(lines) == 1 + len(samples)
+    assert len(lines) == 1 + len(profile.x)
+
+
+def test_profile_csv_leaves_near_asymptote_field_empty(tmp_path):
+    """The two samples next to the poles have no B_gauss cell; no cell
+    anywhere reads nan."""
+    profile = lab_profiles_3d(LabLayout(R=5.0, b0=1.0), 0.01, CS, 0.001)
+    path = write_csv(tmp_path / "p3.csv", CSV_COLUMNS, profile.columns(),
+                     blank_nan=BLANK_NAN_COLUMNS)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    blank = [row for row in rows if row[4] == ""]
+    assert len(blank) == 2
+    assert all(row[7:] == ["false", "true"] for row in blank)
+    assert not any("nan" in row for row in rows)
+
+
+def test_profile_reaches_far_wall_despite_rounding():
+    """0.3/0.1 rounds just below 3, so the last grid point 3 * 0.1 lies an
+    ulp past 2R = 0.3; it is sampled rather than rejected."""
+    profile = lab_profiles_3d(LabLayout(R=0.15, b0=1.0), 0.01, CS, 0.1)
+    assert profile.x.tolist() == [0.0, 0.1, 0.2, 3 * 0.1]
+    assert profile.r[-1] == pytest.approx(1.15, rel=1e-15)
