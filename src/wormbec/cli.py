@@ -2,8 +2,11 @@
 
 Subcommands: profile1d, solve-gp, profile3d, embed, presets. Each takes
 --config PATH, --out DIR, --strict, --format csv|json, and repeatable
---set SECTION.KEY=VALUE overrides. Exit codes: 0 success, 1 usage/config/
-numeric failure, 2 feasibility failure under --strict.
+--set SECTION.KEY=VALUE overrides. --set accepts any key of
+``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
+``species:NAME.mass_u=7`` for a preset); an unknown section or key is an
+error. Exit codes: 0 success, 1 usage/config/numeric failure (one line on
+stderr), 2 feasibility failure under --strict.
 """
 
 from __future__ import annotations
@@ -202,8 +205,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(config_path=args.config, overrides=args.overrides,
                           out_dir=args.out, out_format=args.format)
         return _COMMANDS[args.command](cfg, args.strict)
-    except (ConfigError, DomainError, ConvergenceError, OSError) as exc:
-        print(f"wormbec {args.command}: error: {exc}", file=sys.stderr)
+    except (ConfigError, DomainError, ConvergenceError, ArithmeticError, OSError) as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"wormbec {args.command}: error: {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

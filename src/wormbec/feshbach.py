@@ -31,8 +31,6 @@ __all__ = [
     "SPECIES",
     "RESONANCES",
     "DEFAULT_DENSITY",
-    "get_species",
-    "get_resonance",
     "cesium_condensate",
 ]
 
@@ -171,26 +169,6 @@ CESIUM_RESONANCE = FeshbachResonance.from_lab_units(
 RESONANCES = MappingProxyType({"Cs": CESIUM_RESONANCE})
 
 DEFAULT_DENSITY = 1e21  # m^-3, a typical condensate density
-
-
-def get_species(name: str, registry: dict[str, AtomSpecies] | None = None) -> AtomSpecies:
-    table = registry if registry is not None else SPECIES
-    key = name.strip()
-    if key in table:
-        return table[key]
-    if key.capitalize() in table:
-        return table[key.capitalize()]
-    raise KeyError(f"unknown species {name!r}; known: {sorted(table)}")
-
-
-def get_resonance(name: str, registry: dict[str, FeshbachResonance] | None = None) -> FeshbachResonance:
-    table = registry if registry is not None else RESONANCES
-    key = name.strip()
-    if key in table:
-        return table[key]
-    if key.capitalize() in table:
-        return table[key.capitalize()]
-    raise KeyError(f"unknown resonance {name!r}; known: {sorted(table)}")
 
 
 def cesium_condensate(density: float = DEFAULT_DENSITY) -> CondensateSpec:

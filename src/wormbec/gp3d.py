@@ -291,6 +291,8 @@ def solve_matching_point(r: float, v_inf: float, b0: float, *,
         raise PoleError(f"cannot solve at the throat r = {b0!r}")
 
     def cs0_of(gs: float) -> float:
+        if not gs > 1.0:
+            raise DomainError(f"gamma_s = {gs!r} must stay above 1")
         return v_inf * gs / math.sqrt(gs * gs - 1.0)
 
     def residual(z: np.ndarray) -> np.ndarray:
@@ -309,11 +311,10 @@ def solve_matching_point(r: float, v_inf: float, b0: float, *,
     for _ in range(max_iterations):
         if converged:
             break
-        jacobian = _fd_jacobian(residual, z)
         try:
-            step = np.linalg.solve(jacobian, -res)
-        except np.linalg.LinAlgError:
-            break
+            step = np.linalg.solve(_fd_jacobian(residual, z), -res)
+        except (np.linalg.LinAlgError, DomainError):
+            break  # singular, or a difference step took gamma_s to <= 1
         norm0 = float(np.max(np.abs(res)))
         damping = 1.0
         while damping > 1e-12:

@@ -281,6 +281,79 @@ def test_non_finite_setting_is_config_error(tmp_path, capsys, command, override)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--set", "grid.stepum=0.01"], "'stepum'"),
+    (["--set", "bogus.x=1"], "'bogus'"),
+    (["--set", "species:He.mass=4"], "'mass'"),
+    (["--config", "{ini}"], "'b0'"),
+], ids=["key", "section", "preset-key", "config-file-key"])
+def test_unknown_setting_is_one_line_error(tmp_path, capsys, args, named):
+    """A section or key outside config.SCHEMA exits 1 with one stderr line
+    naming it, and writes nothing."""
+    ini = tmp_path / "run.ini"
+    ini.write_text("[wormhole]\nb0 = 2\n")
+    out = tmp_path / "out"
+    assert main(["profile1d", "--out", str(out), *(a.format(ini=ini) for a in args)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wormbec profile1d: error: unknown ")
+    assert named in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, text", [
+    (False, b"[wormhole]\nq = 5%\n"),
+    (False, b"[wormhole]\nq = \xff\n"),
+    (True, b"mass_u = 3\n"),
+    (True, b"[species:A]\nmass_u = 3\n[species:A]\nmass_u = 4\n"),
+    (True, b"[wormhole]\nq = 1\n"),
+], ids=["percent", "not-utf8", "no-header", "duplicate-section", "not-a-preset"])
+def test_unreadable_ini_is_one_line_error(tmp_path, capsys, monkeypatch, preset, text):
+    """A config or preset file that does not parse exits 1 with one stderr
+    line naming the file."""
+    path = tmp_path / "in" / "file.ini"
+    path.parent.mkdir()
+    path.write_bytes(text)
+    if preset:
+        monkeypatch.setenv("WORMBEC_PRESET_DIR", str(path.parent))
+    out = tmp_path / "out"
+    args = [] if preset else ["--config", str(path)]
+    assert main(["profile1d", "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, override", [
+    ("profile1d", "wormhole.b0_um=1e-300"),
+    ("profile1d", "wormhole.b0_um=1e300"),
+    ("profile1d", "wormhole.q=1e300"),
+    ("profile1d", "wormhole.q=-1e300"),
+    ("solve-gp", "wormhole.b0_um=1e-300"),
+])
+def test_arithmetic_failure_is_one_line_error(tmp_path, capsys, command, override):
+    """Finite settings whose arithmetic overflows or divides by zero exit 1
+    with one line."""
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"wormbec {command}: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solve_gp_near_light_speed_flags_instead_of_raising(tmp_path, capsys):
+    """At v_inf = 1e8 m/s a Jacobian difference step would take gamma_s to
+    1 or below at r = 5 (among others on the default grid); that radius
+    stops iterating and is flagged unconverged."""
+    args = ["solve-gp", "--out", str(tmp_path), "--set", "observer.v_inf_m_per_s=1e8",
+            "--set", "grid.r_min_um=1.5", "--set", "grid.r_max_um=5",
+            "--set", "grid.r_step_um=3.5"]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "gp_solution_vinf1e+08_b01.csv").read_text().splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true", "false"]
+    assert main([*args, "--strict"]) == 2
+
+
 @pytest.mark.parametrize("command, override", [
     ("profile1d", "grid.step_um=0.01"),       # 2001 points a side
     ("solve-gp", "grid.r_step_um=0.001"),     # 8901 radii

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from wormbec.exceptions import DomainError, PoleError
+from wormbec.config import load_config
+from wormbec.exceptions import ConfigError, DomainError, PoleError
 from wormbec.feshbach import (BOHR_RADIUS, HBAR, CondensateSpec,
                               CESIUM_RESONANCE, SPECIES, AtomSpecies,
                               FeshbachResonance, bohr_to_m, cesium_condensate,
-                              field_from_scattering, get_resonance,
-                              get_species, healing_length, m_to_bohr,
+                              field_from_scattering, healing_length, m_to_bohr,
                               scattering_from_field, sound_speed_from_field,
                               sound_speed_from_scattering)
 
@@ -151,11 +151,16 @@ def test_healing_length_times_speed_is_species_constant():
 
 
 def test_registry_lookup():
-    assert get_species("Cs") is SPECIES["Cs"]
-    assert get_species("cs") is SPECIES["Cs"]
-    assert get_resonance("Cs") is CESIUM_RESONANCE
-    with pytest.raises(KeyError):
-        get_species("Xe")
+    """load_config finds presets by name, as given or capitalized."""
+    def spec(override):
+        return load_config(overrides=[override]).spec
+
+    assert spec("condensate.species=Cs").species is SPECIES["Cs"]
+    assert spec("condensate.species=cs").species is SPECIES["Cs"]
+    assert spec("condensate.resonance=Cs").resonance is CESIUM_RESONANCE
+    assert spec("condensate.resonance=cs").resonance is CESIUM_RESONANCE
+    with pytest.raises(ConfigError):
+        spec("condensate.species=Xe")
 
 
 def test_invariant_validation():

@@ -240,6 +240,19 @@ def test_solve_matching_equals_pointwise_solver(light_speed):
         assert 0 < sum(converged) < len(converged)
 
 
+@pytest.mark.parametrize("r, v_inf, light_speed", [
+    (5.0, 1e8, DEFAULT_LIGHT_SPEED),   # near light speed, CLI-reachable
+    (8.15, 0.01, 0.05),                # O(1) corrections, API only
+])
+def test_newton_stops_where_gamma_s_would_leave_its_domain(r, v_inf, light_speed):
+    """Where a Jacobian difference step would take gamma_s to 1 or below,
+    the radius stops iterating and comes back flagged unconverged."""
+    cs0, vr, res1, res2, converged = solve_matching_point(
+        r, v_inf, 1.0, light_speed=light_speed)
+    assert not converged
+    assert all(math.isfinite(value) for value in (cs0, vr, res1, res2))
+
+
 def test_solver_from_perturbed_seed():
     """Newton recovers the solution from a strongly perturbed start."""
     r, v_inf, b0 = 2.0, 0.01, 1.0
