@@ -19,8 +19,8 @@ from .geometry import (ShapeFunction, ThroatClass, classify_throat,
                        effective_light_speed, embedding_height,
                        metric_factor, proper_distance, shape_b)
 from .gp3d import (DEFAULT_LIGHT_SPEED, GpSolution, MetricAtPoint,
-                   ObserverSpec, bec_metric, gp_metric, gp_time_offset,
-                   lorentz_gamma, matching_residuals,
+                   ObserverSpec, bec_metric, fold_radius, gp_metric,
+                   gp_time_offset, lorentz_gamma, matching_residuals,
                    metric_congruence_check, radial_geodesic_velocity,
                    solve_matching, zero_order_solution)
 from .profile1d import (Feasibility1D, Profile1D,

@@ -122,6 +122,7 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
     write_json(cfg.out_dir / f"gp_summary_{tag}.json", {
         "v_inf_m_per_s": cfg.v_inf,
         "b0_um": b0,
+        "fold_radius_um": gp3d.fold_radius(cfg.v_inf, b0),
         "grid": {"r_min_um": r_min, "r_max_um": r_max, "step_um": r_step},
         "points": int(solution.radii.size),
         "points_converged": points_converged,

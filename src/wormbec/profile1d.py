@@ -145,17 +145,18 @@ def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
     (the profile is even in x, so only the x >= 0 half needs scanning).
     """
     half = uniform_grid(0.0, x_max, step)
-    candidates = half[half >= window].tolist()
-    if not candidates:
+    candidates = half[half >= window]
+    if not candidates.size:
         raise DomainError("exclusion window leaves no grid points")
-    max_slope = -math.inf
-    slope_at = candidates[0]
-    for x in candidates:
-        slope = abs(slope_metric(shape, spec.resonance, x))
-        if slope > max_slope:
-            max_slope = slope
-            slope_at = x
-    return Feasibility1D(max_slope=max_slope, slope_at=slope_at,
+    # slope_metric over the candidates, with its pow per element in libm
+    q, b0 = shape.q, shape.b0
+    coefficient = (spec.resonance.a_bg / (100.0 * BOHR_RADIUS)
+                   * (1.0 - q) * b0 ** (1.0 - q))
+    slopes = np.abs([coefficient * r ** (q - 2.0)
+                     for r in (candidates + b0).tolist()])
+    slopes[np.isnan(slopes)] = -math.inf  # NaN never wins, as in a strict > scan
+    best = int(np.argmax(slopes))  # the first maximum
+    max_slope = float(slopes[best])
+    return Feasibility1D(max_slope=max_slope, slope_at=float(candidates[best]),
                          threshold=threshold,
                          feasible=max_slope <= threshold, window=window)
-

@@ -91,6 +91,7 @@ def test_solve_gp_outputs(tmp_path):
         assert fields[5] == "true"
     summary = json.loads((tmp_path / "gp_summary_vinf0.01_b01.json").read_text())
     assert summary["points_converged"] == summary["points"]
+    assert summary["fold_radius_um"] == pytest.approx(1.4989622899e10, rel=1e-10)
     assert summary["max_rel_deviation_from_zero_order"]["cs0"] < 1e-9
     assert summary["max_rel_deviation_from_zero_order"]["vr"] < 1e-9
 
@@ -341,9 +342,9 @@ def test_arithmetic_failure_is_one_line_error(tmp_path, capsys, command, overrid
 
 
 def test_solve_gp_near_light_speed_flags_instead_of_raising(tmp_path, capsys):
-    """At v_inf = 1e8 m/s a Jacobian difference step would take gamma_s to
-    1 or below at r = 5 (among others on the default grid); that radius
-    stops iterating and is flagged unconverged."""
+    """At v_inf = 1e8 m/s the fold lies at r = 1.666 b0: r = 1.5 solves,
+    r = 5 lies past the fold and is flagged unconverged, which --strict
+    turns into exit 2."""
     args = ["solve-gp", "--out", str(tmp_path), "--set", "observer.v_inf_m_per_s=1e8",
             "--set", "grid.r_min_um=1.5", "--set", "grid.r_max_um=5",
             "--set", "grid.r_step_um=3.5"]
@@ -352,6 +353,20 @@ def test_solve_gp_near_light_speed_flags_instead_of_raising(tmp_path, capsys):
     lines = (tmp_path / "gp_solution_vinf1e+08_b01.csv").read_text().splitlines()
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true", "false"]
     assert main([*args, "--strict"]) == 2
+    summary = json.loads((tmp_path / "gp_summary_vinf1e+08_b01.json").read_text())
+    assert summary["fold_radius_um"] == pytest.approx(1.6657443376, rel=1e-10)
+
+
+def test_solve_gp_past_the_fold_everywhere_names_it(tmp_path, capsys):
+    """At v_inf = 2e8 m/s the fold lies at r = 1.083 b0, below the default
+    r_min = 1.1 b0: no radius solves, and the one-line error names the fold."""
+    out = tmp_path / "out"
+    assert main(["solve-gp", "--out", str(out),
+                 "--set", "observer.v_inf_m_per_s=2e8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wormbec solve-gp: error: ") and err.count("\n") == 1
+    assert "fold at r = 1.083045" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, override", [

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from bitcheck import assert_same_bits
-from wormbec.exceptions import DomainError, PoleError
+from wormbec.exceptions import ConvergenceError, DomainError, PoleError
 from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, GpSolution, MetricAtPoint,
-                          ObserverSpec, bec_metric, gp_metric, gp_time_offset,
-                          lorentz_gamma, matching_residuals,
+                          ObserverSpec, bec_metric, fold_radius, gp_metric,
+                          gp_time_offset, lorentz_gamma, matching_residuals,
                           metric_congruence_check, radial_geodesic_velocity,
-                          solve_matching, solve_matching_point,
-                          zero_order_solution)
+                          solve_matching, zero_order_solution)
 
 
 def riemann_offset(b0, energy, r, panels=10**6):
@@ -220,49 +219,98 @@ def test_solver_agrees_with_zero_order():
         assert bool((solution.cs0 > v_inf).all())
 
 
-@pytest.mark.parametrize("light_speed", (0.1, 1.0, DEFAULT_LIGHT_SPEED))
-def test_solve_matching_equals_pointwise_solver(light_speed):
-    """The grid solve equals solve_matching_point at every radius, bit for
-    bit, whether the seed converges (large c) or Newton runs and fails at
-    some radii (c = 0.1 m/s)."""
-    v_inf, b0 = 0.01, 1.0
-    solution = solve_matching(v_inf, b0, 1.1, 10.0, 0.05, light_speed=light_speed)
-    assert_same_bits(solution.radii, [1.1 + k * 0.05 for k in range(179)])
-    points = [solve_matching_point(r, v_inf, b0, light_speed=light_speed)
-              for r in solution.radii.tolist()]
-    cs0, vr, res1, res2, converged = zip(*points)
-    assert_same_bits(solution.cs0, cs0)
-    assert_same_bits(solution.vr, vr)
-    assert_same_bits(solution.residual1, res1)
-    assert_same_bits(solution.residual2, res2)
-    assert solution.converged.tolist() == list(converged)
-    if light_speed == 0.1:
-        assert 0 < sum(converged) < len(converged)
+def mpmath_matching_root(r, v_inf, b0, light_speed, start):
+    """(cs0, v_r) solving the residual system to 40 digits, found by
+    mpmath.findroot from ``start``."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    r, v_inf, b0, c = map(mp.mpf, (r, v_inf, b0, light_speed))
+    factor = 1 - (b0 / r) ** 2
+
+    def residuals(cs0, vr):
+        gs = 1 / mp.sqrt(1 - (v_inf / cs0) ** 2)
+        return [mp.sqrt((gs * gs - 1) / factor) / gs - vr * (gs / cs0 - cs0 / (gs * c * c)),
+                1 / (gs * gs * factor) - 1 - (1 - (cs0 / (c * gs)) ** 2) * (vr / c) ** 2]
+
+    return mp.findroot(residuals, tuple(map(mp.mpf, start)), tol=mp.mpf(10) ** -35)
+
+
+@pytest.mark.parametrize("v_inf, light_speed", [
+    (1e3, DEFAULT_LIGHT_SPEED), (3e7, DEFAULT_LIGHT_SPEED), (1e8, DEFAULT_LIGHT_SPEED),
+    (0.01, 0.1), (0.01, 0.05), (0.01, 1.0), (0.01, DEFAULT_LIGHT_SPEED),
+])
+def test_solve_matching_equals_mpmath_root(v_inf, light_speed):
+    """Every converged radius carries the root of the residual system to
+    1e-13 relative, near light speed and at O(1) corrections alike."""
+    solution = solve_matching(v_inf, 1.0, 1.101, 4.9, 0.19, light_speed=light_speed)
+    assert solution.converged.any()
+    for r, cs0, vr in zip(solution.radii[solution.converged].tolist(),
+                          solution.cs0[solution.converged].tolist(),
+                          solution.vr[solution.converged].tolist()):
+        cs0_ref, vr_ref = mpmath_matching_root(r, v_inf, 1.0, light_speed, (cs0, vr))
+        assert cs0 == pytest.approx(float(cs0_ref), rel=1e-13)
+        assert vr == pytest.approx(float(vr_ref), rel=1e-13)
+
+
+@pytest.mark.parametrize("v_inf, light_speed, converged", [
+    (1e3, DEFAULT_LIGHT_SPEED, 179), (3e7, DEFAULT_LIGHT_SPEED, 79),
+    (1e8, DEFAULT_LIGHT_SPEED, 12), (0.01, 0.1, 80), (0.01, 0.05, 31),
+    (0.01, 1.0, 179),
+])
+def test_converged_exactly_up_to_the_fold(v_inf, light_speed, converged):
+    """A radius converges exactly when it lies at or below the fold radius,
+    where the discriminant vanishes; beyond it the values stay finite."""
+    solution = solve_matching(v_inf, 1.0, 1.1, 10.0, 0.05, light_speed=light_speed)
+    assert int(solution.converged.sum()) == converged
+    r_fold = fold_radius(v_inf, 1.0, light_speed)
+    assert solution.converged.tolist() == (solution.radii <= r_fold).tolist()
+    for column in solution.columns():
+        assert np.isfinite(column.astype(float)).all()
 
 
 @pytest.mark.parametrize("r, v_inf, light_speed", [
-    (5.0, 1e8, DEFAULT_LIGHT_SPEED),   # near light speed, CLI-reachable
-    (8.15, 0.01, 0.05),                # O(1) corrections, API only
+    (5.0, 1e8, 2.998e8),   # near light speed
+    (8.15, 0.01, 0.05),    # O(1) corrections, API only
 ])
 def test_newton_stops_where_gamma_s_would_leave_its_domain(r, v_inf, light_speed):
-    """Where a Jacobian difference step would take gamma_s to 1 or below,
-    the radius stops iterating and comes back flagged unconverged."""
-    cs0, vr, res1, res2, converged = solve_matching_point(
-        r, v_inf, 1.0, light_speed=light_speed)
-    assert not converged
-    assert all(math.isfinite(value) for value in (cs0, vr, res1, res2))
+    """These radii, where a finite-difference Newton step once left the
+    domain gamma_s > 1, lie past the fold: on a grid that reaches them they
+    come back flagged unconverged with finite values, and a one-point grid
+    at r raises ConvergenceError naming the fold."""
+    solution = solve_matching(v_inf, 1.0, 1.5, r, r - 1.5, light_speed=light_speed)
+    assert solution.radii.tolist() == [1.5, r]
+    assert solution.converged.tolist() == [True, False]
+    for column in solution.columns()[1:5]:
+        assert np.isfinite(column).all()
+    r_fold = fold_radius(v_inf, 1.0, light_speed)
+    with pytest.raises(ConvergenceError, match=f"fold at r = {r_fold!r}"):
+        solve_matching(v_inf, 1.0, r, r, 1.0, light_speed=light_speed)
 
 
-def test_solver_from_perturbed_seed():
-    """Newton recovers the solution from a strongly perturbed start."""
-    r, v_inf, b0 = 2.0, 0.01, 1.0
-    cs0_ref, vr_ref = zero_order_solution(r, v_inf, b0)
-    cs0, vr, res1, res2, converged = solve_matching_point(
-        r, v_inf, b0, seed=(cs0_ref * 1.3, vr_ref * 0.7))
-    assert converged
-    assert abs(res1) < 1e-12 and abs(res2) < 1e-12
-    assert cs0 == pytest.approx(cs0_ref, rel=1e-9)
-    assert vr == pytest.approx(vr_ref, rel=1e-9)
+def test_radius_where_no_vr_exists_stays_finite():
+    """Past the fold at v_inf = 3e7 m/s the clamped root equals k at this
+    radius, so no v^r balances the cross terms: the radius comes back
+    flagged with finite values instead of failing the grid."""
+    r = 7.101467683736689
+    solution = solve_matching(3e7, 1.0, 1.5, r, r - 1.5)
+    assert solution.radii.tolist() == [1.5, r]
+    assert solution.converged.tolist() == [True, False]
+    for column in solution.columns()[1:5]:
+        assert np.isfinite(column).all()
+
+
+def test_matching_residuals_arrays_match_floats():
+    radii = np.array([1.2, 2.0, 7.5])
+    cs0 = np.array([0.013, 0.021, 0.07])
+    vr = np.array([0.011, 0.0099, 0.01])
+    res1, res2 = matching_residuals(radii, cs0, vr, 0.01, 1.0, 0.1)
+    pointwise = [matching_residuals(*args, 0.01, 1.0, 0.1)
+                 for args in zip(radii.tolist(), cs0.tolist(), vr.tolist())]
+    assert all(type(value) is float for pair in pointwise for value in pair)
+    assert_same_bits(res1, [pair[0] for pair in pointwise])
+    assert_same_bits(res2, [pair[1] for pair in pointwise])
+    with pytest.raises(DomainError):
+        matching_residuals(radii, cs0 - 0.005, vr, 0.01, 1.0)   # one cs0 <= v_inf
 
 
 def test_solver_grid_preconditions():
@@ -272,3 +320,7 @@ def test_solver_grid_preconditions():
         solve_matching(0.01, 1.0, 1.1, 10.0, -0.1)
     with pytest.raises(DomainError):
         solve_matching(-0.01, 1.0, 1.1, 10.0, 0.1)
+    with pytest.raises(DomainError):
+        solve_matching(0.2, 1.0, 1.1, 10.0, 0.1, light_speed=0.2)   # v_inf = c
+    with pytest.raises(PoleError):
+        solve_matching(0.01, 1.0, 1.0, 10.0, 0.1, throat_epsilon=0.0)

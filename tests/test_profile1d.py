@@ -199,6 +199,24 @@ def test_feasibility_max_matches_finite_difference_oracle():
     assert audit.max_slope == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("q", (2.0, 1.0, 0.95, -0.5, -1.0, -299.0))
+@pytest.mark.parametrize("b0", (0.5, 1.0, 10.5))
+def test_feasibility_equals_slope_metric_scan(q, b0):
+    """The audit returns, bit for bit, what a strict > scan of slope_metric
+    over the candidates returns: the first maximum and its position (at
+    q = 1 every slope is zero, so the first candidate; at q = -299 and
+    b0 = 10.5 the slopes overflow to inf and then NaN, which never wins)."""
+    shape = ShapeFunction(b0, q)
+    audit = feasibility_1d(shape, CS, 20.0, 0.01, window=1.0)
+    best, best_at = -math.inf, None
+    for x in symmetric_grid(20.0, 0.01).tolist():
+        if x >= 1.0 and abs(slope_metric(shape, RES, x)) > best:
+            best, best_at = abs(slope_metric(shape, RES, x)), x
+    assert_same_bits([audit.max_slope, audit.slope_at], [best, best_at])
+    if q == 1.0:
+        assert audit.slope_at == 1.0
+
+
 def test_feasibility_reference_case():
     """q=0.95, b0=1: the slope at the 10 um evaluation point clears the
     0.067 capability, so a 10 um exclusion window is feasible. Slopes
