@@ -7,6 +7,11 @@ Subcommands: profile1d, solve-gp, profile3d, embed, presets. Each takes
 ``species:NAME.mass_u=7`` for a preset); an unknown section or key is an
 error. Exit codes: 0 success, 1 usage/config/numeric failure (one line on
 stderr), 2 feasibility failure under --strict.
+
+Environment: WORMBEC_PRESET_DIR names a directory of preset *.ini files;
+``python -m wormbec`` and the installed script default OPENBLAS_NUM_THREADS
+to 1 (see ``__main__``). Each command imports the kernels it runs, so
+``presets``, --help and usage or config errors never import numpy.
 """
 
 from __future__ import annotations
@@ -14,16 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
-from . import gp3d, profile1d, profile3d
 from .config import RunConfig, load_config
 from .exceptions import ConfigError, ConvergenceError, DomainError
 from .feshbach import m_to_bohr
-from .geometry import ShapeFunction, embedding_height, uniform_grid
-from .gp3d import solve_matching
-from .profile3d import LabLayout, feasibility_report_3d, lab_profiles_3d
-from .tableio import write_json, write_table
 
 __all__ = ["main"]
 
@@ -43,7 +43,8 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, command: Callable[..., int]) -> None:
+    parser.set_defaults(run=command)
     parser.add_argument("--config", metavar="PATH", help="INI config file")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--strict", action="store_true",
@@ -62,32 +63,34 @@ def _build_parser() -> _Parser:
                     "make phonons propagate on wormhole spacetimes.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for name, text in (
-            ("profile1d", "1+1D field/scattering/sound-speed profiles "
-                          "with the slope feasibility audit"),
-            ("solve-gp", "solve the exact 3+1D matching system on a radial grid"),
-            ("profile3d", "3+1D lab profiles with asymptote detection and "
-                          "resolution audit"),
-            ("embed", "embedding diagram (r, z) table"),
-            ("presets", "list species and resonance presets"),
+    for name, command, text in (
+            ("profile1d", cmd_profile1d, "1+1D field/scattering/sound-speed "
+                                         "profiles with the slope feasibility audit"),
+            ("solve-gp", cmd_solve_gp, "solve the exact 3+1D matching system "
+                                       "on a radial grid"),
+            ("profile3d", cmd_profile3d, "3+1D lab profiles with asymptote "
+                                         "detection and resolution audit"),
+            ("embed", cmd_embed, "embedding diagram (r, z) table"),
+            ("presets", cmd_presets, "list species and resonance presets"),
     ):
-        _add_common(sub.add_parser(name, help=text, description=text))
+        _add_common(sub.add_parser(name, help=text, description=text), command)
     return parser
 
 
 def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
+    from . import geometry, profile1d, tableio
     all_feasible = True
     for q, b0 in product(cfg.q_list, cfg.b0_list):
-        shape = ShapeFunction(b0=b0, q=q)
+        shape = geometry.ShapeFunction(b0=b0, q=q)
         profile = profile1d.sample_profile_1d(shape, cfg.spec, cfg.x_max, cfg.x_step)
         audit = profile1d.feasibility_1d(
             shape, cfg.spec, cfg.x_max, cfg.x_step,
             threshold=cfg.slope_threshold, window=cfg.throat_exclusion)
         tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
-        write_table(cfg.out_dir / f"profile1d_{tag}", profile1d.CSV_COLUMNS,
-                    profile.columns(), cfg.out_format)
+        tableio.write_table(cfg.out_dir / f"profile1d_{tag}", profile1d.CSV_COLUMNS,
+                            profile.columns(), cfg.out_format)
         all_feasible = all_feasible and audit.feasible
-        write_json(cfg.out_dir / f"feasibility_{tag}.json", {
+        tableio.write_json(cfg.out_dir / f"feasibility_{tag}.json", {
             "wormhole": {"b0_um": b0, "q": q,
                          "throat_class": shape.throat_class.value},
             "grid": {"x_max_um": cfg.x_max, "step_um": cfg.x_step},
@@ -108,46 +111,49 @@ def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
 
 
 def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
+    from . import gp3d, tableio
     b0 = cfg.single_b0()
     r_min = cfg.r_min if cfg.r_min is not None else 1.1 * b0
     r_max = cfg.r_max if cfg.r_max is not None else 10.0 * b0
     r_step = cfg.r_step if cfg.r_step is not None else 0.05 * b0
-    solution = solve_matching(cfg.v_inf, b0, r_min, r_max, r_step,
-                              throat_epsilon=cfg.throat_epsilon)
+    solution = gp3d.solve_matching(cfg.v_inf, b0, r_min, r_max, r_step,
+                                   throat_epsilon=cfg.throat_epsilon)
     tag = f"vinf{_fmt(cfg.v_inf)}_b0{_fmt(b0)}"
-    write_table(cfg.out_dir / f"gp_solution_{tag}", gp3d.CSV_COLUMNS,
-                solution.columns(), cfg.out_format)
+    tableio.write_table(cfg.out_dir / f"gp_solution_{tag}", gp3d.CSV_COLUMNS,
+                        solution.columns(), cfg.out_format)
     dev_cs0, dev_vr = solution.zero_order_deviation()
-    points_converged = int(solution.converged.sum())
-    write_json(cfg.out_dir / f"gp_summary_{tag}.json", {
+    converged = solution.converged
+    tableio.write_json(cfg.out_dir / f"gp_summary_{tag}.json", {
         "v_inf_m_per_s": cfg.v_inf,
         "b0_um": b0,
         "fold_radius_um": gp3d.fold_radius(cfg.v_inf, b0),
         "grid": {"r_min_um": r_min, "r_max_um": r_max, "step_um": r_step},
         "points": int(solution.radii.size),
-        "points_converged": points_converged,
-        "max_abs_residual1": float(abs(solution.residual1).max()),
-        "max_abs_residual2": float(abs(solution.residual2).max()),
+        "points_converged": int(converged.sum()),
+        # past the fold the clamped root solves nothing: converged radii only
+        "max_abs_residual1": float(abs(solution.residual1[converged]).max()),
+        "max_abs_residual2": float(abs(solution.residual2[converged]).max()),
         "max_rel_deviation_from_zero_order": {"cs0": dev_cs0, "vr": dev_vr},
     })
-    if strict and points_converged < solution.radii.size:
+    if strict and not converged.all():
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
 def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
+    from . import profile3d, tableio
     b0 = cfg.single_b0()
-    layout = LabLayout(R=cfg.layout_r, b0=b0)
-    profile = lab_profiles_3d(layout, cfg.v_inf, cfg.spec, cfg.x_step,
-                              pole_delta=cfg.pole_delta)
+    layout = profile3d.LabLayout(R=cfg.layout_r, b0=b0)
+    profile = profile3d.lab_profiles_3d(layout, cfg.v_inf, cfg.spec, cfg.x_step,
+                                        pole_delta=cfg.pole_delta)
     tag = f"R{_fmt(cfg.layout_r)}_b0{_fmt(b0)}_vinf{_fmt(cfg.v_inf)}"
-    write_table(cfg.out_dir / f"profile3d_{tag}", profile3d.CSV_COLUMNS,
-                profile.columns(), cfg.out_format,
-                blank_nan=profile3d.BLANK_NAN_COLUMNS)
-    report = feasibility_report_3d(layout, cfg.v_inf, cfg.spec, profile,
-                                   cfg.x_step,
-                                   resolution_factor=cfg.resolution_factor)
-    write_json(cfg.out_dir / f"report_{tag}.json", report)
+    tableio.write_table(cfg.out_dir / f"profile3d_{tag}", profile3d.CSV_COLUMNS,
+                        profile.columns(), cfg.out_format,
+                        blank_nan=profile3d.BLANK_NAN_COLUMNS)
+    report = profile3d.feasibility_report_3d(
+        layout, cfg.v_inf, cfg.spec, profile, cfg.x_step,
+        resolution_factor=cfg.resolution_factor)
+    tableio.write_json(cfg.out_dir / f"report_{tag}.json", report)
     feasible = (report["near_asymptote_samples"] == 0
                 and report["resolution"]["passed"])
     if strict and not feasible:
@@ -156,19 +162,21 @@ def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
 
 
 def cmd_embed(cfg: RunConfig, strict: bool) -> int:
+    from . import geometry, tableio
     for q in cfg.q_list:
         if q >= 1.0:
             raise DomainError(f"no embedding for q = {q!r}: signature broken")
     for q, b0 in product(cfg.q_list, cfg.b0_list):
-        shape = ShapeFunction(b0=b0, q=q)
+        shape = geometry.ShapeFunction(b0=b0, q=q)
         r_max = cfg.r_max if cfg.r_max is not None else 5.0 * b0
         if r_max <= b0:
             raise ConfigError(f"[grid] r_max_um must exceed b0, got {r_max!r}")
         r_step = cfg.r_step if cfg.r_step is not None else (r_max - b0) / 200.0
-        radii = uniform_grid(b0, r_max - b0, r_step)
-        write_table(cfg.out_dir / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}",
-                    ("r_um", "z_um"), (radii, embedding_height(shape, radii)),
-                    cfg.out_format)
+        radii = geometry.uniform_grid(b0, r_max - b0, r_step)
+        tableio.write_table(cfg.out_dir / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}",
+                            ("r_um", "z_um"),
+                            (radii, geometry.embedding_height(shape, radii)),
+                            cfg.out_format)
     return EXIT_OK
 
 
@@ -191,26 +199,18 @@ def cmd_presets(cfg: RunConfig, strict: bool) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "profile1d": cmd_profile1d,
-    "solve-gp": cmd_solve_gp,
-    "profile3d": cmd_profile3d,
-    "embed": cmd_embed,
-    "presets": cmd_presets,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(config_path=args.config, overrides=args.overrides,
                           out_dir=args.out, out_format=args.format)
-        return _COMMANDS[args.command](cfg, args.strict)
+        return args.run(cfg, args.strict)
     except (ConfigError, DomainError, ConvergenceError, ArithmeticError, OSError) as exc:
-        message = " ".join(str(exc).splitlines())
+        message = str(exc)
+        if isinstance(exc, ArithmeticError):  # name the inputs that overflowed
+            given = ([f"--config {args.config}"] if args.config else []) + [
+                f"--set {item}" for item in args.overrides]
+            message += f" [{', '.join(given) or 'default settings'}]"
+        message = " ".join(message.splitlines())
         print(f"wormbec {args.command}: error: {message}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

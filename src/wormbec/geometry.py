@@ -30,6 +30,7 @@ check raised no ConvergenceError for q up to 0.999999, b0 from 1e-6 to
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -50,10 +51,6 @@ __all__ = [
     "MAX_GRID_POINTS",
     "uniform_grid",
 ]
-
-# Gauss-Legendre (nodes, weights) on [-1, 1]: the rule and its check.
-_GAUSS_16 = np.polynomial.legendre.leggauss(16)
-_GAUSS_20 = np.polynomial.legendre.leggauss(20)
 
 # Largest point count of one grid walk; a symmetric grid mirrors one walk.
 MAX_GRID_POINTS = 10**6
@@ -150,6 +147,14 @@ def _check_side(side: int) -> int:
     return side
 
 
+@functools.cache
+def _gauss_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Gauss-Legendre (nodes, weights) on [-1, 1]: the 16-node rule and its
+    20-node check, built on first use (importing numpy.polynomial costs
+    milliseconds that the modules which never integrate need not pay)."""
+    return np.polynomial.legendre.leggauss(16), np.polynomial.legendre.leggauss(20)
+
+
 def _integrate_from_throat(integrand: Callable[[np.ndarray], np.ndarray],
                            b0: float, u_targets: float | np.ndarray,
                            rel_tol: float, abs_tol: float) -> np.ndarray:
@@ -177,8 +182,9 @@ def _integrate_from_throat(integrand: Callable[[np.ndarray], np.ndarray],
         panels = (integrand(mid + half * nodes) @ weights) * half[:, 0]
         return np.concatenate(([0.0], np.cumsum(panels)))
 
-    integral = cumulative(_GAUSS_16)
-    check = cumulative(_GAUSS_20)
+    rule, check_rule = _gauss_rules()
+    integral = cumulative(rule)
+    check = cumulative(check_rule)
     failed = ~(np.abs(check - integral)
                <= np.maximum(abs_tol, rel_tol * np.abs(integral)))
     if failed.any():

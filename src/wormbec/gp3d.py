@@ -267,10 +267,12 @@ class GpSolution:
     b0: float
 
     def zero_order_deviation(self) -> tuple[float, float]:
-        """Max relative deviation of (cs0, vr) from the small-velocity limit."""
-        cs0_ref = self.v_inf * (self.radii / self.b0)
-        dev_cs0 = float(np.max(np.abs(self.cs0 - cs0_ref) / cs0_ref))
-        dev_vr = float(np.max(np.abs(self.vr - self.v_inf) / self.v_inf))
+        """Max relative deviation of (cs0, vr) from the small-velocity limit,
+        over the converged radii (past the fold the values solve nothing)."""
+        ok = self.converged
+        cs0_ref = self.v_inf * (self.radii[ok] / self.b0)
+        dev_cs0 = float(np.max(np.abs(self.cs0[ok] - cs0_ref) / cs0_ref))
+        dev_vr = float(np.max(np.abs(self.vr[ok] - self.v_inf) / self.v_inf))
         return dev_cs0, dev_vr
 
     def columns(self) -> tuple[np.ndarray, ...]:

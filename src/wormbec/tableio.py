@@ -5,7 +5,8 @@ per column. Output is byte-identical across runs for the same inputs:
   so NaN is ``nan``; a boolean cell is ``true`` or ``false``;
 - in a column named in ``blank_nan``, NaN is an empty cell instead
   (profile3d's ``B_gauss`` on near-asymptote samples: no finite field);
-- in JSON every NaN is ``null``, and keys are sorted.
+- JSON is strict (RFC 8259): every non-finite float, in a table cell or
+  anywhere in a report, is ``null``; keys are sorted.
 
 CSV is formatted column by column in chunks of CHUNK_ROWS rows.
 """
@@ -13,6 +14,7 @@ CSV is formatted column by column in chunks of CHUNK_ROWS rows.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Collection, Sequence
 
@@ -53,9 +55,23 @@ def write_csv(path: str | Path, header: Sequence[str],
     return path
 
 
+def _finite(value):
+    """``value`` with every non-finite float in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def write_json(path: str | Path, payload: dict) -> Path:
     path = Path(path)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float; walk the payload only then
+        text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
     return path
 
@@ -69,7 +85,7 @@ def write_table(stem: Path, header: Sequence[str], columns: Sequence[np.ndarray]
         return write_csv(stem.parent / (stem.name + ".csv"), header, columns,
                          blank_nan=blank_nan)
     cells = [column.tolist() if column.dtype == bool
-             else [None if v != v else v for v in column.tolist()]
+             else [v if math.isfinite(v) else None for v in column.tolist()]
              for column in _checked(header, columns)]
     return write_json(stem.parent / (stem.name + ".json"),
                       {"columns": list(header), "rows": [list(row) for row in zip(*cells)]})

@@ -2,14 +2,18 @@
 deterministic output."""
 
 import dataclasses
+import importlib
 import json
 import math
+import os
+import runpy
 import subprocess
 import sys
 
 import pytest
 
-import wormbec.cli
+import wormbec
+import wormbec.gp3d
 from wormbec.cli import main
 from wormbec.config import load_config
 from wormbec.exceptions import ConfigError
@@ -128,14 +132,14 @@ def test_solve_gp_strict_flags_unconverged_radius(tmp_path, monkeypatch):
         converged[3] = False
         return dataclasses.replace(solution, converged=converged)
 
-    monkeypatch.setattr(wormbec.cli, "solve_matching", one_unconverged)
+    monkeypatch.setattr(wormbec.gp3d, "solve_matching", one_unconverged)
     args = ("solve-gp", "--set", "grid.r_step_um=0.5")
     assert run(tmp_path / "strict", *args, "--strict") == 2
     summary = json.loads(
         (tmp_path / "strict" / "gp_summary_vinf0.01_b01.json").read_text())
     assert summary["points_converged"] == summary["points"] - 1
     assert run(tmp_path / "plain", *args) == 0
-    monkeypatch.setattr(wormbec.cli, "solve_matching", solve_matching)
+    monkeypatch.setattr(wormbec.gp3d, "solve_matching", solve_matching)
     assert run(tmp_path / "real", *args, "--strict") == 0
 
 
@@ -338,7 +342,18 @@ def test_arithmetic_failure_is_one_line_error(tmp_path, capsys, command, overrid
     assert main([command, "--out", str(out), "--set", override]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"wormbec {command}: error: ") and err.count("\n") == 1
+    assert f"--set {override}" in err
     assert not out.exists()
+
+
+def test_arithmetic_failure_names_the_config_file(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[wormhole]\nb0_um = 1e-300\n")
+    assert main(["profile1d", "--out", str(tmp_path / "out"),
+                 "--config", str(config), "--set", "grid.step_um=0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"[--config {config}, --set grid.step_um=0.5]" in err
 
 
 def test_solve_gp_near_light_speed_flags_instead_of_raising(tmp_path, capsys):
@@ -468,19 +483,22 @@ def test_module_entry_point(tmp_path):
     assert "Cs" in result.stdout
 
 
+def _imported_modules(argv, expect_rc=0):
+    """Modules a fresh interpreter imports for ARGV, from -X importtime."""
+    result = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == expect_rc, result.stderr[-2000:]
+    return [line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line]
+
+
 @pytest.mark.parametrize("argv", [
     ["-c", "import wormbec"],
     ["-m", "wormbec", "embed", "--out", "{out}"],
 ])
 def test_scipy_is_never_imported(tmp_path, argv):
     """Neither the package import nor a CLI run loads scipy."""
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", *(a.format(out=tmp_path) for a in argv)],
-        capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr[-2000:]
-    modules = [line.rsplit("|", 1)[1].strip()
-               for line in result.stderr.splitlines()
-               if line.startswith("import time:") and "|" in line]
+    modules = _imported_modules([a.format(out=tmp_path) for a in argv])
     assert "wormbec" in modules
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
@@ -489,3 +507,116 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 1
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path.name}: non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_non_finite_report_values_are_json_null(tmp_path):
+    """Every JSON file is strict JSON: an overflowing report value is null,
+    not Infinity or NaN."""
+    assert run(tmp_path / "gp", "solve-gp", "--format", "json",
+               "--set", "observer.v_inf_m_per_s=1e-305") == 0
+    assert run(tmp_path / "1d", "profile1d", "--format", "json",
+               "--set", "wormhole.q=-299", "--set", "wormhole.b0_um=10.5") == 0
+    payloads = {path.stem: _strict_json(path) for path in tmp_path.glob("*/*.json")}
+    assert payloads["gp_summary_vinf1e-305_b01"]["fold_radius_um"] is None
+    feasibility = payloads["feasibility_q-299_b010.5"]
+    assert feasibility["feasibility"]["max_slope_per_um"] is None
+    assert feasibility["slope_at_x10"] is None
+
+
+def test_solve_gp_summary_past_the_fold_covers_converged_radii(tmp_path):
+    """At 3e7 m/s the fold lies at r = 5.05 b0: the summary's residual and
+    deviation maxima are those of the 79 converged radii only."""
+    assert run(tmp_path, "solve-gp", "--set", "observer.v_inf_m_per_s=3e7") == 0
+    summary = json.loads((tmp_path / "gp_summary_vinf3e+07_b01.json").read_text())
+    assert summary["points_converged"] == 79 < summary["points"]
+    assert summary["max_abs_residual1"] < 1e-12
+    assert summary["max_abs_residual2"] < 1e-12
+    rows = [[float(v) for v in line.split(",")[:3]]
+            for line in (tmp_path / "gp_solution_vinf3e+07_b01.csv").read_text()
+            .splitlines()[1:] if line.endswith(",true")]
+    assert summary["max_rel_deviation_from_zero_order"]["vr"] == max(
+        abs(vr - 3e7) / 3e7 for _, _, vr in rows)
+
+
+FRONT = {"wormbec", "wormbec.cli", "wormbec.config", "wormbec.exceptions",
+         "wormbec.feshbach"}
+
+
+@pytest.mark.parametrize("argv, rc, kernels", [
+    (["-c", "import wormbec"], 0, None),
+    (["-m", "wormbec", "presets"], 0, set()),
+    (["-m", "wormbec", "--help"], 0, set()),
+    (["-m", "wormbec", "no-such-command"], 1, set()),
+    (["-m", "wormbec", "profile1d", "--set", "wormhole.b0_um=-1"], 1, set()),
+    (["-m", "wormbec", "profile1d", "--out", "{out}"], 0,
+     {"geometry", "profile1d", "tableio"}),
+    (["-m", "wormbec", "solve-gp", "--out", "{out}"], 0,
+     {"geometry", "gp3d", "tableio"}),
+    (["-m", "wormbec", "profile3d", "--out", "{out}"], 0,
+     {"geometry", "gp3d", "profile3d", "tableio"}),
+    (["-m", "wormbec", "embed", "--out", "{out}"], 0, {"geometry", "tableio"}),
+], ids=["import", "presets", "help", "usage-error", "config-error",
+        "profile1d", "solve-gp", "profile3d", "embed"])
+def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels):
+    """The package import loads nothing but itself; a CLI call loads the
+    front end and its own kernel modules, and numpy only with a kernel."""
+    modules = _imported_modules([a.format(out=tmp_path) for a in argv], rc)
+    loaded = {m for m in modules if m == "wormbec" or m.startswith("wormbec.")}
+    if kernels is None:
+        assert loaded == {"wormbec"}
+    else:
+        assert loaded == FRONT | {f"wormbec.{name}" for name in kernels}
+    assert ("numpy" in modules) == bool(kernels)
+
+
+def test_every_public_name_resolves():
+    """Each of the package's 57 names imports from its submodule on first
+    access, through `from wormbec import X` and `import *` alike."""
+    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 57
+    star = {}
+    exec("from wormbec import *", star)
+    for name in wormbec.__all__:
+        single = {}
+        exec(f"from wormbec import {name}", single)
+        home = importlib.import_module(f"wormbec.{wormbec._EXPORTS[name]}")
+        assert single[name] is star[name] is getattr(home, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wormbec.no_such_name  # noqa: B018
+
+
+@pytest.fixture
+def no_blas_setting(monkeypatch):
+    # setenv first, so that teardown also removes a value the code sets
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "placeholder")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    return monkeypatch
+
+
+@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])
+def test_module_entry_defaults_to_one_blas_thread(no_blas_setting, capsys,
+                                                  user_value, expected):
+    """python -m wormbec sets OPENBLAS_NUM_THREADS=1 unless the user set it."""
+    if user_value is not None:
+        no_blas_setting.setenv("OPENBLAS_NUM_THREADS", user_value)
+    no_blas_setting.setattr(sys, "argv", ["wormbec", "presets"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("wormbec", run_name="__main__")
+    assert excinfo.value.code == 0
+    assert "Cs" in capsys.readouterr().out
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+
+def test_imports_and_in_process_calls_leave_the_environment_alone(
+        no_blas_setting, tmp_path):
+    before = dict(os.environ)
+    importlib.reload(wormbec)
+    entry = runpy.run_module("wormbec")  # wormbec.__main__, not as the main module
+    assert callable(entry["run"])
+    assert main(["profile1d", "--out", str(tmp_path), "--set", "grid.step_um=0.5"]) == 0
+    assert dict(os.environ) == before

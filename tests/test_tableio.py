@@ -11,8 +11,8 @@ from wormbec.tableio import CHUNK_ROWS, write_csv, write_table
 
 def test_csv_and_json_rendering_rules(tmp_path):
     """Floats render as repr of the equal Python float, NaN as nan (or
-    empty where the table asks), bools as true/false; JSON writes NaN as
-    null."""
+    empty where the table asks), bools as true/false; JSON writes NaN and
+    inf as null."""
     values = [0.5, 0.1, 1e-300, -2.5e17, -0.0, math.inf, math.nan]
     x = np.array(values)
     flag = np.array([True, False] * 3 + [True])
@@ -31,7 +31,7 @@ def test_csv_and_json_rendering_rules(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["columns"] == ["x", "flag"]
     assert payload["rows"][0] == [0.5, True]
-    assert payload["rows"][-2] == [math.inf, False]
+    assert payload["rows"][-2] == [None, False]
     assert payload["rows"][-1] == [None, True]
 
 
