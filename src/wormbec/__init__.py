@@ -8,7 +8,10 @@ modulation) and 3+1D (flow-adapted coordinates with an exact matching
 solve), and audits the recipes against experimental capabilities.
 
 The public names below are imported from their submodules on first
-access (PEP 562), so ``import wormbec`` alone loads no numpy.
+access (PEP 562), so ``import wormbec`` alone loads no numpy. The formula
+functions (metric factor, 1D and 3D field, scattering and sound-speed
+profiles, slope, metrics and matching residuals, embedding height) take
+floats or arrays: a float gives a float, an array the array of values.
 """
 
 import importlib
@@ -25,16 +28,14 @@ _EXPORTS = {
                      "scattering_from_field", "sound_speed_from_field",
                      "sound_speed_from_scattering"), "feshbach"),
     **dict.fromkeys(("ShapeFunction", "ThroatClass", "classify_throat",
-                     "effective_light_speed", "embedding_height",
-                     "metric_factor", "proper_distance", "shape_b"), "geometry"),
+                     "embedding_height", "metric_factor", "proper_distance"),
+                    "geometry"),
     **dict.fromkeys(("DEFAULT_LIGHT_SPEED", "GpSolution", "MetricAtPoint",
-                     "ObserverSpec", "bec_metric", "fold_radius", "gp_metric",
-                     "gp_time_offset", "lorentz_gamma", "matching_residuals",
-                     "metric_congruence_check", "radial_geodesic_velocity",
+                     "bec_metric", "fold_radius", "gp_metric", "gp_time_offset",
+                     "matching_residuals", "metric_congruence_check",
                      "solve_matching", "zero_order_solution"), "gp3d"),
     **dict.fromkeys(("Feasibility1D", "Profile1D", "SLOPE_CAPABILITY_PER_UM",
-                     "feasibility_1d", "field_profile_1d", "lab_coordinate_1d",
-                     "lab_coordinate_inverse", "sample_profile_1d",
+                     "feasibility_1d", "field_profile_1d", "sample_profile_1d",
                      "scattering_profile_1d", "slope_metric"), "profile1d"),
     **dict.fromkeys(("LabLayout", "LabProfile3D", "ResolutionReport",
                      "asymptote_radius", "detect_asymptotes",

@@ -86,11 +86,8 @@ def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
         audit = profile1d.feasibility_1d(
             shape, cfg.spec, cfg.x_max, cfg.x_step,
             threshold=cfg.slope_threshold, window=cfg.throat_exclusion)
-        tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
-        tableio.write_table(cfg.out_dir / f"profile1d_{tag}", profile1d.CSV_COLUMNS,
-                            profile.columns(), cfg.out_format)
         all_feasible = all_feasible and audit.feasible
-        tableio.write_json(cfg.out_dir / f"feasibility_{tag}.json", {
+        report = {
             "wormhole": {"b0_um": b0, "q": q,
                          "throat_class": shape.throat_class.value},
             "grid": {"x_max_um": cfg.x_max, "step_um": cfg.x_step},
@@ -104,7 +101,11 @@ def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
                 "feasible": audit.feasible,
             },
             "slope_at_x10": profile1d.slope_metric(shape, cfg.spec.resonance, 10.0),
-        })
+        }
+        tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
+        tableio.write_table(cfg.out_dir / f"profile1d_{tag}", profile1d.CSV_COLUMNS,
+                            profile.columns(), cfg.out_format)
+        tableio.write_json(cfg.out_dir / f"feasibility_{tag}.json", report)
     if strict and not all_feasible:
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -118,12 +119,9 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
     r_step = cfg.r_step if cfg.r_step is not None else 0.05 * b0
     solution = gp3d.solve_matching(cfg.v_inf, b0, r_min, r_max, r_step,
                                    throat_epsilon=cfg.throat_epsilon)
-    tag = f"vinf{_fmt(cfg.v_inf)}_b0{_fmt(b0)}"
-    tableio.write_table(cfg.out_dir / f"gp_solution_{tag}", gp3d.CSV_COLUMNS,
-                        solution.columns(), cfg.out_format)
     dev_cs0, dev_vr = solution.zero_order_deviation()
     converged = solution.converged
-    tableio.write_json(cfg.out_dir / f"gp_summary_{tag}.json", {
+    summary = {
         "v_inf_m_per_s": cfg.v_inf,
         "b0_um": b0,
         "fold_radius_um": gp3d.fold_radius(cfg.v_inf, b0),
@@ -134,7 +132,11 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
         "max_abs_residual1": float(abs(solution.residual1[converged]).max()),
         "max_abs_residual2": float(abs(solution.residual2[converged]).max()),
         "max_rel_deviation_from_zero_order": {"cs0": dev_cs0, "vr": dev_vr},
-    })
+    }
+    tag = f"vinf{_fmt(cfg.v_inf)}_b0{_fmt(b0)}"
+    tableio.write_table(cfg.out_dir / f"gp_solution_{tag}", gp3d.CSV_COLUMNS,
+                        solution.columns(), cfg.out_format)
+    tableio.write_json(cfg.out_dir / f"gp_summary_{tag}.json", summary)
     if strict and not converged.all():
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -146,13 +148,13 @@ def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
     layout = profile3d.LabLayout(R=cfg.layout_r, b0=b0)
     profile = profile3d.lab_profiles_3d(layout, cfg.v_inf, cfg.spec, cfg.x_step,
                                         pole_delta=cfg.pole_delta)
+    report = profile3d.feasibility_report_3d(
+        layout, cfg.v_inf, cfg.spec, profile, cfg.x_step,
+        resolution_factor=cfg.resolution_factor)
     tag = f"R{_fmt(cfg.layout_r)}_b0{_fmt(b0)}_vinf{_fmt(cfg.v_inf)}"
     tableio.write_table(cfg.out_dir / f"profile3d_{tag}", profile3d.CSV_COLUMNS,
                         profile.columns(), cfg.out_format,
                         blank_nan=profile3d.BLANK_NAN_COLUMNS)
-    report = profile3d.feasibility_report_3d(
-        layout, cfg.v_inf, cfg.spec, profile, cfg.x_step,
-        resolution_factor=cfg.resolution_factor)
     tableio.write_json(cfg.out_dir / f"report_{tag}.json", report)
     feasible = (report["near_asymptote_samples"] == 0
                 and report["resolution"]["passed"])

@@ -11,8 +11,12 @@ import math
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .exceptions import DomainError, PoleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HBAR",
@@ -104,11 +108,17 @@ class CondensateSpec:
         return sound_speed_from_scattering(self.resonance.a_bg, self)
 
 
-def sound_speed_from_scattering(a: float, spec: CondensateSpec) -> float:
-    """c_s = (hbar/m) * sqrt(4 pi rho a) for a weakly interacting condensate."""
-    if a < 0.0:
-        raise DomainError(f"attractive regime a = {a!r} < 0 has no real sound speed")
-    return HBAR / spec.species.mass * math.sqrt(4.0 * math.pi * spec.density * a)
+def sound_speed_from_scattering(a: float | np.ndarray,
+                                spec: CondensateSpec) -> float | np.ndarray:
+    """c_s = (hbar/m) * sqrt(4 pi rho a) for a weakly interacting condensate.
+    A NaN scattering length gives a NaN sound speed."""
+    import numpy as np  # here, not above: the numpy-free front end imports this module
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0.0):
+        raise DomainError(f"attractive regime a = {float(a[a < 0.0].min())!r} < 0 "
+                          "has no real sound speed")
+    c_s = HBAR / spec.species.mass * np.sqrt(4.0 * math.pi * spec.density * a)
+    return float(c_s) if c_s.ndim == 0 else c_s
 
 
 def scattering_from_field(b: float, res: FeshbachResonance) -> float:

@@ -43,9 +43,7 @@ __all__ = [
     "ShapeFunction",
     "ThroatClass",
     "classify_throat",
-    "shape_b",
     "metric_factor",
-    "effective_light_speed",
     "proper_distance",
     "embedding_height",
     "MAX_GRID_POINTS",
@@ -104,9 +102,15 @@ def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
     return start + np.arange(math.floor(steps) + 1) * step
 
 
-def _require_outside_throat(shape: ShapeFunction, r: float) -> None:
-    if r < shape.b0:
-        raise DomainError(f"r = {r!r} is inside the throat (b0 = {shape.b0!r})")
+def _float_or_array(value: np.ndarray) -> float | np.ndarray:
+    """A float for a 0-d result (a float input), else the array."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _require_outside_throat(shape: ShapeFunction, r: float | np.ndarray) -> None:
+    r_min = float(np.min(r, initial=shape.b0))
+    if r_min < shape.b0:
+        raise DomainError(f"r = {r_min!r} is inside the throat (b0 = {shape.b0!r})")
 
 
 def _require_traversable(shape: ShapeFunction, what: str) -> None:
@@ -115,30 +119,17 @@ def _require_traversable(shape: ShapeFunction, what: str) -> None:
                           f"({shape.throat_class.value})")
 
 
-def shape_b(shape: ShapeFunction, r: float) -> float:
-    """b(r) = b0 * (r/b0)**q; equals b0 exactly at the throat."""
-    _require_outside_throat(shape, r)
-    return shape.b0 * (r / shape.b0) ** shape.q
-
-
-def metric_factor(shape: ShapeFunction, r: float) -> float:
-    """1 - b(r)/r, in [0, 1) outside the throat for q < 1.
+def metric_factor(shape: ShapeFunction, r: float | np.ndarray) -> float | np.ndarray:
+    """1 - b(r)/r = 1 - (b0/r)**(1-q), in [0, 1) outside the throat for q < 1.
 
     For q > 1 the value is negative for r > b0; callers decide whether a
     broken signature is an error for them.
     """
+    r = np.asarray(r, dtype=float)
     _require_outside_throat(shape, r)
-    # expm1 keeps precision where b(r)/r -> 1 near the throat.
-    return -math.expm1(-(1.0 - shape.q) * math.log(r / shape.b0))
-
-
-def effective_light_speed(shape: ShapeFunction, r: float, light_speed: float) -> float:
-    """Position-dependent signal speed c * sqrt(1 - b(r)/r)."""
-    factor = metric_factor(shape, r)
-    if factor < 0.0:
-        raise DomainError(f"metric factor {factor!r} < 0 at r = {r!r}: "
-                          "no real signal speed")
-    return light_speed * math.sqrt(factor)
+    # log1p of (r - b0)/b0, exact near the throat, and expm1 keep precision
+    # where b(r)/r -> 1.
+    return _float_or_array(-np.expm1(-(1.0 - shape.q) * np.log1p((r - shape.b0) / shape.b0)))
 
 
 def _check_side(side: int) -> int:
@@ -237,9 +228,8 @@ def embedding_height(shape: ShapeFunction, r: float | np.ndarray, *,
     """
     _require_traversable(shape, "embedding")
     radii = np.asarray(r, dtype=float)
-    _require_outside_throat(shape, float(radii.min(initial=shape.b0)))
+    _require_outside_throat(shape, radii)
     b0, one_minus_q = shape.b0, 1.0 - shape.q
-    heights = _integrate_from_throat(
+    return _float_or_array(_integrate_from_throat(
         lambda u: _embedding_integrand(u, b0, one_minus_q),
-        b0, np.sqrt(radii - b0), rel_tol, abs_tol)
-    return float(heights) if radii.ndim == 0 else heights
+        b0, np.sqrt(radii - b0), rel_tol, abs_tol))

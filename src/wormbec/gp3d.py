@@ -5,7 +5,9 @@ flow-adapted coordinates of Gullstrand-Painleve type. In those coordinates
 the wormhole metric picks up a dt*dr cross term with exactly the structure
 of a condensate's effective metric, so matching the two component by
 component yields, at every radius, two equations for the background sound
-speed c_s0 and the flow velocity v^r (``matching_residuals``).
+speed c_s0 and the flow velocity v^r. ``matching_residuals`` states them
+once, as ``gp_metric`` minus ``bec_metric``: the dt*dr difference (times
+gamma_s/c_s0) and the dr^2 difference.
 
 The system is solved in closed form. Write gamma_s = 1/sqrt(1 -
 (v_inf/c_s0)**2) for the acoustic Lorentz factor, X = gamma_s**2 - 1,
@@ -39,15 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, PoleError
-from .geometry import _integrate_from_throat, uniform_grid
+from .geometry import _float_or_array, _integrate_from_throat, uniform_grid
 
 __all__ = [
     "DEFAULT_LIGHT_SPEED",
-    "ObserverSpec",
     "MetricAtPoint",
     "GpSolution",
-    "lorentz_gamma",
-    "radial_geodesic_velocity",
     "gp_time_offset",
     "gp_metric",
     "metric_congruence_check",
@@ -63,60 +62,23 @@ DEFAULT_LIGHT_SPEED = 299792458.0  # m/s, exact
 CSV_COLUMNS = ("r_um", "cs0_m_per_s", "vr_m_per_s", "res1", "res2", "converged")
 
 
-def lorentz_gamma(v_inf: float, c_ref: float) -> float:
-    """gamma = 1/sqrt(1 - (v_inf/c_ref)**2) for 0 <= v_inf < c_ref."""
-    if c_ref <= 0.0:
-        raise DomainError(f"reference speed must be positive, got {c_ref!r}")
-    if not 0.0 <= v_inf < c_ref:
-        raise DomainError(f"need 0 <= v_inf < c_ref, got v_inf = {v_inf!r}, "
-                          f"c_ref = {c_ref!r}")
-    return 1.0 / math.sqrt(1.0 - (v_inf / c_ref) ** 2)
-
-
-@dataclass(frozen=True)
-class ObserverSpec:
-    """Infalling observer: asymptotic speed and its reference speed
-    (the light speed in real mode, the background sound speed in
-    acoustic mode)."""
-
-    v_inf: float
-    reference_speed: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.v_inf < self.reference_speed:
-            raise DomainError(
-                f"need 0 < v_inf < reference_speed, got v_inf = {self.v_inf!r}, "
-                f"reference_speed = {self.reference_speed!r}")
-
-    @property
-    def gamma(self) -> float:
-        return lorentz_gamma(self.v_inf, self.reference_speed)
-
-
 @dataclass(frozen=True)
 class MetricAtPoint:
     """t-r block plus spherical factor of a spherically symmetric metric.
 
     Convention: ds^2 = g_tt dt^2 + 2 g_tr dt dr + g_rr dr^2
     + spherical * (dtheta^2 + sin^2(theta) dphi^2), with spherical = r^2.
+    The components are floats for float inputs, else arrays of one shape.
     """
 
-    r: float
-    g_tt: float
-    g_tr: float
-    g_rr: float
-    spherical: float
+    r: float | np.ndarray
+    g_tt: float | np.ndarray
+    g_tr: float | np.ndarray
+    g_rr: float | np.ndarray
+    spherical: float | np.ndarray
 
     def tr_block(self) -> np.ndarray:
         return np.array([[self.g_tt, self.g_tr], [self.g_tr, self.g_rr]])
-
-    @property
-    def tr_determinant(self) -> float:
-        return self.g_tt * self.g_rr - self.g_tr ** 2
-
-    @property
-    def is_lorentzian(self) -> bool:
-        return self.g_tt < 0.0 and self.tr_determinant < 0.0
 
 
 def _ellis_factor(r: float | np.ndarray, b0: float) -> float | np.ndarray:
@@ -126,14 +88,6 @@ def _ellis_factor(r: float | np.ndarray, b0: float) -> float | np.ndarray:
     if np.any(r < b0):
         raise DomainError(f"r = {float(np.min(r))!r} is inside the throat (b0 = {b0!r})")
     return (r - b0) * (r + b0) / (r * r)
-
-
-def radial_geodesic_velocity(r: float, energy: float, b0: float) -> float:
-    """dr/dtau of the ingoing radial geodesic (c = 1 units), zero angular
-    momentum; always <= 0."""
-    if energy < 1.0:
-        raise DomainError(f"energy per unit mass must be >= 1, got {energy!r}")
-    return -math.sqrt(_ellis_factor(r, b0) * (energy * energy - 1.0))
 
 
 def _offset_integrand(u: np.ndarray, b0: float, energy_term: float) -> np.ndarray:
@@ -158,7 +112,13 @@ def gp_time_offset(r: float, energy: float, b0: float, *,
         b0, math.sqrt(r - b0), rel_tol, abs_tol))
 
 
-def gp_metric(r: float, gamma: float, c_ref: float, b0: float) -> MetricAtPoint:
+def _metric(r, g_tt, g_tr, g_rr) -> MetricAtPoint:
+    r, g_tt, g_tr, g_rr = np.broadcast_arrays(r, g_tt, g_tr, g_rr)
+    return MetricAtPoint(*map(_float_or_array, (r, g_tt, g_tr, g_rr, r * r)))
+
+
+def gp_metric(r: float | np.ndarray, gamma: float | np.ndarray,
+              c_ref: float | np.ndarray, b0: float) -> MetricAtPoint:
     """Wormhole metric in the flow-adapted coordinates of an observer with
     Lorentz factor gamma.
 
@@ -166,19 +126,16 @@ def gp_metric(r: float, gamma: float, c_ref: float, b0: float) -> MetricAtPoint:
     speed and gamma the acoustic Lorentz factor. gamma = 1 gives back the
     diagonal static metric.
     """
-    if gamma < 1.0:
-        raise DomainError(f"gamma must be >= 1, got {gamma!r}")
-    factor = _ellis_factor(r, b0)
-    if factor == 0.0:
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma < 1.0):
+        raise DomainError(f"gamma must be >= 1, got {float(gamma.min())!r}")
+    factor = _ellis_factor(np.asarray(r, dtype=float), b0)
+    if np.any(factor == 0.0):
         raise PoleError(f"g_rr diverges at the throat r = {b0!r}")
     gamma2 = gamma * gamma
-    return MetricAtPoint(
-        r=r,
-        g_tt=-c_ref * c_ref / gamma2,
-        g_tr=c_ref / gamma2 * math.sqrt((gamma2 - 1.0) / factor),
-        g_rr=1.0 / (gamma2 * factor),
-        spherical=r * r,
-    )
+    return _metric(r, -c_ref * c_ref / gamma2,
+                   c_ref / gamma2 * np.sqrt((gamma2 - 1.0) / factor),
+                   1.0 / (gamma2 * factor))
 
 
 def metric_congruence_check(r: float, gamma: float, c_ref: float, b0: float) -> float:
@@ -201,48 +158,42 @@ def metric_congruence_check(r: float, gamma: float, c_ref: float, b0: float) -> 
     return float(np.max(np.abs(transformed - target)) / scale)
 
 
-def bec_metric(r: float, c_s: float, v_r: float,
+def bec_metric(r: float | np.ndarray, c_s: float | np.ndarray, v_r: float | np.ndarray,
                light_speed: float = DEFAULT_LIGHT_SPEED) -> MetricAtPoint:
     """Effective metric of a condensate with sound speed c_s and radial
     flow v_r, as line-element components (conformal prefactor dropped)."""
-    if c_s <= 0.0:
-        raise DomainError(f"sound speed must be positive, got {c_s!r}")
-    coupling = 1.0 - (c_s / light_speed) ** 2
-    return MetricAtPoint(
-        r=r,
-        g_tt=-c_s * c_s,
-        g_tr=-coupling * v_r,
-        g_rr=1.0 + coupling * (v_r / light_speed) ** 2,
-        spherical=r * r,
-    )
+    c_s = np.asarray(c_s, dtype=float)
+    if np.any(c_s <= 0.0):
+        raise DomainError(f"sound speed must be positive, got {float(c_s.min())!r}")
+    speed = c_s / light_speed
+    coupling = 1.0 - speed * speed
+    flow = np.asarray(v_r, dtype=float) / light_speed
+    return _metric(r, -c_s * c_s, -coupling * v_r, 1.0 + coupling * (flow * flow))
 
 
 def matching_residuals(r: float | np.ndarray, cs0: float | np.ndarray,
                        v_r: float | np.ndarray, v_inf: float, b0: float,
                        light_speed: float = DEFAULT_LIGHT_SPEED
                        ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Residuals of the exact component matching at radius r.
+    """Residuals of the exact component matching at radius r: gp_metric
+    (acoustic mode: c_ref = cs0, gamma = gamma_s) minus bec_metric (sound
+    speed cs0/gamma_s = sqrt(cs0^2 - v_inf^2), inflow speed v_r).
 
-    res1 compares the dt*dr cross terms, res2 the dr^2 terms; both vanish
-    when (cs0, v_r) realize the wormhole seen by the infalling observer.
-    Floats give a pair of floats; arrays give a pair of arrays.
+    res1 is the dt*dr difference times gamma_s/cs0, res2 the dr^2
+    difference; both vanish when (cs0, v_r) realize the wormhole seen by
+    the infalling observer. Floats give a pair of floats; arrays give a
+    pair of arrays.
     """
     cs0 = np.asarray(cs0, dtype=float)
     if np.any(cs0 <= v_inf):
         raise DomainError(f"need cs0 > v_inf for a real acoustic Lorentz "
                           f"factor, got cs0 = {float(np.min(cs0))!r}, v_inf = {v_inf!r}")
-    factor = _ellis_factor(np.asarray(r, dtype=float), b0)
-    if np.any(factor == 0.0):
-        raise PoleError(f"matching system is singular at the throat r = {b0!r}")
-    gs = 1.0 / np.sqrt(1.0 - (v_inf / cs0) ** 2)
-    c2 = light_speed * light_speed
-    res1 = (np.sqrt((gs * gs - 1.0) / factor) / gs
-            - v_r * (gs / cs0 - cs0 / (gs * c2)))
-    res2 = (1.0 / (gs * gs * factor)
-            - 1.0 - (1.0 - (cs0 / (light_speed * gs)) ** 2) * (v_r / light_speed) ** 2)
-    if np.ndim(res1) == 0:
-        return float(res1), float(res2)
-    return res1, res2
+    ratio = v_inf / cs0
+    gs = 1.0 / np.sqrt(1.0 - ratio * ratio)
+    wormhole = gp_metric(r, gs, cs0, b0)
+    condensate = bec_metric(r, cs0 / gs, np.negative(v_r), light_speed)
+    return (_float_or_array((wormhole.g_tr - condensate.g_tr) * (gs / cs0)),
+            _float_or_array(wormhole.g_rr - condensate.g_rr))
 
 
 def zero_order_solution(r: float, v_inf: float, b0: float) -> tuple[float, float]:

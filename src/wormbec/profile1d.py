@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .feshbach import BOHR_RADIUS, HBAR, CondensateSpec, FeshbachResonance
-from .geometry import (ShapeFunction, _require_outside_throat, metric_factor,
-                       uniform_grid)
+from .feshbach import (BOHR_RADIUS, CondensateSpec, FeshbachResonance,
+                       sound_speed_from_scattering)
+from .geometry import (ShapeFunction, _float_or_array, _require_outside_throat,
+                       metric_factor, uniform_grid)
 
 __all__ = [
     "SLOPE_CAPABILITY_PER_UM",
@@ -20,8 +21,6 @@ __all__ = [
     "Feasibility1D",
     "field_profile_1d",
     "scattering_profile_1d",
-    "lab_coordinate_1d",
-    "lab_coordinate_inverse",
     "slope_metric",
     "symmetric_grid",
     "sample_profile_1d",
@@ -63,13 +62,15 @@ class Feasibility1D:
     window: float
 
 
-def field_profile_1d(shape: ShapeFunction, res: FeshbachResonance, r: float) -> float:
+def field_profile_1d(shape: ShapeFunction, res: FeshbachResonance,
+                     r: float | np.ndarray) -> float | np.ndarray:
     """Magnetic field (Gauss) that realizes the target sound-speed profile."""
+    r = np.asarray(r, dtype=float)
     _require_outside_throat(shape, r)
-    return (r / shape.b0) ** (1.0 - shape.q) * res.width + res.b_res
+    return _float_or_array(np.power(r / shape.b0, 1.0 - shape.q) * res.width + res.b_res)
 
 
-def scattering_profile_1d(shape: ShapeFunction, r: float) -> float:
+def scattering_profile_1d(shape: ShapeFunction, r: float | np.ndarray) -> float | np.ndarray:
     """a(r)/a_bg = 1 - (b0/r)**(1-q).
 
     Identical to the metric factor: that equality is the design condition
@@ -78,29 +79,20 @@ def scattering_profile_1d(shape: ShapeFunction, r: float) -> float:
     return metric_factor(shape, r)
 
 
-def lab_coordinate_1d(r: float, b0: float, side: int = 1) -> float:
-    """Lab coordinate x = +-(r - b0), zero at the throat."""
-    if r < b0:
-        raise DomainError(f"r = {r!r} is inside the throat (b0 = {b0!r})")
-    if side not in (1, -1):
-        raise DomainError(f"side must be +1 or -1, got {side!r}")
-    return side * (r - b0)
-
-
-def lab_coordinate_inverse(x: float, b0: float) -> tuple[float, int]:
-    """Map a lab coordinate back to (r, side)."""
-    return abs(x) + b0, (1 if x >= 0.0 else -1)
-
-
-def slope_metric(shape: ShapeFunction, res: FeshbachResonance, x: float) -> float:
+def slope_metric(shape: ShapeFunction, res: FeshbachResonance,
+                 x: float | np.ndarray) -> float | np.ndarray:
     """Analytic d[a/(100 a0)]/d|x| at lab coordinate x (per micron).
 
     At x = 0 this evaluates to the finite one-sided throat limit
     (1-q)/b0 * a_bg/(100 a0); the profile itself only has a kink there.
+    A coefficient that overflows gives inf, and inf times an underflowed
+    power NaN, as with Python floats (feasibility_1d never picks a NaN).
     """
     scale = res.a_bg / (100.0 * BOHR_RADIUS)
-    r = abs(x) + shape.b0
-    return scale * (1.0 - shape.q) * shape.b0 ** (1.0 - shape.q) * r ** (shape.q - 2.0)
+    coefficient = scale * (1.0 - shape.q) * shape.b0 ** (1.0 - shape.q)
+    r = np.abs(np.asarray(x, dtype=float)) + shape.b0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _float_or_array(coefficient * np.power(r, shape.q - 2.0))
 
 
 def symmetric_grid(x_max: float, step: float) -> np.ndarray:
@@ -114,25 +106,20 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
     """Sample all 1+1D control quantities on a symmetric lab grid.
 
     Samples where the scattering length goes negative (q > 1) carry
-    valid=False and a NaN sound speed. log, expm1 and pow run per element
-    in the C library, as in the scalar functions: numpy's SIMD versions
-    may round differently in the last bit.
+    valid=False and a NaN sound speed. Arithmetic that leaves the finite
+    doubles raises FloatingPointError.
     """
     x = symmetric_grid(x_max, step)
-    r = np.abs(x) + shape.b0
-    ratio = (r / shape.b0).tolist()
-    exponent = 1.0 - shape.q
     res = spec.resonance
-    a_over = np.array([-math.expm1(-exponent * math.log(t)) for t in ratio])
-    b = np.array([t ** exponent for t in ratio]) * res.width + res.b_res
-    valid = a_over >= 0.0
-    # the scattering route keeps c_s(throat) exactly zero
-    rho_term = 4.0 * math.pi * spec.density
-    c_s = HBAR / spec.species.mass * np.sqrt(
-        rho_term * np.where(valid, res.a_bg * a_over, math.nan))
-    return Profile1D(x=x, r=r, a_over_abg=a_over,
-                     a_over_100a0=a_over * res.a_bg / (100.0 * BOHR_RADIUS),
-                     b_gauss=b, c_s=c_s, valid=valid)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        r = np.abs(x) + shape.b0
+        a_over = scattering_profile_1d(shape, r)
+        valid = a_over >= 0.0
+        # the scattering route keeps c_s(throat) exactly zero
+        c_s = sound_speed_from_scattering(np.where(valid, res.a_bg * a_over, math.nan), spec)
+        return Profile1D(x=x, r=r, a_over_abg=a_over,
+                         a_over_100a0=a_over * res.a_bg / (100.0 * BOHR_RADIUS),
+                         b_gauss=field_profile_1d(shape, res, r), c_s=c_s, valid=valid)
 
 
 def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
@@ -148,12 +135,7 @@ def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
     candidates = half[half >= window]
     if not candidates.size:
         raise DomainError("exclusion window leaves no grid points")
-    # slope_metric over the candidates, with its pow per element in libm
-    q, b0 = shape.q, shape.b0
-    coefficient = (spec.resonance.a_bg / (100.0 * BOHR_RADIUS)
-                   * (1.0 - q) * b0 ** (1.0 - q))
-    slopes = np.abs([coefficient * r ** (q - 2.0)
-                     for r in (candidates + b0).tolist()])
+    slopes = np.abs(slope_metric(shape, spec.resonance, candidates))
     slopes[np.isnan(slopes)] = -math.inf  # NaN never wins, as in a strict > scan
     best = int(np.argmax(slopes))  # the first maximum
     max_slope = float(slopes[best])

@@ -11,8 +11,7 @@ import numpy as np
 
 from .exceptions import DomainError, PoleError
 from .feshbach import AtomSpecies, CondensateSpec, healing_length
-from .geometry import uniform_grid
-from .gp3d import GpSolution
+from .geometry import _float_or_array, uniform_grid
 
 __all__ = [
     "LabLayout",
@@ -49,11 +48,6 @@ class LabLayout:
         if not self.b0 > 0.0:
             raise DomainError(f"throat radius must be positive, got {self.b0!r}")
 
-    def radius_at(self, x: float) -> float:
-        if not 0.0 <= x <= 2.0 * self.R:
-            raise DomainError(f"x = {x!r} outside the lab extent [0, {2.0 * self.R!r}]")
-        return abs(x - self.R) + self.b0
-
 
 @dataclass(frozen=True)
 class LabProfile3D:
@@ -75,24 +69,27 @@ class LabProfile3D:
         return tuple(vars(self).values())
 
 
-def _radius_ratio_term(r: float, b0: float) -> float:
+def _radius_ratio_term(r: float | np.ndarray, b0: float) -> np.ndarray:
     """(r/b0)**2 - 1, factored to stay exact at the throat."""
     if b0 <= 0.0:
         raise DomainError(f"throat radius must be positive, got {b0!r}")
-    if r < b0:
-        raise DomainError(f"r = {r!r} is inside the throat (b0 = {b0!r})")
+    r = np.asarray(r, dtype=float)
+    if np.any(r < b0):
+        raise DomainError(f"r = {float(r.min())!r} is inside the throat (b0 = {b0!r})")
     return (r - b0) * (r + b0) / (b0 * b0)
 
 
-def sound_speed_profile_3d(r: float, v_inf: float, b0: float) -> tuple[float, float]:
+def sound_speed_profile_3d(r: float | np.ndarray, v_inf: float, b0: float
+                           ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(cs0, cs) at radius r: cs0 = v_inf r/b0 and cs = sqrt(cs0^2 - v_inf^2)."""
     term = _radius_ratio_term(r, b0)
     # ratio first: keeps cs0(throat) == v_inf exact
-    return v_inf * (r / b0), v_inf * math.sqrt(term)
+    return (_float_or_array(v_inf * (np.asarray(r, dtype=float) / b0)),
+            _float_or_array(v_inf * np.sqrt(term)))
 
 
-def detuning_denominator(r: float, v_inf: float, b0: float,
-                         spec: CondensateSpec) -> float:
+def detuning_denominator(r: float | np.ndarray, v_inf: float, b0: float,
+                         spec: CondensateSpec) -> float | np.ndarray:
     """D(r) = 1 - (v_inf/c~_s)**2 ((r/b0)**2 - 1); the field pole is D = 0."""
     return 1.0 - scattering_profile_3d(r, v_inf, b0, spec)
 
@@ -103,22 +100,22 @@ def asymptote_radius(v_inf: float, b0: float, spec: CondensateSpec) -> float:
     return b0 * math.sqrt(1.0 + ratio * ratio)
 
 
-def field_profile_3d(r: float, v_inf: float, b0: float,
-                     spec: CondensateSpec) -> float:
+def field_profile_3d(r: float | np.ndarray, v_inf: float, b0: float,
+                     spec: CondensateSpec) -> float | np.ndarray:
     """Magnetic field (Gauss) realizing the 3+1D sound-speed profile."""
     denom = detuning_denominator(r, v_inf, b0, spec)
-    if denom == 0.0:
+    if np.any(denom == 0.0):
         raise PoleError(f"field diverges at r* = "
                         f"{asymptote_radius(v_inf, b0, spec)!r}")
     return spec.resonance.width / denom + spec.resonance.b_res
 
 
-def scattering_profile_3d(r: float, v_inf: float, b0: float,
-                          spec: CondensateSpec) -> float:
+def scattering_profile_3d(r: float | np.ndarray, v_inf: float, b0: float,
+                          spec: CondensateSpec) -> float | np.ndarray:
     """a(r)/a_bg = (v_inf/c~_s)**2 ((r/b0)**2 - 1); grows without bound
     in r and is reported as-is."""
-    ratio = v_inf / spec.background_sound_speed
-    return ratio * ratio * _radius_ratio_term(r, b0)
+    ratio = np.float64(v_inf) / spec.background_sound_speed  # overflow obeys errstate
+    return _float_or_array(ratio * ratio * _radius_ratio_term(r, b0))
 
 
 def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
@@ -127,23 +124,22 @@ def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
 
     Samples with |D| < pole_delta are flagged near_asymptote and carry no
     field value; they localize the experimentally unrealizable zone
-    instead of hiding it.
+    instead of hiding it. Arithmetic that leaves the finite doubles
+    raises FloatingPointError.
     """
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
     x = uniform_grid(0.0, 2.0 * layout.R, step)
     b0 = layout.b0
-    r = np.abs(x - layout.R) + b0
-    term = (r - b0) * (r + b0) / (b0 * b0)  # _radius_ratio_term
-    ratio = v_inf / spec.background_sound_speed
-    a_over = ratio * ratio * term
-    denom = 1.0 - a_over
-    near = np.abs(denom) < pole_delta
-    b = np.full(x.size, math.nan)
-    b[~near] = spec.resonance.width / denom[~near] + spec.resonance.b_res
-    return LabProfile3D(x=x, r=r, cs0=v_inf * (r / b0), cs=v_inf * np.sqrt(term),
-                        b_gauss=b, a_over_abg=a_over, vr=np.full(x.size, v_inf),
-                        valid=~near, near_asymptote=near)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        r = np.abs(x - layout.R) + b0
+        cs0, cs = sound_speed_profile_3d(r, v_inf, b0)
+        near = np.abs(detuning_denominator(r, v_inf, b0, spec)) < pole_delta
+        b = np.full(x.size, math.nan)
+        b[~near] = field_profile_3d(r[~near], v_inf, b0, spec)
+        return LabProfile3D(x=x, r=r, cs0=cs0, cs=cs, b_gauss=b,
+                            a_over_abg=scattering_profile_3d(r, v_inf, b0, spec),
+                            vr=np.full(x.size, v_inf), valid=~near, near_asymptote=near)
 
 
 def detect_asymptotes(profile: LabProfile3D) -> list[float]:
@@ -175,7 +171,7 @@ def analytic_asymptote_positions(layout: LabLayout, v_inf: float,
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """Healing-length audit of a sampled profile or matching solution."""
+    """Healing-length audit of a sampled profile."""
 
     species: str
     reference_cs0: float
@@ -192,29 +188,18 @@ class ResolutionReport:
         return self.step_ok and self.throat_ok is not False
 
 
-def resolution_audit(data: float | GpSolution | LabProfile3D, species: AtomSpecies,
-                     step: float, *, b0: float | None = None,
-                     factor: float = 10.0) -> ResolutionReport:
-    """Compare the grid step with the healing length at the smallest
-    relevant cs0 (the start-of-profile value, where xi is largest).
+def resolution_audit(reference_cs0: float, species: AtomSpecies, step: float, *,
+                     b0: float | None = None, factor: float = 10.0) -> ResolutionReport:
+    """Compare the grid step with the healing length at the reference cs0
+    (m/s): the smallest relevant one, where xi is largest.
 
-    ``data`` may be a matching solution, a sampled 3+1D profile, or the
-    reference cs0 itself (m/s). A known throat radius is also checked
-    against xi: a throat smaller than the healing length sits below the
-    scale the hydrodynamic description resolves.
+    A known throat radius is also checked against xi: a throat smaller
+    than the healing length sits below the scale the hydrodynamic
+    description resolves.
     """
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
-    if isinstance(data, GpSolution):
-        reference = float(data.cs0[data.converged].min())
-        if b0 is None:
-            b0 = data.b0
-    elif isinstance(data, (int, float)):
-        reference = float(data)
-    else:
-        reference = float(data.cs0.min())
-        if b0 is None:
-            b0 = float(data.r.min())
+    reference = float(reference_cs0)
     xi_um = healing_length(reference, species) * 1e6
     return ResolutionReport(
         species=species.name,
@@ -233,7 +218,8 @@ def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
                           profile: LabProfile3D, step: float, *,
                           resolution_factor: float = 10.0) -> dict:
     """Assemble the JSON-ready feasibility report for a sampled profile."""
-    audit = resolution_audit(profile, spec.species, step,
+    # the start-of-profile cs0, at the throat
+    audit = resolution_audit(float(profile.cs0.min()), spec.species, step,
                              b0=layout.b0, factor=resolution_factor)
     return {
         "layout": {"R_um": layout.R, "b0_um": layout.b0},

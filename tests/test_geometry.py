@@ -10,8 +10,7 @@ import pytest
 from wormbec.exceptions import ConvergenceError, DomainError
 from wormbec.geometry import (MAX_GRID_POINTS, ShapeFunction, ThroatClass,
                               _integrate_from_throat, classify_throat,
-                              effective_light_speed, embedding_height,
-                              metric_factor, proper_distance, shape_b,
+                              embedding_height, metric_factor, proper_distance,
                               uniform_grid)
 
 # Frozen from the brute-force midpoint oracle below at 10^6 panels.
@@ -37,27 +36,6 @@ def riemann_embedding(b0, q, r, panels=10**6):
     return float(f.sum() * du)
 
 
-def test_shape_b_ellis_value():
-    """b0=1, q=-1, r=2 gives b0^2/r = 0.5."""
-    assert shape_b(ShapeFunction(1.0, -1.0), 2.0) == pytest.approx(0.5, rel=1e-15)
-
-
-def test_shape_b_throat_condition_all_q():
-    """b(b0) = b0 exactly for every exponent."""
-    for q in (-2.0, -1.0, -0.5, 0.0, 0.5, 0.95, 1.0, 2.0):
-        for b0 in (0.1, 0.5, 1.0, 3.0, 10.0):
-            assert shape_b(ShapeFunction(b0, q), b0) == b0
-
-
-def test_shape_b_constant_for_q_zero():
-    assert shape_b(ShapeFunction(1.0, 0.0), 7.0) == 1.0
-
-
-def test_shape_b_inside_throat_rejected():
-    with pytest.raises(DomainError):
-        shape_b(ShapeFunction(1.0, -1.0), 0.5)
-
-
 def test_shape_function_requires_positive_throat():
     with pytest.raises(DomainError):
         ShapeFunction(0.0, -1.0)
@@ -81,31 +59,6 @@ def test_metric_factor_negative_for_broken_signature():
     """q > 1 values are returned, not raised; callers attach the flag."""
     assert metric_factor(ShapeFunction(1.0, 2.0), 3.0) < 0.0
     assert metric_factor(ShapeFunction(1.0, 1.0), 5.0) == 0.0
-
-
-def test_effective_light_speed():
-    shape = ShapeFunction(1.0, -1.0)
-    assert effective_light_speed(shape, 1.0, 1.0) == 0.0
-    assert effective_light_speed(shape, 2.0, 1.0) == pytest.approx(math.sqrt(0.75), rel=1e-15)
-    assert effective_light_speed(shape, 1e9, 3.0) == pytest.approx(3.0, rel=1e-12)
-
-
-def test_effective_light_speed_rejects_broken_signature():
-    with pytest.raises(DomainError):
-        effective_light_speed(ShapeFunction(1.0, 2.0), 2.0, 1.0)
-
-
-def test_conformal_consistency():
-    """effective_light_speed**2 / c**2 equals the metric factor."""
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        b0 = rng.uniform(0.1, 10.0)
-        q = rng.uniform(-3.0, 0.99)
-        r = b0 * (1.0 + rng.uniform(1e-6, 100.0))
-        shape = ShapeFunction(b0, q)
-        c = rng.uniform(0.001, 3e8)
-        lhs = effective_light_speed(shape, r, c) ** 2 / c ** 2
-        assert lhs == pytest.approx(metric_factor(shape, r), rel=1e-14, abs=1e-300)
 
 
 def test_proper_distance_ellis_closed_form():
@@ -189,11 +142,12 @@ def test_throat_classification():
 
 
 def test_flare_out_matches_shape_derivative_at_throat():
-    """db/dr at the throat equals q, so traversability is exactly q < 1."""
+    """db/dr at the throat equals q, so traversability is exactly q < 1
+    (b(r) = r (1 - metric factor))."""
     for q in (-2.0, -1.0, 0.0, 0.5, 0.95, 1.0, 1.5):
         shape = ShapeFunction(2.0, q)
         h = 1e-7
-        slope = (shape_b(shape, 2.0 + h) - shape_b(shape, 2.0)) / h
+        slope = ((2.0 + h) * (1.0 - metric_factor(shape, 2.0 + h)) - 2.0) / h
         assert slope == pytest.approx(q, abs=1e-5)
         assert (classify_throat(q) is ThroatClass.TRAVERSABLE) == (slope < 1.0 - 1e-5)
 

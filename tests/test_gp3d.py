@@ -1,4 +1,4 @@
-"""3+1D machinery: geodesics, flow-adapted metric, congruence check,
+"""3+1D machinery: flow-adapted time offset and metric, congruence check,
 condensate metric, and the exact matching solver."""
 
 import math
@@ -8,11 +8,15 @@ import pytest
 
 from bitcheck import assert_same_bits
 from wormbec.exceptions import ConvergenceError, DomainError, PoleError
-from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, GpSolution, MetricAtPoint,
-                          ObserverSpec, bec_metric, fold_radius, gp_metric,
-                          gp_time_offset, lorentz_gamma, matching_residuals,
-                          metric_congruence_check, radial_geodesic_velocity,
+from wormbec.feshbach import cesium_condensate, sound_speed_from_scattering
+from wormbec.geometry import ShapeFunction, metric_factor
+from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, MetricAtPoint, bec_metric,
+                          fold_radius, gp_metric, gp_time_offset,
+                          matching_residuals, metric_congruence_check,
                           solve_matching, zero_order_solution)
+from wormbec.profile1d import field_profile_1d, slope_metric
+from wormbec.profile3d import (detuning_denominator, field_profile_3d,
+                               scattering_profile_3d, sound_speed_profile_3d)
 
 
 def riemann_offset(b0, energy, r, panels=10**6):
@@ -22,40 +26,6 @@ def riemann_offset(b0, energy, r, panels=10**6):
     u = (np.arange(panels) + 0.5) * du
     f = 2.0 * np.sqrt(energy**2 - 1.0) * (b0 + u * u) / np.sqrt(u * u + 2.0 * b0)
     return float(f.sum() * du)
-
-
-def test_lorentz_gamma_values():
-    assert lorentz_gamma(0.0, DEFAULT_LIGHT_SPEED) == 1.0
-    assert lorentz_gamma(0.6, 1.0) == pytest.approx(1.25, rel=1e-15)
-    assert lorentz_gamma(0.01, 0.02) == pytest.approx(1.0 / math.sqrt(0.75), rel=1e-15)
-
-
-def test_lorentz_gamma_domain():
-    with pytest.raises(DomainError):
-        lorentz_gamma(1.0, 1.0)
-    with pytest.raises(DomainError):
-        lorentz_gamma(2.0, 1.0)
-    with pytest.raises(DomainError):
-        lorentz_gamma(0.5, 0.0)
-
-
-def test_observer_spec():
-    obs = ObserverSpec(v_inf=0.01, reference_speed=0.02)
-    assert obs.gamma == pytest.approx(1.0 / math.sqrt(0.75), rel=1e-15)
-    with pytest.raises(DomainError):
-        ObserverSpec(v_inf=0.03, reference_speed=0.02)
-    with pytest.raises(DomainError):
-        ObserverSpec(v_inf=0.0, reference_speed=0.02)
-
-
-def test_radial_geodesic_velocity():
-    assert radial_geodesic_velocity(1.0, 2.0, 1.0) == 0.0      # throat
-    assert radial_geodesic_velocity(5.0, 1.0, 1.0) == 0.0      # marginal observer
-    far = radial_geodesic_velocity(1e9, 2.0, 1.0)
-    assert far == pytest.approx(-math.sqrt(3.0), rel=1e-12)
-    assert far < 0.0  # ingoing branch
-    with pytest.raises(DomainError):
-        radial_geodesic_velocity(5.0, 0.5, 1.0)
 
 
 def test_gp_time_offset_closed_form():
@@ -78,7 +48,6 @@ def test_gp_metric_reference_point():
     assert m.g_rr == pytest.approx(1.0 / (1.5625 * 0.75), rel=1e-15)
     assert m.g_tr == pytest.approx(0.64 * math.sqrt(0.75), rel=1e-14)
     assert m.spherical == 4.0
-    assert m.is_lorentzian
 
 
 def test_gp_metric_free_fall_is_diagonal():
@@ -96,8 +65,8 @@ def test_gp_metric_signature_random_sweep():
         r = b0 * (1.0 + rng.uniform(1e-4, 50.0))
         gamma = 1.0 + rng.uniform(0.0, 10.0)
         m = gp_metric(r, gamma, 1.0, b0)
-        assert m.tr_determinant < 0.0
-        assert m.is_lorentzian
+        assert m.g_tt < 0.0
+        assert m.g_tt * m.g_rr - m.g_tr ** 2 < 0.0
 
 
 def test_gp_metric_pole_at_throat():
@@ -299,7 +268,16 @@ def test_radius_where_no_vr_exists_stays_finite():
         assert np.isfinite(column).all()
 
 
+def _parts(value):
+    if isinstance(value, MetricAtPoint):
+        return value.r, value.g_tt, value.g_tr, value.g_rr, value.spherical
+    return value if isinstance(value, tuple) else (value,)
+
+
 def test_matching_residuals_arrays_match_floats():
+    """Each formula gives for an array, bit for bit, the floats it gives
+    for the elements one by one: matching_residuals, the two metrics, and
+    the 1D and 3D profile formulas the kernels call."""
     radii = np.array([1.2, 2.0, 7.5])
     cs0 = np.array([0.013, 0.021, 0.07])
     vr = np.array([0.011, 0.0099, 0.01])
@@ -311,6 +289,29 @@ def test_matching_residuals_arrays_match_floats():
     assert_same_bits(res2, [pair[1] for pair in pointwise])
     with pytest.raises(DomainError):
         matching_residuals(radii, cs0 - 0.005, vr, 0.01, 1.0)   # one cs0 <= v_inf
+
+    spec = cesium_condensate()
+    res = spec.resonance
+    shape = ShapeFunction(1.5, -0.7)
+    formulas = [
+        lambda r: gp_metric(r, 1.25, 0.02, 1.0),
+        lambda r: bec_metric(r, 0.001 * r, 0.01 * r, 0.1),
+        lambda r: metric_factor(shape, r),
+        lambda r: field_profile_1d(shape, res, r),
+        lambda r: slope_metric(shape, res, r - 1.5),
+        lambda r: sound_speed_from_scattering(1e-8 * r, spec),
+        lambda r: sound_speed_profile_3d(r, 0.01, 1.5),
+        lambda r: scattering_profile_3d(r, 0.01, 1.5, spec),
+        lambda r: detuning_denominator(r, 0.01, 1.5, spec),
+        lambda r: field_profile_3d(r, 0.01, 1.5, spec),
+    ]
+    radii = np.array([1.5, 2.25, 9.1, 21.5])
+    for formula in formulas:
+        columns = _parts(formula(radii))
+        pointwise = [_parts(formula(r)) for r in radii.tolist()]
+        assert all(type(value) is float for parts in pointwise for value in parts)
+        for k, column in enumerate(columns):
+            assert_same_bits(column, [parts[k] for parts in pointwise])
 
 
 def test_solver_grid_preconditions():

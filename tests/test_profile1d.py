@@ -13,7 +13,6 @@ from wormbec.feshbach import (BOHR_RADIUS, cesium_condensate, m_to_bohr,
 from wormbec.geometry import ShapeFunction, metric_factor
 from wormbec.profile1d import (CSV_COLUMNS, SLOPE_CAPABILITY_PER_UM,
                                feasibility_1d, field_profile_1d,
-                               lab_coordinate_1d, lab_coordinate_inverse,
                                sample_profile_1d, scattering_profile_1d,
                                slope_metric, symmetric_grid)
 from wormbec.tableio import write_csv
@@ -56,22 +55,6 @@ def test_scattering_profile_values():
     assert scattering_profile_1d(shape, 1.0) == 0.0
     assert scattering_profile_1d(shape, 2.0) == pytest.approx(0.75, rel=1e-15)
     assert scattering_profile_1d(ShapeFunction(1.0, 0.5), 1e14) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_lab_coordinate_roundtrip():
-    assert lab_coordinate_1d(1.0, 1.0) == 0.0
-    assert lab_coordinate_1d(11.0, 1.0, side=1) == 10.0
-    assert lab_coordinate_inverse(-10.0, 1.0) == (11.0, -1)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        b0 = rng.uniform(0.1, 10.0)
-        r = b0 + rng.uniform(0.0, 50.0)
-        side = 1 if rng.uniform() < 0.5 else -1
-        x = lab_coordinate_1d(r, b0, side)
-        r_back, side_back = lab_coordinate_inverse(x, b0)
-        assert r_back == pytest.approx(r, rel=1e-15)
-        if x != 0.0:
-            assert side_back == side
 
 
 def test_slope_reference_point():
@@ -152,7 +135,8 @@ def test_sample_profile_flags_broken_signature():
 @pytest.mark.parametrize("q", (2.0, 0.95, -0.5, -1.0))
 @pytest.mark.parametrize("b0", (0.5, 1.0, 10.0))
 def test_sample_profile_columns_equal_scalar_functions(q, b0):
-    """Every column is the scalar recipe evaluated point by point, bit for bit."""
+    """Every column is the recipe evaluated on floats point by point, bit
+    for bit: the float and the array path of each formula agree."""
     shape = ShapeFunction(b0, q)
     profile = sample_profile_1d(shape, CS, 20.0, 0.01)
     assert_same_bits(profile.x, [k * 0.01 for k in range(-2000, 2001)])

@@ -7,9 +7,10 @@ import pytest
 
 from bitcheck import assert_same_bits
 from wormbec.exceptions import DomainError, PoleError
-from wormbec.feshbach import (SPECIES, cesium_condensate, healing_length,
+from wormbec.feshbach import (HBAR, SPECIES, cesium_condensate, healing_length,
                               scattering_from_field, sound_speed_from_field)
-from wormbec.gp3d import solve_matching
+from wormbec.geometry import ShapeFunction
+from wormbec.profile1d import sample_profile_1d
 from wormbec.profile3d import (BLANK_NAN_COLUMNS, CSV_COLUMNS, LabLayout,
                                analytic_asymptote_positions,
                                asymptote_radius, detect_asymptotes,
@@ -152,13 +153,14 @@ def test_near_asymptote_samples_carry_no_field():
 ])
 def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
                                                     near_count):
-    """Every column is the scalar recipe evaluated point by point, bit for
-    bit; near-asymptote samples, and only they, carry a NaN field."""
+    """Every column is the recipe evaluated on floats point by point, bit
+    for bit (the float and the array path of each formula agree); near-
+    asymptote samples, and only they, carry a NaN field."""
     layout = LabLayout(R=5.0, b0=1.0)
     profile = lab_profiles_3d(layout, v_inf, CS, step, pole_delta=pole_delta)
     count = int(math.floor(10.0 / step + 1e-9)) + 1
     assert_same_bits(profile.x, [k * step for k in range(count)])
-    r = [layout.radius_at(x) for x in profile.x.tolist()]
+    r = [abs(x - layout.R) + layout.b0 for x in profile.x.tolist()]
     assert_same_bits(profile.r, r)
     speeds = [sound_speed_profile_3d(ri, v_inf, 1.0) for ri in r]
     assert_same_bits(profile.cs0, [cs0 for cs0, _ in speeds])
@@ -172,6 +174,49 @@ def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
     assert_same_bits(profile.b_gauss, [math.nan if n else field_profile_3d(ri, v_inf, 1.0, CS)
                                        for ri, n in zip(r, near)])
     assert (profile.vr == v_inf).all()
+
+
+def _ulps(values, reference):
+    """|value - reference| in units of the double spacing at the reference
+    (so a zero reference admits only an exact zero)."""
+    error = [float(abs(value - ref)) for value, ref in zip(values.tolist(), reference)]
+    return np.array(error) / np.spacing(np.abs([float(ref) for ref in reference]))
+
+
+@pytest.mark.parametrize("q, b0, v_inf", [
+    (-1.0, 1.0, 0.01), (0.95, 10.0, 0.009), (-0.5, 0.5, 0.02),
+    (2.0, 10.0, 0.005), (-2.0, 3.0, 1e3),
+])
+def test_profiles_match_40_digit_reference(q, b0, v_inf):
+    """On CLI grids (1D: x in [-20, 20] at 0.1; 3D: R = 5 at 0.01) the 1D
+    a/a_bg, B and c_s and the 3D cs0, cs, a/a_bg and B lie within 4 ulp of
+    40-digit mpmath evaluated at the sampled radii. The 3D B is referred
+    to the sampled a/a_bg: near the pole 1/(1 - a/a_bg) amplifies the
+    rounding of a/a_bg, which is not an error of B."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        width, b_res, a_bg = map(mp.mpf, (RES.width, RES.b_res, RES.a_bg))
+        b0m, v = mp.mpf(b0), mp.mpf(v_inf)
+        profile = sample_profile_1d(ShapeFunction(b0, q), CS, 20.0, 0.1)
+        ratio = [mp.mpf(r) / b0m for r in profile.r.tolist()]
+        a = [1 - t ** (q - 1) for t in ratio]
+        speed = mp.mpf(HBAR) / mp.mpf(CS.species.mass) * mp.sqrt(4 * mp.pi * mp.mpf(CS.density))
+        valid = profile.valid
+        checks = [(profile.a_over_abg, a),
+                  (profile.b_gauss, [t ** (1 - q) * width + b_res for t in ratio]),
+                  (profile.c_s[valid], [speed * mp.sqrt(a_bg * ai)
+                                        for ai, ok in zip(a, valid) if ok])]
+        lab = lab_profiles_3d(LabLayout(R=5.0, b0=b0), v_inf, CS, 0.01)
+        term = [(mp.mpf(r) / b0m) ** 2 - 1 for r in lab.r.tolist()]
+        scale = (v / mp.mpf(CS.background_sound_speed)) ** 2
+        field = ~lab.near_asymptote
+        checks += [(lab.cs0, [v * mp.mpf(r) / b0m for r in lab.r.tolist()]),
+                   (lab.cs, [v * mp.sqrt(t) for t in term]),
+                   (lab.a_over_abg, [scale * t for t in term]),
+                   (lab.b_gauss[field], [width / (1 - mp.mpf(ai)) + b_res
+                                         for ai in lab.a_over_abg[field].tolist()])]
+        for values, reference in checks:
+            assert _ulps(values, reference).max() <= 4.0
 
 
 def test_detected_asymptotes_match_analytic():
@@ -237,19 +282,6 @@ def test_resolution_audit_step_equal_to_healing_length_fails():
     assert not report.step_ok
 
 
-def test_resolution_audit_from_solution_and_profile():
-    solution = solve_matching(0.01, 1.0, 1.1, 10.0, 0.1)
-    from_solution = resolution_audit(solution, SPECIES["Cs"], 0.4)
-    assert from_solution.reference_cs0 == pytest.approx(0.011, rel=1e-9)
-    assert from_solution.throat_b0_um == 1.0
-
-    layout = LabLayout(R=5.0, b0=1.0)
-    profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
-    from_profile = resolution_audit(profile, SPECIES["Cs"], 0.5)
-    assert from_profile.reference_cs0 == 0.01  # throat value
-    assert from_profile.throat_b0_um == 1.0
-
-
 def test_feasibility_report_contents():
     layout = LabLayout(R=5.0, b0=1.0)
     profile = lab_profiles_3d(layout, 0.01, CS, 0.125)
@@ -259,6 +291,8 @@ def test_feasibility_report_contents():
     assert len(report["asymptotes"]["detected_x_um"]) == 2
     assert report["max_a_over_abg"] == pytest.approx(24.26, abs=0.3)
     assert report["resolution"]["species"] == "Cs"
+    assert report["resolution"]["reference_cs0_m_per_s"] == 0.01  # throat value
+    assert report["resolution"]["throat_b0_um"] == 1.0
     assert report["background_sound_speed_m_per_s"] == pytest.approx(0.0120, rel=0.01)
 
 
@@ -267,9 +301,6 @@ def test_layout_validation():
         LabLayout(R=0.0, b0=1.0)
     with pytest.raises(DomainError):
         LabLayout(R=5.0, b0=-1.0)
-    layout = LabLayout(R=5.0, b0=1.0)
-    with pytest.raises(DomainError):
-        layout.radius_at(10.5)
 
 
 def test_profile_csv_layout(tmp_path):
