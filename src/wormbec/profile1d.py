@@ -105,21 +105,26 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
                       x_max: float = 20.0, step: float = 0.1) -> Profile1D:
     """Sample all 1+1D control quantities on a symmetric lab grid.
 
-    Samples where the scattering length goes negative (q > 1) carry
-    valid=False and a NaN sound speed. Arithmetic that leaves the finite
-    doubles raises FloatingPointError.
+    Every quantity depends on x only through r = |x| + b0, so it is
+    computed on the x >= 0 half of the grid and mirrored: below x = 0
+    each column is its upper half reversed (x negated), so the table is
+    bitwise even about the throat (what lets ``tableio.write_csv`` format
+    each value once). Samples where the scattering length goes negative
+    (q > 1) carry valid=False and a NaN sound speed. Arithmetic that
+    leaves the finite doubles raises FloatingPointError.
     """
     x = symmetric_grid(x_max, step)
+    half = x[x.size // 2:]
     res = spec.resonance
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        r = np.abs(x) + shape.b0
+        r = half + shape.b0
         a_over = scattering_profile_1d(shape, r)
         valid = a_over >= 0.0
         # the scattering route keeps c_s(throat) exactly zero
         c_s = sound_speed_from_scattering(np.where(valid, res.a_bg * a_over, math.nan), spec)
-        return Profile1D(x=x, r=r, a_over_abg=a_over,
-                         a_over_100a0=a_over * res.a_bg / (100.0 * BOHR_RADIUS),
-                         b_gauss=field_profile_1d(shape, res, r), c_s=c_s, valid=valid)
+        halves = (r, a_over, a_over * res.a_bg / (100.0 * BOHR_RADIUS),
+                  field_profile_1d(shape, res, r), c_s, valid)
+    return Profile1D(x, *(np.concatenate((column[:0:-1], column)) for column in halves))
 
 
 def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,

@@ -436,6 +436,25 @@ def test_csv_and_json_tables_hold_the_same_values(tmp_path):
     assert len(blank) == 2
 
 
+def test_profile1d_csv_cells_render_their_json_values(tmp_path):
+    """Every cell of the 40001-row 1D table, written from its upper half,
+    is the text of the value the JSON table holds: repr of the float, nan
+    for null, true/false for a flag."""
+    args = ("profile1d", "--set", "wormhole.q=-1,0.95,2", "--set", "grid.step_um=0.001")
+    assert run(tmp_path / "csv", *args) == 0
+    assert run(tmp_path / "json", *args, "--format", "json") == 0
+    for q in ("-1", "0.95", "2"):
+        stem = f"profile1d_q{q}_b01"
+        lines = (tmp_path / "csv" / f"{stem}.csv").read_text().splitlines()
+        payload = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+        assert lines[0] == ",".join(payload["columns"])
+        assert len(lines) == 1 + len(payload["rows"]) == 40002
+        for line, row in zip(lines[1:], payload["rows"]):
+            assert line == ",".join(
+                "nan" if v is None else ("true" if v else "false") if isinstance(v, bool)
+                else repr(v) for v in row)
+
+
 def test_config_file_plus_override(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text("[wormhole]\nb0_um = 2.0\nq = 0.5\n"

@@ -1,12 +1,17 @@
 """Property test of the CLI: whatever SECTION.KEY=VALUE overrides it is
 given, every subcommand returns 0, 1 or 2, raises nothing, and an exit 1
-says why in exactly one stderr line. After exit 0 or 2 every table cell
-is a finite number or a flag, bar the documented NaN cells."""
+says why in exactly one stderr line. After any exit the output directory
+holds only the command's table and report files, no temporary file. After
+exit 0 or 2 every table cell is a finite number or a flag, bar the
+documented NaN cells; every numeric CSV cell is the shortest round-trip
+form of its float; and every 1D profile CSV reads the same from both ends,
+with x negated."""
 
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -79,6 +84,41 @@ def _non_finite_cells(out):
     return found
 
 
+# The files each command may write: tables (CSV or JSON) and JSON reports.
+OUTPUT_NAME = {
+    "profile1d": r"(profile1d_.*\.(csv|json)|feasibility_.*\.json)",
+    "solve-gp": r"(gp_solution_.*\.(csv|json)|gp_summary_.*\.json)",
+    "profile3d": r"(profile3d_.*\.(csv|json)|report_.*\.json)",
+    "embed": r"embedding_.*\.(csv|json)",
+    "presets": r"(?!)",
+}
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def _non_canonical_cells(out):
+    """(file, cell) of each numeric CSV cell that is not repr of its float."""
+    return [(path.name, cell) for path in sorted(Path(out).glob("*.csv"))
+            for row in _csv_rows(path) for cell in row
+            if cell not in CSV_CELL and repr(float(cell)) != cell]
+
+
+def _uneven_profiles(out):
+    """Names of the 1D profile CSVs that do not read the same from both
+    ends: row k from the bottom is row k from the top with x negated."""
+    uneven = []
+    for path in sorted(Path(out).glob("profile1d_*.csv")):
+        rows = _csv_rows(path)
+        centre = len(rows) // 2
+        if (len(rows) % 2 != 1 or rows[centre][0] != "0.0" or any(
+                low != ["-" + high[0], *high[1:]]
+                for low, high in zip(rows[:centre], reversed(rows)))):
+            uneven.append(path.name)
+    return uneven
+
+
 @pytest.mark.parametrize("command", ["profile1d", "solve-gp", "profile3d", "embed", "presets"])
 @settings(max_examples=150, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -93,7 +133,11 @@ def test_any_override_gives_a_result_or_one_line_error(monkeypatch, command, ove
             contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, "--out", out])
         assert code in (0, 1, 2)
+        assert all(re.fullmatch(OUTPUT_NAME[command], path.name)
+                   for path in Path(out).iterdir()), sorted(Path(out).iterdir())
         if code == 1:
             assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
         else:
             assert not _non_finite_cells(out)
+            assert not _non_canonical_cells(out)
+            assert not _uneven_profiles(out)

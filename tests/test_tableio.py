@@ -6,6 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from wormbec import tableio
+from wormbec.feshbach import cesium_condensate
+from wormbec.geometry import ShapeFunction
+from wormbec.profile1d import CSV_COLUMNS, sample_profile_1d
 from wormbec.tableio import CHUNK_ROWS, write_csv, write_table
 
 
@@ -58,3 +62,129 @@ def test_ragged_table_is_rejected(tmp_path):
         write_csv(tmp_path / "t.csv", ("a", "b"), (np.zeros(3), np.zeros(2)))
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", ("a", "b"), (np.zeros(3),))
+
+
+def reference_csv(header, columns, blank_nan=()):
+    """The CSV rendering rules applied one row at a time."""
+    lines = [",".join(header)]
+    for row in zip(*(np.asarray(column).tolist() for column in columns)):
+        lines.append(",".join(
+            ("true" if v else "false") if isinstance(v, bool)
+            else "" if name in blank_nan and v != v else repr(v)
+            for name, v in zip(header, row)))
+    return "\n".join(lines) + "\n"
+
+
+def even(half):
+    """The column whose centre row and rows above it are HALF, mirrored below."""
+    return np.concatenate((half[:0:-1], half))
+
+
+def odd(half):
+    """As even, but negated below the centre row."""
+    return np.concatenate((-half[:0:-1], half))
+
+
+def mirrored_table(half_rows):
+    """x, a float64 column with NaN cells, a float32 column and a flag,
+    mirrored about x = 0, with HALF_ROWS rows from the centre up."""
+    x = np.arange(half_rows) * 0.1
+    y = np.where(np.arange(half_rows) % 5 == 3, math.nan, np.sqrt(x + 2.0))
+    single = (x / 3.0).astype(np.float32)
+    flag = np.arange(half_rows) % 3 == 0
+    return ("x", "y", "single", "flag"), [odd(x), even(y), even(single), even(flag)]
+
+
+MIRRORED_HALVES = [2, 3, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7]
+
+
+@pytest.mark.parametrize("half_rows", [1] + MIRRORED_HALVES)
+def test_mirrored_table_renders_like_reference(tmp_path, half_rows):
+    """A mirrored table is written from its upper half, byte for byte as
+    the plain rendering, for 1, 3 and 5 rows and around chunk edges (a
+    one-row table is not mirrored)."""
+    header, columns = mirrored_table(half_rows)
+    assert [column.dtype for column in columns] == [np.float64, np.float64, np.float32, bool]
+    assert tableio._is_mirrored(columns) == (half_rows > 1)
+    path = write_csv(tmp_path / "t.csv", header, columns)
+    assert path.read_text() == reference_csv(header, columns)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_mirrored_profile_and_blank_column_render_like_reference(tmp_path):
+    """The q > 1 profile (NaN sound speeds) takes the mirrored path, and
+    so does a table with a blank_nan column."""
+    profile = sample_profile_1d(ShapeFunction(1.0, 2.0), cesium_condensate(), 20.0, 0.01)
+    columns = list(profile.columns())
+    assert np.isnan(profile.c_s).any() and tableio._is_mirrored(columns)
+    path = write_csv(tmp_path / "p.csv", CSV_COLUMNS, columns)
+    assert path.read_text() == reference_csv(CSV_COLUMNS, columns)
+
+    header, columns = mirrored_table(CHUNK_ROWS + 1)
+    assert tableio._is_mirrored(columns)
+    path = write_csv(tmp_path / "b.csv", header, columns, blank_nan=("y",))
+    assert path.read_text() == reference_csv(header, columns, blank_nan=("y",))
+    assert ",," in path.read_text()
+
+
+def _near_misses():
+    """Tables one rule short of mirrored, 13 rows with the centre at row 6."""
+    header, columns = mirrored_table(7)
+
+    def changed(index, cells):
+        column = columns[index].copy()
+        column.view(f"u{column.itemsize}")[list(cells)] = [
+            np.array(v, column.dtype).view(f"u{column.itemsize}") for v in cells.values()]
+        return [column if k == index else c for k, c in enumerate(columns)]
+
+    x, y = columns[0], columns[1]
+    payload_nan = np.array(math.nan).view(np.uint64) | np.uint64(1)
+    yield "negative zero centre", changed(0, {6: -0.0})
+    yield "lower cell one ulp off", changed(1, {2: np.nextafter(y[2], math.inf)})
+    yield "lower x one ulp off", changed(0, {1: np.nextafter(x[1], -math.inf)})
+    yield "even first column", [np.abs(x), *columns[1:]]
+    yield "negative x above the centre", changed(0, {7: -x[7], 5: x[7]})
+    yield "nan in x", changed(0, {8: math.nan, 4: -math.nan})
+    yield "nan payload differs", changed(1, {3: payload_nan.view(float)})
+    yield "even row count", [column[1:] for column in columns]
+
+
+@pytest.mark.parametrize("name, columns", list(_near_misses()),
+                         ids=[name for name, _ in _near_misses()])
+def test_near_mirrored_table_takes_plain_path(tmp_path, name, columns):
+    header = ("x", "y", "single", "flag")
+    assert not tableio._is_mirrored(columns)
+    path = write_csv(tmp_path / "t.csv", header, columns)
+    assert path.read_text() == reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("table", ["plain", "mirrored"])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, table):
+    """A write that fails after its first chunk leaves no temporary file,
+    and no target, or the target as it was before."""
+    half = np.arange(2 * CHUNK_ROWS) * 0.5
+    x = half + 1.0 if table == "plain" else odd(half)
+    assert tableio._is_mirrored([x]) == (table == "mirrored")
+    calls = []
+    real = tableio._csv_cells
+
+    def failing(column, blank_nan):
+        calls.append(len(column))
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(column, blank_nan)
+
+    monkeypatch.setattr(tableio, "_csv_cells", failing)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(out / "t.csv", ("x",), (x,))
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
+
+    (out / "t.csv").write_text("x\n1.0\n")
+    calls.clear()
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(out / "t.csv", ("x",), (x,))
+    assert list(out.iterdir()) == [out / "t.csv"]
+    assert (out / "t.csv").read_text() == "x\n1.0\n"
