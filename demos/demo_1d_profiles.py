@@ -14,7 +14,7 @@ from pathlib import Path
 from wormbec import (ShapeFunction, cesium_condensate, feasibility_1d,
                      sample_profile_1d, slope_metric)
 from wormbec.profile1d import CSV_COLUMNS
-from wormbec.tableio import write_csv
+from wormbec.tableio import write_table
 
 try:
     import matplotlib
@@ -46,8 +46,8 @@ def main() -> None:
         for b0 in B0_VALUES:
             shape = ShapeFunction(b0=b0, q=q)
             profile = sample_profile_1d(shape, spec, x_max=20.0, step=0.1)
-            write_csv(out / f"profile1d_q{q:g}_b0{b0:g}.csv", CSV_COLUMNS,
-                      profile.columns())
+            write_table(out / f"profile1d_q{q:g}_b0{b0:g}", CSV_COLUMNS,
+                        profile.columns(), "csv")
             if plt is not None:
                 axes[0, col].plot(profile.x, profile.a_over_100a0,
                                   label=f"b0={b0:g}")

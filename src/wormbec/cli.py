@@ -43,6 +43,17 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+def _check_tags(key: str, values: Sequence[float]) -> None:
+    """Reject two distinct [wormhole] KEY values that print alike (``_fmt``),
+    since their tables would be written to one file name."""
+    seen: dict[str, float] = {}
+    for value in values:
+        other = seen.setdefault(_fmt(value), value)
+        if other != value:
+            raise ConfigError(f"[wormhole] {key} values {other!r} and {value!r} "
+                              f"share the file tag {_fmt(value)}")
+
+
 def _add_common(parser: argparse.ArgumentParser, command: Callable[..., int]) -> None:
     parser.set_defaults(run=command)
     parser.add_argument("--config", metavar="PATH", help="INI config file")
@@ -79,6 +90,8 @@ def _build_parser() -> _Parser:
 
 def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
     from . import geometry, profile1d, tableio
+    _check_tags("q", cfg.q_list)
+    _check_tags("b0_um", cfg.b0_list)
     all_feasible = True
     for q, b0 in product(cfg.q_list, cfg.b0_list):
         shape = geometry.ShapeFunction(b0=b0, q=q)
@@ -168,11 +181,13 @@ def cmd_embed(cfg: RunConfig, strict: bool) -> int:
     for q in cfg.q_list:
         if q >= 1.0:
             raise DomainError(f"no embedding for q = {q!r}: signature broken")
+    if cfg.r_max is not None and cfg.r_max <= max(cfg.b0_list):
+        raise ConfigError(f"[grid] r_max_um must exceed b0, got {cfg.r_max!r}")
+    _check_tags("q", cfg.q_list)
+    _check_tags("b0_um", cfg.b0_list)
     for q, b0 in product(cfg.q_list, cfg.b0_list):
         shape = geometry.ShapeFunction(b0=b0, q=q)
         r_max = cfg.r_max if cfg.r_max is not None else 5.0 * b0
-        if r_max <= b0:
-            raise ConfigError(f"[grid] r_max_um must exceed b0, got {r_max!r}")
         r_step = cfg.r_step if cfg.r_step is not None else (r_max - b0) / 200.0
         radii = geometry.uniform_grid(b0, r_max - b0, r_step)
         tableio.write_table(cfg.out_dir / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}",

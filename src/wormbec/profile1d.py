@@ -108,10 +108,10 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
     Every quantity depends on x only through r = |x| + b0, so it is
     computed on the x >= 0 half of the grid and mirrored: below x = 0
     each column is its upper half reversed (x negated), so the table is
-    bitwise even about the throat (what lets ``tableio.write_csv`` format
-    each value once). Samples where the scattering length goes negative
-    (q > 1) carry valid=False and a NaN sound speed. Arithmetic that
-    leaves the finite doubles raises FloatingPointError.
+    bitwise even about the throat (what lets ``tableio.write_table`` format
+    each value once, in CSV and JSON). Samples where the scattering length
+    goes negative (q > 1) carry valid=False and a NaN sound speed.
+    Arithmetic that leaves the finite doubles raises FloatingPointError.
     """
     x = symmetric_grid(x_max, step)
     half = x[x.size // 2:]

@@ -220,6 +220,44 @@ def test_embed_rejects_broken_signature(tmp_path):
     assert run(tmp_path, "embed", "--set", "wormhole.q=0.5,1.5") == 1
 
 
+@pytest.mark.parametrize("command, override, named", [
+    ("profile1d", "wormhole.q=0.9999999,1", "0.9999999 and 1.0 share the file tag 1"),
+    ("profile1d", "wormhole.b0_um=1,1.0000001", "1.0 and 1.0000001 share the file tag 1"),
+    ("embed", "wormhole.b0_um=1,1.0000001", "1.0 and 1.0000001 share the file tag 1"),
+    ("embed", "wormhole.q=-1.0000001,-1,0.5", "-1.0000001 and -1.0 share the file tag -1"),
+], ids=["profile1d-q", "profile1d-b0", "embed-b0", "embed-q"])
+def test_sweep_values_sharing_a_file_tag_are_config_error(tmp_path, capsys, command,
+                                                          override, named):
+    """Two distinct sweep values that print alike (%g) would write one
+    file over the other: a one-line error naming both, before any file."""
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", override,
+                 "--set", "grid.step_um=0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"wormbec {command}: error: [wormhole] ")
+    assert named in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_value_repeated_exactly_writes_its_tables(tmp_path):
+    assert run(tmp_path / "1d", "profile1d", "--set", "wormhole.q=1,1",
+               "--set", "grid.step_um=0.5") == 0
+    assert sorted(p.name for p in (tmp_path / "1d").iterdir()) == [
+        "feasibility_q1_b01.json", "profile1d_q1_b01.csv"]
+    assert run(tmp_path / "embed", "embed", "--set", "wormhole.b0_um=2,2.0") == 0
+    assert [p.name for p in (tmp_path / "embed").iterdir()] == ["embedding_q-1_b02.csv"]
+
+
+def test_embed_checks_every_b0_before_writing(tmp_path, capsys):
+    """r_max_um below one of the b0 values fails before the first table."""
+    out = tmp_path / "out"
+    assert main(["embed", "--out", str(out), "--set", "wormhole.b0_um=1,5",
+                 "--set", "grid.r_max_um=3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "wormbec embed: error: [grid] r_max_um must exceed b0, got 3.0\n"
+    assert not out.exists()
+
+
 def test_presets_listing(tmp_path, capsys):
     code = run(tmp_path, "presets")
     assert code == 0

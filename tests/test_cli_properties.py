@@ -4,8 +4,10 @@ says why in exactly one stderr line. After any exit the output directory
 holds only the command's table and report files, no temporary file. After
 exit 0 or 2 every table cell is a finite number or a flag, bar the
 documented NaN cells; every numeric CSV cell is the shortest round-trip
-form of its float; and every 1D profile CSV reads the same from both ends,
-with x negated."""
+form of its float; every 1D profile CSV reads the same from both ends,
+with x negated; and every JSON file is strict JSON laid out as
+``json.dumps(..., indent=2, sort_keys=True)`` lays it out. The table format
+is drawn with the overrides, so JSON tables meet the extreme inputs too."""
 
 import contextlib
 import io
@@ -16,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wormbec.cli import main
@@ -105,6 +107,26 @@ def _non_canonical_cells(out):
             if cell not in CSV_CELL and repr(float(cell)) != cell]
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _non_canonical_json(out):
+    """Names of the JSON files that hold NaN or Infinity tokens, or whose
+    text is not the canonical dump of what they hold."""
+    found = []
+    for path in sorted(Path(out).glob("*.json")):
+        text = path.read_text()
+        try:
+            payload = json.loads(text, parse_constant=_reject_constant)
+        except ValueError:
+            found.append(path.name)
+            continue
+        if text != json.dumps(payload, indent=2, sort_keys=True) + "\n":
+            found.append(path.name)
+    return found
+
+
 def _uneven_profiles(out):
     """Names of the 1D profile CSVs that do not read the same from both
     ends: row k from the bottom is row k from the top with x negated."""
@@ -122,12 +144,20 @@ def _uneven_profiles(out):
 @pytest.mark.parametrize("command", ["profile1d", "solve-gp", "profile3d", "embed", "presets"])
 @settings(max_examples=150, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(overrides=st.one_of(ANY_OVERRIDES, NUMERIC_OVERRIDES))
-def test_any_override_gives_a_result_or_one_line_error(monkeypatch, command, overrides):
+@given(out_format=st.sampled_from(["csv", "json"]),
+       overrides=st.one_of(ANY_OVERRIDES, NUMERIC_OVERRIDES))
+# the documented non-finite values: NaN sound speeds, an overflowing slope
+@example(out_format="json", overrides=[(("wormhole", "q"), "2.0")])
+@example(out_format="json", overrides=[(("wormhole", "q"), "-299.0"),
+                                       (("wormhole", "b0_um"), "10.5")])
+def test_any_override_gives_a_result_or_one_line_error(monkeypatch, command, out_format,
+                                                       overrides):
     # a small cap keeps every drawn grid cheap
     monkeypatch.setattr("wormbec.geometry.MAX_GRID_POINTS", 1000)
     monkeypatch.delenv("WORMBEC_PRESET_DIR", raising=False)
-    argv = [command, *(f"--set={section}.{key}={value}" for (section, key), value in overrides)]
+    # the format goes first, so a drawn output.format override still wins
+    argv = [command, f"--set=output.format={out_format}",
+            *(f"--set={section}.{key}={value}" for (section, key), value in overrides)]
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -141,3 +171,4 @@ def test_any_override_gives_a_result_or_one_line_error(monkeypatch, command, ove
             assert not _non_finite_cells(out)
             assert not _non_canonical_cells(out)
             assert not _uneven_profiles(out)
+            assert not _non_canonical_json(out)

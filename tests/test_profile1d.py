@@ -15,7 +15,7 @@ from wormbec.profile1d import (CSV_COLUMNS, SLOPE_CAPABILITY_PER_UM,
                                feasibility_1d, field_profile_1d,
                                sample_profile_1d, scattering_profile_1d,
                                slope_metric, symmetric_grid)
-from wormbec.tableio import write_csv
+from wormbec.tableio import write_table
 
 CS = cesium_condensate()
 RES = CS.resonance
@@ -221,7 +221,7 @@ def test_feasibility_reference_case():
 
 def test_profile_csv_layout(tmp_path):
     profile = sample_profile_1d(ShapeFunction(1.0, -1.0), CS, 1.0, 0.5)
-    path = write_csv(tmp_path / "p.csv", CSV_COLUMNS, profile.columns())
+    path = write_table(tmp_path / "p", CSV_COLUMNS, profile.columns(), "csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "x_um,r_um,a_over_abg,a_over_100a0,B_gauss,cs_m_per_s,valid"
     assert len(lines) == 1 + len(profile.x)

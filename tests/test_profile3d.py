@@ -18,7 +18,7 @@ from wormbec.profile3d import (BLANK_NAN_COLUMNS, CSV_COLUMNS, LabLayout,
                                field_profile_3d, lab_profiles_3d,
                                resolution_audit, scattering_profile_3d,
                                sound_speed_profile_3d)
-from wormbec.tableio import write_csv
+from wormbec.tableio import write_table
 
 CS = cesium_condensate()
 RES = CS.resonance
@@ -306,8 +306,8 @@ def test_layout_validation():
 def test_profile_csv_layout(tmp_path):
     layout = LabLayout(R=1.0, b0=1.0)
     profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
-    path = write_csv(tmp_path / "p3.csv", CSV_COLUMNS, profile.columns(),
-                     blank_nan=BLANK_NAN_COLUMNS)
+    path = write_table(tmp_path / "p3", CSV_COLUMNS, profile.columns(), "csv",
+                       blank_nan=BLANK_NAN_COLUMNS)
     lines = path.read_text().splitlines()
     assert lines[0] == ("x_um,r_um,cs0_m_per_s,cs_m_per_s,B_gauss,"
                         "a_over_abg,vr_m_per_s,valid,near_asymptote")
@@ -318,8 +318,8 @@ def test_profile_csv_leaves_near_asymptote_field_empty(tmp_path):
     """The two samples next to the poles have no B_gauss cell; no cell
     anywhere reads nan."""
     profile = lab_profiles_3d(LabLayout(R=5.0, b0=1.0), 0.01, CS, 0.001)
-    path = write_csv(tmp_path / "p3.csv", CSV_COLUMNS, profile.columns(),
-                     blank_nan=BLANK_NAN_COLUMNS)
+    path = write_table(tmp_path / "p3", CSV_COLUMNS, profile.columns(), "csv",
+                       blank_nan=BLANK_NAN_COLUMNS)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     blank = [row for row in rows if row[4] == ""]
     assert len(blank) == 2
