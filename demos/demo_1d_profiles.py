@@ -70,9 +70,10 @@ def main() -> None:
             shape = ShapeFunction(b0=b0, q=q)
             audit = feasibility_1d(shape, spec, window=10.0)
             at_ten = slope_metric(shape, spec.resonance, 10.0)
-            verdict = "feasible" if audit.feasible else "NOT feasible"
-            print(f"  q={q:>5g} b0={b0:>4g}: max slope {audit.max_slope:8.4f}/um "
-                  f"at |x|={audit.slope_at:g}, slope(x=10)={at_ten:8.4f}/um "
+            verdict = "feasible" if audit["feasible"] else "NOT feasible"
+            print(f"  q={q:>5g} b0={b0:>4g}: max slope "
+                  f"{audit['max_slope_per_um']:8.4f}/um at |x|={audit['slope_at_x_um']:g}, "
+                  f"slope(x=10)={at_ten:8.4f}/um "
                   f"-> {verdict}")
     print("\nthe q=0.95, b0=1 case varies a/(100 a0) by 0.038 per micron at "
           "x=10, inside the demonstrated 0.067 per micron control")

@@ -10,8 +10,9 @@ solve), and audits the recipes against experimental capabilities.
 The public names below are imported from their submodules on first
 access (PEP 562), so ``import wormbec`` alone loads no numpy. The formula
 functions (metric factor, 1D and 3D field, scattering and sound-speed
-profiles, slope, metrics and matching residuals, embedding height) take
-floats or arrays: a float gives a float, an array the array of values.
+profiles, slope, metrics and matching residuals, zero-order solution,
+embedding height) take floats or arrays: a float gives a float, an array the
+array of values. The two audits return the JSON report sections they fill.
 """
 
 import importlib
@@ -34,14 +35,13 @@ _EXPORTS = {
                      "bec_metric", "fold_radius", "gp_metric", "gp_time_offset",
                      "matching_residuals", "metric_congruence_check",
                      "solve_matching", "zero_order_solution"), "gp3d"),
-    **dict.fromkeys(("Feasibility1D", "Profile1D", "SLOPE_CAPABILITY_PER_UM",
-                     "feasibility_1d", "field_profile_1d", "sample_profile_1d",
+    **dict.fromkeys(("Profile1D", "SLOPE_CAPABILITY_PER_UM", "feasibility_1d",
+                     "field_profile_1d", "sample_profile_1d",
                      "scattering_profile_1d", "slope_metric"), "profile1d"),
-    **dict.fromkeys(("LabLayout", "LabProfile3D", "ResolutionReport",
-                     "asymptote_radius", "detect_asymptotes",
-                     "field_profile_3d", "lab_profiles_3d", "resolution_audit",
-                     "scattering_profile_3d", "sound_speed_profile_3d"),
-                    "profile3d"),
+    **dict.fromkeys(("LabLayout", "LabProfile3D", "asymptote_radius",
+                     "detect_asymptotes", "field_profile_3d", "lab_profiles_3d",
+                     "resolution_audit", "scattering_profile_3d",
+                     "sound_speed_profile_3d"), "profile3d"),
 }
 
 __all__ = list(_EXPORTS)

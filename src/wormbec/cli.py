@@ -6,7 +6,9 @@ Subcommands: profile1d, solve-gp, profile3d, embed, presets. Each takes
 ``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
 ``species:NAME.mass_u=7`` for a preset); an unknown section or key is an
 error. Exit codes: 0 success, 1 usage/config/numeric failure (one line on
-stderr), 2 feasibility failure under --strict.
+stderr), 2 feasibility failure under --strict. A run's files reach --out
+only when its command returns (``tableio.staged``): a run that exits 1
+writes no file and leaves an earlier run's files as they were.
 
 Environment: WORMBEC_PRESET_DIR names a directory of preset *.ini files;
 ``python -m wormbec`` and the installed script default OPENBLAS_NUM_THREADS
@@ -96,25 +98,18 @@ def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
     for q, b0 in product(cfg.q_list, cfg.b0_list):
         shape = geometry.ShapeFunction(b0=b0, q=q)
         profile = profile1d.sample_profile_1d(shape, cfg.spec, cfg.x_max, cfg.x_step)
-        audit = profile1d.feasibility_1d(
-            shape, cfg.spec, cfg.x_max, cfg.x_step,
-            threshold=cfg.slope_threshold, window=cfg.throat_exclusion)
-        all_feasible = all_feasible and audit.feasible
         report = {
             "wormhole": {"b0_um": b0, "q": q,
                          "throat_class": shape.throat_class.value},
             "grid": {"x_max_um": cfg.x_max, "step_um": cfg.x_step},
             "species": cfg.spec.species.name,
             "a_bg_a0": m_to_bohr(cfg.spec.resonance.a_bg),
-            "feasibility": {
-                "max_slope_per_um": audit.max_slope,
-                "slope_at_x_um": audit.slope_at,
-                "threshold_per_um": audit.threshold,
-                "exclusion_window_um": audit.window,
-                "feasible": audit.feasible,
-            },
+            "feasibility": profile1d.feasibility_1d(
+                shape, cfg.spec, cfg.x_max, cfg.x_step,
+                threshold=cfg.slope_threshold, window=cfg.throat_exclusion),
             "slope_at_x10": profile1d.slope_metric(shape, cfg.spec.resonance, 10.0),
         }
+        all_feasible = all_feasible and report["feasibility"]["feasible"]
         tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
         tableio.write_table(cfg.out_dir / f"profile1d_{tag}", profile1d.CSV_COLUMNS,
                             profile.columns(), cfg.out_format)
@@ -178,9 +173,6 @@ def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
 
 def cmd_embed(cfg: RunConfig, strict: bool) -> int:
     from . import geometry, tableio
-    for q in cfg.q_list:
-        if q >= 1.0:
-            raise DomainError(f"no embedding for q = {q!r}: signature broken")
     if cfg.r_max is not None and cfg.r_max <= max(cfg.b0_list):
         raise ConfigError(f"[grid] r_max_um must exceed b0, got {cfg.r_max!r}")
     _check_tags("q", cfg.q_list)
@@ -221,7 +213,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(config_path=args.config, overrides=args.overrides,
                           out_dir=args.out, out_format=args.format)
-        return args.run(cfg, args.strict)
+        if args.run is cmd_presets:  # writes no file, so needs no tableio (numpy)
+            return cmd_presets(cfg, args.strict)
+        from . import tableio
+        with tableio.staged():
+            return args.run(cfg, args.strict)
     except (ConfigError, DomainError, ConvergenceError, ArithmeticError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, ArithmeticError):  # name the inputs that overflowed

@@ -17,8 +17,8 @@ panel sums are accumulated, so one pass yields the integral at every
 target. The grading matters: a single 32-node rule on [0, u_max] is off
 by 7e-8 at r/b0 = 1e3 and by 1e-4 at 1e4. As a check, the same sums are
 taken with 20 nodes; where the two differ by more than
-max(abs_tol, rel_tol * |I|), or are not finite, ConvergenceError is
-raised.
+max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|), or are not finite, ConvergenceError
+is raised.
 
 Verified against 30-digit mpmath tanh-sinh quadrature for q in
 [-3, 0.99], b0 in {0.01, 1, 100} and r/b0 from 1 + 1e-9 to 1e9: both
@@ -52,6 +52,7 @@ __all__ = [
 
 # Largest point count of one grid walk; a symmetric grid mirrors one walk.
 MAX_GRID_POINTS = 10**6
+QUAD_REL_TOL, QUAD_ABS_TOL = 1e-10, 1e-12
 
 
 class ThroatClass(enum.Enum):
@@ -80,8 +81,7 @@ class ShapeFunction:
     q: float
 
     def __post_init__(self) -> None:
-        if not self.b0 > 0.0:
-            raise DomainError(f"throat radius must be positive, got {self.b0!r}")
+        _check_throat(self.b0)
 
     @property
     def throat_class(self) -> ThroatClass:
@@ -107,10 +107,14 @@ def _float_or_array(value: np.ndarray) -> float | np.ndarray:
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _require_outside_throat(shape: ShapeFunction, r: float | np.ndarray) -> None:
-    r_min = float(np.min(r, initial=shape.b0))
-    if r_min < shape.b0:
-        raise DomainError(f"r = {r_min!r} is inside the throat (b0 = {shape.b0!r})")
+def _check_throat(b0: float, r: float | np.ndarray = ()) -> np.ndarray:
+    """r as a float array; DomainError unless b0 > 0 and no r is inside the throat."""
+    if not b0 > 0.0:
+        raise DomainError(f"throat radius must be positive, got {b0!r}")
+    r = np.asarray(r, dtype=float)
+    if (r < b0).any():  # nanmin: a NaN radius is not inside
+        raise DomainError(f"r = {float(np.nanmin(r))!r} is inside the throat (b0 = {b0!r})")
+    return r
 
 
 def _require_traversable(shape: ShapeFunction, what: str) -> None:
@@ -125,8 +129,7 @@ def metric_factor(shape: ShapeFunction, r: float | np.ndarray) -> float | np.nda
     For q > 1 the value is negative for r > b0; callers decide whether a
     broken signature is an error for them.
     """
-    r = np.asarray(r, dtype=float)
-    _require_outside_throat(shape, r)
+    r = _check_throat(shape.b0, r)
     # log1p of (r - b0)/b0, exact near the throat, and expm1 keep precision
     # where b(r)/r -> 1.
     return _float_or_array(-np.expm1(-(1.0 - shape.q) * np.log1p((r - shape.b0) / shape.b0)))
@@ -147,8 +150,7 @@ def _gauss_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _integrate_from_throat(integrand: Callable[[np.ndarray], np.ndarray],
-                           b0: float, u_targets: float | np.ndarray,
-                           rel_tol: float, abs_tol: float) -> np.ndarray:
+                           b0: float, u_targets: float | np.ndarray) -> np.ndarray:
     """Integral of the vectorized ``integrand`` over u from 0 to each of
     ``u_targets`` (graded Gauss-Legendre panels, see the module docstring).
 
@@ -177,7 +179,7 @@ def _integrate_from_throat(integrand: Callable[[np.ndarray], np.ndarray],
     integral = cumulative(rule)
     check = cumulative(check_rule)
     failed = ~(np.abs(check - integral)
-               <= np.maximum(abs_tol, rel_tol * np.abs(integral)))
+               <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(integral)))
     if failed.any():
         k = int(np.argmax(failed))
         raise ConvergenceError(
@@ -197,28 +199,25 @@ def _embedding_integrand(u: np.ndarray, b0: float, one_minus_q: float) -> np.nda
     return 2.0 * u / np.sqrt(rise)
 
 
-def proper_distance(shape: ShapeFunction, r: float, side: int = 1, *,
-                    rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> float:
+def proper_distance(shape: ShapeFunction, r: float, side: int = 1) -> float:
     """Signed proper radial distance from the throat to r.
 
     Zero at the throat, strictly increasing in r, with the sign chosen by
     ``side`` for the two branches.
     """
     _require_traversable(shape, "proper distance")
-    _require_outside_throat(shape, r)
+    _check_throat(shape.b0, r)
     sign = _check_side(side)
     if r == shape.b0:
         return 0.0
     b0, one_minus_q = shape.b0, 1.0 - shape.q
     distance = _integrate_from_throat(
         lambda u: _proper_integrand(u, b0, one_minus_q),
-        b0, math.sqrt(r - b0), rel_tol, abs_tol)
+        b0, math.sqrt(r - b0))
     return sign * float(distance)
 
 
-def embedding_height(shape: ShapeFunction, r: float | np.ndarray, *,
-                     rel_tol: float = 1e-10, abs_tol: float = 1e-12
-                     ) -> float | np.ndarray:
+def embedding_height(shape: ShapeFunction, r: float | np.ndarray) -> float | np.ndarray:
     """Height z(r) >= 0 of the embedding surface of revolution.
 
     The surface is the one in flat cylindrical space whose induced metric
@@ -227,9 +226,8 @@ def embedding_height(shape: ShapeFunction, r: float | np.ndarray, *,
     array of radii gives the array of heights, from one integration.
     """
     _require_traversable(shape, "embedding")
-    radii = np.asarray(r, dtype=float)
-    _require_outside_throat(shape, radii)
+    radii = _check_throat(shape.b0, r)
     b0, one_minus_q = shape.b0, 1.0 - shape.q
     return _float_or_array(_integrate_from_throat(
         lambda u: _embedding_integrand(u, b0, one_minus_q),
-        b0, np.sqrt(radii - b0), rel_tol, abs_tol))
+        b0, np.sqrt(radii - b0)))

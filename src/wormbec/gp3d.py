@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, PoleError
-from .geometry import _float_or_array, _integrate_from_throat, uniform_grid
+from .geometry import _check_throat, _float_or_array, _integrate_from_throat, uniform_grid
 
 __all__ = [
     "DEFAULT_LIGHT_SPEED",
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_LIGHT_SPEED = 299792458.0  # m/s, exact
+RESIDUAL_TOL = 1e-12  # a radius is solved when both residuals are below it
 
 CSV_COLUMNS = ("r_um", "cs0_m_per_s", "vr_m_per_s", "res1", "res2", "converged")
 
@@ -83,10 +84,7 @@ class MetricAtPoint:
 
 def _ellis_factor(r: float | np.ndarray, b0: float) -> float | np.ndarray:
     """1 - b0**2/r**2, factored to stay exact at the throat."""
-    if b0 <= 0.0:
-        raise DomainError(f"throat radius must be positive, got {b0!r}")
-    if np.any(r < b0):
-        raise DomainError(f"r = {float(np.min(r))!r} is inside the throat (b0 = {b0!r})")
+    _check_throat(b0, r)
     return (r - b0) * (r + b0) / (r * r)
 
 
@@ -97,8 +95,7 @@ def _offset_integrand(u: np.ndarray, b0: float, energy_term: float) -> np.ndarra
     return 2.0 * energy_term * r / np.sqrt(u * u + 2.0 * b0)
 
 
-def gp_time_offset(r: float, energy: float, b0: float, *,
-                   rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> float:
+def gp_time_offset(r: float, energy: float, b0: float) -> float:
     """Radial part of the flow-adapted time coordinate, zero at the throat
     (c = 1 units, same length unit as r)."""
     if energy < 1.0:
@@ -109,7 +106,7 @@ def gp_time_offset(r: float, energy: float, b0: float, *,
     energy_term = math.sqrt(energy * energy - 1.0)
     return float(_integrate_from_throat(
         lambda u: _offset_integrand(u, b0, energy_term),
-        b0, math.sqrt(r - b0), rel_tol, abs_tol))
+        b0, math.sqrt(r - b0)))
 
 
 def _metric(r, g_tt, g_tr, g_rr) -> MetricAtPoint:
@@ -196,12 +193,12 @@ def matching_residuals(r: float | np.ndarray, cs0: float | np.ndarray,
             _float_or_array(wormhole.g_rr - condensate.g_rr))
 
 
-def zero_order_solution(r: float, v_inf: float, b0: float) -> tuple[float, float]:
+def zero_order_solution(r: float | np.ndarray, v_inf: float, b0: float
+                        ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Small-velocity limit of the matching system: c_s0 linear in r with
     slope v_inf/b0, v^r constant."""
-    if r < b0:
-        raise DomainError(f"r = {r!r} is inside the throat (b0 = {b0!r})")
-    return v_inf * (r / b0), v_inf
+    r = _check_throat(b0, r)
+    return _float_or_array(v_inf * (r / b0)), _float_or_array(np.full(r.shape, v_inf))
 
 
 @dataclass(frozen=True)
@@ -221,9 +218,9 @@ class GpSolution:
         """Max relative deviation of (cs0, vr) from the small-velocity limit,
         over the converged radii (past the fold the values solve nothing)."""
         ok = self.converged
-        cs0_ref = self.v_inf * (self.radii[ok] / self.b0)
+        cs0_ref, vr_ref = zero_order_solution(self.radii[ok], self.v_inf, self.b0)
         dev_cs0 = float(np.max(np.abs(self.cs0[ok] - cs0_ref) / cs0_ref))
-        dev_vr = float(np.max(np.abs(self.vr[ok] - self.v_inf) / self.v_inf))
+        dev_vr = float(np.max(np.abs(self.vr[ok] - vr_ref) / vr_ref))
         return dev_cs0, dev_vr
 
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -240,14 +237,14 @@ def fold_radius(v_inf: float, b0: float,
 
 def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
                    step: float, *, light_speed: float = DEFAULT_LIGHT_SPEED,
-                   tol: float = 1e-12, throat_epsilon: float = 1e-3) -> GpSolution:
+                   throat_epsilon: float = 1e-3) -> GpSolution:
     """Solve the exact matching system on a radial grid, in closed form.
 
     The grid must stay off the throat (g_rr diverges there), hence the
     r_min >= b0 * (1 + throat_epsilon) precondition. A radius counts as
-    converged when both residuals are below tol; radii past the fold are
-    flagged, and only a whole-grid failure raises. Arithmetic that leaves
-    the finite doubles raises FloatingPointError.
+    converged when both residuals are below RESIDUAL_TOL; radii past the
+    fold are flagged, and only a whole-grid failure raises. Arithmetic that
+    leaves the finite doubles raises FloatingPointError.
     """
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
@@ -279,7 +276,7 @@ def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
         gap[gap == 0.0] = np.spacing(k)
         vr = v_inf * (x / gap) / np.sqrt(gs2f)
         res1, res2 = matching_residuals(radii, cs0, vr, v_inf, b0, light_speed)
-    converged = np.maximum(np.abs(res1), np.abs(res2)) < tol
+    converged = np.maximum(np.abs(res1), np.abs(res2)) < RESIDUAL_TOL
 
     if not converged.any():
         raise ConvergenceError(

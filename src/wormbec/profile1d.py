@@ -12,13 +12,12 @@ import numpy as np
 from .exceptions import DomainError
 from .feshbach import (BOHR_RADIUS, CondensateSpec, FeshbachResonance,
                        sound_speed_from_scattering)
-from .geometry import (ShapeFunction, _float_or_array, _require_outside_throat,
+from .geometry import (ShapeFunction, _check_throat, _float_or_array,
                        metric_factor, uniform_grid)
 
 __all__ = [
     "SLOPE_CAPABILITY_PER_UM",
     "Profile1D",
-    "Feasibility1D",
     "field_profile_1d",
     "scattering_profile_1d",
     "slope_metric",
@@ -50,23 +49,10 @@ class Profile1D:
         return tuple(vars(self).values())
 
 
-@dataclass(frozen=True)
-class Feasibility1D:
-    """Result of the slope audit: max |d[a/(100a0)]/dx| outside the
-    throat-exclusion window versus the capability threshold."""
-
-    max_slope: float
-    slope_at: float
-    threshold: float
-    feasible: bool
-    window: float
-
-
 def field_profile_1d(shape: ShapeFunction, res: FeshbachResonance,
                      r: float | np.ndarray) -> float | np.ndarray:
     """Magnetic field (Gauss) that realizes the target sound-speed profile."""
-    r = np.asarray(r, dtype=float)
-    _require_outside_throat(shape, r)
+    r = _check_throat(shape.b0, r)
     return _float_or_array(np.power(r / shape.b0, 1.0 - shape.q) * res.width + res.b_res)
 
 
@@ -130,8 +116,9 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
 def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
                    x_max: float = 20.0, step: float = 0.1, *,
                    threshold: float = SLOPE_CAPABILITY_PER_UM,
-                   window: float = 1.0) -> Feasibility1D:
-    """Audit the profile slope against the capability threshold.
+                   window: float = 1.0) -> dict:
+    """Audit the profile slope against the capability threshold: the
+    ``feasibility`` section of the 1+1D report.
 
     The max of |slope_metric| is taken over grid points with |x| >= window
     (the profile is even in x, so only the x >= 0 half needs scanning).
@@ -144,6 +131,6 @@ def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
     slopes[np.isnan(slopes)] = -math.inf  # NaN never wins, as in a strict > scan
     best = int(np.argmax(slopes))  # the first maximum
     max_slope = float(slopes[best])
-    return Feasibility1D(max_slope=max_slope, slope_at=float(candidates[best]),
-                         threshold=threshold,
-                         feasible=max_slope <= threshold, window=window)
+    return {"max_slope_per_um": max_slope, "slope_at_x_um": float(candidates[best]),
+            "threshold_per_um": threshold, "exclusion_window_um": window,
+            "feasible": max_slope <= threshold}

@@ -11,12 +11,11 @@ import numpy as np
 
 from .exceptions import DomainError, PoleError
 from .feshbach import AtomSpecies, CondensateSpec, healing_length
-from .geometry import _float_or_array, uniform_grid
+from .geometry import _check_throat, _float_or_array, uniform_grid
 
 __all__ = [
     "LabLayout",
     "LabProfile3D",
-    "ResolutionReport",
     "sound_speed_profile_3d",
     "detuning_denominator",
     "asymptote_radius",
@@ -45,8 +44,7 @@ class LabLayout:
     def __post_init__(self) -> None:
         if not self.R > 0.0:
             raise DomainError(f"branch length R must be positive, got {self.R!r}")
-        if not self.b0 > 0.0:
-            raise DomainError(f"throat radius must be positive, got {self.b0!r}")
+        _check_throat(self.b0)
 
 
 @dataclass(frozen=True)
@@ -71,11 +69,7 @@ class LabProfile3D:
 
 def _radius_ratio_term(r: float | np.ndarray, b0: float) -> np.ndarray:
     """(r/b0)**2 - 1, factored to stay exact at the throat."""
-    if b0 <= 0.0:
-        raise DomainError(f"throat radius must be positive, got {b0!r}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < b0):
-        raise DomainError(f"r = {float(r.min())!r} is inside the throat (b0 = {b0!r})")
+    r = _check_throat(b0, r)
     return (r - b0) * (r + b0) / (b0 * b0)
 
 
@@ -169,58 +163,31 @@ def analytic_asymptote_positions(layout: LabLayout, v_inf: float,
     return [layout.R - offset, layout.R + offset]
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
-    """Healing-length audit of a sampled profile."""
-
-    species: str
-    reference_cs0: float
-    healing_length_um: float
-    step_um: float
-    step_ratio: float
-    step_ok: bool
-    factor: float
-    throat_b0_um: float | None
-    throat_ok: bool | None
-
-    @property
-    def passed(self) -> bool:
-        return self.step_ok and self.throat_ok is not False
-
-
 def resolution_audit(reference_cs0: float, species: AtomSpecies, step: float, *,
-                     b0: float | None = None, factor: float = 10.0) -> ResolutionReport:
+                     b0: float | None = None, factor: float = 10.0) -> dict:
     """Compare the grid step with the healing length at the reference cs0
     (m/s): the smallest relevant one, where xi is largest.
 
     A known throat radius is also checked against xi: a throat smaller
     than the healing length sits below the scale the hydrodynamic
-    description resolves.
+    description resolves. Returns the report's ``resolution`` section.
     """
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
     reference = float(reference_cs0)
     xi_um = healing_length(reference, species) * 1e6
-    return ResolutionReport(
-        species=species.name,
-        reference_cs0=reference,
-        healing_length_um=xi_um,
-        step_um=step,
-        step_ratio=step / xi_um,
-        step_ok=step >= factor * xi_um,
-        factor=factor,
-        throat_b0_um=b0,
-        throat_ok=None if b0 is None else b0 >= xi_um,
-    )
+    step_ok = step >= factor * xi_um
+    throat_ok = None if b0 is None else b0 >= xi_um
+    return {"species": species.name, "reference_cs0_m_per_s": reference,
+            "healing_length_um": xi_um, "step_um": step, "step_ratio": step / xi_um,
+            "step_ok": step_ok, "factor": factor, "throat_b0_um": b0,
+            "throat_ok": throat_ok, "passed": step_ok and throat_ok is not False}
 
 
 def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
                           profile: LabProfile3D, step: float, *,
                           resolution_factor: float = 10.0) -> dict:
     """Assemble the JSON-ready feasibility report for a sampled profile."""
-    # the start-of-profile cs0, at the throat
-    audit = resolution_audit(float(profile.cs0.min()), spec.species, step,
-                             b0=layout.b0, factor=resolution_factor)
     return {
         "layout": {"R_um": layout.R, "b0_um": layout.b0},
         "v_inf_m_per_s": v_inf,
@@ -232,17 +199,8 @@ def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
         },
         "max_a_over_abg": float(profile.a_over_abg.max()),
         "near_asymptote_samples": int(profile.near_asymptote.sum()),
-        "resolution": {
-            "species": audit.species,
-            "reference_cs0_m_per_s": audit.reference_cs0,
-            "healing_length_um": audit.healing_length_um,
-            "step_um": audit.step_um,
-            "step_ratio": audit.step_ratio,
-            "step_ok": audit.step_ok,
-            "factor": audit.factor,
-            "throat_b0_um": audit.throat_b0_um,
-            "throat_ok": audit.throat_ok,
-            "passed": audit.passed,
-        },
+        # the start-of-profile cs0, at the throat
+        "resolution": resolution_audit(float(profile.cs0.min()), spec.species, step,
+                                       b0=layout.b0, factor=resolution_factor),
     }
 

@@ -23,11 +23,13 @@ file is byte for byte the plain rendering. The 1+1D profile is such a table.
 
 Every file is written under a temporary name in its directory and moved onto
 its name with ``os.replace`` once complete; a write that raises removes the
-temporary file, so no half-written file is ever left. Beside its columns and
-one column-sized temporary for the mirror check, a table write holds
-O(CHUNK_ROWS) rows of text in either format: a mirrored table spills its
-upper half's text to an unnamed temporary file in the same directory and
-copies it back in reverse chunk order.
+temporary file, so no half-written file is ever left. Inside a ``staged()``
+block the moves wait for the block to complete; if it raises, all its files
+are removed instead, and an earlier file of the same name keeps its bytes.
+Beside its columns and one column-sized temporary for the mirror check, a
+table write holds O(CHUNK_ROWS) rows of text in either format: a mirrored
+table spills its upper half's text to an unnamed temporary file in the same
+directory and copies it back in reverse chunk order.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Callable, Collection, Iterator, Sequence, TextIO
 
@@ -44,16 +47,36 @@ import numpy as np
 
 CHUNK_ROWS = 4096
 
+_staged: ContextVar[list | None] = ContextVar("_staged", default=None)  # (temporary, final) pairs
+
+
+@contextmanager
+def staged() -> Iterator[None]:
+    """Hold back the files written in the block (module docstring)."""
+    moves: list[tuple[Path, Path]] = []
+    token = _staged.set(moves)
+    try:
+        yield
+        for temp, path in moves:
+            os.replace(temp, path)
+    finally:  # a moved file's temporary name is gone already
+        _staged.reset(token)
+        for temp, _ in moves:
+            temp.unlink(missing_ok=True)
+
 
 @contextmanager
 def _replacing(path: Path) -> Iterator[TextIO]:
-    """A new text file beside PATH that replaces PATH once the block
-    completes; if the block raises, it is removed and PATH left as it was."""
+    """A new text file beside PATH that replaces PATH once the block (or an
+    open staged() block) completes; if the block raises, it is removed."""
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with temp.open("x", encoding="utf-8", newline="\n") as out:
             yield out
-        os.replace(temp, path)
+        if (moves := _staged.get()) is None:
+            os.replace(temp, path)
+        else:
+            moves.append((temp, path))
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
@@ -137,12 +160,8 @@ def _finite(value):
 
 def write_json(path: str | Path, payload: dict) -> Path:
     path = Path(path)
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # a non-finite float; walk the payload only then
-        text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
     with _replacing(path) as out:
-        out.write(text + "\n")
+        out.write(json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 

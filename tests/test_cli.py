@@ -258,6 +258,25 @@ def test_embed_checks_every_b0_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, override", [
+    ("profile1d", "wormhole.b0_um=1,1e-300"),
+    ("profile1d", "wormhole.q=-1,1e300"),
+    ("embed", "wormhole.q=0.5,1.5"),
+], ids=["profile1d-b0", "profile1d-q", "embed-q"])
+def test_sweep_failing_part_way_writes_no_file(tmp_path, capsys, command, override):
+    """A sweep whose later combination fails exits 1 with one line and
+    writes nothing: not the earlier combinations' tables and reports, nor a
+    temporary file; a file of an earlier run under one of their names keeps
+    its bytes."""
+    earlier = tmp_path / "profile1d_q-1_b01.csv"
+    earlier.write_text("an earlier run's table\n")
+    assert run(tmp_path, command, "--set", override) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"wormbec {command}: error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [earlier]
+    assert earlier.read_text() == "an earlier run's table\n"
+
+
 def test_presets_listing(tmp_path, capsys):
     code = run(tmp_path, "presets")
     assert code == 0
@@ -636,9 +655,9 @@ def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels):
 
 
 def test_every_public_name_resolves():
-    """Each of the package's 50 names imports from its submodule on first
+    """Each of the package's 48 names imports from its submodule on first
     access, through `from wormbec import X` and `import *` alike."""
-    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 50
+    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 48
     star = {}
     exec("from wormbec import *", star)
     for name in wormbec.__all__:

@@ -150,6 +150,8 @@ def _uneven_profiles(out):
 @example(out_format="json", overrides=[(("wormhole", "q"), "2.0")])
 @example(out_format="json", overrides=[(("wormhole", "q"), "-299.0"),
                                        (("wormhole", "b0_um"), "10.5")])
+# a sweep whose second combination overflows after the first was written
+@example(out_format="csv", overrides=[(("wormhole", "b0_um"), "1,1e-300")])
 def test_any_override_gives_a_result_or_one_line_error(monkeypatch, command, out_format,
                                                        overrides):
     # a small cap keeps every drawn grid cheap
@@ -165,8 +167,9 @@ def test_any_override_gives_a_result_or_one_line_error(monkeypatch, command, out
         assert code in (0, 1, 2)
         assert all(re.fullmatch(OUTPUT_NAME[command], path.name)
                    for path in Path(out).iterdir()), sorted(Path(out).iterdir())
-        if code == 1:
+        if code == 1:  # a failed run writes no file
             assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+            assert not any(Path(out).iterdir()), sorted(Path(out).iterdir())
         else:
             assert not _non_finite_cells(out)
             assert not _non_canonical_cells(out)

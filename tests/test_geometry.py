@@ -207,10 +207,9 @@ def test_quadrature_check_rejects_jump():
         return np.where(u < 0.3, 0.0, 1.0)
 
     with pytest.raises(ConvergenceError):
-        _integrate_from_throat(step, 1.0, 0.7, rel_tol=1e-10, abs_tol=1e-12)
+        _integrate_from_throat(step, 1.0, 0.7)
     # the same jump on a panel edge integrates exactly
-    value = _integrate_from_throat(step, 1.0, np.array([0.3, 0.7]),
-                                   rel_tol=1e-10, abs_tol=1e-12)
+    value = _integrate_from_throat(step, 1.0, np.array([0.3, 0.7]))
     np.testing.assert_allclose(value, [0.0, 0.4], rtol=1e-14, atol=1e-15)
 
 

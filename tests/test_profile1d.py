@@ -172,7 +172,7 @@ def test_profile_consistency_with_field_route():
 
 def test_feasibility_threshold_zero_always_fails():
     audit = feasibility_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.5, threshold=0.0)
-    assert not audit.feasible
+    assert not audit["feasible"]
 
 
 def test_feasibility_max_matches_finite_difference_oracle():
@@ -180,7 +180,7 @@ def test_feasibility_max_matches_finite_difference_oracle():
     audit = feasibility_1d(shape, CS, 20.0, 0.5, window=1.0)
     xs = [x for x in symmetric_grid(20.0, 0.5) if x >= 1.0]
     oracle = max(abs(fd_slope(shape, RES, x)) for x in xs)
-    assert audit.max_slope == pytest.approx(oracle, rel=1e-6)
+    assert audit["max_slope_per_um"] == pytest.approx(oracle, rel=1e-6)
 
 
 @pytest.mark.parametrize("q", (2.0, 1.0, 0.95, -0.5, -1.0, -299.0))
@@ -196,9 +196,9 @@ def test_feasibility_equals_slope_metric_scan(q, b0):
     for x in symmetric_grid(20.0, 0.01).tolist():
         if x >= 1.0 and abs(slope_metric(shape, RES, x)) > best:
             best, best_at = abs(slope_metric(shape, RES, x)), x
-    assert_same_bits([audit.max_slope, audit.slope_at], [best, best_at])
+    assert_same_bits([audit["max_slope_per_um"], audit["slope_at_x_um"]], [best, best_at])
     if q == 1.0:
-        assert audit.slope_at == 1.0
+        assert audit["slope_at_x_um"] == 1.0
 
 
 def test_feasibility_reference_case():
@@ -208,15 +208,15 @@ def test_feasibility_reference_case():
     1 um default window is not."""
     shape = ShapeFunction(1.0, 0.95)
     wide = feasibility_1d(shape, CS, 20.0, 0.1, window=10.0)
-    assert wide.feasible
-    assert wide.max_slope == pytest.approx(0.038, abs=1e-3)
-    assert wide.slope_at == pytest.approx(10.0, abs=1e-12)
+    assert wide["feasible"]
+    assert wide["max_slope_per_um"] == pytest.approx(0.038, abs=1e-3)
+    assert wide["slope_at_x_um"] == pytest.approx(10.0, abs=1e-12)
 
     narrow = feasibility_1d(shape, CS, 20.0, 0.1, window=1.0)
-    assert not narrow.feasible
-    assert narrow.max_slope == pytest.approx(0.2294, abs=1e-3)
-    assert narrow.slope_at == pytest.approx(1.0, abs=1e-12)
-    assert narrow.threshold == SLOPE_CAPABILITY_PER_UM
+    assert not narrow["feasible"]
+    assert narrow["max_slope_per_um"] == pytest.approx(0.2294, abs=1e-3)
+    assert narrow["slope_at_x_um"] == pytest.approx(1.0, abs=1e-12)
+    assert narrow["threshold_per_um"] == SLOPE_CAPABILITY_PER_UM
 
 
 def test_profile_csv_layout(tmp_path):

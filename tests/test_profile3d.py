@@ -258,10 +258,10 @@ def test_composition_closure_sound_speed():
 def test_resolution_audit_reference_case():
     """Cs at cs0=0.01 with a 0.4 um step: ratio about 11.8, passes."""
     report = resolution_audit(0.01, SPECIES["Cs"], 0.4)
-    assert report.step_ratio == pytest.approx(11.8, abs=0.2)
-    assert report.step_ok
-    assert report.throat_ok is None
-    assert report.passed
+    assert report["step_ratio"] == pytest.approx(11.8, abs=0.2)
+    assert report["step_ok"]
+    assert report["throat_ok"] is None
+    assert report["passed"]
 
 
 def test_resolution_audit_throat_check():
@@ -269,17 +269,17 @@ def test_resolution_audit_throat_check():
     healing length (0.1 < 0.324), and the step ratio 4.6 misses the
     one-order-of-magnitude rule."""
     report = resolution_audit(0.02, SPECIES["Li"], 1.5, b0=0.1)
-    assert report.healing_length_um == pytest.approx(0.324, abs=0.007)
-    assert report.step_ratio == pytest.approx(4.6, abs=0.1)
-    assert not report.step_ok
-    assert report.throat_ok is False
-    assert not report.passed
+    assert report["healing_length_um"] == pytest.approx(0.324, abs=0.007)
+    assert report["step_ratio"] == pytest.approx(4.6, abs=0.1)
+    assert not report["step_ok"]
+    assert report["throat_ok"] is False
+    assert not report["passed"]
 
 
 def test_resolution_audit_step_equal_to_healing_length_fails():
     xi_um = healing_length(0.01, SPECIES["Cs"]) * 1e6
     report = resolution_audit(0.01, SPECIES["Cs"], xi_um)
-    assert not report.step_ok
+    assert not report["step_ok"]
 
 
 def test_feasibility_report_contents():

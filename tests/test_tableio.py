@@ -222,6 +222,28 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, table):
         assert target.read_text() == "x\n1.0\n"
 
 
+def test_staged_files_take_their_names_when_the_block_completes(tmp_path):
+    """Inside tableio.staged() files wait under temporary names. They take
+    their names when the block completes; a block that raises leaves none of
+    them, and an earlier file of the same name as it was."""
+    x = np.arange(3) * 0.5
+    with tableio.staged():
+        table = write_table(tmp_path / "t", ("x",), (x,), "csv")
+        report = tableio.write_json(tmp_path / "r.json", {"a": 1.0})
+        assert not table.exists() and not report.exists()
+        assert len(list(tmp_path.iterdir())) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "t.csv"]
+    before = table.read_bytes()
+
+    with pytest.raises(RuntimeError, match="later failure"):
+        with tableio.staged():
+            write_table(tmp_path / "t", ("x",), (x + 1.0,), "csv")
+            write_table(tmp_path / "u", ("x",), (x,), "json")
+            raise RuntimeError("later failure")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "t.csv"]
+    assert table.read_bytes() == before
+
+
 @pytest.mark.parametrize("table", ["plain", "mirrored"])
 def test_json_table_is_formatted_chunk_by_chunk(tmp_path, monkeypatch, table):
     """A JSON table longer than 2 CHUNK_ROWS streams: no cell-formatting
