@@ -11,9 +11,10 @@ Run: python demos/demo_1d_profiles.py [--out DIR]
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from wormbec import (ShapeFunction, cesium_condensate, feasibility_1d,
                      sample_profile_1d, slope_metric)
-from wormbec.profile1d import CSV_COLUMNS
 from wormbec.tableio import write_table
 
 try:
@@ -46,12 +47,13 @@ def main() -> None:
         for b0 in B0_VALUES:
             shape = ShapeFunction(b0=b0, q=q)
             profile = sample_profile_1d(shape, spec, x_max=20.0, step=0.1)
-            write_table(out / f"profile1d_q{q:g}_b0{b0:g}", CSV_COLUMNS,
-                        profile.columns(), "csv")
-            if plt is not None:
-                axes[0, col].plot(profile.x, profile.a_over_100a0,
-                                  label=f"b0={b0:g}")
-                axes[1, col].plot(profile.x, profile.b_gauss)
+            write_table(out / f"profile1d_q{q:g}_b0{b0:g}", profile, "csv")
+            if plt is not None:  # the table holds x >= 0; the profile is even in x
+                columns = profile.columns
+                x = np.concatenate((-columns["x_um"][:0:-1], columns["x_um"]))
+                for row, name in enumerate(("a_over_100a0", "B_gauss")):
+                    values = np.concatenate((columns[name][:0:-1], columns[name]))
+                    axes[row, col].plot(x, values, label=f"b0={b0:g}")
         if plt is not None:
             axes[0, col].set_title(f"q = {q:g}")
             axes[0, col].set_ylabel("a / (100 a0)")

@@ -12,7 +12,9 @@ access (PEP 562), so ``import wormbec`` alone loads no numpy. The formula
 functions (metric factor, 1D and 3D field, scattering and sound-speed
 profiles, slope, metrics and matching residuals, zero-order solution,
 embedding height) take floats or arrays: a float gives a float, an array the
-array of values. The two audits return the JSON report sections they fill.
+array of values. The sampling kernels return ``tableio.Table``s, the named
+columns they are written as; the two audits return the JSON report sections
+they fill.
 """
 
 import importlib
@@ -31,14 +33,14 @@ _EXPORTS = {
     **dict.fromkeys(("ShapeFunction", "ThroatClass", "classify_throat",
                      "embedding_height", "metric_factor", "proper_distance"),
                     "geometry"),
-    **dict.fromkeys(("DEFAULT_LIGHT_SPEED", "GpSolution", "MetricAtPoint",
+    **dict.fromkeys(("DEFAULT_LIGHT_SPEED", "MetricAtPoint",
                      "bec_metric", "fold_radius", "gp_metric", "gp_time_offset",
                      "matching_residuals", "metric_congruence_check",
                      "solve_matching", "zero_order_solution"), "gp3d"),
-    **dict.fromkeys(("Profile1D", "SLOPE_CAPABILITY_PER_UM", "feasibility_1d",
+    **dict.fromkeys(("SLOPE_CAPABILITY_PER_UM", "feasibility_1d",
                      "field_profile_1d", "sample_profile_1d",
                      "scattering_profile_1d", "slope_metric"), "profile1d"),
-    **dict.fromkeys(("LabLayout", "LabProfile3D", "asymptote_radius",
+    **dict.fromkeys(("LabLayout", "asymptote_radius",
                      "detect_asymptotes", "field_profile_3d", "lab_profiles_3d",
                      "resolution_audit", "scattering_profile_3d",
                      "sound_speed_profile_3d"), "profile3d"),

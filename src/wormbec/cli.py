@@ -111,8 +111,7 @@ def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
         }
         all_feasible = all_feasible and report["feasibility"]["feasible"]
         tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
-        tableio.write_table(cfg.out_dir / f"profile1d_{tag}", profile1d.CSV_COLUMNS,
-                            profile.columns(), cfg.out_format)
+        tableio.write_table(cfg.out_dir / f"profile1d_{tag}", profile, cfg.out_format)
         tableio.write_json(cfg.out_dir / f"feasibility_{tag}.json", report)
     if strict and not all_feasible:
         return EXIT_INFEASIBLE
@@ -127,25 +126,17 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
     r_step = cfg.r_step if cfg.r_step is not None else 0.05 * b0
     solution = gp3d.solve_matching(cfg.v_inf, b0, r_min, r_max, r_step,
                                    throat_epsilon=cfg.throat_epsilon)
-    dev_cs0, dev_vr = solution.zero_order_deviation()
-    converged = solution.converged
     summary = {
         "v_inf_m_per_s": cfg.v_inf,
         "b0_um": b0,
         "fold_radius_um": gp3d.fold_radius(cfg.v_inf, b0),
         "grid": {"r_min_um": r_min, "r_max_um": r_max, "step_um": r_step},
-        "points": int(solution.radii.size),
-        "points_converged": int(converged.sum()),
-        # past the fold the clamped root solves nothing: converged radii only
-        "max_abs_residual1": float(abs(solution.residual1[converged]).max()),
-        "max_abs_residual2": float(abs(solution.residual2[converged]).max()),
-        "max_rel_deviation_from_zero_order": {"cs0": dev_cs0, "vr": dev_vr},
+        **gp3d.matching_summary(solution, cfg.v_inf, b0),
     }
     tag = f"vinf{_fmt(cfg.v_inf)}_b0{_fmt(b0)}"
-    tableio.write_table(cfg.out_dir / f"gp_solution_{tag}", gp3d.CSV_COLUMNS,
-                        solution.columns(), cfg.out_format)
+    tableio.write_table(cfg.out_dir / f"gp_solution_{tag}", solution, cfg.out_format)
     tableio.write_json(cfg.out_dir / f"gp_summary_{tag}.json", summary)
-    if strict and not converged.all():
+    if strict and summary["points_converged"] < summary["points"]:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -160,9 +151,7 @@ def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
         layout, cfg.v_inf, cfg.spec, profile, cfg.x_step,
         resolution_factor=cfg.resolution_factor)
     tag = f"R{_fmt(cfg.layout_r)}_b0{_fmt(b0)}_vinf{_fmt(cfg.v_inf)}"
-    tableio.write_table(cfg.out_dir / f"profile3d_{tag}", profile3d.CSV_COLUMNS,
-                        profile.columns(), cfg.out_format,
-                        blank_nan=profile3d.BLANK_NAN_COLUMNS)
+    tableio.write_table(cfg.out_dir / f"profile3d_{tag}", profile, cfg.out_format)
     tableio.write_json(cfg.out_dir / f"report_{tag}.json", report)
     feasible = (report["near_asymptote_samples"] == 0
                 and report["resolution"]["passed"])
@@ -182,9 +171,8 @@ def cmd_embed(cfg: RunConfig, strict: bool) -> int:
         r_max = cfg.r_max if cfg.r_max is not None else 5.0 * b0
         r_step = cfg.r_step if cfg.r_step is not None else (r_max - b0) / 200.0
         radii = geometry.uniform_grid(b0, r_max - b0, r_step)
-        tableio.write_table(cfg.out_dir / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}",
-                            ("r_um", "z_um"),
-                            (radii, geometry.embedding_height(shape, radii)),
+        table = tableio.Table({"r_um": radii, "z_um": geometry.embedding_height(shape, radii)})
+        tableio.write_table(cfg.out_dir / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}", table,
                             cfg.out_format)
     return EXIT_OK
 

@@ -42,11 +42,11 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, PoleError
 from .geometry import _check_throat, _float_or_array, _integrate_from_throat, uniform_grid
+from .tableio import Table
 
 __all__ = [
     "DEFAULT_LIGHT_SPEED",
     "MetricAtPoint",
-    "GpSolution",
     "gp_time_offset",
     "gp_metric",
     "metric_congruence_check",
@@ -55,12 +55,11 @@ __all__ = [
     "zero_order_solution",
     "fold_radius",
     "solve_matching",
+    "matching_summary",
 ]
 
 DEFAULT_LIGHT_SPEED = 299792458.0  # m/s, exact
 RESIDUAL_TOL = 1e-12  # a radius is solved when both residuals are below it
-
-CSV_COLUMNS = ("r_um", "cs0_m_per_s", "vr_m_per_s", "res1", "res2", "converged")
 
 
 @dataclass(frozen=True)
@@ -201,33 +200,6 @@ def zero_order_solution(r: float | np.ndarray, v_inf: float, b0: float
     return _float_or_array(v_inf * (r / b0)), _float_or_array(np.full(r.shape, v_inf))
 
 
-@dataclass(frozen=True)
-class GpSolution:
-    """Exact matching solution on a radial grid, with residual diagnostics."""
-
-    radii: np.ndarray
-    cs0: np.ndarray
-    vr: np.ndarray
-    residual1: np.ndarray
-    residual2: np.ndarray
-    converged: np.ndarray
-    v_inf: float
-    b0: float
-
-    def zero_order_deviation(self) -> tuple[float, float]:
-        """Max relative deviation of (cs0, vr) from the small-velocity limit,
-        over the converged radii (past the fold the values solve nothing)."""
-        ok = self.converged
-        cs0_ref, vr_ref = zero_order_solution(self.radii[ok], self.v_inf, self.b0)
-        dev_cs0 = float(np.max(np.abs(self.cs0[ok] - cs0_ref) / cs0_ref))
-        dev_vr = float(np.max(np.abs(self.vr[ok] - vr_ref) / vr_ref))
-        return dev_cs0, dev_vr
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return (self.radii, self.cs0, self.vr, self.residual1,
-                self.residual2, self.converged)
-
-
 def fold_radius(v_inf: float, b0: float,
                 light_speed: float = DEFAULT_LIGHT_SPEED) -> float:
     """Radius where the matching discriminant vanishes; beyond it the
@@ -237,7 +209,7 @@ def fold_radius(v_inf: float, b0: float,
 
 def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
                    step: float, *, light_speed: float = DEFAULT_LIGHT_SPEED,
-                   throat_epsilon: float = 1e-3) -> GpSolution:
+                   throat_epsilon: float = 1e-3) -> Table:
     """Solve the exact matching system on a radial grid, in closed form.
 
     The grid must stay off the throat (g_rr diverges there), hence the
@@ -283,5 +255,22 @@ def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
             f"matching solve failed at every radius in [{r_min!r}, {r_max!r}]: "
             f"no real solution beyond the fold at r = "
             f"{fold_radius(v_inf, b0, light_speed)!r}")
-    return GpSolution(radii=radii, cs0=cs0, vr=vr, residual1=res1,
-                      residual2=res2, converged=converged, v_inf=v_inf, b0=b0)
+    return Table({"r_um": radii, "cs0_m_per_s": cs0, "vr_m_per_s": vr,
+                  "res1": res1, "res2": res2, "converged": converged})
+
+
+def matching_summary(solution: Table, v_inf: float, b0: float) -> dict:
+    """Point counts, the largest residuals and the largest relative deviation
+    of (cs0, vr) from the small-velocity limit of a ``solve_matching`` table:
+    the solver statistics of the solve-gp summary. Maxima are over the
+    converged radii (past the fold the values solve nothing)."""
+    columns = solution.columns
+    ok = columns["converged"]
+    cs0, vr = columns["cs0_m_per_s"][ok], columns["vr_m_per_s"][ok]
+    cs0_ref, vr_ref = zero_order_solution(columns["r_um"][ok], v_inf, b0)
+    return {"points": int(ok.size), "points_converged": int(ok.sum()),
+            "max_abs_residual1": float(abs(columns["res1"][ok]).max()),
+            "max_abs_residual2": float(abs(columns["res2"][ok]).max()),
+            "max_rel_deviation_from_zero_order": {
+                "cs0": float(np.max(np.abs(cs0 - cs0_ref) / cs0_ref)),
+                "vr": float(np.max(np.abs(vr - vr_ref) / vr_ref))}}

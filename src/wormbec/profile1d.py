@@ -5,7 +5,6 @@ and the slope-based feasibility audit against demonstrated field control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,39 +13,19 @@ from .feshbach import (BOHR_RADIUS, CondensateSpec, FeshbachResonance,
                        sound_speed_from_scattering)
 from .geometry import (ShapeFunction, _check_throat, _float_or_array,
                        metric_factor, uniform_grid)
+from .tableio import Table
 
 __all__ = [
     "SLOPE_CAPABILITY_PER_UM",
-    "Profile1D",
     "field_profile_1d",
     "scattering_profile_1d",
     "slope_metric",
-    "symmetric_grid",
     "sample_profile_1d",
     "feasibility_1d",
 ]
 
 # Demonstrated spatial control of a/(100 a0), per micron.
 SLOPE_CAPABILITY_PER_UM = 0.067
-
-CSV_COLUMNS = ("x_um", "r_um", "a_over_abg", "a_over_100a0",
-               "B_gauss", "cs_m_per_s", "valid")
-
-
-@dataclass(frozen=True)
-class Profile1D:
-    """The 1+1D control profile, one array per CSV column (same order)."""
-
-    x: np.ndarray
-    r: np.ndarray
-    a_over_abg: np.ndarray
-    a_over_100a0: np.ndarray
-    b_gauss: np.ndarray
-    c_s: np.ndarray
-    valid: np.ndarray
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(vars(self).values())
 
 
 def field_profile_1d(shape: ShapeFunction, res: FeshbachResonance,
@@ -81,36 +60,30 @@ def slope_metric(shape: ShapeFunction, res: FeshbachResonance,
         return _float_or_array(coefficient * np.power(r, shape.q - 2.0))
 
 
-def symmetric_grid(x_max: float, step: float) -> np.ndarray:
-    """Grid over [-x_max, x_max] containing x = 0 exactly."""
-    half = uniform_grid(0.0, x_max, step)
-    return np.concatenate((-half[:0:-1], half))
-
-
 def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
-                      x_max: float = 20.0, step: float = 0.1) -> Profile1D:
-    """Sample all 1+1D control quantities on a symmetric lab grid.
+                      x_max: float = 20.0, step: float = 0.1) -> Table:
+    """Sample all 1+1D control quantities on the lab grid over [-x_max, x_max]
+    that holds x = 0.
 
-    Every quantity depends on x only through r = |x| + b0, so it is
-    computed on the x >= 0 half of the grid and mirrored: below x = 0
-    each column is its upper half reversed (x negated), so the table is
-    bitwise even about the throat (what lets ``tableio.write_table`` format
-    each value once, in CSV and JSON). Samples where the scattering length
-    goes negative (q > 1) carry valid=False and a NaN sound speed.
-    Arithmetic that leaves the finite doubles raises FloatingPointError.
+    Every quantity depends on x only through r = |x| + b0, so the table is
+    even about the throat: it is returned as its x >= 0 half, declared
+    mirrored (``tableio.write_table`` writes the whole table). Samples where
+    the scattering length goes negative (q > 1) carry valid=False and a NaN
+    sound speed. Arithmetic that leaves the finite doubles raises
+    FloatingPointError.
     """
-    x = symmetric_grid(x_max, step)
-    half = x[x.size // 2:]
+    x = uniform_grid(0.0, x_max, step)
     res = spec.resonance
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        r = half + shape.b0
+        r = x + shape.b0
         a_over = scattering_profile_1d(shape, r)
         valid = a_over >= 0.0
         # the scattering route keeps c_s(throat) exactly zero
         c_s = sound_speed_from_scattering(np.where(valid, res.a_bg * a_over, math.nan), spec)
-        halves = (r, a_over, a_over * res.a_bg / (100.0 * BOHR_RADIUS),
-                  field_profile_1d(shape, res, r), c_s, valid)
-    return Profile1D(x, *(np.concatenate((column[:0:-1], column)) for column in halves))
+        return Table({"x_um": x, "r_um": r, "a_over_abg": a_over,
+                      "a_over_100a0": a_over * res.a_bg / (100.0 * BOHR_RADIUS),
+                      "B_gauss": field_profile_1d(shape, res, r), "cs_m_per_s": c_s,
+                      "valid": valid}, mirrored=True)
 
 
 def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,

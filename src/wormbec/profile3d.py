@@ -12,10 +12,10 @@ import numpy as np
 from .exceptions import DomainError, PoleError
 from .feshbach import AtomSpecies, CondensateSpec, healing_length
 from .geometry import _check_throat, _float_or_array, uniform_grid
+from .tableio import Table
 
 __all__ = [
     "LabLayout",
-    "LabProfile3D",
     "sound_speed_profile_3d",
     "detuning_denominator",
     "asymptote_radius",
@@ -27,10 +27,6 @@ __all__ = [
     "resolution_audit",
     "feasibility_report_3d",
 ]
-
-CSV_COLUMNS = ("x_um", "r_um", "cs0_m_per_s", "cs_m_per_s", "B_gauss",
-               "a_over_abg", "vr_m_per_s", "valid", "near_asymptote")
-BLANK_NAN_COLUMNS = ("B_gauss",)  # near-asymptote cells are written empty
 
 
 @dataclass(frozen=True)
@@ -45,26 +41,6 @@ class LabLayout:
         if not self.R > 0.0:
             raise DomainError(f"branch length R must be positive, got {self.R!r}")
         _check_throat(self.b0)
-
-
-@dataclass(frozen=True)
-class LabProfile3D:
-    """The 3+1D control profile, one array per CSV column (same order).
-    ``b_gauss`` is NaN on near-asymptote samples: no finite field realizes
-    them."""
-
-    x: np.ndarray
-    r: np.ndarray
-    cs0: np.ndarray
-    cs: np.ndarray
-    b_gauss: np.ndarray
-    a_over_abg: np.ndarray
-    vr: np.ndarray
-    valid: np.ndarray
-    near_asymptote: np.ndarray
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(vars(self).values())
 
 
 def _radius_ratio_term(r: float | np.ndarray, b0: float) -> np.ndarray:
@@ -113,13 +89,13 @@ def scattering_profile_3d(r: float | np.ndarray, v_inf: float, b0: float,
 
 
 def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
-                    step: float, *, pole_delta: float = 1e-3) -> LabProfile3D:
+                    step: float, *, pole_delta: float = 1e-3) -> Table:
     """Sample the 3+1D control quantities over x in [0, 2R].
 
     Samples with |D| < pole_delta are flagged near_asymptote and carry no
-    field value; they localize the experimentally unrealizable zone
-    instead of hiding it. Arithmetic that leaves the finite doubles
-    raises FloatingPointError.
+    field value (NaN ``B_gauss``, written empty in CSV); they localize the
+    experimentally unrealizable zone instead of hiding it. Arithmetic that
+    leaves the finite doubles raises FloatingPointError.
     """
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
@@ -131,20 +107,21 @@ def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
         near = np.abs(detuning_denominator(r, v_inf, b0, spec)) < pole_delta
         b = np.full(x.size, math.nan)
         b[~near] = field_profile_3d(r[~near], v_inf, b0, spec)
-        return LabProfile3D(x=x, r=r, cs0=cs0, cs=cs, b_gauss=b,
-                            a_over_abg=scattering_profile_3d(r, v_inf, b0, spec),
-                            vr=np.full(x.size, v_inf), valid=~near, near_asymptote=near)
+        return Table({"x_um": x, "r_um": r, "cs0_m_per_s": cs0, "cs_m_per_s": cs,
+                      "B_gauss": b, "a_over_abg": scattering_profile_3d(r, v_inf, b0, spec),
+                      "vr_m_per_s": np.full(x.size, v_inf), "valid": ~near,
+                      "near_asymptote": near}, blank_nan=("B_gauss",))
 
 
-def detect_asymptotes(profile: LabProfile3D) -> list[float]:
+def detect_asymptotes(profile: Table) -> list[float]:
     """Locate field poles from the sampled profile.
 
     Poles sit exactly where a/a_bg crosses 1, so sign changes of
     (a/a_bg - 1) between neighbouring samples localize them to one grid
     step; the midpoint of the bracketing pair is reported.
     """
-    x = profile.x
-    gap = profile.a_over_abg - 1.0
+    x = profile.columns["x_um"]
+    gap = profile.columns["a_over_abg"] - 1.0
     exact = gap == 0.0
     crossing = np.concatenate(([False], gap[:-1] * gap[1:] < 0.0))
     found = np.flatnonzero(exact | crossing)
@@ -185,9 +162,10 @@ def resolution_audit(reference_cs0: float, species: AtomSpecies, step: float, *,
 
 
 def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
-                          profile: LabProfile3D, step: float, *,
+                          profile: Table, step: float, *,
                           resolution_factor: float = 10.0) -> dict:
     """Assemble the JSON-ready feasibility report for a sampled profile."""
+    columns = profile.columns
     return {
         "layout": {"R_um": layout.R, "b0_um": layout.b0},
         "v_inf_m_per_s": v_inf,
@@ -197,10 +175,10 @@ def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
             "detected_x_um": detect_asymptotes(profile),
             "radius_um": asymptote_radius(v_inf, layout.b0, spec),
         },
-        "max_a_over_abg": float(profile.a_over_abg.max()),
-        "near_asymptote_samples": int(profile.near_asymptote.sum()),
+        "max_a_over_abg": float(columns["a_over_abg"].max()),
+        "near_asymptote_samples": int(columns["near_asymptote"].sum()),
         # the start-of-profile cs0, at the throat
-        "resolution": resolution_audit(float(profile.cs0.min()), spec.species, step,
+        "resolution": resolution_audit(float(columns["cs0_m_per_s"].min()), spec.species, step,
                                        b0=layout.b0, factor=resolution_factor),
     }
 

@@ -16,9 +16,8 @@ from wormbec.feshbach import (SPECIES, cesium_condensate, healing_length,
                               sound_speed_from_scattering)
 from wormbec.geometry import (ShapeFunction, embedding_height, metric_factor,
                               proper_distance)
-from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, gp_time_offset,
-                          metric_congruence_check, solve_matching,
-                          zero_order_solution)
+from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, gp_time_offset, matching_summary,
+                          metric_congruence_check, solve_matching)
 from wormbec.profile1d import (field_profile_1d, sample_profile_1d,
                                scattering_profile_1d, slope_metric)
 from wormbec.profile3d import (LabLayout, detect_asymptotes, field_profile_3d,
@@ -123,14 +122,15 @@ def test_criterion_5_exact_system_solver():
                      "parameter sets", budget_s=10.0)
     for v_inf, b0 in ((0.001, 0.1), (0.009, 1.0), (0.01, 1.0), (0.01, 3.0)):
         solution = solve_matching(v_inf, b0, 1.1 * b0, 10.0 * b0, 0.05 * b0)
+        columns = solution.columns
         tag = f"(v_inf={v_inf}, b0={b0})"
-        c.check(bool(solution.converged.all()), f"{tag}: unconverged points")
-        max_res = max(float(np.abs(solution.residual1).max()),
-                      float(np.abs(solution.residual2).max()))
+        c.check(bool(columns["converged"].all()), f"{tag}: unconverged points")
+        max_res = max(float(np.abs(columns["res1"]).max()),
+                      float(np.abs(columns["res2"]).max()))
         c.check(max_res < 1e-12, f"{tag}: max residual {max_res:.2e}")
-        dev_cs0, dev_vr = solution.zero_order_deviation()
-        c.check(dev_cs0 < 1e-9, f"{tag}: cs0 deviation {dev_cs0:.2e}")
-        c.check(dev_vr < 1e-9, f"{tag}: vr deviation {dev_vr:.2e}")
+        deviation = matching_summary(solution, v_inf, b0)["max_rel_deviation_from_zero_order"]
+        c.check(deviation["cs0"] < 1e-9, f"{tag}: cs0 deviation {deviation['cs0']:.2e}")
+        c.check(deviation["vr"] < 1e-9, f"{tag}: vr deviation {deviation['vr']:.2e}")
     c.finish()
 
 
@@ -172,10 +172,10 @@ def test_criterion_7_throat_identities():
         c.check(cs0 == v_inf, "cs0(throat) != v_inf")
         c.check(field_profile_3d(b0, v_inf, b0, CS) == RES.b_res + RES.width,
                 "B_3d(throat) != B_res + width")
-        profile = sample_profile_1d(shape, CS, x_max=float(2 * b0), step=float(b0))
-        throat = profile.x == 0.0
-        c.check(throat.sum() == 1 and profile.c_s[throat][0] == 0.0
-                and profile.a_over_abg[throat][0] == 0.0,
+        profile = sample_profile_1d(shape, CS, x_max=float(2 * b0), step=float(b0)).columns
+        throat = profile["x_um"] == 0.0
+        c.check(throat.sum() == 1 and profile["cs_m_per_s"][throat][0] == 0.0
+                and profile["a_over_abg"][throat][0] == 0.0,
                 "throat sample not exactly zero")
     c.finish()
 

@@ -128,9 +128,9 @@ def test_solve_gp_strict_flags_unconverged_radius(tmp_path, monkeypatch):
     tables; without --strict the same run exits 0."""
     def one_unconverged(*args, **kwargs):
         solution = solve_matching(*args, **kwargs)
-        converged = solution.converged.copy()
+        converged = solution.columns["converged"].copy()
         converged[3] = False
-        return dataclasses.replace(solution, converged=converged)
+        return dataclasses.replace(solution, columns={**solution.columns, "converged": converged})
 
     monkeypatch.setattr(wormbec.gp3d, "solve_matching", one_unconverged)
     args = ("solve-gp", "--set", "grid.r_step_um=0.5")
@@ -275,6 +275,28 @@ def test_sweep_failing_part_way_writes_no_file(tmp_path, capsys, command, overri
     assert err.startswith(f"wormbec {command}: error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [earlier]
     assert earlier.read_text() == "an earlier run's table\n"
+
+
+@pytest.mark.parametrize("command, targets", [
+    ("profile1d", ("profile1d_q-1_b01.csv", "feasibility_q-1_b01.json")),
+    ("solve-gp", ("gp_solution_vinf0.01_b01.csv", "gp_summary_vinf0.01_b01.json")),
+], ids=["profile1d", "solve-gp"])
+@pytest.mark.parametrize("blocked", [0, 1], ids=["table", "report"])
+def test_failed_commit_leaves_no_file(tmp_path, capsys, command, targets, blocked):
+    """A directory at one of a run's two file names fails the run with one
+    line naming that file, and leaves no file: the other target keeps an
+    earlier run's bytes, and no temporary file is left."""
+    directory = tmp_path / targets[blocked]
+    directory.mkdir()
+    earlier = tmp_path / targets[1 - blocked]
+    earlier.write_text("an earlier run's file\n")
+    assert run(tmp_path, command) == 1
+    err = capsys.readouterr().err
+    assert err == (f"wormbec {command}: error: [Errno 21] Is a directory: "
+                   f"'{directory}'\n")
+    assert sorted(tmp_path.iterdir()) == sorted([directory, earlier])
+    assert list(directory.iterdir()) == []
+    assert earlier.read_text() == "an earlier run's file\n"
 
 
 def test_presets_listing(tmp_path, capsys):
@@ -655,9 +677,9 @@ def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels):
 
 
 def test_every_public_name_resolves():
-    """Each of the package's 48 names imports from its submodule on first
+    """Each of the package's 45 names imports from its submodule on first
     access, through `from wormbec import X` and `import *` alike."""
-    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 48
+    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 45
     star = {}
     exec("from wormbec import *", star)
     for name in wormbec.__all__:

@@ -12,8 +12,9 @@ from wormbec.feshbach import cesium_condensate, sound_speed_from_scattering
 from wormbec.geometry import ShapeFunction, metric_factor
 from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, MetricAtPoint, bec_metric,
                           fold_radius, gp_metric, gp_time_offset,
-                          matching_residuals, metric_congruence_check,
-                          solve_matching, zero_order_solution)
+                          matching_residuals, matching_summary,
+                          metric_congruence_check, solve_matching,
+                          zero_order_solution)
 from wormbec.profile1d import field_profile_1d, slope_metric
 from wormbec.profile3d import (detuning_denominator, field_profile_3d,
                                scattering_profile_3d, sound_speed_profile_3d)
@@ -179,13 +180,14 @@ def test_solver_agrees_with_zero_order():
     """Exact solutions sit on the small-velocity limit to solver tolerance."""
     for v_inf, b0 in ((0.01, 1.0), (0.009, 1.0)):
         solution = solve_matching(v_inf, b0, 1.1 * b0, 10.0 * b0, 0.1 * b0)
-        assert bool(solution.converged.all())
-        assert float(np.abs(solution.residual1).max()) < 1e-12
-        assert float(np.abs(solution.residual2).max()) < 1e-12
-        dev_cs0, dev_vr = solution.zero_order_deviation()
-        assert dev_cs0 < 1e-9
-        assert dev_vr < 1e-9
-        assert bool((solution.cs0 > v_inf).all())
+        columns = solution.columns
+        assert bool(columns["converged"].all())
+        assert float(np.abs(columns["res1"]).max()) < 1e-12
+        assert float(np.abs(columns["res2"]).max()) < 1e-12
+        deviation = matching_summary(solution, v_inf, b0)["max_rel_deviation_from_zero_order"]
+        assert deviation["cs0"] < 1e-9
+        assert deviation["vr"] < 1e-9
+        assert bool((columns["cs0_m_per_s"] > v_inf).all())
 
 
 def mpmath_matching_root(r, v_inf, b0, light_speed, start):
@@ -211,11 +213,11 @@ def mpmath_matching_root(r, v_inf, b0, light_speed, start):
 def test_solve_matching_equals_mpmath_root(v_inf, light_speed):
     """Every converged radius carries the root of the residual system to
     1e-13 relative, near light speed and at O(1) corrections alike."""
-    solution = solve_matching(v_inf, 1.0, 1.101, 4.9, 0.19, light_speed=light_speed)
-    assert solution.converged.any()
-    for r, cs0, vr in zip(solution.radii[solution.converged].tolist(),
-                          solution.cs0[solution.converged].tolist(),
-                          solution.vr[solution.converged].tolist()):
+    columns = solve_matching(v_inf, 1.0, 1.101, 4.9, 0.19, light_speed=light_speed).columns
+    ok = columns["converged"]
+    assert ok.any()
+    for r, cs0, vr in zip(columns["r_um"][ok].tolist(), columns["cs0_m_per_s"][ok].tolist(),
+                          columns["vr_m_per_s"][ok].tolist()):
         cs0_ref, vr_ref = mpmath_matching_root(r, v_inf, 1.0, light_speed, (cs0, vr))
         assert cs0 == pytest.approx(float(cs0_ref), rel=1e-13)
         assert vr == pytest.approx(float(vr_ref), rel=1e-13)
@@ -229,11 +231,11 @@ def test_solve_matching_equals_mpmath_root(v_inf, light_speed):
 def test_converged_exactly_up_to_the_fold(v_inf, light_speed, converged):
     """A radius converges exactly when it lies at or below the fold radius,
     where the discriminant vanishes; beyond it the values stay finite."""
-    solution = solve_matching(v_inf, 1.0, 1.1, 10.0, 0.05, light_speed=light_speed)
-    assert int(solution.converged.sum()) == converged
+    columns = solve_matching(v_inf, 1.0, 1.1, 10.0, 0.05, light_speed=light_speed).columns
+    assert int(columns["converged"].sum()) == converged
     r_fold = fold_radius(v_inf, 1.0, light_speed)
-    assert solution.converged.tolist() == (solution.radii <= r_fold).tolist()
-    for column in solution.columns():
+    assert columns["converged"].tolist() == (columns["r_um"] <= r_fold).tolist()
+    for column in columns.values():
         assert np.isfinite(column.astype(float)).all()
 
 
@@ -246,11 +248,11 @@ def test_newton_stops_where_gamma_s_would_leave_its_domain(r, v_inf, light_speed
     domain gamma_s > 1, lie past the fold: on a grid that reaches them they
     come back flagged unconverged with finite values, and a one-point grid
     at r raises ConvergenceError naming the fold."""
-    solution = solve_matching(v_inf, 1.0, 1.5, r, r - 1.5, light_speed=light_speed)
-    assert solution.radii.tolist() == [1.5, r]
-    assert solution.converged.tolist() == [True, False]
-    for column in solution.columns()[1:5]:
-        assert np.isfinite(column).all()
+    columns = solve_matching(v_inf, 1.0, 1.5, r, r - 1.5, light_speed=light_speed).columns
+    assert columns["r_um"].tolist() == [1.5, r]
+    assert columns["converged"].tolist() == [True, False]
+    for name in ("cs0_m_per_s", "vr_m_per_s", "res1", "res2"):
+        assert np.isfinite(columns[name]).all()
     r_fold = fold_radius(v_inf, 1.0, light_speed)
     with pytest.raises(ConvergenceError, match=f"fold at r = {r_fold!r}"):
         solve_matching(v_inf, 1.0, r, r, 1.0, light_speed=light_speed)
@@ -261,11 +263,11 @@ def test_radius_where_no_vr_exists_stays_finite():
     radius, so no v^r balances the cross terms: the radius comes back
     flagged with finite values instead of failing the grid."""
     r = 7.101467683736689
-    solution = solve_matching(3e7, 1.0, 1.5, r, r - 1.5)
-    assert solution.radii.tolist() == [1.5, r]
-    assert solution.converged.tolist() == [True, False]
-    for column in solution.columns()[1:5]:
-        assert np.isfinite(column).all()
+    columns = solve_matching(3e7, 1.0, 1.5, r, r - 1.5).columns
+    assert columns["r_um"].tolist() == [1.5, r]
+    assert columns["converged"].tolist() == [True, False]
+    for name in ("cs0_m_per_s", "vr_m_per_s", "res1", "res2"):
+        assert np.isfinite(columns[name]).all()
 
 
 def _parts(value):

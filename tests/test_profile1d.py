@@ -11,10 +11,9 @@ from wormbec.feshbach import (BOHR_RADIUS, cesium_condensate, m_to_bohr,
                               scattering_from_field, sound_speed_from_field,
                               sound_speed_from_scattering)
 from wormbec.geometry import ShapeFunction, metric_factor
-from wormbec.profile1d import (CSV_COLUMNS, SLOPE_CAPABILITY_PER_UM,
-                               feasibility_1d, field_profile_1d,
-                               sample_profile_1d, scattering_profile_1d,
-                               slope_metric, symmetric_grid)
+from wormbec.profile1d import (SLOPE_CAPABILITY_PER_UM, feasibility_1d,
+                               field_profile_1d, sample_profile_1d,
+                               scattering_profile_1d, slope_metric)
 from wormbec.tableio import write_table
 
 CS = cesium_condensate()
@@ -82,41 +81,44 @@ def test_slope_throat_limit_is_finite():
     assert slope_metric(shape, RES, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
-def test_symmetric_grid_counts():
-    grid = symmetric_grid(20.0, 0.1)
-    assert len(grid) == 401
-    assert grid[200] == 0.0
-    assert grid[0] == -grid[-1]
+def test_written_profile_grid_counts(tmp_path):
+    """The written table over [-20, 20] at 0.1 has 401 rows, even in x:
+    x = 0 once, and each row below it its mirror row with x negated."""
+    profile = sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.1)
+    path = write_table(tmp_path / "p", profile, "csv")
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 401
+    assert [row[0] for row in rows].count("0.0") == 1 and rows[200][0] == "0.0"
+    for below, above in zip(rows[:200], rows[:200:-1]):
+        assert below == ["-" + above[0], *above[1:]]
     with pytest.raises(DomainError):
-        symmetric_grid(20.0, 0.0)
+        sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.0)
 
 
 def test_sample_profile_throat_column():
     """At x=0 the sample is a=0, B=B_res+width, c_s=0."""
-    profile = sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 2.0, 0.5)
-    center = np.flatnonzero(profile.x == 0.0)
-    assert len(center) == 1
-    i = center[0]
-    assert profile.a_over_abg[i] == 0.0
-    assert profile.a_over_100a0[i] == 0.0
-    assert profile.b_gauss[i] == THROAT_FIELD
-    assert profile.c_s[i] == 0.0
-    assert profile.valid[i]
+    columns = sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 2.0, 0.5).columns
+    center = np.flatnonzero(columns["x_um"] == 0.0)
+    assert center.tolist() == [0]
+    assert columns["a_over_abg"][0] == 0.0
+    assert columns["a_over_100a0"][0] == 0.0
+    assert columns["B_gauss"][0] == THROAT_FIELD
+    assert columns["cs_m_per_s"][0] == 0.0
+    assert columns["valid"][0]
 
 
 def test_sample_profile_reference_shape():
-    """q=0.95, b0=1 on [-20, 20]: minimum 0 at the throat, even in x,
-    strictly increasing with |x|, saturating toward a_bg/(100 a0) = 9.5."""
+    """q=0.95, b0=1 on [-20, 20]: a mirrored half (even in x) with minimum
+    0 at the throat, strictly increasing with |x|, saturating toward
+    a_bg/(100 a0) = 9.5."""
     profile = sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.1)
-    assert len(profile.x) == 401
-    xs, values = profile.x.tolist(), profile.a_over_100a0.tolist()
-    by_x = dict(zip(xs, values))
-    assert by_x[0.0] == 0.0
-    for x, value, valid in zip(xs, values, profile.valid.tolist()):
-        assert by_x[-x] == value
-        assert value < 9.5
-        assert valid
-    values = profile.a_over_100a0[profile.x >= 0.0].tolist()
+    assert profile.mirrored
+    columns = profile.columns
+    assert len(columns["x_um"]) == 201 and columns["x_um"][0] == 0.0
+    values = columns["a_over_100a0"].tolist()
+    assert values[0] == 0.0
+    assert max(values) < 9.5
+    assert columns["valid"].all()
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(9.5 * metric_factor(ShapeFunction(1.0, 0.95), 21.0),
                                        rel=1e-12)
@@ -124,12 +126,13 @@ def test_sample_profile_reference_shape():
 
 def test_sample_profile_flags_broken_signature():
     """q=2 samples have a < 0 away from the throat: flagged, NaN speed."""
-    profile = sample_profile_1d(ShapeFunction(1.0, 2.0), CS, 5.0, 1.0)
-    off_throat = profile.x != 0.0
-    assert (profile.a_over_abg[off_throat] < 0.0).all()
-    assert not profile.valid[off_throat].any()
-    assert np.isnan(profile.c_s[off_throat]).all()
-    assert (profile.b_gauss[off_throat] < THROAT_FIELD).all()
+    columns = sample_profile_1d(ShapeFunction(1.0, 2.0), CS, 5.0, 1.0).columns
+    off_throat = columns["x_um"] != 0.0
+    assert off_throat.sum() == 5
+    assert (columns["a_over_abg"][off_throat] < 0.0).all()
+    assert not columns["valid"][off_throat].any()
+    assert np.isnan(columns["cs_m_per_s"][off_throat]).all()
+    assert (columns["B_gauss"][off_throat] < THROAT_FIELD).all()
 
 
 @pytest.mark.parametrize("q", (2.0, 0.95, -0.5, -1.0))
@@ -138,18 +141,18 @@ def test_sample_profile_columns_equal_scalar_functions(q, b0):
     """Every column is the recipe evaluated on floats point by point, bit
     for bit: the float and the array path of each formula agree."""
     shape = ShapeFunction(b0, q)
-    profile = sample_profile_1d(shape, CS, 20.0, 0.01)
-    assert_same_bits(profile.x, [k * 0.01 for k in range(-2000, 2001)])
-    r = [abs(x) + b0 for x in profile.x.tolist()]
+    columns = sample_profile_1d(shape, CS, 20.0, 0.01).columns
+    assert_same_bits(columns["x_um"], [k * 0.01 for k in range(2001)])
+    r = [x + b0 for x in columns["x_um"].tolist()]
     a = [scattering_profile_1d(shape, ri) for ri in r]
-    assert_same_bits(profile.r, r)
-    assert_same_bits(profile.a_over_abg, a)
-    assert_same_bits(profile.a_over_100a0,
+    assert_same_bits(columns["r_um"], r)
+    assert_same_bits(columns["a_over_abg"], a)
+    assert_same_bits(columns["a_over_100a0"],
                      [ai * RES.a_bg / (100.0 * BOHR_RADIUS) for ai in a])
-    assert_same_bits(profile.b_gauss, [field_profile_1d(shape, RES, ri) for ri in r])
-    assert profile.valid.tolist() == [ai >= 0.0 for ai in a]
-    assert_same_bits(profile.c_s, [sound_speed_from_scattering(RES.a_bg * ai, CS)
-                                   if ai >= 0.0 else math.nan for ai in a])
+    assert_same_bits(columns["B_gauss"], [field_profile_1d(shape, RES, ri) for ri in r])
+    assert columns["valid"].tolist() == [ai >= 0.0 for ai in a]
+    assert_same_bits(columns["cs_m_per_s"], [sound_speed_from_scattering(RES.a_bg * ai, CS)
+                                             if ai >= 0.0 else math.nan for ai in a])
 
 
 def test_profile_consistency_with_field_route():
@@ -178,7 +181,7 @@ def test_feasibility_threshold_zero_always_fails():
 def test_feasibility_max_matches_finite_difference_oracle():
     shape = ShapeFunction(10.0, -1.0)
     audit = feasibility_1d(shape, CS, 20.0, 0.5, window=1.0)
-    xs = [x for x in symmetric_grid(20.0, 0.5) if x >= 1.0]
+    xs = [k * 0.5 for k in range(2, 41)]
     oracle = max(abs(fd_slope(shape, RES, x)) for x in xs)
     assert audit["max_slope_per_um"] == pytest.approx(oracle, rel=1e-6)
 
@@ -193,7 +196,7 @@ def test_feasibility_equals_slope_metric_scan(q, b0):
     shape = ShapeFunction(b0, q)
     audit = feasibility_1d(shape, CS, 20.0, 0.01, window=1.0)
     best, best_at = -math.inf, None
-    for x in symmetric_grid(20.0, 0.01).tolist():
+    for x in (k * 0.01 for k in range(2001)):
         if x >= 1.0 and abs(slope_metric(shape, RES, x)) > best:
             best, best_at = abs(slope_metric(shape, RES, x)), x
     assert_same_bits([audit["max_slope_per_um"], audit["slope_at_x_um"]], [best, best_at])
@@ -221,8 +224,9 @@ def test_feasibility_reference_case():
 
 def test_profile_csv_layout(tmp_path):
     profile = sample_profile_1d(ShapeFunction(1.0, -1.0), CS, 1.0, 0.5)
-    path = write_table(tmp_path / "p", CSV_COLUMNS, profile.columns(), "csv")
+    path = write_table(tmp_path / "p", profile, "csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "x_um,r_um,a_over_abg,a_over_100a0,B_gauss,cs_m_per_s,valid"
-    assert len(lines) == 1 + len(profile.x)
+    assert len(profile.columns["x_um"]) == 3
+    assert len(lines) == 1 + 5
     assert lines[3].endswith(",true")

@@ -11,8 +11,7 @@ from wormbec.feshbach import (HBAR, SPECIES, cesium_condensate, healing_length,
                               scattering_from_field, sound_speed_from_field)
 from wormbec.geometry import ShapeFunction
 from wormbec.profile1d import sample_profile_1d
-from wormbec.profile3d import (BLANK_NAN_COLUMNS, CSV_COLUMNS, LabLayout,
-                               analytic_asymptote_positions,
+from wormbec.profile3d import (LabLayout, analytic_asymptote_positions,
                                asymptote_radius, detect_asymptotes,
                                detuning_denominator, feasibility_report_3d,
                                field_profile_3d, lab_profiles_3d,
@@ -104,46 +103,46 @@ def test_lab_profiles_reference_run():
     """R=5, b0=1, v_inf=0.01, Cs: a/a_bg at the walls is about 24, far
     above the background value."""
     layout = LabLayout(R=5.0, b0=1.0)
-    profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
-    assert profile.x[0] == 0.0
-    assert profile.a_over_abg[0] == pytest.approx(24.26, abs=0.3)
-    assert profile.x[-1] == 10.0
-    assert profile.a_over_abg.max() > 1.0
+    columns = lab_profiles_3d(layout, 0.01, CS, 0.5).columns
+    assert columns["x_um"][0] == 0.0
+    assert columns["a_over_abg"][0] == pytest.approx(24.26, abs=0.3)
+    assert columns["x_um"][-1] == 10.0
+    assert columns["a_over_abg"].max() > 1.0
 
 
 def test_lab_profiles_throat_column():
     layout = LabLayout(R=5.0, b0=1.0)
-    profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
-    throat = np.flatnonzero(profile.x == 5.0)
+    columns = lab_profiles_3d(layout, 0.01, CS, 0.5).columns
+    throat = np.flatnonzero(columns["x_um"] == 5.0)
     assert len(throat) == 1
     i = throat[0]
-    assert profile.r[i] == 1.0
-    assert profile.a_over_abg[i] == 0.0
-    assert profile.b_gauss[i] == THROAT_FIELD
-    assert profile.cs[i] == 0.0
-    assert profile.cs0[i] == 0.01
-    assert profile.valid[i] and not profile.near_asymptote[i]
+    assert columns["r_um"][i] == 1.0
+    assert columns["a_over_abg"][i] == 0.0
+    assert columns["B_gauss"][i] == THROAT_FIELD
+    assert columns["cs_m_per_s"][i] == 0.0
+    assert columns["cs0_m_per_s"][i] == 0.01
+    assert columns["valid"][i] and not columns["near_asymptote"][i]
 
 
 def test_lab_profiles_mirror_symmetry():
     layout = LabLayout(R=5.0, b0=1.0)
-    profile = lab_profiles_3d(layout, 0.01, CS, 0.125)
-    index = {x: i for i, x in enumerate(profile.x.tolist())}
-    mirror = [index[10.0 - x] for x in profile.x.tolist()]
-    for column in (profile.r, profile.a_over_abg, profile.cs0, profile.cs,
-                   profile.b_gauss, profile.near_asymptote):
-        assert np.array_equal(column[mirror], column, equal_nan=True)
-    assert (profile.vr == 0.01).all()
+    columns = lab_profiles_3d(layout, 0.01, CS, 0.125).columns
+    index = {x: i for i, x in enumerate(columns["x_um"].tolist())}
+    mirror = [index[10.0 - x] for x in columns["x_um"].tolist()]
+    for name in ("r_um", "a_over_abg", "cs0_m_per_s", "cs_m_per_s", "B_gauss",
+                 "near_asymptote"):
+        assert np.array_equal(columns[name][mirror], columns[name], equal_nan=True)
+    assert (columns["vr_m_per_s"] == 0.01).all()
 
 
 def test_near_asymptote_samples_carry_no_field():
     layout = LabLayout(R=5.0, b0=1.0)
     # a coarse pole_delta makes several samples near-asymptotic
-    profile = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=0.2)
-    flagged = profile.near_asymptote
+    columns = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=0.2).columns
+    flagged = columns["near_asymptote"]
     assert flagged.any()
-    assert np.isnan(profile.b_gauss[flagged]).all()
-    assert not profile.valid[flagged].any()
+    assert np.isnan(columns["B_gauss"][flagged]).all()
+    assert not columns["valid"][flagged].any()
 
 
 @pytest.mark.parametrize("v_inf, step, pole_delta, near_count", [
@@ -157,23 +156,23 @@ def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
     for bit (the float and the array path of each formula agree); near-
     asymptote samples, and only they, carry a NaN field."""
     layout = LabLayout(R=5.0, b0=1.0)
-    profile = lab_profiles_3d(layout, v_inf, CS, step, pole_delta=pole_delta)
+    columns = lab_profiles_3d(layout, v_inf, CS, step, pole_delta=pole_delta).columns
     count = int(math.floor(10.0 / step + 1e-9)) + 1
-    assert_same_bits(profile.x, [k * step for k in range(count)])
-    r = [abs(x - layout.R) + layout.b0 for x in profile.x.tolist()]
-    assert_same_bits(profile.r, r)
+    assert_same_bits(columns["x_um"], [k * step for k in range(count)])
+    r = [abs(x - layout.R) + layout.b0 for x in columns["x_um"].tolist()]
+    assert_same_bits(columns["r_um"], r)
     speeds = [sound_speed_profile_3d(ri, v_inf, 1.0) for ri in r]
-    assert_same_bits(profile.cs0, [cs0 for cs0, _ in speeds])
-    assert_same_bits(profile.cs, [cs for _, cs in speeds])
-    assert_same_bits(profile.a_over_abg,
+    assert_same_bits(columns["cs0_m_per_s"], [cs0 for cs0, _ in speeds])
+    assert_same_bits(columns["cs_m_per_s"], [cs for _, cs in speeds])
+    assert_same_bits(columns["a_over_abg"],
                      [scattering_profile_3d(ri, v_inf, 1.0, CS) for ri in r])
     near = [abs(detuning_denominator(ri, v_inf, 1.0, CS)) < pole_delta for ri in r]
     assert sum(near) == near_count
-    assert profile.near_asymptote.tolist() == near
-    assert profile.valid.tolist() == [not n for n in near]
-    assert_same_bits(profile.b_gauss, [math.nan if n else field_profile_3d(ri, v_inf, 1.0, CS)
-                                       for ri, n in zip(r, near)])
-    assert (profile.vr == v_inf).all()
+    assert columns["near_asymptote"].tolist() == near
+    assert columns["valid"].tolist() == [not n for n in near]
+    assert_same_bits(columns["B_gauss"], [math.nan if n else field_profile_3d(ri, v_inf, 1.0, CS)
+                                          for ri, n in zip(r, near)])
+    assert (columns["vr_m_per_s"] == v_inf).all()
 
 
 def _ulps(values, reference):
@@ -197,24 +196,25 @@ def test_profiles_match_40_digit_reference(q, b0, v_inf):
     with mp.workdps(40):
         width, b_res, a_bg = map(mp.mpf, (RES.width, RES.b_res, RES.a_bg))
         b0m, v = mp.mpf(b0), mp.mpf(v_inf)
-        profile = sample_profile_1d(ShapeFunction(b0, q), CS, 20.0, 0.1)
-        ratio = [mp.mpf(r) / b0m for r in profile.r.tolist()]
+        profile = sample_profile_1d(ShapeFunction(b0, q), CS, 20.0, 0.1).columns
+        ratio = [mp.mpf(r) / b0m for r in profile["r_um"].tolist()]
         a = [1 - t ** (q - 1) for t in ratio]
         speed = mp.mpf(HBAR) / mp.mpf(CS.species.mass) * mp.sqrt(4 * mp.pi * mp.mpf(CS.density))
-        valid = profile.valid
-        checks = [(profile.a_over_abg, a),
-                  (profile.b_gauss, [t ** (1 - q) * width + b_res for t in ratio]),
-                  (profile.c_s[valid], [speed * mp.sqrt(a_bg * ai)
-                                        for ai, ok in zip(a, valid) if ok])]
-        lab = lab_profiles_3d(LabLayout(R=5.0, b0=b0), v_inf, CS, 0.01)
-        term = [(mp.mpf(r) / b0m) ** 2 - 1 for r in lab.r.tolist()]
+        valid = profile["valid"]
+        checks = [(profile["a_over_abg"], a),
+                  (profile["B_gauss"], [t ** (1 - q) * width + b_res for t in ratio]),
+                  (profile["cs_m_per_s"][valid], [speed * mp.sqrt(a_bg * ai)
+                                                  for ai, ok in zip(a, valid) if ok])]
+        lab = lab_profiles_3d(LabLayout(R=5.0, b0=b0), v_inf, CS, 0.01).columns
+        r_3d = lab["r_um"].tolist()
+        term = [(mp.mpf(r) / b0m) ** 2 - 1 for r in r_3d]
         scale = (v / mp.mpf(CS.background_sound_speed)) ** 2
-        field = ~lab.near_asymptote
-        checks += [(lab.cs0, [v * mp.mpf(r) / b0m for r in lab.r.tolist()]),
-                   (lab.cs, [v * mp.sqrt(t) for t in term]),
-                   (lab.a_over_abg, [scale * t for t in term]),
-                   (lab.b_gauss[field], [width / (1 - mp.mpf(ai)) + b_res
-                                         for ai in lab.a_over_abg[field].tolist()])]
+        field = ~lab["near_asymptote"]
+        checks += [(lab["cs0_m_per_s"], [v * mp.mpf(r) / b0m for r in r_3d]),
+                   (lab["cs_m_per_s"], [v * mp.sqrt(t) for t in term]),
+                   (lab["a_over_abg"], [scale * t for t in term]),
+                   (lab["B_gauss"][field], [width / (1 - mp.mpf(ai)) + b_res
+                                            for ai in lab["a_over_abg"][field].tolist()])]
         for values, reference in checks:
             assert _ulps(values, reference).max() <= 4.0
 
@@ -306,20 +306,18 @@ def test_layout_validation():
 def test_profile_csv_layout(tmp_path):
     layout = LabLayout(R=1.0, b0=1.0)
     profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
-    path = write_table(tmp_path / "p3", CSV_COLUMNS, profile.columns(), "csv",
-                       blank_nan=BLANK_NAN_COLUMNS)
+    path = write_table(tmp_path / "p3", profile, "csv")
     lines = path.read_text().splitlines()
     assert lines[0] == ("x_um,r_um,cs0_m_per_s,cs_m_per_s,B_gauss,"
                         "a_over_abg,vr_m_per_s,valid,near_asymptote")
-    assert len(lines) == 1 + len(profile.x)
+    assert len(lines) == 1 + len(profile.columns["x_um"])
 
 
 def test_profile_csv_leaves_near_asymptote_field_empty(tmp_path):
     """The two samples next to the poles have no B_gauss cell; no cell
     anywhere reads nan."""
     profile = lab_profiles_3d(LabLayout(R=5.0, b0=1.0), 0.01, CS, 0.001)
-    path = write_table(tmp_path / "p3", CSV_COLUMNS, profile.columns(), "csv",
-                       blank_nan=BLANK_NAN_COLUMNS)
+    path = write_table(tmp_path / "p3", profile, "csv")
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     blank = [row for row in rows if row[4] == ""]
     assert len(blank) == 2
@@ -330,6 +328,6 @@ def test_profile_csv_leaves_near_asymptote_field_empty(tmp_path):
 def test_profile_reaches_far_wall_despite_rounding():
     """0.3/0.1 rounds just below 3, so the last grid point 3 * 0.1 lies an
     ulp past 2R = 0.3; it is sampled rather than rejected."""
-    profile = lab_profiles_3d(LabLayout(R=0.15, b0=1.0), 0.01, CS, 0.1)
-    assert profile.x.tolist() == [0.0, 0.1, 0.2, 3 * 0.1]
-    assert profile.r[-1] == pytest.approx(1.15, rel=1e-15)
+    columns = lab_profiles_3d(LabLayout(R=0.15, b0=1.0), 0.01, CS, 0.1).columns
+    assert columns["x_um"].tolist() == [0.0, 0.1, 0.2, 3 * 0.1]
+    assert columns["r_um"][-1] == pytest.approx(1.15, rel=1e-15)

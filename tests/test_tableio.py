@@ -9,10 +9,14 @@ import pytest
 from wormbec import tableio
 from wormbec.feshbach import cesium_condensate
 from wormbec.geometry import ShapeFunction
-from wormbec.profile1d import CSV_COLUMNS, sample_profile_1d
-from wormbec.tableio import CHUNK_ROWS, write_table
+from wormbec.profile1d import sample_profile_1d
+from wormbec.tableio import CHUNK_ROWS, Table, write_table
 
 FORMATS = ("csv", "json")
+
+
+def named_table(header, columns, **kwargs):
+    return Table(dict(zip(header, columns, strict=True)), **kwargs)
 
 
 def test_csv_and_json_rendering_rules(tmp_path):
@@ -23,8 +27,9 @@ def test_csv_and_json_rendering_rules(tmp_path):
     x = np.array(values)
     flag = np.array([True, False] * 3 + [True])
     single = np.array(values[:6] + [0.25], dtype=np.float32)
-    header, columns = ("x", "blank", "flag", "single"), (x, x, flag, single)
-    path = write_table(tmp_path / "t", header, columns, "csv", blank_nan=("blank",))
+    header = ("x", "blank", "flag", "single")
+    written = named_table(header, (x, x, flag, single), blank_nan=("blank",))
+    path = write_table(tmp_path / "t", written, "csv")
     assert path.name == "t.csv"
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == [repr(v) for v in values]
@@ -34,7 +39,7 @@ def test_csv_and_json_rendering_rules(tmp_path):
     assert [row[2] for row in rows] == ["true", "false"] * 3 + ["true"]
     assert [row[3] for row in rows][:2] == ["0.5", repr(float(np.float32(0.1)))]
 
-    path = write_table(tmp_path / "t", header, columns, "json", blank_nan=("blank",))
+    path = write_table(tmp_path / "t", written, "json")
     assert path.name == "t.json"
     payload = json.loads(path.read_text())
     assert payload["columns"] == list(header)
@@ -46,9 +51,9 @@ def test_csv_and_json_rendering_rules(tmp_path):
 def test_write_csv_numpy_columns(tmp_path):
     r = np.array([1.0, 1.5])
     flag = np.array([True, False])
-    path = write_table(tmp_path / "t", ("r", "flag"), (r, flag), "csv")
+    path = write_table(tmp_path / "t", Table({"r": r, "flag": flag}), "csv")
     assert path.read_text() == "r,flag\n1.0,true\n1.5,false\n"
-    path = write_table(tmp_path / "t", ("r", "flag"), (r, flag), "json")
+    path = write_table(tmp_path / "t", Table({"r": r, "flag": flag}), "json")
     assert path.read_text() == (
         '{\n  "columns": [\n    "r",\n    "flag"\n  ],\n  "rows": [\n'
         '    [\n      1.0,\n      true\n    ],\n    [\n      1.5,\n      false\n    ]\n'
@@ -61,9 +66,9 @@ def test_write_csv_chunks_join_seamlessly(tmp_path):
     n = 2 * CHUNK_ROWS + 7
     x = np.arange(n) * 0.1
     for out_format in FORMATS:
-        path = write_table(tmp_path / "t", ("x",), (x,), out_format)
+        path = write_table(tmp_path / "t", Table({"x": x}), out_format)
         assert path.read_text() == reference(out_format, ("x",), (x,)), out_format
-        empty = write_table(tmp_path / "e", ("x", "y"), (x[:0], x[:0]), out_format)
+        empty = write_table(tmp_path / "e", Table({"x": x[:0], "y": x[:0]}), out_format)
         assert empty.read_text() == reference(out_format, ("x", "y"), (x[:0], x[:0]))
     assert (tmp_path / "e.csv").read_text() == "x,y\n"
 
@@ -71,9 +76,7 @@ def test_write_csv_chunks_join_seamlessly(tmp_path):
 def test_ragged_table_is_rejected(tmp_path):
     for out_format in FORMATS:
         with pytest.raises(ValueError):
-            write_table(tmp_path / "t", ("a", "b"), (np.zeros(3), np.zeros(2)), out_format)
-        with pytest.raises(ValueError):
-            write_table(tmp_path / "t", ("a", "b"), (np.zeros(3),), out_format)
+            write_table(tmp_path / "t", Table({"a": np.zeros(3), "b": np.zeros(2)}), out_format)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -95,12 +98,13 @@ def reference(out_format, header, columns, blank_nan=()):
     return "\n".join(lines) + "\n"
 
 
-def assert_renders_like_reference(directory, header, columns, blank_nan=()):
-    """The table written in each format into its own subdirectory of
-    DIRECTORY equals the reference rendering, and is all that is left."""
+def assert_renders_like_reference(directory, written, header, columns, blank_nan=()):
+    """The table WRITTEN in each format into its own subdirectory of
+    DIRECTORY equals the reference rendering of the table HEADER, COLUMNS,
+    and is all that is left."""
     for out_format in FORMATS:
         out = directory / out_format
-        path = write_table(out / "t", header, columns, out_format, blank_nan=blank_nan)
+        path = write_table(out / "t", written, out_format)
         assert path.read_text() == reference(out_format, header, columns, blank_nan), out_format
         assert [p.name for p in out.iterdir()] == [path.name]
 
@@ -115,15 +119,21 @@ def odd(half):
     return np.concatenate((-half[:0:-1], half))
 
 
-def mirrored_table(half_rows):
+def mirrored_half(half_rows):
     """x, a float64 column with NaN and inf cells, a float32 column and a
-    flag, mirrored about x = 0, with HALF_ROWS rows from the centre up."""
+    flag: HALF_ROWS rows from x = 0 up."""
     x = np.arange(half_rows) * 0.1
     y = np.where(np.arange(half_rows) % 5 == 3, math.nan, np.sqrt(x + 2.0))
     y[np.arange(half_rows) % 7 == 6] = math.inf
     single = (x / 3.0).astype(np.float32)
     flag = np.arange(half_rows) % 3 == 0
-    return ("x", "y", "single", "flag"), [odd(x), even(y), even(single), even(flag)]
+    return ("x", "y", "single", "flag"), [x, y, single, flag]
+
+
+def whole(columns):
+    """The whole table of a mirrored half: the rows below x = 0 are the
+    rows above it, reversed, with x negated."""
+    return [odd(columns[0]), *map(even, columns[1:])]
 
 
 MIRRORED_HALVES = [2, 3, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7]
@@ -131,69 +141,68 @@ MIRRORED_HALVES = [2, 3, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_R
 
 @pytest.mark.parametrize("half_rows", [1] + MIRRORED_HALVES)
 def test_mirrored_table_renders_like_reference(tmp_path, half_rows):
-    """A mirrored table is written from its upper half, byte for byte as
-    the plain rendering in CSV and JSON, for 1, 3 and 5 rows and around
-    chunk edges (a one-row table is not mirrored)."""
-    header, columns = mirrored_table(half_rows)
+    """A mirrored half is written as the whole table, byte for byte as the
+    plain rendering in CSV and JSON, for 1, 3 and 5 rows and around chunk
+    edges."""
+    header, columns = mirrored_half(half_rows)
     assert [column.dtype for column in columns] == [np.float64, np.float64, np.float32, bool]
-    assert tableio._is_mirrored(columns) == (half_rows > 1)
-    assert_renders_like_reference(tmp_path, header, columns)
+    assert_renders_like_reference(tmp_path, named_table(header, columns, mirrored=True),
+                                  header, whole(columns))
 
 
 def test_mirrored_profile_and_blank_column_render_like_reference(tmp_path):
-    """The q > 1 profile (NaN sound speeds) takes the mirrored path, and
-    so does a table with a blank_nan column, where only NaN is blank in
-    CSV and every non-finite cell is null in JSON."""
+    """The q > 1 profile (NaN sound speeds) is a mirrored half, and so may
+    be a table with a blank_nan column, where only NaN is blank in CSV and
+    every non-finite cell is null in JSON."""
     profile = sample_profile_1d(ShapeFunction(1.0, 2.0), cesium_condensate(), 20.0, 0.01)
-    columns = list(profile.columns())
-    assert np.isnan(profile.c_s).any() and tableio._is_mirrored(columns)
-    assert_renders_like_reference(tmp_path / "p", CSV_COLUMNS, columns)
+    header, columns = list(profile.columns), list(profile.columns.values())
+    assert profile.mirrored and np.isnan(profile.columns["cs_m_per_s"]).any()
+    assert_renders_like_reference(tmp_path / "p", profile, header, whole(columns))
 
-    header, columns = mirrored_table(CHUNK_ROWS + 1)
-    assert tableio._is_mirrored(columns)
-    assert_renders_like_reference(tmp_path / "b", header, columns, blank_nan=("y",))
+    header, columns = mirrored_half(CHUNK_ROWS + 1)
+    assert_renders_like_reference(
+        tmp_path / "b", named_table(header, columns, mirrored=True, blank_nan=("y",)),
+        header, whole(columns), blank_nan=("y",))
     text = (tmp_path / "b" / "csv" / "t.csv").read_text()
     assert ",," in text and ",inf," in text
 
 
 def _near_misses():
-    """Tables one rule short of mirrored, 13 rows with the centre at row 6."""
-    header, columns = mirrored_table(7)
+    """Halves whose first column breaks the mirror's rule, 7 rows from the centre."""
+    header, columns = mirrored_half(7)
+    x = columns[0]
 
-    def changed(index, cells):
-        column = columns[index].copy()
-        column.view(f"u{column.itemsize}")[list(cells)] = [
-            np.array(v, column.dtype).view(f"u{column.itemsize}") for v in cells.values()]
-        return [column if k == index else c for k, c in enumerate(columns)]
+    def changed(cells):
+        column = x.copy()
+        column[list(cells)] = list(cells.values())
+        return [column, *columns[1:]]
 
-    x, y = columns[0], columns[1]
-    payload_nan = np.array(math.nan).view(np.uint64) | np.uint64(1)
-    yield "negative zero centre", changed(0, {6: -0.0})
-    yield "lower cell one ulp off", changed(1, {2: np.nextafter(y[2], math.inf)})
-    yield "lower x one ulp off", changed(0, {1: np.nextafter(x[1], -math.inf)})
-    yield "even first column", [np.abs(x), *columns[1:]]
-    yield "negative x above the centre", changed(0, {7: -x[7], 5: x[7]})
-    yield "nan in x", changed(0, {8: math.nan, 4: -math.nan})
-    yield "inf in x", changed(0, {12: math.inf, 0: -math.inf})
-    yield "nan payload differs", changed(1, {3: payload_nan.view(float)})
-    yield "even row count", [column[1:] for column in columns]
+    yield "negative zero centre", changed({0: -0.0})
+    yield "start at 0.1", [x + 0.1, *columns[1:]]
+    yield "negative x above the centre", changed({4: -x[4]})
+    yield "nan in x", changed({5: math.nan})
+    yield "inf in x", changed({6: math.inf})
+    yield "int first column", [np.arange(7), *columns[1:]]
 
 
 @pytest.mark.parametrize("name, columns", list(_near_misses()),
                          ids=[name for name, _ in _near_misses()])
-def test_near_mirrored_table_takes_plain_path(tmp_path, name, columns):
-    header = ("x", "y", "single", "flag")
-    assert not tableio._is_mirrored(columns)
-    assert_renders_like_reference(tmp_path, header, columns)
+def test_near_mirrored_table_is_rejected(tmp_path, name, columns):
+    """A half declared mirrored whose first column is not +0.0 and then
+    finite and positive raises ValueError and writes no file."""
+    half = named_table(("x", "y", "single", "flag"), columns, mirrored=True)
+    for out_format in FORMATS:
+        with pytest.raises(ValueError, match="mirrored"):
+            write_table(tmp_path / "t", half, out_format)
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("table", ["plain", "mirrored"])
-def test_failed_write_leaves_no_file(tmp_path, monkeypatch, table):
+@pytest.mark.parametrize("kind", ["plain", "mirrored"])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, kind):
     """A write that fails after its first chunk leaves no temporary file,
     and no target, or the target as it was before, in either format."""
-    half = np.arange(2 * CHUNK_ROWS) * 0.5
-    x = half + 1.0 if table == "plain" else odd(half)
-    assert tableio._is_mirrored([x]) == (table == "mirrored")
+    x = np.arange(2 * CHUNK_ROWS) * 0.5
+    written = Table({"x": x + 1.0}) if kind == "plain" else Table({"x": x}, mirrored=True)
     calls = []
     real = tableio._cells
 
@@ -209,7 +218,7 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, table):
         out.mkdir()
         calls.clear()
         with pytest.raises(OSError, match="disk full"):
-            write_table(out / "t", ("x",), (x,), out_format)
+            write_table(out / "t", written, out_format)
         assert len(calls) == 2
         assert list(out.iterdir()) == []
 
@@ -217,7 +226,7 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, table):
         target.write_text("x\n1.0\n")
         calls.clear()
         with pytest.raises(OSError, match="disk full"):
-            write_table(out / "t", ("x",), (x,), out_format)
+            write_table(out / "t", written, out_format)
         assert list(out.iterdir()) == [target]
         assert target.read_text() == "x\n1.0\n"
 
@@ -228,7 +237,7 @@ def test_staged_files_take_their_names_when_the_block_completes(tmp_path):
     them, and an earlier file of the same name as it was."""
     x = np.arange(3) * 0.5
     with tableio.staged():
-        table = write_table(tmp_path / "t", ("x",), (x,), "csv")
+        table = write_table(tmp_path / "t", Table({"x": x}), "csv")
         report = tableio.write_json(tmp_path / "r.json", {"a": 1.0})
         assert not table.exists() and not report.exists()
         assert len(list(tmp_path.iterdir())) == 2
@@ -237,24 +246,24 @@ def test_staged_files_take_their_names_when_the_block_completes(tmp_path):
 
     with pytest.raises(RuntimeError, match="later failure"):
         with tableio.staged():
-            write_table(tmp_path / "t", ("x",), (x + 1.0,), "csv")
-            write_table(tmp_path / "u", ("x",), (x,), "json")
+            write_table(tmp_path / "t", Table({"x": x + 1.0}), "csv")
+            write_table(tmp_path / "u", Table({"x": x}), "json")
             raise RuntimeError("later failure")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "t.csv"]
     assert table.read_bytes() == before
 
 
-@pytest.mark.parametrize("table", ["plain", "mirrored"])
-def test_json_table_is_formatted_chunk_by_chunk(tmp_path, monkeypatch, table):
+@pytest.mark.parametrize("kind", ["plain", "mirrored"])
+def test_json_table_is_formatted_chunk_by_chunk(tmp_path, monkeypatch, kind):
     """A JSON table longer than 2 CHUNK_ROWS streams: no cell-formatting
-    call sees more than CHUNK_ROWS values, and a mirrored table formats
-    only its centre row and the rows above it."""
-    header, columns = mirrored_table(2 * CHUNK_ROWS + 7)
-    if table == "plain":
-        columns[0] = np.abs(columns[0])
+    call sees more than CHUNK_ROWS values, and a mirrored half formats
+    each of its cells once."""
+    header, half = mirrored_half(2 * CHUNK_ROWS + 7)
+    columns = whole(half)
     rows = len(columns[0])
     assert rows > 2 * CHUNK_ROWS
-    assert tableio._is_mirrored(columns) == (table == "mirrored")
+    mirrored = kind == "mirrored"
+    written = named_table(header, half if mirrored else columns, mirrored=mirrored)
     seen = []
     real = tableio._cells
 
@@ -263,7 +272,7 @@ def test_json_table_is_formatted_chunk_by_chunk(tmp_path, monkeypatch, table):
         return real(column, non_finite)
 
     monkeypatch.setattr(tableio, "_cells", counting)
-    path = write_table(tmp_path / "t", header, columns, "json")
+    path = write_table(tmp_path / "t", written, "json")
     assert max(seen) <= CHUNK_ROWS
-    assert sum(seen) == len(header) * (rows if table == "plain" else rows // 2 + 1)
+    assert sum(seen) == len(header) * (len(half[0]) if mirrored else rows)
     assert path.read_text() == reference("json", header, columns)
