@@ -14,11 +14,16 @@ u ~ sqrt(b0). The u axis is cut into panels at 0, at every requested
 target and at the graded points sqrt(b0) * 2**k (k >= 0) below the
 largest target; each panel gets a 16-node Gauss-Legendre rule and the
 panel sums are accumulated, so one pass yields the integral at every
-target. The grading matters: a single 32-node rule on [0, u_max] is off
-by 7e-8 at r/b0 = 1e3 and by 1e-4 at 1e4. As a check, the same sums are
-taken with 20 nodes; where the two differ by more than
-max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|), or are not finite, ConvergenceError
-is raised.
+target. The rules are evaluated over blocks of 1024 consecutive panels
+(``_PANEL_BLOCK``) into one array of panel sums, accumulated by a single
+cumsum, which gives the bits of evaluating all panels at once. Beside
+about 9 arrays of one double per target (for 200001 radii a tracemalloc
+peak of 13.7 MiB, 9x the radii), the working memory is one block's nodes
+and their temporaries, about 1 MiB whatever the target count. The grading
+matters: a single 32-node rule on [0, u_max] is off by 7e-8 at r/b0 = 1e3
+and by 1e-4 at 1e4. As a check, the same sums are taken with 20 nodes;
+where the two differ by more than max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|),
+or are not finite, ConvergenceError is raised.
 
 Verified against 30-digit mpmath tanh-sinh quadrature for q in
 [-3, 0.99], b0 in {0.01, 1, 100} and r/b0 from 1 + 1e-9 to 1e9: both
@@ -53,6 +58,10 @@ __all__ = [
 # Largest point count of one grid walk; a symmetric grid mirrors one walk.
 MAX_GRID_POINTS = 10**6
 QUAD_REL_TOL, QUAD_ABS_TOL = 1e-10, 1e-12
+# Panels whose nodes are evaluated at once (module docstring). A power of
+# two: a block whose length is not a multiple of the BLAS kernel's unroll
+# sends a different set of panels down its tail path and changes low bits.
+_PANEL_BLOCK = 1024
 
 
 class ThroatClass(enum.Enum):
@@ -172,7 +181,13 @@ def _integrate_from_throat(integrand: Callable[[np.ndarray], np.ndarray],
 
     def cumulative(rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         nodes, weights = rule
-        panels = (integrand(mid + half * nodes) @ weights) * half[:, 0]
+        panels = np.empty(len(half))
+        for start in range(0, len(panels), _PANEL_BLOCK):
+            block = slice(start, start + _PANEL_BLOCK)
+            panels[block] = integrand(mid[block] + half[block] * nodes) @ weights
+        panels *= half[:, 0]
+        # one cumsum over all panels: a per-block sum plus a carry would
+        # round differently
         return np.concatenate(([0.0], np.cumsum(panels)))
 
     rule, check_rule = _gauss_rules()

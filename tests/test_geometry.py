@@ -7,11 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bitcheck import assert_same_bits
+from wormbec import geometry
 from wormbec.exceptions import ConvergenceError, DomainError
 from wormbec.geometry import (MAX_GRID_POINTS, ShapeFunction, ThroatClass,
                               _integrate_from_throat, classify_throat,
                               embedding_height, metric_factor, proper_distance,
                               uniform_grid)
+from wormbec.gp3d import gp_time_offset
 
 # Frozen from the brute-force midpoint oracle below at 10^6 panels.
 PROPER_DISTANCE_Q05 = 6.271807848835146   # b0=1, q=0.5, r=4
@@ -211,6 +214,88 @@ def test_quadrature_check_rejects_jump():
     # the same jump on a panel edge integrates exactly
     value = _integrate_from_throat(step, 1.0, np.array([0.3, 0.7]))
     np.testing.assert_allclose(value, [0.0, 0.4], rtol=1e-14, atol=1e-15)
+
+
+BLOCK = geometry._PANEL_BLOCK
+
+
+def panel_radii(b0, panels):
+    """Radii on which the quadrature cuts the u axis into PANELS panels:
+    past 5 panels the targets reach u = 30 sqrt(b0), adding the graded
+    edges sqrt(b0) * 2**k for k < 5."""
+    far = panels > 5
+    t = np.geomspace(1e-3, 30.0 if far else 0.9, panels - 5 if far else panels)
+    return b0 * (1.0 + t * t)
+
+
+def one_block(monkeypatch, compute):
+    """COMPUTE() with every panel of each rule evaluated in one block."""
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_PANEL_BLOCK", 2**62)
+        return compute()
+
+
+@pytest.mark.parametrize("panels", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_quadrature_keeps_the_bits(monkeypatch, panels):
+    """Integrating the panels block by block gives bit for bit the heights
+    of one block over all of them, at and around the block edges; so do
+    the scalar integrals. (A block of 7 panels changes low bits: BLAS
+    handles the tail of a matrix-vector product in another order.)"""
+    seen = []
+    real = geometry._embedding_integrand
+
+    def recording(u, b0, one_minus_q):
+        seen.append(len(u))
+        return real(u, b0, one_minus_q)
+
+    monkeypatch.setattr(geometry, "_embedding_integrand", recording)
+    for q in (-3.0, -1.0, 0.5, 0.95, 0.999):
+        for b0 in (0.01, 1.0, 1e3):
+            shape = ShapeFunction(b0, q)
+            radii = panel_radii(b0, panels)
+            seen.clear()
+            reference = one_block(monkeypatch, lambda: embedding_height(shape, radii))
+            assert seen[0] == panels  # the 16-node rule's one block
+            assert_same_bits(embedding_height(shape, radii), reference)
+    for r in (1.5, 40.0, 3e4):
+        shape = ShapeFunction(1.0, 0.5)
+        assert_same_bits(proper_distance(shape, r),
+                         one_block(monkeypatch, lambda: proper_distance(shape, r)))
+        assert_same_bits(gp_time_offset(r, 1.5, 1.0),
+                         one_block(monkeypatch, lambda: gp_time_offset(r, 1.5, 1.0)))
+
+
+def test_blocked_quadrature_names_the_first_failing_panel(monkeypatch):
+    """A jump inside a panel of the third block fails the check there, with
+    the interval of one block over all panels."""
+    u = np.arange(1, 2 * BLOCK + 4) * 0.001
+    jump = 0.7 * u[2 * BLOCK + 1] + 0.3 * u[2 * BLOCK + 2]
+
+    def step(v):
+        return np.where(v < jump, 0.0, 1.0)
+
+    def message():
+        with pytest.raises(ConvergenceError) as failure:
+            _integrate_from_throat(step, 1.0, u)
+        return str(failure.value)
+
+    expected = one_block(monkeypatch, message)
+    assert message() == expected
+    assert f"[1.0, {1.0 + float(u[2 * BLOCK + 2]) ** 2!r}]" in expected
+
+
+def test_embedding_height_memory_is_bounded():
+    """200001 radii integrate within 12x the radii's bytes of traced memory
+    (85x when every panel's nodes were evaluated at once)."""
+    shape = ShapeFunction(1.0, -1.0)
+    radii = 1.0 + np.arange(200001) * 5e-5
+    tracemalloc.start()
+    try:
+        embedding_height(shape, radii)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * radii.nbytes
 
 
 def test_uniform_grid_points():

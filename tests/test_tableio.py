@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,7 +137,10 @@ def whole(columns):
     return [odd(columns[0]), *map(even, columns[1:])]
 
 
-MIRRORED_HALVES = [2, 3, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7]
+# around the first chunk's edge, and a later one's, where the spill holds
+# several chunks
+MIRRORED_HALVES = [2, 3, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 4 * CHUNK_ROWS - 1,
+                   4 * CHUNK_ROWS, 4 * CHUNK_ROWS + 1, 8 * CHUNK_ROWS + 7]
 
 
 @pytest.mark.parametrize("half_rows", [1] + MIRRORED_HALVES)
@@ -276,3 +280,20 @@ def test_json_table_is_formatted_chunk_by_chunk(tmp_path, monkeypatch, kind):
     assert max(seen) <= CHUNK_ROWS
     assert sum(seen) == len(header) * (len(half[0]) if mirrored else rows)
     assert path.read_text() == reference("json", header, columns)
+
+
+def test_mirrored_write_memory_is_bounded(tmp_path):
+    """A mirrored half's write holds O(CHUNK_ROWS) rows of text: at 16
+    CHUNK_ROWS rows it peaks within 1.1x of its peak at 4 CHUNK_ROWS."""
+    def peak(rows, out_format):
+        x = np.arange(rows) * 0.1
+        half = Table({"x": x, "y": np.sqrt(x + 2.0), "z": x / 3.0}, mirrored=True)
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / f"t{rows}", half, out_format)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for out_format in FORMATS:
+        assert peak(16 * CHUNK_ROWS, out_format) <= 1.1 * peak(4 * CHUNK_ROWS, out_format)
