@@ -5,10 +5,12 @@ Subcommands: profile1d, solve-gp, profile3d, embed, presets. Each takes
 --set SECTION.KEY=VALUE overrides. --set accepts any key of
 ``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
 ``species:NAME.mass_u=7`` for a preset); an unknown section or key is an
-error. Exit codes: 0 success, 1 usage/config/numeric failure (one line on
-stderr), 2 feasibility failure under --strict. A run's files reach --out
-only when its command returns (``tableio.staged``): a run that exits 1
-writes no file and leaves an earlier run's files as they were.
+error. Each command reads a setting by that section and key from the
+settings ``config.load_config`` resolves. Exit codes: 0 success, 1
+usage/config/numeric failure (one line on stderr), 2 feasibility failure
+under --strict. A run's files reach --out only when its command returns
+(``tableio.staged``): a run that exits 1 writes no file and leaves an
+earlier run's files as they were.
 
 Environment: WORMBEC_PRESET_DIR names a directory of preset *.ini files;
 ``python -m wormbec`` and the installed script default OPENBLAS_NUM_THREADS
@@ -90,29 +92,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _one_b0(wormhole: dict) -> float:
+    if len(wormhole["b0_um"]) != 1:
+        raise ConfigError("this subcommand needs exactly one b0_um value, "
+                          f"got {list(wormhole['b0_um'])}")
+    return wormhole["b0_um"][0]
+
+
 def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
     from . import geometry, profile1d, tableio
-    _check_tags("q", cfg.q_list)
-    _check_tags("b0_um", cfg.b0_list)
+    wormhole, grid, output = (cfg.settings[s] for s in ("wormhole", "grid", "output"))
+    _check_tags("q", wormhole["q"])
+    _check_tags("b0_um", wormhole["b0_um"])
+    x_max, step = grid["x_max_um"], grid["step_um"]
     all_feasible = True
-    for q, b0 in product(cfg.q_list, cfg.b0_list):
+    for q, b0 in product(wormhole["q"], wormhole["b0_um"]):
         shape = geometry.ShapeFunction(b0=b0, q=q)
-        profile = profile1d.sample_profile_1d(shape, cfg.spec, cfg.x_max, cfg.x_step)
+        profile = profile1d.sample_profile_1d(shape, cfg.spec, x_max, step)
         report = {
             "wormhole": {"b0_um": b0, "q": q,
                          "throat_class": shape.throat_class.value},
-            "grid": {"x_max_um": cfg.x_max, "step_um": cfg.x_step},
+            "grid": {"x_max_um": x_max, "step_um": step},
             "species": cfg.spec.species.name,
             "a_bg_a0": m_to_bohr(cfg.spec.resonance.a_bg),
             "feasibility": profile1d.feasibility_1d(
-                shape, cfg.spec, cfg.x_max, cfg.x_step,
-                threshold=cfg.slope_threshold, window=cfg.throat_exclusion),
+                shape, cfg.spec, x_max, step,
+                threshold=cfg.settings["thresholds"]["slope_per_um"],
+                window=grid["throat_exclusion_um"]),
             "slope_at_x10": profile1d.slope_metric(shape, cfg.spec.resonance, 10.0),
         }
         all_feasible = all_feasible and report["feasibility"]["feasible"]
         tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
-        tableio.write_table(cfg.out_dir / f"profile1d_{tag}", profile, cfg.out_format)
-        tableio.write_json(cfg.out_dir / f"feasibility_{tag}.json", report)
+        tableio.write_table(output["dir"] / f"profile1d_{tag}", profile, output["format"])
+        tableio.write_json(output["dir"] / f"feasibility_{tag}.json", report)
     if strict and not all_feasible:
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -120,22 +132,24 @@ def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
 
 def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
     from . import gp3d, tableio
-    b0 = cfg.single_b0()
-    r_min = cfg.r_min if cfg.r_min is not None else 1.1 * b0
-    r_max = cfg.r_max if cfg.r_max is not None else 10.0 * b0
-    r_step = cfg.r_step if cfg.r_step is not None else 0.05 * b0
-    solution = gp3d.solve_matching(cfg.v_inf, b0, r_min, r_max, r_step,
-                                   throat_epsilon=cfg.throat_epsilon)
+    grid, output = cfg.settings["grid"], cfg.settings["output"]
+    v_inf = cfg.settings["observer"]["v_inf_m_per_s"]
+    b0 = _one_b0(cfg.settings["wormhole"])
+    r_min = grid["r_min_um"] if grid["r_min_um"] is not None else 1.1 * b0
+    r_max = grid["r_max_um"] if grid["r_max_um"] is not None else 10.0 * b0
+    r_step = grid["r_step_um"] if grid["r_step_um"] is not None else 0.05 * b0
+    solution = gp3d.solve_matching(v_inf, b0, r_min, r_max, r_step,
+                                   throat_epsilon=grid["throat_epsilon"])
     summary = {
-        "v_inf_m_per_s": cfg.v_inf,
+        "v_inf_m_per_s": v_inf,
         "b0_um": b0,
-        "fold_radius_um": gp3d.fold_radius(cfg.v_inf, b0),
+        "fold_radius_um": gp3d.fold_radius(v_inf, b0),
         "grid": {"r_min_um": r_min, "r_max_um": r_max, "step_um": r_step},
-        **gp3d.matching_summary(solution, cfg.v_inf, b0),
+        **gp3d.matching_summary(solution, v_inf, b0),
     }
-    tag = f"vinf{_fmt(cfg.v_inf)}_b0{_fmt(b0)}"
-    tableio.write_table(cfg.out_dir / f"gp_solution_{tag}", solution, cfg.out_format)
-    tableio.write_json(cfg.out_dir / f"gp_summary_{tag}.json", summary)
+    tag = f"vinf{_fmt(v_inf)}_b0{_fmt(b0)}"
+    tableio.write_table(output["dir"] / f"gp_solution_{tag}", solution, output["format"])
+    tableio.write_json(output["dir"] / f"gp_summary_{tag}.json", summary)
     if strict and summary["points_converged"] < summary["points"]:
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -143,16 +157,18 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
 
 def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
     from . import profile3d, tableio
-    b0 = cfg.single_b0()
-    layout = profile3d.LabLayout(R=cfg.layout_r, b0=b0)
-    profile = profile3d.lab_profiles_3d(layout, cfg.v_inf, cfg.spec, cfg.x_step,
-                                        pole_delta=cfg.pole_delta)
+    thresholds, output = cfg.settings["thresholds"], cfg.settings["output"]
+    v_inf, step = cfg.settings["observer"]["v_inf_m_per_s"], cfg.settings["grid"]["step_um"]
+    R, b0 = cfg.settings["layout"]["R_um"], _one_b0(cfg.settings["wormhole"])
+    layout = profile3d.LabLayout(R=R, b0=b0)
+    profile = profile3d.lab_profiles_3d(layout, v_inf, cfg.spec, step,
+                                        pole_delta=thresholds["pole_delta"])
     report = profile3d.feasibility_report_3d(
-        layout, cfg.v_inf, cfg.spec, profile, cfg.x_step,
-        resolution_factor=cfg.resolution_factor)
-    tag = f"R{_fmt(cfg.layout_r)}_b0{_fmt(b0)}_vinf{_fmt(cfg.v_inf)}"
-    tableio.write_table(cfg.out_dir / f"profile3d_{tag}", profile, cfg.out_format)
-    tableio.write_json(cfg.out_dir / f"report_{tag}.json", report)
+        layout, v_inf, cfg.spec, profile, step,
+        resolution_factor=thresholds["resolution_factor"])
+    tag = f"R{_fmt(R)}_b0{_fmt(b0)}_vinf{_fmt(v_inf)}"
+    tableio.write_table(output["dir"] / f"profile3d_{tag}", profile, output["format"])
+    tableio.write_json(output["dir"] / f"report_{tag}.json", report)
     feasible = (report["near_asymptote_samples"] == 0
                 and report["resolution"]["passed"])
     if strict and not feasible:
@@ -162,22 +178,24 @@ def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
 
 def cmd_embed(cfg: RunConfig, strict: bool) -> int:
     from . import geometry, tableio
-    if cfg.r_max is not None and cfg.r_max <= max(cfg.b0_list):
-        raise ConfigError(f"[grid] r_max_um must exceed b0, got {cfg.r_max!r}")
-    _check_tags("q", cfg.q_list)
-    _check_tags("b0_um", cfg.b0_list)
-    for q, b0 in product(cfg.q_list, cfg.b0_list):
+    wormhole, grid, output = (cfg.settings[s] for s in ("wormhole", "grid", "output"))
+    if grid["r_max_um"] is not None and grid["r_max_um"] <= max(wormhole["b0_um"]):
+        raise ConfigError(f"[grid] r_max_um must exceed b0, got {grid['r_max_um']!r}")
+    _check_tags("q", wormhole["q"])
+    _check_tags("b0_um", wormhole["b0_um"])
+    for q, b0 in product(wormhole["q"], wormhole["b0_um"]):
         shape = geometry.ShapeFunction(b0=b0, q=q)
-        r_max = cfg.r_max if cfg.r_max is not None else 5.0 * b0
-        r_step = cfg.r_step if cfg.r_step is not None else (r_max - b0) / 200.0
+        r_max = grid["r_max_um"] if grid["r_max_um"] is not None else 5.0 * b0
+        r_step = grid["r_step_um"] if grid["r_step_um"] is not None else (r_max - b0) / 200.0
         radii = geometry.uniform_grid(b0, r_max - b0, r_step)
         table = tableio.Table({"r_um": radii, "z_um": geometry.embedding_height(shape, radii)})
-        tableio.write_table(cfg.out_dir / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}", table,
-                            cfg.out_format)
+        tableio.write_table(output["dir"] / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}", table,
+                            output["format"])
     return EXIT_OK
 
 
 def cmd_presets(cfg: RunConfig, strict: bool) -> int:
+    thresholds = cfg.settings["thresholds"]
     lines = ["species (mass from standard atomic weight):"]
     for name in sorted(cfg.species_registry):
         species = cfg.species_registry[name]
@@ -190,8 +208,8 @@ def cmd_presets(cfg: RunConfig, strict: bool) -> int:
                      f"B_res = {_fmt(res.b_res)} G")
     lines.append("defaults:")
     lines.append(f"  density = {cfg.spec.density!r} m^-3")
-    lines.append(f"  slope capability = {cfg.slope_threshold!r} per um")
-    lines.append(f"  resolution factor = {cfg.resolution_factor!r}")
+    lines.append(f"  slope capability = {thresholds['slope_per_um']!r} per um")
+    lines.append(f"  resolution factor = {thresholds['resolution_factor']!r}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -3,8 +3,14 @@
 ``SCHEMA`` is the one place a setting is declared: its default, parser
 and constraint. ``load_config`` lays an optional INI file, then
 ``SECTION.KEY=VALUE`` overrides, over those defaults and parses every
-value in one pass. A section or key outside ``SCHEMA`` is a
-``ConfigError``, as is a value that does not parse, is not finite or
+value in one pass. It returns a ``RunConfig``: the parsed settings keyed
+as in ``SCHEMA`` (``settings["grid"]["step_um"]``, one dict per section
+that is not a preset), the ``CondensateSpec`` they name, and the species
+and resonance registries. ``wormhole.ellis = true`` lands in the settings
+themselves: it sets ``settings["wormhole"]["q"]`` to ``(-1.0,)``.
+
+A section or key outside ``SCHEMA`` is a ``ConfigError``, as is an INI
+``[DEFAULT]`` section and a value that does not parse, is not finite or
 breaks its constraint. Preset sections, in the config file or in the
 ``*.ini`` files under ``$WORMBEC_PRESET_DIR``, add to the built-in
 species and resonances; a preset name is looked up as given, then
@@ -16,9 +22,8 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .exceptions import ConfigError
 from .feshbach import (ATOMIC_MASS, AtomSpecies, CondensateSpec,
@@ -105,44 +110,28 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved, validated run parameters."""
+class RunConfig(NamedTuple):
+    """A resolved run: the settings by SCHEMA section and key, the
+    condensate they name, and the preset registries."""
 
-    b0_list: tuple[float, ...]
-    q_list: tuple[float, ...]
-    v_inf: float
+    settings: dict[str, dict[str, Any]]
     spec: CondensateSpec
-    x_max: float
-    x_step: float
-    r_min: float | None
-    r_max: float | None
-    r_step: float | None
-    throat_epsilon: float
-    throat_exclusion: float
-    layout_r: float
-    slope_threshold: float
-    resolution_factor: float
-    pole_delta: float
-    out_dir: Path
-    out_format: str
     species_registry: dict[str, AtomSpecies]
     resonance_registry: dict[str, FeshbachResonance]
 
-    def single_b0(self) -> float:
-        if len(self.b0_list) != 1:
-            raise ConfigError("this subcommand needs exactly one b0_um value, "
-                              f"got {list(self.b0_list)}")
-        return self.b0_list[0]
-
 
 def _read_ini(path: Path) -> dict[str, dict[str, str]]:
-    """The sections of one INI file; a parse failure is a ConfigError."""
+    """The sections of one INI file; a parse failure is a ConfigError, as
+    is a [DEFAULT] section, whose keys configparser copies into every
+    section."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case (R_um)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
+        if parser.defaults():
+            raise ConfigError(f"{path}: [DEFAULT] is not allowed; "
+                              "give each key under its own section")
         return {section: dict(parser[section]) for section in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
@@ -231,11 +220,11 @@ def load_config(config_path: str | None = None,
             else:
                 resonance_registry[name.strip()] = FeshbachResonance.from_lab_units(*preset)
 
-    values = {section: _parse_section(section, data.get(section, {}))
-              for section in dict.fromkeys([*SCHEMA, *data]) if ":" not in section}
-
-    wormhole, condensate, grid, thresholds = (
-        values[section] for section in ("wormhole", "condensate", "grid", "thresholds"))
+    settings = {section: _parse_section(section, data.get(section, {}))
+                for section in dict.fromkeys([*SCHEMA, *data]) if ":" not in section}
+    wormhole, condensate = settings["wormhole"], settings["condensate"]
+    if wormhole["ellis"]:
+        wormhole["q"] = (-1.0,)
     if condensate["mass_u"] is not None:
         species = AtomSpecies(condensate["species"], condensate["mass_u"] * ATOMIC_MASS)
     else:
@@ -247,21 +236,5 @@ def load_config(config_path: str | None = None,
         resonance_name = condensate["resonance"]
         resonance = _lookup(resonance_registry, "resonance",
                             species.name if resonance_name is None else resonance_name)
-
-    return RunConfig(
-        b0_list=wormhole["b0_um"],
-        q_list=(-1.0,) if wormhole["ellis"] else wormhole["q"],
-        v_inf=values["observer"]["v_inf_m_per_s"],
-        spec=CondensateSpec(species, resonance, condensate["density_per_m3"]),
-        x_max=grid["x_max_um"], x_step=grid["step_um"],
-        r_min=grid["r_min_um"], r_max=grid["r_max_um"], r_step=grid["r_step_um"],
-        throat_epsilon=grid["throat_epsilon"],
-        throat_exclusion=grid["throat_exclusion_um"],
-        layout_r=values["layout"]["R_um"],
-        slope_threshold=thresholds["slope_per_um"],
-        resolution_factor=thresholds["resolution_factor"],
-        pole_delta=thresholds["pole_delta"],
-        out_dir=values["output"]["dir"],
-        out_format=values["output"]["format"],
-        species_registry=species_registry, resonance_registry=resonance_registry,
-    )
+    spec = CondensateSpec(species, resonance, condensate["density_per_m3"])
+    return RunConfig(settings, spec, species_registry, resonance_registry)

@@ -540,14 +540,14 @@ def test_config_file_plus_override(tmp_path):
                       "[observer]\nv_inf_m_per_s = 0.012\n")
     cfg = load_config(config_path=str(config),
                       overrides=["observer.v_inf_m_per_s=0.015"])
-    assert cfg.b0_list == (2.0,)
-    assert cfg.q_list == (0.5,)
-    assert cfg.v_inf == 0.015
+    assert cfg.settings["wormhole"]["b0_um"] == (2.0,)
+    assert cfg.settings["wormhole"]["q"] == (0.5,)
+    assert cfg.settings["observer"]["v_inf_m_per_s"] == 0.015
 
 
 def test_ellis_flag_sets_q(tmp_path):
     cfg = load_config(overrides=["wormhole.ellis=true", "wormhole.q=2,3"])
-    assert cfg.q_list == (-1.0,)
+    assert cfg.settings["wormhole"]["q"] == (-1.0,)
 
 
 def test_json_table_format(tmp_path):

@@ -1,0 +1,163 @@
+"""Run settings: every SCHEMA key is read under its own name, an INI file
+holds named sections only, and the kernels' keyword defaults repeat
+SCHEMA's."""
+
+import contextlib
+import hashlib
+import inspect
+import io
+from pathlib import Path
+
+import pytest
+
+from wormbec import feshbach, gp3d, profile1d, profile3d
+from wormbec.cli import main
+from wormbec.config import SCHEMA, load_config
+
+SUBCOMMANDS = ("profile1d", "solve-gp", "profile3d", "embed", "presets")
+
+# All three resonance keys, which are only valid together.
+_RESONANCE = ("condensate.a_bg_a0=60", "condensate.width_g=1", "condensate.b_res_g=900")
+
+# SECTION.KEY -> (context, probe, parsed probe). The context overrides are
+# set with and without the probe, so the probe alone makes any difference.
+PROBES = {
+    "wormhole.b0_um": ((), "2", (2.0,)),
+    "wormhole.q": ((), "0.5", (0.5,)),
+    "wormhole.ellis": (("wormhole.q=0.5",), "true", True),
+    "observer.v_inf_m_per_s": ((), "0.02", 0.02),
+    "condensate.species": (("condensate.resonance=Cs",), "Rb", "Rb"),
+    "condensate.resonance": (("resonance:Probe.a_bg_a0=60", "resonance:Probe.width_g=1",
+                              "resonance:Probe.b_res_g=900"), "Probe", "Probe"),
+    "condensate.density_per_m3": ((), "2e21", 2e21),
+    "condensate.mass_u": ((), "140", 140.0),
+    "condensate.a_bg_a0": (_RESONANCE, "61", 61.0),
+    "condensate.width_g": (_RESONANCE, "1.5", 1.5),
+    "condensate.b_res_g": (_RESONANCE, "901", 901.0),
+    "grid.x_max_um": ((), "10", 10.0),
+    "grid.step_um": ((), "0.2", 0.2),
+    "grid.r_min_um": ((), "1.2", 1.2),
+    "grid.r_max_um": ((), "8", 8.0),
+    "grid.r_step_um": ((), "0.1", 0.1),
+    "grid.throat_epsilon": ((), "0.2", 0.2),
+    "grid.throat_exclusion_um": ((), "2", 2.0),
+    "layout.R_um": ((), "6", 6.0),
+    "thresholds.slope_per_um": ((), "0.1", 0.1),
+    "thresholds.resolution_factor": ((), "20", 20.0),
+    "thresholds.pole_delta": ((), "0.1", 0.1),
+    "output.dir": ((), "probe-dir", Path("probe-dir")),
+    "output.format": ((), " JSON", "json"),
+}
+
+# throat_epsilon only bounds r_min from below: its probe turns the default
+# solve-gp grid (r_min = 1.1 b0) into a one-line error.
+FAILING_PROBES = {"grid.throat_epsilon": {"solve-gp"}}
+
+
+def test_probe_table_covers_every_setting():
+    assert set(PROBES) == {f"{section}.{key}" for section, keys in SCHEMA.items()
+                           if not section.endswith(":") for key in keys}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_setting_lands_under_its_own_name(name):
+    """The probe appears parsed at its own section and key, and nowhere
+    else (``ellis`` also sets ``q``)."""
+    context, raw, parsed = PROBES[name]
+    section, key = name.split(".")
+    before = load_config(overrides=list(context)).settings
+    after = load_config(overrides=[*context, f"{name}={raw}"]).settings
+    assert after[section][key] == parsed
+    changed = {f"{s}.{k}" for s in after for k in after[s] if after[s][k] != before[s][k]}
+    assert changed == {name} | ({"wormhole.q"} if name == "wormhole.ellis" else set())
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Each subcommand's exit code and digest of stdout, stderr and written
+    files under a list of overrides, cached by that list."""
+    cache = {}
+
+    def run(overrides):
+        if overrides not in cache:
+            cache[overrides] = {}
+            for sub in SUBCOMMANDS:
+                out = tmp_path_factory.mktemp("out")
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([sub, "--out", str(out),
+                                 *(arg for item in overrides for arg in ("--set", item))])
+                digest = hashlib.sha256(f"{stdout.getvalue()}\0{stderr.getvalue()}".encode())
+                for path in sorted(out.iterdir()):
+                    digest.update(path.name.encode() + b"\0" + path.read_bytes())
+                cache[overrides][sub] = (code, digest.hexdigest())
+        return cache[overrides]
+    return run
+
+
+@pytest.mark.parametrize("name", [name for name in PROBES if not name.startswith("output.")])
+def test_setting_changes_some_output(name, outputs):
+    """No setting is dead: the probe changes the bytes of at least one
+    subcommand's files or of the presets listing."""
+    context, raw, _ = PROBES[name]
+    before = outputs(context)
+    after = outputs((*context, f"{name}={raw}"))
+    assert all(code == 0 for code, _ in before.values())
+    failing = {sub for sub in SUBCOMMANDS if after[sub][0] != 0}
+    assert failing == FAILING_PROBES.get(name, set())
+    changed = [sub for sub in SUBCOMMANDS if after[sub] != before[sub]]
+    assert changed, f"{name}={raw} changed no output"
+
+
+@pytest.mark.parametrize("where, text", [
+    ("config", "[DEFAULT]\nq = 0.5\n"),
+    ("config", "[DEFAULT]\nstep_um = 0.05\n[grid]\nx_max_um = 20\n"),
+    ("preset-dir", "[DEFAULT]\nmass_u = 4\n[species:He]\n"),
+], ids=["config-default-only", "config-default-and-grid", "preset-dir"])
+def test_ini_default_section_is_an_error(tmp_path, monkeypatch, capsys, where, text):
+    """configparser would copy [DEFAULT] keys into every section, or drop
+    them; the run stops with one line naming the file instead."""
+    ini = tmp_path / "presets" / "run.ini"
+    ini.parent.mkdir()
+    ini.write_text(text)
+    out = tmp_path / "out"
+    args = ["profile1d", "--out", str(out)]
+    if where == "config":
+        args += ["--config", str(ini)]
+    else:
+        monkeypatch.setenv("WORMBEC_PRESET_DIR", str(ini.parent))
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "[DEFAULT]" in err and str(ini) in err
+    assert not out.exists()
+
+
+def _schema_default(section, key):
+    default, parse, _ = SCHEMA[section][key]
+    return parse(default)
+
+
+@pytest.mark.parametrize("function, parameter, setting", [
+    (profile1d.sample_profile_1d, "x_max", "grid.x_max_um"),
+    (profile1d.sample_profile_1d, "step", "grid.step_um"),
+    (profile1d.feasibility_1d, "x_max", "grid.x_max_um"),
+    (profile1d.feasibility_1d, "step", "grid.step_um"),
+    (profile1d.feasibility_1d, "threshold", "thresholds.slope_per_um"),
+    (profile1d.feasibility_1d, "window", "grid.throat_exclusion_um"),
+    (profile3d.lab_profiles_3d, "pole_delta", "thresholds.pole_delta"),
+    (gp3d.solve_matching, "throat_epsilon", "grid.throat_epsilon"),
+    (profile3d.feasibility_report_3d, "resolution_factor", "thresholds.resolution_factor"),
+    (feshbach.cesium_condensate, "density", "condensate.density_per_m3"),
+])
+def test_keyword_default_matches_schema(function, parameter, setting):
+    """The library's keyword defaults repeat SCHEMA's, so a call without
+    the keyword computes what the CLI does at its defaults."""
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == _schema_default(*setting.split("."))
+
+
+def test_default_condensate_is_cesium():
+    assert _schema_default("condensate", "species") == "Cs"
+    assert SCHEMA["condensate"]["resonance"][0] is None  # the species' own
+    assert load_config().spec == feshbach.cesium_condensate()
