@@ -135,7 +135,8 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
     grid, output = cfg.settings["grid"], cfg.settings["output"]
     v_inf = cfg.settings["observer"]["v_inf_m_per_s"]
     b0 = _one_b0(cfg.settings["wormhole"])
-    r_min = grid["r_min_um"] if grid["r_min_um"] is not None else 1.1 * b0
+    r_min = (grid["r_min_um"] if grid["r_min_um"] is not None
+             else b0 * max(1.1, 1.0 + grid["throat_epsilon"]))
     r_max = grid["r_max_um"] if grid["r_max_um"] is not None else 10.0 * b0
     r_step = grid["r_step_um"] if grid["r_step_um"] is not None else 0.05 * b0
     solution = gp3d.solve_matching(v_inf, b0, r_min, r_max, r_step,

@@ -14,16 +14,18 @@ u ~ sqrt(b0). The u axis is cut into panels at 0, at every requested
 target and at the graded points sqrt(b0) * 2**k (k >= 0) below the
 largest target; each panel gets a 16-node Gauss-Legendre rule and the
 panel sums are accumulated, so one pass yields the integral at every
-target. The rules are evaluated over blocks of 1024 consecutive panels
-(``_PANEL_BLOCK``) into one array of panel sums, accumulated by a single
-cumsum, which gives the bits of evaluating all panels at once. Beside
-about 9 arrays of one double per target (for 200001 radii a tracemalloc
-peak of 13.7 MiB, 9x the radii), the working memory is one block's nodes
-and their temporaries, about 1 MiB whatever the target count. The grading
-matters: a single 32-node rule on [0, u_max] is off by 7e-8 at r/b0 = 1e3
-and by 1e-4 at 1e4. As a check, the same sums are taken with 20 nodes;
-where the two differ by more than max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|),
-or are not finite, ConvergenceError is raised.
+target. The rules are literals in this module (``_gauss_rules``), not
+built from numpy.polynomial. They are evaluated over blocks of 1024
+consecutive panels (``_PANEL_BLOCK``) into one array of panel sums,
+accumulated by a single cumsum, which gives the bits of evaluating all
+panels at once. Beside about 9 arrays of one double per target (for
+200001 radii a tracemalloc peak of 13.7 MiB, 9x the radii), the working
+memory is one block's nodes and their temporaries, about 1 MiB whatever
+the target count. The grading matters: a single 32-node rule on
+[0, u_max] is off by 7e-8 at r/b0 = 1e3 and by 1e-4 at 1e4. As a check,
+the same sums are taken with 20 nodes; where the two differ by more than
+max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|), or are not finite,
+ConvergenceError is raised.
 
 Verified against 30-digit mpmath tanh-sinh quadrature for q in
 [-3, 0.99], b0 in {0.01, 1, 100} and r/b0 from 1 + 1e-9 to 1e9: both
@@ -153,9 +155,30 @@ def _check_side(side: int) -> int:
 @functools.cache
 def _gauss_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Gauss-Legendre (nodes, weights) on [-1, 1]: the 16-node rule and its
-    20-node check, built on first use (importing numpy.polynomial costs
-    milliseconds that the modules which never integrate need not pay)."""
-    return np.polynomial.legendre.leggauss(16), np.polynomial.legendre.leggauss(20)
+    20-node check, written as the repr of ``numpy.polynomial.legendre``'s
+    ``leggauss(16)`` and ``leggauss(20)``, which round-trips bit for bit
+    (importing numpy.polynomial to solve for them would cost a process
+    milliseconds and 1.7 MB)."""
+    return tuple((np.array(nodes), np.array(weights)) for nodes, weights in (
+        ([-0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+          -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+          0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+          0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+         [0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+          0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+          0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+          0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176]),
+        ([-0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+          -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+          -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+          0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+          0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095],
+         [0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+          0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+          0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+          0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+          0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893]),
+    ))
 
 
 def _integrate_from_throat(integrand: Callable[[np.ndarray], np.ndarray],

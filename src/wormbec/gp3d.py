@@ -42,7 +42,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, PoleError
 from .geometry import _check_throat, _float_or_array, _integrate_from_throat, uniform_grid
-from .tableio import Table
+from .tableio import CHUNK_ROWS, Table
 
 __all__ = [
     "DEFAULT_LIGHT_SPEED",
@@ -207,6 +207,26 @@ def fold_radius(v_inf: float, b0: float,
     return b0 * (light_speed ** 2 + v_inf ** 2) / (2.0 * v_inf * light_speed)
 
 
+def _closed_form(radii: np.ndarray, v_inf: float, b0: float, k: float,
+                 light_speed: float) -> tuple[np.ndarray, ...]:
+    """(cs0, vr, res1, res2) of the closed-form root at each radius, with
+    k = (v_inf/light_speed)**2 (module docstring)."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        f = _ellis_factor(radii, b0)
+        g = (b0 / radii) ** 2
+        disc = np.maximum(g * (g * (1.0 - k) ** 2 - 4.0 * f * k), 0.0)
+        xf = 0.5 * (g * (1.0 - k) + np.sqrt(disc))   # X f
+        x = xf / f
+        gs2f = 1.0 + (xf - g)   # (1 + X) f, as f + g = 1
+        cs0 = v_inf * np.sqrt(gs2f) / np.sqrt(xf)
+        # x > k up to the fold; past it the clamped root can equal k, where
+        # no v^r balances the cross terms: keep that flagged radius finite
+        gap = x - k
+        gap[gap == 0.0] = np.spacing(k)
+        vr = v_inf * (x / gap) / np.sqrt(gs2f)
+        return (cs0, vr, *matching_residuals(radii, cs0, vr, v_inf, b0, light_speed))
+
+
 def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
                    step: float, *, light_speed: float = DEFAULT_LIGHT_SPEED,
                    throat_epsilon: float = 1e-3) -> Table:
@@ -217,6 +237,11 @@ def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
     converged when both residuals are below RESIDUAL_TOL; radii past the
     fold are flagged, and only a whole-grid failure raises. Arithmetic that
     leaves the finite doubles raises FloatingPointError.
+
+    The radii are solved in blocks of CHUNK_ROWS into the preallocated
+    output columns, which gives the bits of solving all at once: beside
+    the six columns, the working set is one block's ~25 temporaries,
+    about 0.2 MiB whatever the grid size.
     """
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
@@ -234,21 +259,13 @@ def solve_matching(v_inf: float, b0: float, r_min: float, r_max: float,
 
     radii = uniform_grid(r_min, r_max - r_min, step)
     k = (v_inf / light_speed) ** 2
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        f = _ellis_factor(radii, b0)
-        g = (b0 / radii) ** 2
-        disc = np.maximum(g * (g * (1.0 - k) ** 2 - 4.0 * f * k), 0.0)
-        xf = 0.5 * (g * (1.0 - k) + np.sqrt(disc))   # X f
-        x = xf / f
-        gs2f = 1.0 + (xf - g)   # (1 + X) f, as f + g = 1
-        cs0 = v_inf * np.sqrt(gs2f) / np.sqrt(xf)
-        # x > k up to the fold; past it the clamped root can equal k, where
-        # no v^r balances the cross terms: keep that flagged radius finite
-        gap = x - k
-        gap[gap == 0.0] = np.spacing(k)
-        vr = v_inf * (x / gap) / np.sqrt(gs2f)
-        res1, res2 = matching_residuals(radii, cs0, vr, v_inf, b0, light_speed)
-    converged = np.maximum(np.abs(res1), np.abs(res2)) < RESIDUAL_TOL
+    cs0, vr, res1, res2 = (np.empty_like(radii) for _ in range(4))
+    converged = np.empty(radii.shape, dtype=bool)
+    for start in range(0, radii.size, CHUNK_ROWS):
+        block = slice(start, start + CHUNK_ROWS)
+        cs0[block], vr[block], res1[block], res2[block] = _closed_form(
+            radii[block], v_inf, b0, k, light_speed)
+        converged[block] = np.maximum(np.abs(res1[block]), np.abs(res2[block])) < RESIDUAL_TOL
 
     if not converged.any():
         raise ConvergenceError(
@@ -263,14 +280,24 @@ def matching_summary(solution: Table, v_inf: float, b0: float) -> dict:
     """Point counts, the largest residuals and the largest relative deviation
     of (cs0, vr) from the small-velocity limit of a ``solve_matching`` table:
     the solver statistics of the solve-gp summary. Maxima are over the
-    converged radii (past the fold the values solve nothing)."""
+    converged radii (past the fold the values solve nothing). They are
+    taken block by block, CHUNK_ROWS radii at a time, so the working set is
+    one block's converged values whatever the grid size."""
     columns = solution.columns
     ok = columns["converged"]
-    cs0, vr = columns["cs0_m_per_s"][ok], columns["vr_m_per_s"][ok]
-    cs0_ref, vr_ref = zero_order_solution(columns["r_um"][ok], v_inf, b0)
+    maxima = []
+    for start in range(0, ok.size, CHUNK_ROWS):
+        block = slice(start, start + CHUNK_ROWS)
+        keep = ok[block]
+        if not keep.any():
+            continue
+        cs0, vr = columns["cs0_m_per_s"][block][keep], columns["vr_m_per_s"][block][keep]
+        cs0_ref, vr_ref = zero_order_solution(columns["r_um"][block][keep], v_inf, b0)
+        maxima.append((abs(columns["res1"][block][keep]).max(),
+                       abs(columns["res2"][block][keep]).max(),
+                       np.max(np.abs(cs0 - cs0_ref) / cs0_ref),
+                       np.max(np.abs(vr - vr_ref) / vr_ref)))
+    res1, res2, dev_cs0, dev_vr = np.max(maxima, axis=0).tolist()
     return {"points": int(ok.size), "points_converged": int(ok.sum()),
-            "max_abs_residual1": float(abs(columns["res1"][ok]).max()),
-            "max_abs_residual2": float(abs(columns["res2"][ok]).max()),
-            "max_rel_deviation_from_zero_order": {
-                "cs0": float(np.max(np.abs(cs0 - cs0_ref) / cs0_ref)),
-                "vr": float(np.max(np.abs(vr - vr_ref) / vr_ref))}}
+            "max_abs_residual1": res1, "max_abs_residual2": res2,
+            "max_rel_deviation_from_zero_order": {"cs0": dev_cs0, "vr": dev_vr}}

@@ -143,6 +143,15 @@ def test_solve_gp_strict_flags_unconverged_radius(tmp_path, monkeypatch):
     assert run(tmp_path / "real", *args, "--strict") == 0
 
 
+@pytest.mark.parametrize("epsilon, r_min", [("1e-3", 1.1), ("0.1", 1.1), ("0.2", 1.2), ("1.5", 2.5)])
+def test_solve_gp_default_grid_starts_clear_of_throat_epsilon(tmp_path, epsilon, r_min):
+    """Without r_min_um the grid starts at b0 * max(1.1, 1 + throat_epsilon)."""
+    assert run(tmp_path, "solve-gp", "--set", "wormhole.b0_um=2",
+               "--set", f"grid.throat_epsilon={epsilon}") == 0
+    summary = json.loads((tmp_path / "gp_summary_vinf0.01_b02.json").read_text())
+    assert summary["grid"]["r_min_um"] == 2 * r_min
+
+
 def test_solve_gp_rejects_multiple_b0(tmp_path):
     code = run(tmp_path, "solve-gp", "--set", "wormhole.b0_um=1,2")
     assert code == 1
@@ -602,6 +611,16 @@ def test_scipy_is_never_imported(tmp_path, argv):
     modules = _imported_modules([a.format(out=tmp_path) for a in argv])
     assert "wormbec" in modules
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_embed_never_imports_numpy_polynomial(tmp_path):
+    """The quadrature's Gauss-Legendre rules are literals, so an embed run
+    loads no numpy.polynomial (numpy 1.x loads it with numpy itself)."""
+    if "numpy.polynomial" in _imported_modules(["-c", "import numpy"]):
+        pytest.skip("this numpy imports numpy.polynomial itself")
+    modules = _imported_modules(["-m", "wormbec", "embed", "--out", str(tmp_path)])
+    assert "wormbec.geometry" in modules
+    assert not [m for m in modules if m == "numpy.polynomial" or m.startswith("numpy.polynomial.")]
 
 
 def test_usage_error_exits_1():

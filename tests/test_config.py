@@ -49,10 +49,6 @@ PROBES = {
     "output.format": ((), " JSON", "json"),
 }
 
-# throat_epsilon only bounds r_min from below: its probe turns the default
-# solve-gp grid (r_min = 1.1 b0) into a one-line error.
-FAILING_PROBES = {"grid.throat_epsilon": {"solve-gp"}}
-
 
 def test_probe_table_covers_every_setting():
     assert set(PROBES) == {f"{section}.{key}" for section, keys in SCHEMA.items()
@@ -103,8 +99,7 @@ def test_setting_changes_some_output(name, outputs):
     before = outputs(context)
     after = outputs((*context, f"{name}={raw}"))
     assert all(code == 0 for code, _ in before.values())
-    failing = {sub for sub in SUBCOMMANDS if after[sub][0] != 0}
-    assert failing == FAILING_PROBES.get(name, set())
+    assert all(code == 0 for code, _ in after.values())
     changed = [sub for sub in SUBCOMMANDS if after[sub] != before[sub]]
     assert changed, f"{name}={raw} changed no output"
 

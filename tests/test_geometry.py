@@ -328,3 +328,12 @@ def test_uniform_grid_cap_trips_before_allocation(monkeypatch):
     assert len(uniform_grid(0.0, 9.0, 1.0)) == 10
     with pytest.raises(DomainError):
         uniform_grid(0.0, 10.0, 1.0)
+
+
+@pytest.mark.parametrize("rule, nodes", [(0, 16), (1, 20)])
+def test_gauss_rules_are_leggauss(rule, nodes):
+    """The literal rules are numpy.polynomial's, bit for bit."""
+    reference = np.polynomial.legendre.leggauss(nodes)
+    for actual, expected in zip(geometry._gauss_rules()[rule], reference):
+        assert actual.dtype == expected.dtype
+        assert_same_bits(actual, expected)

@@ -2,11 +2,13 @@
 condensate metric, and the exact matching solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bitcheck import assert_same_bits
+from wormbec import gp3d
 from wormbec.exceptions import ConvergenceError, DomainError, PoleError
 from wormbec.feshbach import cesium_condensate, sound_speed_from_scattering
 from wormbec.geometry import ShapeFunction, metric_factor
@@ -18,6 +20,7 @@ from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, MetricAtPoint, bec_metric,
 from wormbec.profile1d import field_profile_1d, slope_metric
 from wormbec.profile3d import (detuning_denominator, field_profile_3d,
                                scattering_profile_3d, sound_speed_profile_3d)
+from wormbec.tableio import CHUNK_ROWS, Table
 
 
 def riemann_offset(b0, energy, r, panels=10**6):
@@ -327,3 +330,131 @@ def test_solver_grid_preconditions():
         solve_matching(0.2, 1.0, 1.1, 10.0, 0.1, light_speed=0.2)   # v_inf = c
     with pytest.raises(PoleError):
         solve_matching(0.01, 1.0, 1.0, 10.0, 0.1, throat_epsilon=0.0)
+
+
+def whole_grid(monkeypatch, compute):
+    """COMPUTE() with every radius of the grid solved in one block."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gp3d, "CHUNK_ROWS", 2**62)
+        return compute()
+
+
+def blocks_of(monkeypatch, compute):
+    """The radius count of each block that COMPUTE() solves."""
+    seen = []
+    real = gp3d._closed_form
+
+    def recording(radii, *args):
+        seen.append(len(radii))
+        return real(radii, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gp3d, "_closed_form", recording)
+        compute()
+    return seen
+
+
+# (v_inf, b0, r_min, r_max, step, radii): grids of one radius and of one
+# block's size and either side of it; the grid_100x size; and two that
+# cross the fold at 1e8 m/s, after radius 1132 at b0 = 1 and after radius
+# 748 at b0 = 3, where radius 1500 (r = 6.70402737488122) has a clamped
+# root equal to k, so the gap == 0 clamp keeps v^r finite.
+BLOCKED_GRIDS = [
+    (0.01, 1.0, 1.1, 1.1, 0.0005, 1),
+    (0.01, 1.0, 1.1, 1.1 + (CHUNK_ROWS - 2) * 0.0005, 0.0005, CHUNK_ROWS - 1),
+    (0.01, 1.0, 1.1, 1.1 + (CHUNK_ROWS - 1) * 0.0005, 0.0005, CHUNK_ROWS),
+    (0.01, 1.0, 1.1, 1.1 + CHUNK_ROWS * 0.0005, 0.0005, CHUNK_ROWS + 1),
+    (0.01, 1.0, 1.1, 10.0, 0.0005, 17801),
+    (1e8, 1.0, 1.1, 10.0, 0.0005, 17801),
+    (1e8, 3.0, 3.3, 9.0, 0.002269351583254147, 2512),
+]
+
+
+@pytest.mark.parametrize("v_inf, b0, r_min, r_max, step, radii", BLOCKED_GRIDS)
+def test_blocked_solve_keeps_the_bits(monkeypatch, v_inf, b0, r_min, r_max, step, radii):
+    """Solving the radii CHUNK_ROWS at a time gives bit for bit the table
+    of one block over the whole grid, converged flags included."""
+    def solve():
+        return solve_matching(v_inf, b0, r_min, r_max, step).columns
+
+    assert blocks_of(monkeypatch, solve) == [
+        min(CHUNK_ROWS, radii - start) for start in range(0, radii, CHUNK_ROWS)]
+    columns, reference = solve(), whole_grid(monkeypatch, solve)
+    assert list(columns) == list(reference)
+    assert columns["r_um"].size == radii
+    for name, column in columns.items():
+        assert column.dtype == reference[name].dtype
+        assert_same_bits(column, reference[name])
+    if v_inf == 1e8:
+        assert 0 < int(columns["converged"].sum()) < radii
+    if b0 == 3.0:
+        assert columns["r_um"][1500] == 6.70402737488122
+        assert not columns["converged"][1500]
+        assert np.isfinite(columns["vr_m_per_s"][1500])
+
+
+@pytest.mark.parametrize("v_inf, b0, error", [
+    (2e8, 1.0, ConvergenceError),        # past the fold at every radius
+    (0.01, 1e200, FloatingPointError),   # r * r overflows
+    (0.01, 1e-200, FloatingPointError),  # r * r underflows to 0 / 0
+    (5e-324, 1.0, DomainError),          # cs0 rounds to v_inf
+])
+def test_blocked_solve_raises_the_whole_grid_error(monkeypatch, v_inf, b0, error):
+    """A 17801-radius grid that fails fails with the error text of one
+    block over the whole grid."""
+    def message():
+        with pytest.raises(error) as failure:
+            solve_matching(v_inf, b0, 1.1 * b0, 10.0 * b0, 0.0005 * b0)
+        return str(failure.value)
+
+    assert message() == whole_grid(monkeypatch, message)
+    if error is ConvergenceError:
+        assert message() == (
+            f"matching solve failed at every radius in [{1.1!r}, {10.0!r}]: "
+            f"no real solution beyond the fold at r = {fold_radius(2e8, 1.0)!r}")
+
+
+def unblocked_summary(solution, v_inf, b0):
+    """The solver statistics from whole-grid selections of the converged rows."""
+    columns = solution.columns
+    ok = columns["converged"]
+    cs0, vr = columns["cs0_m_per_s"][ok], columns["vr_m_per_s"][ok]
+    cs0_ref, vr_ref = zero_order_solution(columns["r_um"][ok], v_inf, b0)
+    return {"points": int(ok.size), "points_converged": int(ok.sum()),
+            "max_abs_residual1": float(abs(columns["res1"][ok]).max()),
+            "max_abs_residual2": float(abs(columns["res2"][ok]).max()),
+            "max_rel_deviation_from_zero_order": {
+                "cs0": float(np.max(np.abs(cs0 - cs0_ref) / cs0_ref)),
+                "vr": float(np.max(np.abs(vr - vr_ref) / vr_ref))}}
+
+
+@pytest.mark.parametrize("v_inf, b0, r_min, r_max, step, radii", BLOCKED_GRIDS)
+def test_blocked_summary_equals_the_unblocked_one(v_inf, b0, r_min, r_max, step, radii):
+    """matching_summary's block-by-block maxima equal the whole-grid ones,
+    also with the rows reversed, where the first blocks of a fold-crossing
+    grid hold no converged radius."""
+    solution = solve_matching(v_inf, b0, r_min, r_max, step)
+    reversed_rows = Table({name: column[::-1] for name, column in solution.columns.items()})
+    for table in (solution, reversed_rows):
+        summary = matching_summary(table, v_inf, b0)
+        assert summary == unblocked_summary(table, v_inf, b0)
+        deviation = summary["max_rel_deviation_from_zero_order"]
+        assert all(type(value) is float for value in (
+            summary["max_abs_residual1"], summary["max_abs_residual2"], *deviation.values()))
+    if v_inf == 1e8:
+        assert not reversed_rows.columns["converged"][:CHUNK_ROWS].any()
+
+
+def test_solve_matching_memory_is_bounded():
+    """A 178001-radius solve and its summary peak within 1.5x the bytes of
+    the table's columns in traced memory (4.9x when the whole grid was
+    evaluated at once)."""
+    tracemalloc.start()
+    try:
+        solution = solve_matching(0.01, 1.0, 1.1, 10.0, 0.00005)
+        matching_summary(solution, 0.01, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(column.nbytes for column in solution.columns.values())
+    assert peak <= 1.5 * table_bytes
