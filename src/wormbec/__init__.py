@@ -33,10 +33,10 @@ _EXPORTS = {
     **dict.fromkeys(("ShapeFunction", "ThroatClass", "classify_throat",
                      "embedding_height", "metric_factor", "proper_distance"),
                     "geometry"),
-    **dict.fromkeys(("DEFAULT_LIGHT_SPEED", "MetricAtPoint",
-                     "bec_metric", "fold_radius", "gp_metric", "gp_time_offset",
-                     "matching_residuals", "metric_congruence_check",
-                     "solve_matching", "zero_order_solution"), "gp3d"),
+    **dict.fromkeys(("DEFAULT_LIGHT_SPEED", "bec_metric", "fold_radius",
+                     "gp_metric", "gp_time_offset", "matching_residuals",
+                     "metric_congruence_check", "solve_matching",
+                     "zero_order_solution"), "gp3d"),
     **dict.fromkeys(("SLOPE_CAPABILITY_PER_UM", "feasibility_1d",
                      "field_profile_1d", "sample_profile_1d",
                      "scattering_profile_1d", "slope_metric"), "profile1d"),

@@ -6,15 +6,19 @@ and constraint. ``load_config`` lays an optional INI file, then
 value in one pass. It returns a ``RunConfig``: the parsed settings keyed
 as in ``SCHEMA`` (``settings["grid"]["step_um"]``, one dict per section
 that is not a preset), the ``CondensateSpec`` they name, and the species
-and resonance registries. ``wormhole.ellis = true`` lands in the settings
-themselves: it sets ``settings["wormhole"]["q"]`` to ``(-1.0,)``.
+and resonance registries. No setting rewrites another: ``settings`` holds
+the given values laid over the defaults.
 
 A section or key outside ``SCHEMA`` is a ``ConfigError``, as is an INI
 ``[DEFAULT]`` section and a value that does not parse, is not finite or
 breaks its constraint. Preset sections, in the config file or in the
 ``*.ini`` files under ``$WORMBEC_PRESET_DIR``, add to the built-in
 species and resonances; a preset name is looked up as given, then
-capitalized (``cs`` finds ``Cs``).
+capitalized (``cs`` finds ``Cs``). A custom species or resonance is a
+preset section, which may replace a built-in one: for example
+``--set species:Cs.mass_u=140``, or the three ``resonance:NAME`` keys with
+``condensate.resonance=NAME`` (the species' own name needs no
+``condensate.resonance``).
 """
 
 from __future__ import annotations
@@ -51,24 +55,9 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(map(_parse_float, parts))
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 # A constraint names a test that every parsed value must pass.
 POSITIVE = ("positive", lambda v: v > 0.0)
 NON_NEGATIVE = ("non-negative", lambda v: v >= 0.0)
-
-_RESONANCE = {
-    "a_bg_a0": (None, _parse_float, POSITIVE),
-    "width_g": (None, _parse_float, POSITIVE),
-    "b_res_g": (None, _parse_float, None),
-}
 
 # section -> key -> (default, parser, constraint); a default of None makes
 # the key optional. A section ending in ":" stands for every preset
@@ -77,15 +66,12 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "wormhole": {
         "b0_um": ("1.0", _parse_float_list, POSITIVE),
         "q": ("-1", _parse_float_list, None),
-        "ellis": (None, _parse_bool, None),  # true forces q = -1
     },
     "observer": {"v_inf_m_per_s": ("0.01", _parse_float, POSITIVE)},
     "condensate": {
         "species": ("Cs", str.strip, None),
         "resonance": (None, str.strip, None),  # None: the species name
         "density_per_m3": ("1e21", _parse_float, POSITIVE),
-        "mass_u": (None, _parse_float, POSITIVE),  # replaces the preset mass
-        **_RESONANCE,  # all three replace the named resonance
     },
     "grid": {
         "x_max_um": ("20.0", _parse_float, POSITIVE),
@@ -106,7 +92,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
                "format": ("csv", lambda raw: raw.strip().lower(),
                           ("csv or json", lambda v: v in ("csv", "json")))},
     "species:": {"mass_u": (None, _parse_float, POSITIVE)},
-    "resonance:": _RESONANCE,
+    "resonance:": {"a_bg_a0": (None, _parse_float, POSITIVE),
+                   "width_g": (None, _parse_float, POSITIVE),
+                   "b_res_g": (None, _parse_float, None)},
 }
 
 
@@ -171,11 +159,11 @@ def _needs(section: str, values: dict[str, Any], keys) -> list[Any]:
     return [values[key] for key in keys]
 
 
-def _lookup(registry: dict[str, Any], kind: str, name: str) -> Any:
+def _lookup(registry: dict[str, Any], kind: str, name: str, fix: str = "") -> Any:
     for key in (name, name.capitalize()):
         if key in registry:
             return registry[key]
-    raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(sorted(registry))}")
+    raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(sorted(registry))}{fix}")
 
 
 def load_config(config_path: str | None = None,
@@ -222,19 +210,14 @@ def load_config(config_path: str | None = None,
 
     settings = {section: _parse_section(section, data.get(section, {}))
                 for section in dict.fromkeys([*SCHEMA, *data]) if ":" not in section}
-    wormhole, condensate = settings["wormhole"], settings["condensate"]
-    if wormhole["ellis"]:
-        wormhole["q"] = (-1.0,)
-    if condensate["mass_u"] is not None:
-        species = AtomSpecies(condensate["species"], condensate["mass_u"] * ATOMIC_MASS)
+    condensate = settings["condensate"]
+    species = _lookup(species_registry, "species", condensate["species"])
+    resonance_name = condensate["resonance"]
+    if resonance_name is None:  # the species' own
+        resonance = _lookup(resonance_registry, "resonance", species.name,
+                            "; set condensate.resonance to one of them or add a "
+                            f"[resonance:{species.name}] section")
     else:
-        species = _lookup(species_registry, "species", condensate["species"])
-    if any(condensate[key] is not None for key in _RESONANCE):
-        resonance = FeshbachResonance.from_lab_units(
-            *_needs("condensate", condensate, _RESONANCE))
-    else:
-        resonance_name = condensate["resonance"]
-        resonance = _lookup(resonance_registry, "resonance",
-                            species.name if resonance_name is None else resonance_name)
+        resonance = _lookup(resonance_registry, "resonance", resonance_name)
     spec = CondensateSpec(species, resonance, condensate["density_per_m3"])
     return RunConfig(settings, spec, species_registry, resonance_registry)

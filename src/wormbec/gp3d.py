@@ -7,7 +7,9 @@ of a condensate's effective metric, so matching the two component by
 component yields, at every radius, two equations for the background sound
 speed c_s0 and the flow velocity v^r. ``matching_residuals`` states them
 once, as ``gp_metric`` minus ``bec_metric``: the dt*dr difference (times
-gamma_s/c_s0) and the dr^2 difference.
+gamma_s/c_s0) and the dr^2 difference. Both metrics return the components
+(g_tt, g_tr, g_rr) of ds^2 = g_tt dt^2 + 2 g_tr dt dr + g_rr dr^2 + r^2
+dOmega^2: floats for float inputs, else arrays of one shape.
 
 The system is solved in closed form. Write gamma_s = 1/sqrt(1 -
 (v_inf/c_s0)**2) for the acoustic Lorentz factor, X = gamma_s**2 - 1,
@@ -36,7 +38,6 @@ c in {0.05, 0.1, 1, 299792458} m/s: agreement to 3.5e-16 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .tableio import CHUNK_ROWS, Table
 
 __all__ = [
     "DEFAULT_LIGHT_SPEED",
-    "MetricAtPoint",
     "gp_time_offset",
     "gp_metric",
     "metric_congruence_check",
@@ -60,25 +60,6 @@ __all__ = [
 
 DEFAULT_LIGHT_SPEED = 299792458.0  # m/s, exact
 RESIDUAL_TOL = 1e-12  # a radius is solved when both residuals are below it
-
-
-@dataclass(frozen=True)
-class MetricAtPoint:
-    """t-r block plus spherical factor of a spherically symmetric metric.
-
-    Convention: ds^2 = g_tt dt^2 + 2 g_tr dt dr + g_rr dr^2
-    + spherical * (dtheta^2 + sin^2(theta) dphi^2), with spherical = r^2.
-    The components are floats for float inputs, else arrays of one shape.
-    """
-
-    r: float | np.ndarray
-    g_tt: float | np.ndarray
-    g_tr: float | np.ndarray
-    g_rr: float | np.ndarray
-    spherical: float | np.ndarray
-
-    def tr_block(self) -> np.ndarray:
-        return np.array([[self.g_tt, self.g_tr], [self.g_tr, self.g_rr]])
 
 
 def _ellis_factor(r: float | np.ndarray, b0: float) -> float | np.ndarray:
@@ -99,7 +80,7 @@ def gp_time_offset(r: float, energy: float, b0: float) -> float:
     (c = 1 units, same length unit as r)."""
     if energy < 1.0:
         raise DomainError(f"energy per unit mass must be >= 1, got {energy!r}")
-    _ellis_factor(r, b0)  # domain check
+    _check_throat(b0, r)
     if r == b0 or energy == 1.0:
         return 0.0
     energy_term = math.sqrt(energy * energy - 1.0)
@@ -108,15 +89,15 @@ def gp_time_offset(r: float, energy: float, b0: float) -> float:
         b0, math.sqrt(r - b0)))
 
 
-def _metric(r, g_tt, g_tr, g_rr) -> MetricAtPoint:
-    r, g_tt, g_tr, g_rr = np.broadcast_arrays(r, g_tt, g_tr, g_rr)
-    return MetricAtPoint(*map(_float_or_array, (r, g_tt, g_tr, g_rr, r * r)))
+def _metric(r, g_tt, g_tr, g_rr) -> tuple:
+    """(g_tt, g_tr, g_rr) broadcast against r and each other."""
+    return tuple(map(_float_or_array, np.broadcast_arrays(r, g_tt, g_tr, g_rr)[1:]))
 
 
 def gp_metric(r: float | np.ndarray, gamma: float | np.ndarray,
-              c_ref: float | np.ndarray, b0: float) -> MetricAtPoint:
-    """Wormhole metric in the flow-adapted coordinates of an observer with
-    Lorentz factor gamma.
+              c_ref: float | np.ndarray, b0: float) -> tuple:
+    """Wormhole metric (g_tt, g_tr, g_rr) in the flow-adapted coordinates
+    of an observer with Lorentz factor gamma.
 
     Acoustic mode is the same formula with c_ref the background sound
     speed and gamma the acoustic Lorentz factor. gamma = 1 gives back the
@@ -142,7 +123,8 @@ def metric_congruence_check(r: float, gamma: float, c_ref: float, b0: float) -> 
     this must vanish to rounding for all valid inputs. The deviation is
     normalized by the largest entry of the diagonal target.
     """
-    block = gp_metric(r, gamma, c_ref, b0).tr_block()
+    g_tt, g_tr, g_rr = gp_metric(r, gamma, c_ref, b0)
+    block = np.array([[g_tt, g_tr], [g_tr, g_rr]])
     factor = _ellis_factor(r, b0)
     alpha = math.sqrt((gamma * gamma - 1.0) / factor) / gamma
     jacobian = np.array([[gamma, gamma * alpha / c_ref],
@@ -155,9 +137,10 @@ def metric_congruence_check(r: float, gamma: float, c_ref: float, b0: float) -> 
 
 
 def bec_metric(r: float | np.ndarray, c_s: float | np.ndarray, v_r: float | np.ndarray,
-               light_speed: float = DEFAULT_LIGHT_SPEED) -> MetricAtPoint:
-    """Effective metric of a condensate with sound speed c_s and radial
-    flow v_r, as line-element components (conformal prefactor dropped)."""
+               light_speed: float = DEFAULT_LIGHT_SPEED) -> tuple:
+    """Effective metric (g_tt, g_tr, g_rr) of a condensate with sound speed
+    c_s and radial flow v_r, as line-element components (conformal
+    prefactor dropped)."""
     c_s = np.asarray(c_s, dtype=float)
     if np.any(c_s <= 0.0):
         raise DomainError(f"sound speed must be positive, got {float(c_s.min())!r}")
@@ -186,10 +169,10 @@ def matching_residuals(r: float | np.ndarray, cs0: float | np.ndarray,
                           f"factor, got cs0 = {float(np.min(cs0))!r}, v_inf = {v_inf!r}")
     ratio = v_inf / cs0
     gs = 1.0 / np.sqrt(1.0 - ratio * ratio)
-    wormhole = gp_metric(r, gs, cs0, b0)
-    condensate = bec_metric(r, cs0 / gs, np.negative(v_r), light_speed)
-    return (_float_or_array((wormhole.g_tr - condensate.g_tr) * (gs / cs0)),
-            _float_or_array(wormhole.g_rr - condensate.g_rr))
+    _, wormhole_tr, wormhole_rr = gp_metric(r, gs, cs0, b0)
+    _, condensate_tr, condensate_rr = bec_metric(r, cs0 / gs, np.negative(v_r), light_speed)
+    return (_float_or_array((wormhole_tr - condensate_tr) * (gs / cs0)),
+            _float_or_array(wormhole_rr - condensate_rr))
 
 
 def zero_order_solution(r: float | np.ndarray, v_inf: float, b0: float

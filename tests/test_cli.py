@@ -554,11 +554,6 @@ def test_config_file_plus_override(tmp_path):
     assert cfg.settings["observer"]["v_inf_m_per_s"] == 0.015
 
 
-def test_ellis_flag_sets_q(tmp_path):
-    cfg = load_config(overrides=["wormhole.ellis=true", "wormhole.q=2,3"])
-    assert cfg.settings["wormhole"]["q"] == (-1.0,)
-
-
 def test_json_table_format(tmp_path):
     code = run(tmp_path, "profile1d", "--format", "json",
                "--set", "wormhole.q=2", "--set", "grid.x_max_um=2",
@@ -696,9 +691,9 @@ def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels):
 
 
 def test_every_public_name_resolves():
-    """Each of the package's 45 names imports from its submodule on first
+    """Each of the package's 44 names imports from its submodule on first
     access, through `from wormbec import X` and `import *` alike."""
-    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 45
+    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 44
     star = {}
     exec("from wormbec import *", star)
     for name in wormbec.__all__:

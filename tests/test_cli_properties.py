@@ -43,9 +43,11 @@ VALUES = st.one_of(
 )
 # Any key with any value: mostly rejected by the config layer.
 ANY_OVERRIDES = st.lists(st.tuples(st.sampled_from(KNOWN + UNKNOWN), VALUES), max_size=3)
-# Numeric keys with plausible or extreme numbers: mostly reach the kernels.
+# Numeric keys with plausible or extreme numbers: mostly reach the kernels,
+# the mass of the default species among them.
 NUMERIC_KEYS = [(section, key) for section, key in KNOWN if ":" not in section
-                and section != "output" and key not in ("species", "resonance", "ellis")]
+                and section != "output" and key not in ("species", "resonance")
+                ] + [("species:Cs", "mass_u")]
 NUMERIC_OVERRIDES = st.lists(
     st.tuples(st.sampled_from(NUMERIC_KEYS),
               st.one_of(st.floats(0.05, 50.0), st.sampled_from(EXTREMES)).map(repr)),

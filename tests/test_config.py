@@ -1,4 +1,5 @@
-"""Run settings: every SCHEMA key is read under its own name, an INI file
+"""Run settings: every SCHEMA key is read under its own name and rewrites
+no other, a custom species or resonance is a preset section, an INI file
 holds named sections only, and the kernels' keyword defaults repeat
 SCHEMA's."""
 
@@ -16,24 +17,16 @@ from wormbec.config import SCHEMA, load_config
 
 SUBCOMMANDS = ("profile1d", "solve-gp", "profile3d", "embed", "presets")
 
-# All three resonance keys, which are only valid together.
-_RESONANCE = ("condensate.a_bg_a0=60", "condensate.width_g=1", "condensate.b_res_g=900")
-
 # SECTION.KEY -> (context, probe, parsed probe). The context overrides are
 # set with and without the probe, so the probe alone makes any difference.
 PROBES = {
     "wormhole.b0_um": ((), "2", (2.0,)),
     "wormhole.q": ((), "0.5", (0.5,)),
-    "wormhole.ellis": (("wormhole.q=0.5",), "true", True),
     "observer.v_inf_m_per_s": ((), "0.02", 0.02),
     "condensate.species": (("condensate.resonance=Cs",), "Rb", "Rb"),
     "condensate.resonance": (("resonance:Probe.a_bg_a0=60", "resonance:Probe.width_g=1",
                               "resonance:Probe.b_res_g=900"), "Probe", "Probe"),
     "condensate.density_per_m3": ((), "2e21", 2e21),
-    "condensate.mass_u": ((), "140", 140.0),
-    "condensate.a_bg_a0": (_RESONANCE, "61", 61.0),
-    "condensate.width_g": (_RESONANCE, "1.5", 1.5),
-    "condensate.b_res_g": (_RESONANCE, "901", 901.0),
     "grid.x_max_um": ((), "10", 10.0),
     "grid.step_um": ((), "0.2", 0.2),
     "grid.r_min_um": ((), "1.2", 1.2),
@@ -58,14 +51,14 @@ def test_probe_table_covers_every_setting():
 @pytest.mark.parametrize("name", PROBES)
 def test_setting_lands_under_its_own_name(name):
     """The probe appears parsed at its own section and key, and nowhere
-    else (``ellis`` also sets ``q``)."""
+    else."""
     context, raw, parsed = PROBES[name]
     section, key = name.split(".")
     before = load_config(overrides=list(context)).settings
     after = load_config(overrides=[*context, f"{name}={raw}"]).settings
     assert after[section][key] == parsed
     changed = {f"{s}.{k}" for s in after for k in after[s] if after[s][k] != before[s][k]}
-    assert changed == {name} | ({"wormhole.q"} if name == "wormhole.ellis" else set())
+    assert changed == {name}
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +95,68 @@ def test_setting_changes_some_output(name, outputs):
     assert all(code == 0 for code, _ in after.values())
     changed = [sub for sub in SUBCOMMANDS if after[sub] != before[sub]]
     assert changed, f"{name}={raw} changed no output"
+
+
+# Keys that rewrote a value stated elsewhere, each with a value it took.
+REMOVED_KEYS = {
+    "wormhole.ellis": "true",  # now wormhole.q = -1
+    "condensate.mass_u": "140",  # now species:NAME.mass_u
+    "condensate.a_bg_a0": "60",  # now resonance:NAME.a_bg_a0, and so on
+    "condensate.width_g": "1",
+    "condensate.b_res_g": "900",
+}
+
+
+@pytest.mark.parametrize("given", ["set", "ini"])
+@pytest.mark.parametrize("name", REMOVED_KEYS)
+def test_removed_key_is_one_line_error(tmp_path, capsys, name, given):
+    """A key that rewrote another setting is unknown: exit 1, one stderr
+    line naming it, no output directory."""
+    section, key = name.split(".")
+    if given == "set":
+        args = ["--set", f"{name}={REMOVED_KEYS[name]}"]
+    else:
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = {REMOVED_KEYS[name]}\n")
+        args = ["--config", str(ini)]
+    out = tmp_path / "out"
+    assert main(["profile1d", "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"wormbec profile1d: error: unknown key {key!r} in [{section}]")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    ("resonance:Cs.a_bg_a0=60", "resonance:Cs.width_g=1", "resonance:Cs.b_res_g=900"),
+    ("resonance:Probe.a_bg_a0=60", "resonance:Probe.width_g=1",
+     "resonance:Probe.b_res_g=900", "condensate.resonance=Probe"),
+], ids=["species-own-name", "named"])
+def test_preset_sections_give_a_custom_condensate(overrides):
+    """The preset spellings state the condensate the removed inline keys
+    did: a 140 u cesium atom on a 60 a0, 1 G wide resonance at 900 G."""
+    spec = load_config(overrides=["species:Cs.mass_u=140", *overrides]).spec
+    assert spec == feshbach.CondensateSpec(
+        feshbach.AtomSpecies("Cs", 140.0 * feshbach.ATOMIC_MASS),
+        feshbach.FeshbachResonance.from_lab_units(60.0, 1.0, 900.0), 1e21)
+
+
+@pytest.mark.parametrize("species", ["Li", "Na", "K", "Rb"])
+def test_species_without_resonance_names_the_fix(tmp_path, capsys, species):
+    """A built-in species with no resonance of its own exits 1 with one
+    line that names both fixes; either fix then runs."""
+    out = tmp_path / "out"
+    assert main(["profile1d", "--out", str(out), "--set", f"condensate.species={species}"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and not out.exists()
+    assert "condensate.resonance" in err and "known: Cs" in err
+    assert f"[resonance:{species}]" in err
+    for fix in (["condensate.resonance=Cs"],
+                [f"resonance:{species}.{key}={value}"
+                 for key, value in (("a_bg_a0", "60"), ("width_g", "1"), ("b_res_g", "900"))]):
+        overrides = [f"condensate.species={species}", *fix]
+        assert load_config(overrides=overrides).spec.species is feshbach.SPECIES[species]
+        assert main(["profile1d", "--out", str(out), *(f"--set={item}" for item in overrides)]) == 0
 
 
 @pytest.mark.parametrize("where, text", [

@@ -12,7 +12,7 @@ from wormbec import gp3d
 from wormbec.exceptions import ConvergenceError, DomainError, PoleError
 from wormbec.feshbach import cesium_condensate, sound_speed_from_scattering
 from wormbec.geometry import ShapeFunction, metric_factor
-from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, MetricAtPoint, bec_metric,
+from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, bec_metric,
                           fold_radius, gp_metric, gp_time_offset,
                           matching_residuals, matching_summary,
                           metric_congruence_check, solve_matching,
@@ -47,19 +47,18 @@ def test_gp_time_offset_riemann_oracle():
 
 def test_gp_metric_reference_point():
     """b0=1, gamma=1.25, c_ref=1, r=2."""
-    m = gp_metric(2.0, 1.25, 1.0, 1.0)
-    assert m.g_tt == pytest.approx(-0.64, rel=1e-15)
-    assert m.g_rr == pytest.approx(1.0 / (1.5625 * 0.75), rel=1e-15)
-    assert m.g_tr == pytest.approx(0.64 * math.sqrt(0.75), rel=1e-14)
-    assert m.spherical == 4.0
+    g_tt, g_tr, g_rr = gp_metric(2.0, 1.25, 1.0, 1.0)
+    assert g_tt == pytest.approx(-0.64, rel=1e-15)
+    assert g_rr == pytest.approx(1.0 / (1.5625 * 0.75), rel=1e-15)
+    assert g_tr == pytest.approx(0.64 * math.sqrt(0.75), rel=1e-14)
 
 
 def test_gp_metric_free_fall_is_diagonal():
     """gamma = 1 recovers the static diagonal metric exactly."""
-    m = gp_metric(2.0, 1.0, 3.0, 1.0)
-    assert m.g_tr == 0.0
-    assert m.g_tt == -9.0
-    assert m.g_rr == pytest.approx(1.0 / 0.75, rel=1e-15)
+    g_tt, g_tr, g_rr = gp_metric(2.0, 1.0, 3.0, 1.0)
+    assert g_tr == 0.0
+    assert g_tt == -9.0
+    assert g_rr == pytest.approx(1.0 / 0.75, rel=1e-15)
 
 
 def test_gp_metric_signature_random_sweep():
@@ -68,9 +67,9 @@ def test_gp_metric_signature_random_sweep():
         b0 = rng.uniform(0.1, 5.0)
         r = b0 * (1.0 + rng.uniform(1e-4, 50.0))
         gamma = 1.0 + rng.uniform(0.0, 10.0)
-        m = gp_metric(r, gamma, 1.0, b0)
-        assert m.g_tt < 0.0
-        assert m.g_tt * m.g_rr - m.g_tr ** 2 < 0.0
+        g_tt, g_tr, g_rr = gp_metric(r, gamma, 1.0, b0)
+        assert g_tt < 0.0
+        assert g_tt * g_rr - g_tr ** 2 < 0.0
 
 
 def test_gp_metric_pole_at_throat():
@@ -100,15 +99,15 @@ def test_congruence_random_sweep():
 
 
 def test_bec_metric_no_flow_is_diagonal():
-    m = bec_metric(3.0, 0.01, 0.0)
-    assert m.g_tr == 0.0
-    assert m.g_tt == pytest.approx(-1e-4, rel=1e-15)
+    g_tt, g_tr, _ = bec_metric(3.0, 0.01, 0.0)
+    assert g_tr == 0.0
+    assert g_tt == pytest.approx(-1e-4, rel=1e-15)
 
 
 def test_bec_metric_sound_at_light_speed_is_flat():
-    m = bec_metric(3.0, 2.0, 0.7, light_speed=2.0)
-    assert m.g_tr == 0.0
-    assert m.g_rr == 1.0
+    _, g_tr, g_rr = bec_metric(3.0, 2.0, 0.7, light_speed=2.0)
+    assert g_tr == 0.0
+    assert g_rr == 1.0
 
 
 def test_bec_metric_duplicate_implementation_oracle():
@@ -123,23 +122,23 @@ def test_bec_metric_duplicate_implementation_oracle():
         c = rng.uniform(1.5, 10.0)
         c_s = rng.uniform(0.05, 0.95) * c
         v_r = rng.uniform(-0.5, 0.5) * c
-        m = bec_metric(2.0, c_s, v_r, light_speed=c)
+        g_tt, g_tr, g_rr = bec_metric(2.0, c_s, v_r, light_speed=c)
         # eta + (1 - cs^2/c^2) v_mu v_nu / c^2 with v_mu = (-c, v_r)
         v_cov = np.array([-c, v_r])
         block = (np.diag([-1.0, 1.0])
                  + (1.0 - (c_s / c) ** 2) * np.outer(v_cov, v_cov) / c ** 2)
         # line-element components: tt scaled by c^2, tr by c
-        assert m.g_tt == pytest.approx(block[0, 0] * c * c, rel=1e-12)
-        assert m.g_tr == pytest.approx(block[0, 1] * c, rel=1e-12, abs=1e-14)
-        assert m.g_rr == pytest.approx(block[1, 1], rel=1e-12)
+        assert g_tt == pytest.approx(block[0, 0] * c * c, rel=1e-12)
+        assert g_tr == pytest.approx(block[0, 1] * c, rel=1e-12, abs=1e-14)
+        assert g_rr == pytest.approx(block[1, 1], rel=1e-12)
 
 
 def test_bec_metric_lab_scale_components():
     """At lab scale the direct formulas stay exact: g_tt = -cs^2."""
-    m = bec_metric(2.0, 0.012, 0.01)
-    assert m.g_tt == -0.012 ** 2
-    assert m.g_tr == pytest.approx(-0.01, rel=1e-15)
-    assert m.g_rr == pytest.approx(1.0, rel=1e-15)
+    g_tt, g_tr, g_rr = bec_metric(2.0, 0.012, 0.01)
+    assert g_tt == -0.012 ** 2
+    assert g_tr == pytest.approx(-0.01, rel=1e-15)
+    assert g_rr == pytest.approx(1.0, rel=1e-15)
 
 
 def test_matching_residuals_zero_order_is_tiny():
@@ -274,8 +273,6 @@ def test_radius_where_no_vr_exists_stays_finite():
 
 
 def _parts(value):
-    if isinstance(value, MetricAtPoint):
-        return value.r, value.g_tt, value.g_tr, value.g_rr, value.spherical
     return value if isinstance(value, tuple) else (value,)
 
 
