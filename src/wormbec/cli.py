@@ -12,15 +12,26 @@ under --strict. A run's files reach --out only when its command returns
 (``tableio.staged``): a run that exits 1 writes no file and leaves an
 earlier run's files as they were.
 
-Environment: WORMBEC_PRESET_DIR names a directory of preset *.ini files;
-``python -m wormbec`` and the installed script default OPENBLAS_NUM_THREADS
-to 1 (see ``__main__``). Each command imports the kernels it runs, so
-``presets``, --help and usage or config errors never import numpy.
+Environment: WORMBEC_PRESET_DIR names a directory of preset *.ini files.
+Each command imports the kernels it runs, so ``presets``, --help and usage
+or config errors never import numpy.
+
+BLAS threads: no wormbec code path uses them, yet OpenBLAS starts a pool
+of them inside ``import numpy`` (60-70 ms of a cold call on two cores)
+unless OPENBLAS_NUM_THREADS says otherwise. So when ``main`` makes a
+process's first numpy import, it sets OPENBLAS_NUM_THREADS=1 for that
+import only and removes it afterwards; this covers ``python -m wormbec``,
+the installed script and in-process ``main()`` calls alike, and
+``os.environ`` is left as it was. A value the user has set wins, and a
+process that has loaded numpy already keeps its BLAS pool. The trade-off:
+a process whose first numpy import happens inside a ``main()`` call keeps
+one BLAS thread for the rest of its life.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import product
 from typing import Callable, Sequence
@@ -222,7 +233,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                           out_dir=args.out, out_format=args.format)
         if args.run is cmd_presets:  # writes no file, so needs no tableio (numpy)
             return cmd_presets(cfg, args.strict)
-        from . import tableio
+        # the first module to import numpy: one BLAS thread (module docstring)
+        one_thread = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+        if one_thread:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            from . import tableio
+        finally:
+            if one_thread:
+                os.environ.pop("OPENBLAS_NUM_THREADS", None)
         with tableio.staged():
             return args.run(cfg, args.strict)
     except (ConfigError, DomainError, ConvergenceError, ArithmeticError, OSError) as exc:

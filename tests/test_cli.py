@@ -9,6 +9,7 @@ import os
 import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -713,25 +714,90 @@ def no_blas_setting(monkeypatch):
     return monkeypatch
 
 
+# Runs `profile1d` through one CLI entry in a fresh interpreter, since tier-1
+# has numpy loaded already. Prints the exit code, the OS thread count before
+# the call (after numpy, if that is imported first) and after it, and whether
+# os.environ came out as it went in.
+_THREAD_PROBE = r"""
+import importlib, json, os, runpy, sys
+entry, out, numpy_first = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
+before = dict(os.environ)
+if numpy_first:
+    import numpy
+threads = len(os.listdir("/proc/self/task"))
+sys.argv = ["wormbec", "profile1d", "--out", out]
+if entry == "-m":  # what python -m wormbec runs
+    try:
+        runpy.run_module("wormbec", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        rc = exc.code
+else:  # what a console-script wrapper runs for the target MODULE:NAME
+    module, name = entry.split(":")
+    rc = getattr(importlib.import_module(module), name)()
+print(json.dumps({"rc": rc, "threads_before": threads,
+                  "threads": len(os.listdir("/proc/self/task")),
+                  "environ_kept": dict(os.environ) == before}))
+"""
+MULTI_CORE = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def _thread_probe(tmp_path, entry, blas_threads=None, numpy_first=False):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    result = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, entry, str(tmp_path), str(int(numpy_first))],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    probe = json.loads(result.stdout)
+    assert probe["rc"] == 0
+    assert probe["environ_kept"]
+    return probe
+
+
 @pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])
-def test_module_entry_defaults_to_one_blas_thread(no_blas_setting, capsys,
-                                                  user_value, expected):
-    """python -m wormbec sets OPENBLAS_NUM_THREADS=1 unless the user set it."""
-    if user_value is not None:
-        no_blas_setting.setenv("OPENBLAS_NUM_THREADS", user_value)
-    no_blas_setting.setattr(sys, "argv", ["wormbec", "presets"])
-    with pytest.raises(SystemExit) as excinfo:
-        runpy.run_module("wormbec", run_name="__main__")
-    assert excinfo.value.code == 0
-    assert "Cs" in capsys.readouterr().out
-    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+def test_module_entry_defaults_to_one_blas_thread(tmp_path, user_value, expected):
+    """python -m wormbec runs with one BLAS thread unless the user set a
+    count, and leaves os.environ as it found it."""
+    threads = _thread_probe(tmp_path, "-m", user_value)["threads"]
+    if expected == "1":
+        assert threads == 1
+    elif MULTI_CORE:
+        assert threads > 1
+
+
+@pytest.mark.parametrize("user_value, numpy_first, one_thread", [
+    (None, False, True), ("2", False, False), (None, True, False),
+], ids=["unset", "user-value", "numpy-loaded"])
+def test_in_process_main_defaults_to_one_blas_thread(tmp_path, user_value, numpy_first,
+                                                     one_thread):
+    """main() makes a process's first numpy import with one BLAS thread;
+    a user value wins, and a process that loaded numpy first keeps its BLAS
+    pool. os.environ is unchanged after every call."""
+    probe = _thread_probe(tmp_path, "wormbec.cli:main", user_value, numpy_first)
+    if one_thread:
+        assert probe["threads"] == 1
+    elif MULTI_CORE:
+        assert probe["threads"] > 1
+    if numpy_first:
+        assert probe["threads"] == probe["threads_before"]
+
+
+def test_installed_script_defaults_to_one_blas_thread(tmp_path):
+    """The [project.scripts] target runs as a console-script wrapper would
+    run it: exit 0 with one BLAS thread."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["wormbec"]
+    assert _thread_probe(tmp_path, target)["threads"] == 1
 
 
 def test_imports_and_in_process_calls_leave_the_environment_alone(
         no_blas_setting, tmp_path):
     before = dict(os.environ)
     importlib.reload(wormbec)
-    entry = runpy.run_module("wormbec")  # wormbec.__main__, not as the main module
-    assert callable(entry["run"])
+    runpy.run_module("wormbec")  # wormbec.__main__, not as the main module
     assert main(["profile1d", "--out", str(tmp_path), "--set", "grid.step_um=0.5"]) == 0
     assert dict(os.environ) == before

@@ -154,6 +154,10 @@ def _uneven_profiles(out):
                                        (("wormhole", "b0_um"), "10.5")])
 # a sweep whose second combination overflows after the first was written
 @example(out_format="csv", overrides=[(("wormhole", "b0_um"), "1,1e-300")])
+# the embedding rise overflows (its integrand is then 0), and a subnormal
+# throat fails the quadrature check, each without a RuntimeWarning
+@example(out_format="csv", overrides=[(("wormhole", "q"), "-1e300")])
+@example(out_format="csv", overrides=[(("wormhole", "b0_um"), "1e-320")])
 def test_any_override_gives_a_result_or_one_line_error(monkeypatch, command, out_format,
                                                        overrides):
     # a small cap keeps every drawn grid cheap
