@@ -35,7 +35,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    spec = cesium_condensate()
+    spec = cesium_condensate(1e21)
     print(f"cesium condensate: background sound speed "
           f"{spec.background_sound_speed * 1e3:.3f} mm/s at {spec.density:.0e} m^-3")
     print()
@@ -70,7 +70,7 @@ def main() -> None:
     for q in Q_VALUES:
         for b0 in B0_VALUES:
             shape = ShapeFunction(b0=b0, q=q)
-            audit = feasibility_1d(shape, spec, window=10.0)
+            audit = feasibility_1d(shape, spec, 20.0, 0.1, threshold=0.067, window=10.0)
             at_ten = slope_metric(shape, spec.resonance, 10.0)
             verdict = "feasible" if audit["feasible"] else "NOT feasible"
             print(f"  q={q:>5g} b0={b0:>4g}: max slope "

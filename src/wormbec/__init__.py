@@ -5,7 +5,9 @@ The package synthesizes the magnetic-field, scattering-length, and
 sound-speed profiles under which phonons in a condensate propagate as if
 on a traversable-wormhole background, in 1+1D (conformal sound-speed
 modulation) and 3+1D (flow-adapted coordinates with an exact matching
-solve), and audits the recipes against experimental capabilities.
+solve), and audits the recipes against experimental capabilities. Both
+recipes take the wormhole as a ``ShapeFunction``, b(r) = b0 (r/b0)**q (q < 1
+in 3+1D); on the command line solve-gp and profile3d take one b0 and one q.
 
 The public names below are imported from their submodules on first
 access (PEP 562), so ``import wormbec`` alone loads no numpy. The formula
@@ -37,8 +39,7 @@ _EXPORTS = {
                      "gp_metric", "gp_time_offset", "matching_residuals",
                      "metric_congruence_check", "solve_matching",
                      "zero_order_solution"), "gp3d"),
-    **dict.fromkeys(("SLOPE_CAPABILITY_PER_UM", "feasibility_1d",
-                     "field_profile_1d", "sample_profile_1d",
+    **dict.fromkeys(("feasibility_1d", "field_profile_1d", "sample_profile_1d",
                      "scattering_profile_1d", "slope_metric"), "profile1d"),
     **dict.fromkeys(("LabLayout", "asymptote_radius",
                      "detect_asymptotes", "field_profile_3d", "lab_profiles_3d",

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: profile1d, solve-gp, profile3d, embed, presets. Each takes
+Subcommands: profile1d, solve-gp, profile3d, embed, presets (solve-gp and
+profile3d take one b0 and one q, profile1d and embed lists). Each takes
 --config PATH, --out DIR, --strict, --format csv|json, and repeatable
 --set SECTION.KEY=VALUE overrides. --set accepts any key of
 ``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
@@ -31,6 +32,7 @@ one BLAS thread for the rest of its life.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from itertools import product
@@ -103,11 +105,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _one_b0(wormhole: dict) -> float:
-    if len(wormhole["b0_um"]) != 1:
-        raise ConfigError("this subcommand needs exactly one b0_um value, "
-                          f"got {list(wormhole['b0_um'])}")
-    return wormhole["b0_um"][0]
+def _one_shape(wormhole: dict):
+    from .geometry import ShapeFunction
+    for key in ("b0_um", "q"):
+        if len(wormhole[key]) != 1:
+            raise ConfigError(f"this subcommand needs exactly one {key} value, "
+                              f"got {list(wormhole[key])}")
+    return ShapeFunction(b0=wormhole["b0_um"][0], q=wormhole["q"][0])
+
+
+def _bound(grid: dict, key: str, default: float, b0: float) -> float:
+    """[grid] KEY, else DEFAULT (derived from b0), which must be finite."""
+    if grid[key] is not None:
+        return grid[key]
+    if not math.isfinite(default):
+        raise ConfigError(f"[grid] {key}: the default overflows at b0_um = {b0!r}; "
+                          f"set grid.{key}")
+    return default
 
 
 def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
@@ -145,19 +159,20 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
     from . import gp3d, tableio
     grid, output = cfg.settings["grid"], cfg.settings["output"]
     v_inf = cfg.settings["observer"]["v_inf_m_per_s"]
-    b0 = _one_b0(cfg.settings["wormhole"])
-    r_min = (grid["r_min_um"] if grid["r_min_um"] is not None
-             else b0 * max(1.1, 1.0 + grid["throat_epsilon"]))
-    r_max = grid["r_max_um"] if grid["r_max_um"] is not None else 10.0 * b0
-    r_step = grid["r_step_um"] if grid["r_step_um"] is not None else 0.05 * b0
-    solution = gp3d.solve_matching(v_inf, b0, r_min, r_max, r_step,
+    shape = _one_shape(cfg.settings["wormhole"])
+    b0 = shape.b0
+    r_min = _bound(grid, "r_min_um", b0 * max(1.1, 1.0 + grid["throat_epsilon"]), b0)
+    r_max = _bound(grid, "r_max_um", 10.0 * b0, b0)
+    r_step = _bound(grid, "r_step_um", 0.05 * b0, b0)
+    solution = gp3d.solve_matching(v_inf, shape, r_min, r_max, r_step,
                                    throat_epsilon=grid["throat_epsilon"])
     summary = {
         "v_inf_m_per_s": v_inf,
         "b0_um": b0,
-        "fold_radius_um": gp3d.fold_radius(v_inf, b0),
+        "q": shape.q,
+        "fold_radius_um": gp3d.fold_radius(v_inf, shape),
         "grid": {"r_min_um": r_min, "r_max_um": r_max, "step_um": r_step},
-        **gp3d.matching_summary(solution, v_inf, b0),
+        **gp3d.matching_summary(solution, v_inf, shape),
     }
     tag = f"vinf{_fmt(v_inf)}_b0{_fmt(b0)}"
     tableio.write_table(output["dir"] / f"gp_solution_{tag}", solution, output["format"])
@@ -171,14 +186,14 @@ def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
     from . import profile3d, tableio
     thresholds, output = cfg.settings["thresholds"], cfg.settings["output"]
     v_inf, step = cfg.settings["observer"]["v_inf_m_per_s"], cfg.settings["grid"]["step_um"]
-    R, b0 = cfg.settings["layout"]["R_um"], _one_b0(cfg.settings["wormhole"])
-    layout = profile3d.LabLayout(R=R, b0=b0)
+    R, shape = cfg.settings["layout"]["R_um"], _one_shape(cfg.settings["wormhole"])
+    layout = profile3d.LabLayout(R=R, shape=shape)
     profile = profile3d.lab_profiles_3d(layout, v_inf, cfg.spec, step,
                                         pole_delta=thresholds["pole_delta"])
     report = profile3d.feasibility_report_3d(
         layout, v_inf, cfg.spec, profile, step,
         resolution_factor=thresholds["resolution_factor"])
-    tag = f"R{_fmt(R)}_b0{_fmt(b0)}_vinf{_fmt(v_inf)}"
+    tag = f"R{_fmt(R)}_b0{_fmt(shape.b0)}_vinf{_fmt(v_inf)}"
     tableio.write_table(output["dir"] / f"profile3d_{tag}", profile, output["format"])
     tableio.write_json(output["dir"] / f"report_{tag}.json", report)
     feasible = (report["near_asymptote_samples"] == 0
@@ -197,8 +212,8 @@ def cmd_embed(cfg: RunConfig, strict: bool) -> int:
     _check_tags("b0_um", wormhole["b0_um"])
     for q, b0 in product(wormhole["q"], wormhole["b0_um"]):
         shape = geometry.ShapeFunction(b0=b0, q=q)
-        r_max = grid["r_max_um"] if grid["r_max_um"] is not None else 5.0 * b0
-        r_step = grid["r_step_um"] if grid["r_step_um"] is not None else (r_max - b0) / 200.0
+        r_max = _bound(grid, "r_max_um", 5.0 * b0, b0)
+        r_step = _bound(grid, "r_step_um", (r_max - b0) / 200.0, b0)
         radii = geometry.uniform_grid(b0, r_max - b0, r_step)
         table = tableio.Table({"r_um": radii, "z_um": geometry.embedding_height(shape, radii)})
         tableio.write_table(output["dir"] / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}", table,
@@ -219,7 +234,7 @@ def cmd_presets(cfg: RunConfig, strict: bool) -> int:
                      f"width = {_fmt(res.width)} G, "
                      f"B_res = {_fmt(res.b_res)} G")
     lines.append("defaults:")
-    lines.append(f"  density = {cfg.spec.density!r} m^-3")
+    lines.append(f"  density = {cfg.settings['condensate']['density_per_m3']!r} m^-3")
     lines.append(f"  slope capability = {thresholds['slope_per_um']!r} per um")
     lines.append(f"  resolution factor = {thresholds['resolution_factor']!r}")
     print("\n".join(lines))

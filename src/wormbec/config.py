@@ -5,9 +5,9 @@ and constraint. ``load_config`` lays an optional INI file, then
 ``SECTION.KEY=VALUE`` overrides, over those defaults and parses every
 value in one pass. It returns a ``RunConfig``: the parsed settings keyed
 as in ``SCHEMA`` (``settings["grid"]["step_um"]``, one dict per section
-that is not a preset), the ``CondensateSpec`` they name, and the species
-and resonance registries. No setting rewrites another: ``settings`` holds
-the given values laid over the defaults.
+that is not a preset), the species and resonance registries, and, on
+reading ``spec``, the ``CondensateSpec`` they name. No setting rewrites
+another: ``settings`` holds the given values laid over the defaults.
 
 A section or key outside ``SCHEMA`` is a ``ConfigError``, as is an INI
 ``[DEFAULT]`` section and a value that does not parse, is not finite or
@@ -99,13 +99,26 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 
 
 class RunConfig(NamedTuple):
-    """A resolved run: the settings by SCHEMA section and key, the
-    condensate they name, and the preset registries."""
+    """A resolved run: the settings by SCHEMA section and key, the preset
+    registries and the condensate they name."""
 
     settings: dict[str, dict[str, Any]]
-    spec: CondensateSpec
     species_registry: dict[str, AtomSpecies]
     resonance_registry: dict[str, FeshbachResonance]
+
+    @property
+    def spec(self) -> CondensateSpec:
+        """Resolved when read, so only the commands that use it fail on it."""
+        condensate = self.settings["condensate"]
+        species = _lookup(self.species_registry, "species", condensate["species"])
+        resonance_name = condensate["resonance"]
+        if resonance_name is None:  # the species' own
+            resonance = _lookup(self.resonance_registry, "resonance", species.name,
+                                "; set condensate.resonance to one of them or add a "
+                                f"[resonance:{species.name}] section")
+        else:
+            resonance = _lookup(self.resonance_registry, "resonance", resonance_name)
+        return CondensateSpec(species, resonance, condensate["density_per_m3"])
 
 
 def _read_ini(path: Path) -> dict[str, dict[str, str]]:
@@ -210,14 +223,4 @@ def load_config(config_path: str | None = None,
 
     settings = {section: _parse_section(section, data.get(section, {}))
                 for section in dict.fromkeys([*SCHEMA, *data]) if ":" not in section}
-    condensate = settings["condensate"]
-    species = _lookup(species_registry, "species", condensate["species"])
-    resonance_name = condensate["resonance"]
-    if resonance_name is None:  # the species' own
-        resonance = _lookup(resonance_registry, "resonance", species.name,
-                            "; set condensate.resonance to one of them or add a "
-                            f"[resonance:{species.name}] section")
-    else:
-        resonance = _lookup(resonance_registry, "resonance", resonance_name)
-    spec = CondensateSpec(species, resonance, condensate["density_per_m3"])
-    return RunConfig(settings, spec, species_registry, resonance_registry)
+    return RunConfig(settings, species_registry, resonance_registry)

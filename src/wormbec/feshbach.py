@@ -34,7 +34,6 @@ __all__ = [
     "m_to_bohr",
     "SPECIES",
     "RESONANCES",
-    "DEFAULT_DENSITY",
     "cesium_condensate",
 ]
 
@@ -178,9 +177,7 @@ CESIUM_RESONANCE = FeshbachResonance.from_lab_units(
 
 RESONANCES = MappingProxyType({"Cs": CESIUM_RESONANCE})
 
-DEFAULT_DENSITY = 1e21  # m^-3, a typical condensate density
 
-
-def cesium_condensate(density: float = DEFAULT_DENSITY) -> CondensateSpec:
-    """The cesium condensate used as the default working point."""
+def cesium_condensate(density: float) -> CondensateSpec:
+    """The cesium condensate of the default working point, at DENSITY (m^-3)."""
     return CondensateSpec(SPECIES["Cs"], CESIUM_RESONANCE, density)

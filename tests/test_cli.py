@@ -158,6 +158,54 @@ def test_solve_gp_rejects_multiple_b0(tmp_path):
     assert code == 1
 
 
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command, report, section", [
+    ("solve-gp", "gp_summary_vinf0.01_b01.json", ()),
+    ("profile3d", "report_R5_b01_vinf0.01.json", ("layout",)),
+], ids=["solve-gp", "profile3d"])
+def test_3d_commands_honour_q(tmp_path, capsys, command, report, section):
+    """q = 0.5 writes the default run's file names with other contents, and
+    each report states its q; q = 1 and two q values exit 1 with one line
+    and write nothing."""
+    assert run(tmp_path / "default", command) == 0
+    assert run(tmp_path / "half", command, "--set", "wormhole.q=0.5") == 0
+    default, half = _files(tmp_path / "default"), _files(tmp_path / "half")
+    assert sorted(default) == sorted(half)
+    assert all(default[name] != half[name] for name in default)
+    for files, q in ((default, -1.0), (half, 0.5)):
+        stated = json.loads(files[report])
+        for key in section:
+            stated = stated[key]
+        assert stated["q"] == q
+    capsys.readouterr()
+    for override, says in (("wormhole.q=1", "requires q < 1, got q = 1.0 (degenerate)"),
+                           ("wormhole.q=-1,0.5", "needs exactly one q value")):
+        out = tmp_path / override
+        assert run(out, command, "--set", override) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"wormbec {command}: error: ") and err.count("\n") == 1
+        assert says in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, b0, key", [
+    ("embed", "1e+308", "r_max_um"),
+    ("solve-gp", "1e+308", "r_max_um"),
+    ("solve-gp", "1.7e+308", "r_min_um"),
+])
+def test_overflowing_default_bound_names_its_setting(tmp_path, capsys, command, b0, key):
+    """A default radius bound that overflows is a one-line error naming
+    the [grid] key to set and the b0 it came from."""
+    assert run(tmp_path / "out", command, "--set", f"wormhole.b0_um={b0}") == 1
+    assert capsys.readouterr().err == (
+        f"wormbec {command}: error: [grid] {key}: the default overflows at "
+        f"b0_um = {b0}; set grid.{key}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_profile3d_outputs(tmp_path):
     code = run(tmp_path, "profile3d",
                "--set", "wormhole.b0_um=1",
@@ -320,6 +368,16 @@ def test_presets_listing(tmp_path, capsys):
     assert "a_bg = 950 a0" in out
 
 
+@pytest.mark.parametrize("species", ["Li", "Na", "K", "Rb"])
+def test_presets_ignores_the_condensate(capsys, species):
+    """presets lists the registries and reads no condensate, so a species
+    without a resonance of its own does not fail it."""
+    assert main(["presets", "--set", f"condensate.species={species}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "  density = 1e+21 m^-3" in captured.out
+
+
 def test_preset_override_sections(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(
@@ -351,7 +409,7 @@ def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(config_path=str(tmp_path / "missing.ini"))
     with pytest.raises(ConfigError):
-        load_config(overrides=["condensate.species=Xe"])
+        load_config(overrides=["condensate.species=Xe"]).spec
     assert main(["profile1d", "--set", "wormhole.b0_um=-1"]) == 1
 
 
@@ -422,9 +480,9 @@ def test_unreadable_ini_is_one_line_error(tmp_path, capsys, monkeypatch, preset,
     ("profile1d", "wormhole.b0_um=1e300"),
     ("profile1d", "wormhole.q=1e300"),
     ("profile1d", "wormhole.q=-1e300"),
-    ("solve-gp", "wormhole.b0_um=1e-300"),
+    ("solve-gp", "wormhole.q=-1e300"),
     ("profile3d", "observer.v_inf_m_per_s=1e160"),
-    ("profile3d", "wormhole.b0_um=8.98846567431158e+307"),
+    ("profile3d", "wormhole.q=-1e300"),
     ("profile3d", "observer.v_inf_m_per_s=1e-320"),
 ])
 def test_arithmetic_failure_is_one_line_error(tmp_path, capsys, command, override):
@@ -638,7 +696,9 @@ def test_non_finite_report_values_are_json_null(tmp_path):
                "--set", "observer.v_inf_m_per_s=1e-305") == 0
     assert run(tmp_path / "1d", "profile1d", "--format", "json",
                "--set", "wormhole.q=-299", "--set", "wormhole.b0_um=10.5") == 0
+    assert run(tmp_path / "3d", "profile3d", "--set", "wormhole.q=0.999") == 0
     payloads = {path.stem: _strict_json(path) for path in tmp_path.glob("*/*.json")}
+    assert payloads["report_R5_b01_vinf0.01"]["asymptotes"]["radius_um"] is None
     assert payloads["gp_summary_vinf1e-305_b01"]["fold_radius_um"] is None
     feasibility = payloads["feasibility_q-299_b010.5"]
     assert feasibility["feasibility"]["max_slope_per_um"] is None
@@ -692,9 +752,9 @@ def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels):
 
 
 def test_every_public_name_resolves():
-    """Each of the package's 44 names imports from its submodule on first
+    """Each of the package's 43 names imports from its submodule on first
     access, through `from wormbec import X` and `import *` alike."""
-    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 44
+    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 43
     star = {}
     exec("from wormbec import *", star)
     for name in wormbec.__all__:

@@ -1,7 +1,6 @@
 """Run settings: every SCHEMA key is read under its own name and rewrites
 no other, a custom species or resonance is a preset section, an INI file
-holds named sections only, and the kernels' keyword defaults repeat
-SCHEMA's."""
+holds named sections only, and the kernels restate no SCHEMA default."""
 
 import contextlib
 import hashlib
@@ -198,16 +197,20 @@ def _schema_default(section, key):
     (profile3d.lab_profiles_3d, "pole_delta", "thresholds.pole_delta"),
     (gp3d.solve_matching, "throat_epsilon", "grid.throat_epsilon"),
     (profile3d.feasibility_report_3d, "resolution_factor", "thresholds.resolution_factor"),
+    (profile3d.resolution_audit, "factor", "thresholds.resolution_factor"),
     (feshbach.cesium_condensate, "density", "condensate.density_per_m3"),
 ])
 def test_keyword_default_matches_schema(function, parameter, setting):
-    """The library's keyword defaults repeat SCHEMA's, so a call without
-    the keyword computes what the CLI does at its defaults."""
-    default = inspect.signature(function).parameters[parameter].default
-    assert default == _schema_default(*setting.split("."))
+    """SCHEMA alone states the default of a setting: the kernel parameter
+    that takes it has no default of its own, so a call names the value and
+    no second copy of SCHEMA's default can drift from it."""
+    section, key = setting.split(".")
+    assert SCHEMA[section][key][0] is not None   # SCHEMA states the default
+    assert inspect.signature(function).parameters[parameter].default is inspect.Parameter.empty
 
 
 def test_default_condensate_is_cesium():
     assert _schema_default("condensate", "species") == "Cs"
     assert SCHEMA["condensate"]["resonance"][0] is None  # the species' own
-    assert load_config().spec == feshbach.cesium_condensate()
+    density = _schema_default("condensate", "density_per_m3")
+    assert load_config().spec == feshbach.cesium_condensate(density)

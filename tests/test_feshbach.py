@@ -18,7 +18,7 @@ from wormbec.feshbach import (BOHR_RADIUS, HBAR, CondensateSpec,
 # Reference healing lengths (um) at c_s = 0.01 m/s for the five presets.
 XI_TABLE_UM = {"Li": 0.648, "Na": 0.195, "K": 0.115, "Rb": 0.053, "Cs": 0.034}
 
-CS = cesium_condensate()
+CS = cesium_condensate(1e21)
 
 
 def test_cesium_preset_values():

@@ -261,8 +261,9 @@ def test_blocked_quadrature_keeps_the_bits(monkeypatch, panels):
         shape = ShapeFunction(1.0, 0.5)
         assert_same_bits(proper_distance(shape, r),
                          one_block(monkeypatch, lambda: proper_distance(shape, r)))
-        assert_same_bits(gp_time_offset(r, 1.5, 1.0),
-                         one_block(monkeypatch, lambda: gp_time_offset(r, 1.5, 1.0)))
+        ellis = ShapeFunction(1.0, -1.0)
+        assert_same_bits(gp_time_offset(r, 1.5, ellis),
+                         one_block(monkeypatch, lambda: gp_time_offset(r, 1.5, ellis)))
 
 
 def test_blocked_quadrature_names_the_first_failing_panel(monkeypatch):

@@ -22,6 +22,9 @@ from wormbec.profile3d import (detuning_denominator, field_profile_3d,
                                scattering_profile_3d, sound_speed_profile_3d)
 from wormbec.tableio import CHUNK_ROWS, Table
 
+CS = cesium_condensate(1e21)
+ELLIS = ShapeFunction(1.0, -1.0)   # b(r) = b0**2 / r at b0 = 1
+
 
 def riemann_offset(b0, energy, r, panels=10**6):
     """Midpoint sum for the time-offset integral in u = sqrt(r'-b0)."""
@@ -34,20 +37,20 @@ def riemann_offset(b0, energy, r, panels=10**6):
 
 def test_gp_time_offset_closed_form():
     """b0=1, E=sqrt(2), r=2: sqrt(E^2-1)*sqrt(r^2-b0^2) = sqrt(3)."""
-    value = gp_time_offset(2.0, math.sqrt(2.0), 1.0)
+    value = gp_time_offset(2.0, math.sqrt(2.0), ELLIS)
     assert value == pytest.approx(math.sqrt(3.0), rel=1e-10)
-    assert gp_time_offset(1.0, math.sqrt(2.0), 1.0) == 0.0
+    assert gp_time_offset(1.0, math.sqrt(2.0), ELLIS) == 0.0
 
 
 def test_gp_time_offset_riemann_oracle():
     for b0, energy, r in ((1.0, math.sqrt(2.0), 2.0), (0.5, 1.3, 7.0), (3.0, 2.0, 3.2)):
-        value = gp_time_offset(r, energy, b0)
+        value = gp_time_offset(r, energy, ShapeFunction(b0, -1.0))
         assert value == pytest.approx(riemann_offset(b0, energy, r), rel=1e-8)
 
 
 def test_gp_metric_reference_point():
     """b0=1, gamma=1.25, c_ref=1, r=2."""
-    g_tt, g_tr, g_rr = gp_metric(2.0, 1.25, 1.0, 1.0)
+    g_tt, g_tr, g_rr = gp_metric(2.0, 1.25, 1.0, ELLIS)
     assert g_tt == pytest.approx(-0.64, rel=1e-15)
     assert g_rr == pytest.approx(1.0 / (1.5625 * 0.75), rel=1e-15)
     assert g_tr == pytest.approx(0.64 * math.sqrt(0.75), rel=1e-14)
@@ -55,7 +58,7 @@ def test_gp_metric_reference_point():
 
 def test_gp_metric_free_fall_is_diagonal():
     """gamma = 1 recovers the static diagonal metric exactly."""
-    g_tt, g_tr, g_rr = gp_metric(2.0, 1.0, 3.0, 1.0)
+    g_tt, g_tr, g_rr = gp_metric(2.0, 1.0, 3.0, ELLIS)
     assert g_tr == 0.0
     assert g_tt == -9.0
     assert g_rr == pytest.approx(1.0 / 0.75, rel=1e-15)
@@ -67,24 +70,24 @@ def test_gp_metric_signature_random_sweep():
         b0 = rng.uniform(0.1, 5.0)
         r = b0 * (1.0 + rng.uniform(1e-4, 50.0))
         gamma = 1.0 + rng.uniform(0.0, 10.0)
-        g_tt, g_tr, g_rr = gp_metric(r, gamma, 1.0, b0)
+        g_tt, g_tr, g_rr = gp_metric(r, gamma, 1.0, ShapeFunction(b0, -1.0))
         assert g_tt < 0.0
         assert g_tt * g_rr - g_tr ** 2 < 0.0
 
 
 def test_gp_metric_pole_at_throat():
     with pytest.raises(PoleError):
-        gp_metric(1.0, 1.25, 1.0, 1.0)
+        gp_metric(1.0, 1.25, 1.0, ELLIS)
     with pytest.raises(DomainError):
-        gp_metric(2.0, 0.5, 1.0, 1.0)
+        gp_metric(2.0, 0.5, 1.0, ELLIS)
 
 
 def test_congruence_free_fall_exact():
-    assert metric_congruence_check(2.0, 1.0, 1.0, 1.0) == 0.0
+    assert metric_congruence_check(2.0, 1.0, 1.0, ELLIS) == 0.0
 
 
 def test_congruence_reference_point():
-    assert metric_congruence_check(2.0, 1.25, 1.0, 1.0) < 1e-12
+    assert metric_congruence_check(2.0, 1.25, 1.0, ELLIS) < 1e-12
 
 
 def test_congruence_random_sweep():
@@ -95,7 +98,7 @@ def test_congruence_random_sweep():
         r = b0 * (1.0 + rng.uniform(1e-6, 100.0))
         gamma = 1.0 + rng.uniform(1e-6, 9.0)
         c_ref = 1.0 if rng.uniform() < 0.5 else DEFAULT_LIGHT_SPEED
-        assert metric_congruence_check(r, gamma, c_ref, b0) < 1e-12
+        assert metric_congruence_check(r, gamma, c_ref, ShapeFunction(b0, -1.0)) < 1e-12
 
 
 def test_bec_metric_no_flow_is_diagonal():
@@ -144,61 +147,65 @@ def test_bec_metric_lab_scale_components():
 def test_matching_residuals_zero_order_is_tiny():
     """The small-velocity limit satisfies the exact system to rounding."""
     for r, b0, v_inf in ((2.0, 1.0, 0.01), (1.5, 1.0, 0.009), (9.0, 3.0, 0.01)):
-        cs0, vr = zero_order_solution(r, v_inf, b0)
-        res1, res2 = matching_residuals(r, cs0, vr, v_inf, b0)
+        shape = ShapeFunction(b0, -1.0)
+        cs0, vr = zero_order_solution(r, v_inf, shape)
+        res1, res2 = matching_residuals(r, cs0, vr, v_inf, shape)
         assert abs(res1) < 1e-13
         assert abs(res2) < 1e-13
 
 
 def test_matching_residual2_far_limit():
-    cs0, vr = zero_order_solution(1e8, 0.01, 1.0)
-    _, res2 = matching_residuals(1e8, cs0, vr, 0.01, 1.0)
+    cs0, vr = zero_order_solution(1e8, 0.01, ELLIS)
+    _, res2 = matching_residuals(1e8, cs0, vr, 0.01, ELLIS)
     assert abs(res2) < 1e-10
 
 
 def test_matching_residual2_sign_flips_across_solution():
-    cs0, vr = zero_order_solution(2.0, 0.01, 1.0)
-    _, res2_up = matching_residuals(2.0, cs0 * 1.1, vr, 0.01, 1.0)
-    _, res2_dn = matching_residuals(2.0, cs0 * 0.9, vr, 0.01, 1.0)
+    cs0, vr = zero_order_solution(2.0, 0.01, ELLIS)
+    _, res2_up = matching_residuals(2.0, cs0 * 1.1, vr, 0.01, ELLIS)
+    _, res2_dn = matching_residuals(2.0, cs0 * 0.9, vr, 0.01, ELLIS)
     assert res2_up > 0.0 > res2_dn
 
 
 def test_matching_residuals_domain():
     with pytest.raises(DomainError):
-        matching_residuals(2.0, 0.005, 0.01, 0.01, 1.0)  # cs0 <= v_inf
+        matching_residuals(2.0, 0.005, 0.01, 0.01, ELLIS)  # cs0 <= v_inf
     with pytest.raises(PoleError):
-        matching_residuals(1.0, 0.02, 0.01, 0.01, 1.0)   # throat
+        matching_residuals(1.0, 0.02, 0.01, 0.01, ELLIS)   # throat
 
 
 def test_zero_order_solution_values():
-    assert zero_order_solution(1.0, 0.01, 1.0) == (0.01, 0.01)
-    cs0, vr = zero_order_solution(6.0, 0.01, 3.0)
+    assert zero_order_solution(1.0, 0.01, ELLIS) == (0.01, 0.01)
+    shape = ShapeFunction(3.0, -1.0)
+    cs0, vr = zero_order_solution(6.0, 0.01, shape)
     assert cs0 == pytest.approx(0.02, rel=1e-15)
     assert vr == 0.01
-    assert zero_order_solution(40.0, 0.01, 3.0)[1] == 0.01  # vr independent of r
+    assert zero_order_solution(40.0, 0.01, shape)[1] == 0.01  # vr independent of r
 
 
 def test_solver_agrees_with_zero_order():
     """Exact solutions sit on the small-velocity limit to solver tolerance."""
     for v_inf, b0 in ((0.01, 1.0), (0.009, 1.0)):
-        solution = solve_matching(v_inf, b0, 1.1 * b0, 10.0 * b0, 0.1 * b0)
+        shape = ShapeFunction(b0, -1.0)
+        solution = solve_matching(v_inf, shape, 1.1 * b0, 10.0 * b0, 0.1 * b0,
+                                  throat_epsilon=1e-3)
         columns = solution.columns
         assert bool(columns["converged"].all())
         assert float(np.abs(columns["res1"]).max()) < 1e-12
         assert float(np.abs(columns["res2"]).max()) < 1e-12
-        deviation = matching_summary(solution, v_inf, b0)["max_rel_deviation_from_zero_order"]
+        deviation = matching_summary(solution, v_inf, shape)["max_rel_deviation_from_zero_order"]
         assert deviation["cs0"] < 1e-9
         assert deviation["vr"] < 1e-9
         assert bool((columns["cs0_m_per_s"] > v_inf).all())
 
 
-def mpmath_matching_root(r, v_inf, b0, light_speed, start):
-    """(cs0, v_r) solving the residual system to 40 digits, found by
-    mpmath.findroot from ``start``."""
+def mpmath_matching_root(r, v_inf, b0, light_speed, start, q=-1.0):
+    """(cs0, v_r) solving the residual system of the shape (b0, q) to 40
+    digits, found by mpmath.findroot from ``start``."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     r, v_inf, b0, c = map(mp.mpf, (r, v_inf, b0, light_speed))
-    factor = 1 - (b0 / r) ** 2
+    factor = 1 - (b0 / r) ** (1 - mp.mpf(q))
 
     def residuals(cs0, vr):
         gs = 1 / mp.sqrt(1 - (v_inf / cs0) ** 2)
@@ -215,7 +222,8 @@ def mpmath_matching_root(r, v_inf, b0, light_speed, start):
 def test_solve_matching_equals_mpmath_root(v_inf, light_speed):
     """Every converged radius carries the root of the residual system to
     1e-13 relative, near light speed and at O(1) corrections alike."""
-    columns = solve_matching(v_inf, 1.0, 1.101, 4.9, 0.19, light_speed=light_speed).columns
+    columns = solve_matching(v_inf, ELLIS, 1.101, 4.9, 0.19, light_speed=light_speed,
+                             throat_epsilon=1e-3).columns
     ok = columns["converged"]
     assert ok.any()
     for r, cs0, vr in zip(columns["r_um"][ok].tolist(), columns["cs0_m_per_s"][ok].tolist(),
@@ -233,12 +241,96 @@ def test_solve_matching_equals_mpmath_root(v_inf, light_speed):
 def test_converged_exactly_up_to_the_fold(v_inf, light_speed, converged):
     """A radius converges exactly when it lies at or below the fold radius,
     where the discriminant vanishes; beyond it the values stay finite."""
-    columns = solve_matching(v_inf, 1.0, 1.1, 10.0, 0.05, light_speed=light_speed).columns
+    columns = solve_matching(v_inf, ELLIS, 1.1, 10.0, 0.05, light_speed=light_speed,
+                             throat_epsilon=1e-3).columns
     assert int(columns["converged"].sum()) == converged
-    r_fold = fold_radius(v_inf, 1.0, light_speed)
+    r_fold = fold_radius(v_inf, ELLIS, light_speed)
     assert columns["converged"].tolist() == (columns["r_um"] <= r_fold).tolist()
     for column in columns.values():
         assert np.isfinite(column.astype(float)).all()
+
+
+SHAPE_QS = (-3.0, -1.0, 0.0, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("v_inf", [0.01, 3e7, 1e8])
+@pytest.mark.parametrize("q", SHAPE_QS)
+def test_power_law_solve_converges_up_to_the_general_fold(q, v_inf):
+    """For each shape exponent, both residuals are below RESIDUAL_TOL at
+    every radius up to the fold b0 ((c^2 + v^2)/(2 v c))**(2/(1-q)), every
+    radius past it is unconverged, and the converged cs0 (every tenth
+    radius) and v^r are the 40-digit root of the residual system."""
+    shape = ShapeFunction(1.0, q)
+    columns = solve_matching(v_inf, shape, 1.1, 10.0, 0.05, throat_epsilon=1e-3).columns
+    inside = columns["r_um"] <= fold_radius(v_inf, shape)
+    assert columns["converged"].tolist() == inside.tolist()
+    assert np.abs(columns["res1"][inside]).max() < gp3d.RESIDUAL_TOL
+    assert np.abs(columns["res2"][inside]).max() < gp3d.RESIDUAL_TOL
+    for r, cs0, vr in list(zip(columns["r_um"][inside].tolist(),
+                               columns["cs0_m_per_s"][inside].tolist(),
+                               columns["vr_m_per_s"][inside].tolist()))[::10]:
+        cs0_ref, vr_ref = mpmath_matching_root(r, v_inf, 1.0, DEFAULT_LIGHT_SPEED, (cs0, vr), q)
+        assert cs0 == pytest.approx(float(cs0_ref), rel=1e-13)
+        assert vr == pytest.approx(float(vr_ref), rel=1e-13)
+
+
+@pytest.mark.parametrize("v_inf, light_speed", [
+    (0.01, DEFAULT_LIGHT_SPEED), (3e7, DEFAULT_LIGHT_SPEED), (1e8, DEFAULT_LIGHT_SPEED),
+    (0.01, 0.05),
+])
+@pytest.mark.parametrize("q", SHAPE_QS)
+def test_fold_and_zero_order_closed_forms_equal_mpmath(q, v_inf, light_speed):
+    """The fold radius is the 40-digit root of the discriminant
+    g (1-k)^2 - 4 f k, to (8 + ln(r_fold/b0)) units of 2**-52: a rounding
+    of the exponent 2/(1-q) moves r_fold by ln(r_fold/b0) times it (ln 470
+    at q = 0.9, v_inf = 0.01). The small-velocity limit is the cs0 of
+    gamma_s = 1/sqrt(f), i.e. v_inf / sqrt(g), at radii out to 1e4 b0."""
+    mp = pytest.importorskip("mpmath")
+    b0 = 3.0
+    shape = ShapeFunction(b0, q)
+    with mp.workdps(40):
+        p, k = 1 - mp.mpf(q), (mp.mpf(v_inf) / mp.mpf(light_speed)) ** 2
+
+        def excess(log_r):   # D / (4 f k) in log r: the fold lies out to 1e205 b0
+            g = (b0 / mp.exp(log_r)) ** p
+            return g * (1 - k) ** 2 / (4 * (1 - g) * k) - 1
+
+        r_fold = fold_radius(v_inf, shape, light_speed)
+        root = mp.exp(mp.findroot(excess, mp.log(r_fold)))
+        assert r_fold == pytest.approx(float(root), rel=2.2e-16 * (8 + math.log(r_fold / b0)))
+        radii = b0 * np.geomspace(1.0, 1e4, 41)
+        cs0, vr = zero_order_solution(radii, v_inf, shape)
+        reference = [v_inf / mp.sqrt((b0 / mp.mpf(r)) ** p) for r in radii.tolist()]
+        assert cs0.tolist() == pytest.approx([float(x) for x in reference], rel=4e-16)
+        assert (vr == v_inf).all()
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_flow_adapted_construction_needs_q_below_one(q):
+    """A degenerate or signature-broken throat is a DomainError naming q."""
+    shape = ShapeFunction(1.0, q)
+    for call in (lambda: solve_matching(0.01, shape, 1.1, 10.0, 0.05, throat_epsilon=1e-3),
+                 lambda: fold_radius(0.01, shape),
+                 lambda: zero_order_solution(2.0, 0.01, shape),
+                 lambda: gp_metric(2.0, 1.25, 1.0, shape),
+                 lambda: gp_time_offset(2.0, 1.5, shape)):
+        with pytest.raises(DomainError, match=f"q < 1, got q = {q!r}"):
+            call()
+
+
+def test_time_offset_is_energy_term_times_proper_distance():
+    """The time-offset integrand is sqrt(E^2 - 1) times the proper-distance
+    one, at every exponent: against a 40-digit quadrature."""
+    mp = pytest.importorskip("mpmath")
+    for q in SHAPE_QS:
+        shape = ShapeFunction(2.0, q)
+        with mp.workdps(30):
+            p = 1 - mp.mpf(q)
+            # r = b0 + u^2 removes the throat's inverse square root
+            exact = mp.sqrt(mp.mpf(1.5) ** 2 - 1) * mp.quad(
+                lambda u: 2 * u / mp.sqrt(-mp.expm1(-p * mp.log1p(u * u / 2))),
+                [0, 1, mp.sqrt(5)])
+        assert gp_time_offset(7.0, 1.5, shape) == pytest.approx(float(exact), rel=1e-12)
 
 
 @pytest.mark.parametrize("r, v_inf, light_speed", [
@@ -250,14 +342,15 @@ def test_newton_stops_where_gamma_s_would_leave_its_domain(r, v_inf, light_speed
     domain gamma_s > 1, lie past the fold: on a grid that reaches them they
     come back flagged unconverged with finite values, and a one-point grid
     at r raises ConvergenceError naming the fold."""
-    columns = solve_matching(v_inf, 1.0, 1.5, r, r - 1.5, light_speed=light_speed).columns
+    columns = solve_matching(v_inf, ELLIS, 1.5, r, r - 1.5, light_speed=light_speed,
+                             throat_epsilon=1e-3).columns
     assert columns["r_um"].tolist() == [1.5, r]
     assert columns["converged"].tolist() == [True, False]
     for name in ("cs0_m_per_s", "vr_m_per_s", "res1", "res2"):
         assert np.isfinite(columns[name]).all()
-    r_fold = fold_radius(v_inf, 1.0, light_speed)
+    r_fold = fold_radius(v_inf, ELLIS, light_speed)
     with pytest.raises(ConvergenceError, match=f"fold at r = {r_fold!r}"):
-        solve_matching(v_inf, 1.0, r, r, 1.0, light_speed=light_speed)
+        solve_matching(v_inf, ELLIS, r, r, 1.0, light_speed=light_speed, throat_epsilon=1e-3)
 
 
 def test_radius_where_no_vr_exists_stays_finite():
@@ -265,7 +358,7 @@ def test_radius_where_no_vr_exists_stays_finite():
     radius, so no v^r balances the cross terms: the radius comes back
     flagged with finite values instead of failing the grid."""
     r = 7.101467683736689
-    columns = solve_matching(3e7, 1.0, 1.5, r, r - 1.5).columns
+    columns = solve_matching(3e7, ELLIS, 1.5, r, r - 1.5, throat_epsilon=1e-3).columns
     assert columns["r_um"].tolist() == [1.5, r]
     assert columns["converged"].tolist() == [True, False]
     for name in ("cs0_m_per_s", "vr_m_per_s", "res1", "res2"):
@@ -283,29 +376,34 @@ def test_matching_residuals_arrays_match_floats():
     radii = np.array([1.2, 2.0, 7.5])
     cs0 = np.array([0.013, 0.021, 0.07])
     vr = np.array([0.011, 0.0099, 0.01])
-    res1, res2 = matching_residuals(radii, cs0, vr, 0.01, 1.0, 0.1)
-    pointwise = [matching_residuals(*args, 0.01, 1.0, 0.1)
+    res1, res2 = matching_residuals(radii, cs0, vr, 0.01, ELLIS, 0.1)
+    pointwise = [matching_residuals(*args, 0.01, ELLIS, 0.1)
                  for args in zip(radii.tolist(), cs0.tolist(), vr.tolist())]
     assert all(type(value) is float for pair in pointwise for value in pair)
     assert_same_bits(res1, [pair[0] for pair in pointwise])
     assert_same_bits(res2, [pair[1] for pair in pointwise])
     with pytest.raises(DomainError):
-        matching_residuals(radii, cs0 - 0.005, vr, 0.01, 1.0)   # one cs0 <= v_inf
+        matching_residuals(radii, cs0 - 0.005, vr, 0.01, ELLIS)   # one cs0 <= v_inf
 
-    spec = cesium_condensate()
+    spec = CS
     res = spec.resonance
     shape = ShapeFunction(1.5, -0.7)
+    ellis = ShapeFunction(1.5, -1.0)
     formulas = [
-        lambda r: gp_metric(r, 1.25, 0.02, 1.0),
+        lambda r: gp_metric(r, 1.25, 0.02, ELLIS),
         lambda r: bec_metric(r, 0.001 * r, 0.01 * r, 0.1),
         lambda r: metric_factor(shape, r),
         lambda r: field_profile_1d(shape, res, r),
         lambda r: slope_metric(shape, res, r - 1.5),
         lambda r: sound_speed_from_scattering(1e-8 * r, spec),
-        lambda r: sound_speed_profile_3d(r, 0.01, 1.5),
-        lambda r: scattering_profile_3d(r, 0.01, 1.5, spec),
-        lambda r: detuning_denominator(r, 0.01, 1.5, spec),
-        lambda r: field_profile_3d(r, 0.01, 1.5, spec),
+        lambda r: sound_speed_profile_3d(r, 0.01, ellis),
+        lambda r: scattering_profile_3d(r, 0.01, ellis, spec),
+        lambda r: detuning_denominator(r, 0.01, ellis, spec),
+        lambda r: field_profile_3d(r, 0.01, ellis, spec),
+        lambda r: gp_metric(r, 1.25, 0.02, ShapeFunction(1.0, -0.7)),
+        lambda r: zero_order_solution(r, 0.01, shape),
+        lambda r: sound_speed_profile_3d(r, 0.01, shape),
+        lambda r: field_profile_3d(r, 0.01, shape, spec),
     ]
     radii = np.array([1.5, 2.25, 9.1, 21.5])
     for formula in formulas:
@@ -318,15 +416,16 @@ def test_matching_residuals_arrays_match_floats():
 
 def test_solver_grid_preconditions():
     with pytest.raises(DomainError):
-        solve_matching(0.01, 1.0, 1.0, 10.0, 0.1)   # touches the throat
+        solve_matching(0.01, ELLIS, 1.0, 10.0, 0.1, throat_epsilon=1e-3)   # touches the throat
     with pytest.raises(DomainError):
-        solve_matching(0.01, 1.0, 1.1, 10.0, -0.1)
+        solve_matching(0.01, ELLIS, 1.1, 10.0, -0.1, throat_epsilon=1e-3)
     with pytest.raises(DomainError):
-        solve_matching(-0.01, 1.0, 1.1, 10.0, 0.1)
+        solve_matching(-0.01, ELLIS, 1.1, 10.0, 0.1, throat_epsilon=1e-3)
     with pytest.raises(DomainError):
-        solve_matching(0.2, 1.0, 1.1, 10.0, 0.1, light_speed=0.2)   # v_inf = c
+        solve_matching(0.2, ELLIS, 1.1, 10.0, 0.1, light_speed=0.2,
+                       throat_epsilon=1e-3)   # v_inf = c
     with pytest.raises(PoleError):
-        solve_matching(0.01, 1.0, 1.0, 10.0, 0.1, throat_epsilon=0.0)
+        solve_matching(0.01, ELLIS, 1.0, 10.0, 0.1, throat_epsilon=0.0)
 
 
 def whole_grid(monkeypatch, compute):
@@ -372,7 +471,8 @@ def test_blocked_solve_keeps_the_bits(monkeypatch, v_inf, b0, r_min, r_max, step
     """Solving the radii CHUNK_ROWS at a time gives bit for bit the table
     of one block over the whole grid, converged flags included."""
     def solve():
-        return solve_matching(v_inf, b0, r_min, r_max, step).columns
+        return solve_matching(v_inf, ShapeFunction(b0, -1.0), r_min, r_max, step,
+                              throat_epsilon=1e-3).columns
 
     assert blocks_of(monkeypatch, solve) == [
         min(CHUNK_ROWS, radii - start) for start in range(0, radii, CHUNK_ROWS)]
@@ -390,33 +490,48 @@ def test_blocked_solve_keeps_the_bits(monkeypatch, v_inf, b0, r_min, r_max, step
         assert np.isfinite(columns["vr_m_per_s"][1500])
 
 
+def assert_whole_grid_error(monkeypatch, v_inf, shape, error):
+    """A 17801-radius grid that fails fails with the error text of one
+    block over the whole grid; returns that text."""
+    def message():
+        with pytest.raises(error) as failure:
+            solve_matching(v_inf, shape, 1.1 * shape.b0, 10.0 * shape.b0, 0.0005 * shape.b0,
+                           throat_epsilon=1e-3)
+        return str(failure.value)
+
+    assert message() == whole_grid(monkeypatch, message)
+    return message()
+
+
 @pytest.mark.parametrize("v_inf, b0, error", [
     (2e8, 1.0, ConvergenceError),        # past the fold at every radius
-    (0.01, 1e200, FloatingPointError),   # r * r overflows
-    (0.01, 1e-200, FloatingPointError),  # r * r underflows to 0 / 0
     (5e-324, 1.0, DomainError),          # cs0 rounds to v_inf
 ])
 def test_blocked_solve_raises_the_whole_grid_error(monkeypatch, v_inf, b0, error):
     """A 17801-radius grid that fails fails with the error text of one
     block over the whole grid."""
-    def message():
-        with pytest.raises(error) as failure:
-            solve_matching(v_inf, b0, 1.1 * b0, 10.0 * b0, 0.0005 * b0)
-        return str(failure.value)
-
-    assert message() == whole_grid(monkeypatch, message)
+    message = assert_whole_grid_error(monkeypatch, v_inf, ShapeFunction(b0, -1.0), error)
     if error is ConvergenceError:
-        assert message() == (
+        assert message == (
             f"matching solve failed at every radius in [{1.1!r}, {10.0!r}]: "
-            f"no real solution beyond the fold at r = {fold_radius(2e8, 1.0)!r}")
+            f"no real solution beyond the fold at r = {fold_radius(2e8, ELLIS)!r}")
 
 
-def unblocked_summary(solution, v_inf, b0):
+@pytest.mark.parametrize("q", [-2000.0, -1e300])
+def test_blocked_solve_raises_the_whole_grid_float_error(monkeypatch, q):
+    """g = (b0/r)**(1-q) underflows to 0 at the far radii (q = -2000) or at
+    every radius (q = -1e300), where cs0 divides by zero: FloatingPointError
+    with the text of one block over the whole grid. (b0 = 1e200 and 1e-200
+    used to fail this way at q = -1; the solve now works in r/b0.)"""
+    assert_whole_grid_error(monkeypatch, 0.01, ShapeFunction(1.0, q), FloatingPointError)
+
+
+def unblocked_summary(solution, v_inf, shape):
     """The solver statistics from whole-grid selections of the converged rows."""
     columns = solution.columns
     ok = columns["converged"]
     cs0, vr = columns["cs0_m_per_s"][ok], columns["vr_m_per_s"][ok]
-    cs0_ref, vr_ref = zero_order_solution(columns["r_um"][ok], v_inf, b0)
+    cs0_ref, vr_ref = zero_order_solution(columns["r_um"][ok], v_inf, shape)
     return {"points": int(ok.size), "points_converged": int(ok.sum()),
             "max_abs_residual1": float(abs(columns["res1"][ok]).max()),
             "max_abs_residual2": float(abs(columns["res2"][ok]).max()),
@@ -430,11 +545,12 @@ def test_blocked_summary_equals_the_unblocked_one(v_inf, b0, r_min, r_max, step,
     """matching_summary's block-by-block maxima equal the whole-grid ones,
     also with the rows reversed, where the first blocks of a fold-crossing
     grid hold no converged radius."""
-    solution = solve_matching(v_inf, b0, r_min, r_max, step)
+    shape = ShapeFunction(b0, -1.0)
+    solution = solve_matching(v_inf, shape, r_min, r_max, step, throat_epsilon=1e-3)
     reversed_rows = Table({name: column[::-1] for name, column in solution.columns.items()})
     for table in (solution, reversed_rows):
-        summary = matching_summary(table, v_inf, b0)
-        assert summary == unblocked_summary(table, v_inf, b0)
+        summary = matching_summary(table, v_inf, shape)
+        assert summary == unblocked_summary(table, v_inf, shape)
         deviation = summary["max_rel_deviation_from_zero_order"]
         assert all(type(value) is float for value in (
             summary["max_abs_residual1"], summary["max_abs_residual2"], *deviation.values()))
@@ -448,10 +564,28 @@ def test_solve_matching_memory_is_bounded():
     evaluated at once)."""
     tracemalloc.start()
     try:
-        solution = solve_matching(0.01, 1.0, 1.1, 10.0, 0.00005)
-        matching_summary(solution, 0.01, 1.0)
+        solution = solve_matching(0.01, ELLIS, 1.1, 10.0, 0.00005, throat_epsilon=1e-3)
+        matching_summary(solution, 0.01, ELLIS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     table_bytes = sum(column.nbytes for column in solution.columns.values())
     assert peak <= 1.5 * table_bytes
+
+
+@pytest.mark.parametrize("q", [-1.0, 0.5])
+def test_solve_matching_is_scale_covariant(q):
+    """Scaling b0 and every grid length by 2**k (k = -1000 .. 1000 in steps
+    of 10) scales r_um by exactly 2**k and leaves the other columns bit
+    for bit as they were: the solve sees lengths only through r/b0."""
+    def solve(scale):
+        return solve_matching(1e8, ShapeFunction(scale, q), 1.1 * scale, 10.0 * scale,
+                              0.05 * scale, throat_epsilon=1e-3).columns
+
+    reference = solve(1.0)
+    assert 0 < int(reference["converged"].sum()) < reference["r_um"].size
+    for k in range(-1000, 1001, 10):
+        columns = solve(2.0 ** k)
+        assert_same_bits(columns["r_um"], reference["r_um"] * 2.0 ** k)
+        for name in ("cs0_m_per_s", "vr_m_per_s", "res1", "res2", "converged"):
+            assert_same_bits(columns[name], reference[name])

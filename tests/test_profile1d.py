@@ -11,12 +11,12 @@ from wormbec.feshbach import (BOHR_RADIUS, cesium_condensate, m_to_bohr,
                               scattering_from_field, sound_speed_from_field,
                               sound_speed_from_scattering)
 from wormbec.geometry import ShapeFunction, metric_factor
-from wormbec.profile1d import (SLOPE_CAPABILITY_PER_UM, feasibility_1d,
-                               field_profile_1d, sample_profile_1d,
+from wormbec.profile1d import (feasibility_1d, field_profile_1d, sample_profile_1d,
                                scattering_profile_1d, slope_metric)
 from wormbec.tableio import write_table
 
-CS = cesium_condensate()
+CS = cesium_condensate(1e21)
+CAPABILITY = 0.067  # demonstrated control of a/(100 a0), per micron
 RES = CS.resonance
 THROAT_FIELD = RES.b_res + RES.width  # 47.923 G
 
@@ -174,13 +174,13 @@ def test_profile_consistency_with_field_route():
 
 
 def test_feasibility_threshold_zero_always_fails():
-    audit = feasibility_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.5, threshold=0.0)
+    audit = feasibility_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.5, threshold=0.0, window=1.0)
     assert not audit["feasible"]
 
 
 def test_feasibility_max_matches_finite_difference_oracle():
     shape = ShapeFunction(10.0, -1.0)
-    audit = feasibility_1d(shape, CS, 20.0, 0.5, window=1.0)
+    audit = feasibility_1d(shape, CS, 20.0, 0.5, threshold=CAPABILITY, window=1.0)
     xs = [k * 0.5 for k in range(2, 41)]
     oracle = max(abs(fd_slope(shape, RES, x)) for x in xs)
     assert audit["max_slope_per_um"] == pytest.approx(oracle, rel=1e-6)
@@ -194,7 +194,7 @@ def test_feasibility_equals_slope_metric_scan(q, b0):
     q = 1 every slope is zero, so the first candidate; at q = -299 and
     b0 = 10.5 the slopes overflow to inf and then NaN, which never wins)."""
     shape = ShapeFunction(b0, q)
-    audit = feasibility_1d(shape, CS, 20.0, 0.01, window=1.0)
+    audit = feasibility_1d(shape, CS, 20.0, 0.01, threshold=CAPABILITY, window=1.0)
     best, best_at = -math.inf, None
     for x in (k * 0.01 for k in range(2001)):
         if x >= 1.0 and abs(slope_metric(shape, RES, x)) > best:
@@ -208,18 +208,18 @@ def test_feasibility_reference_case():
     """q=0.95, b0=1: the slope at the 10 um evaluation point clears the
     0.067 capability, so a 10 um exclusion window is feasible. Slopes
     nearer the throat exceed the capability (0.229 at 1 um), so the
-    1 um default window is not."""
+    1 um window (the CLI default) is not."""
     shape = ShapeFunction(1.0, 0.95)
-    wide = feasibility_1d(shape, CS, 20.0, 0.1, window=10.0)
+    wide = feasibility_1d(shape, CS, 20.0, 0.1, threshold=CAPABILITY, window=10.0)
     assert wide["feasible"]
     assert wide["max_slope_per_um"] == pytest.approx(0.038, abs=1e-3)
     assert wide["slope_at_x_um"] == pytest.approx(10.0, abs=1e-12)
 
-    narrow = feasibility_1d(shape, CS, 20.0, 0.1, window=1.0)
+    narrow = feasibility_1d(shape, CS, 20.0, 0.1, threshold=CAPABILITY, window=1.0)
     assert not narrow["feasible"]
     assert narrow["max_slope_per_um"] == pytest.approx(0.2294, abs=1e-3)
     assert narrow["slope_at_x_um"] == pytest.approx(1.0, abs=1e-12)
-    assert narrow["threshold_per_um"] == SLOPE_CAPABILITY_PER_UM
+    assert narrow["threshold_per_um"] == CAPABILITY
 
 
 def test_profile_csv_layout(tmp_path):

@@ -19,15 +19,16 @@ from wormbec.profile3d import (LabLayout, analytic_asymptote_positions,
                                sound_speed_profile_3d)
 from wormbec.tableio import write_table
 
-CS = cesium_condensate()
+CS = cesium_condensate(1e21)
 RES = CS.resonance
+ELLIS = ShapeFunction(1.0, -1.0)   # b(r) = b0**2 / r at b0 = 1
 THROAT_FIELD = RES.b_res + RES.width
 
 
 def test_sound_speed_profile_values():
-    cs0, cs = sound_speed_profile_3d(1.0, 0.01, 1.0)
+    cs0, cs = sound_speed_profile_3d(1.0, 0.01, ELLIS)
     assert cs0 == 0.01 and cs == 0.0
-    cs0, cs = sound_speed_profile_3d(2.0, 0.01, 1.0)
+    cs0, cs = sound_speed_profile_3d(2.0, 0.01, ELLIS)
     assert cs0 == pytest.approx(0.02, rel=1e-15)
     assert cs == pytest.approx(0.01 * math.sqrt(3.0), rel=1e-14)
 
@@ -39,28 +40,28 @@ def test_sound_speed_profile_identity():
         b0 = rng.uniform(0.1, 5.0)
         v_inf = rng.uniform(1e-3, 0.02)
         r = b0 * (1.0 + rng.uniform(0.0, 20.0))
-        cs0, cs = sound_speed_profile_3d(r, v_inf, b0)
+        cs0, cs = sound_speed_profile_3d(r, v_inf, ShapeFunction(b0, -1.0))
         assert cs * cs == pytest.approx(cs0 * cs0 - v_inf * v_inf,
                                         rel=1e-12, abs=1e-20)
 
 
 def test_field_profile_throat_value():
-    assert field_profile_3d(1.0, 0.01, 1.0, CS) == THROAT_FIELD
+    assert field_profile_3d(1.0, 0.01, ELLIS, CS) == THROAT_FIELD
 
 
 def test_asymptote_radius_reference_value():
     """Cs background speed 0.0120 m/s, v_inf = 0.01, b0 = 1: r* = 1.563."""
-    r_star = asymptote_radius(0.01, 1.0, CS)
+    r_star = asymptote_radius(0.01, ELLIS, CS)
     assert r_star == pytest.approx(1.5628, abs=2e-3)
 
 
 def test_field_profile_branches_around_pole():
-    r_star = asymptote_radius(0.01, 1.0, CS)
-    before = field_profile_3d(r_star * 0.999, 0.01, 1.0, CS)
-    beyond = field_profile_3d(r_star * 1.001, 0.01, 1.0, CS)
+    r_star = asymptote_radius(0.01, ELLIS, CS)
+    before = field_profile_3d(r_star * 0.999, 0.01, ELLIS, CS)
+    beyond = field_profile_3d(r_star * 1.001, 0.01, ELLIS, CS)
     assert before > RES.b_res          # +detuned branch, huge positive field
     assert beyond < RES.b_res          # beyond the pole B drops below B_res
-    assert detuning_denominator(r_star * 1.001, 0.01, 1.0, CS) < 0.0
+    assert detuning_denominator(r_star * 1.001, 0.01, ELLIS, CS) < 0.0
 
 
 def test_field_profile_pole_error():
@@ -70,17 +71,18 @@ def test_field_profile_pole_error():
     b0 = 1.0
     # choose term = ratio**2 exactly: r such that (r-b0)(r+b0)/b0^2 == ratio^2
     r = math.sqrt(ratio * ratio + 1.0)
-    if detuning_denominator(r, v_inf, b0, CS) == 0.0:
+    shape = ShapeFunction(b0, -1.0)
+    if detuning_denominator(r, v_inf, shape, CS) == 0.0:
         with pytest.raises(PoleError):
-            field_profile_3d(r, v_inf, b0, CS)
+            field_profile_3d(r, v_inf, shape, CS)
     else:  # rounding moved us off the exact pole: nearby values are finite
-        assert abs(field_profile_3d(r, v_inf, b0, CS)) > 1e4
+        assert abs(field_profile_3d(r, v_inf, shape, CS)) > 1e4
 
 
 def test_scattering_profile_values():
-    assert scattering_profile_3d(1.0, 0.01, 1.0, CS) == 0.0
-    r_star = asymptote_radius(0.01, 1.0, CS)
-    assert scattering_profile_3d(r_star, 0.01, 1.0, CS) == pytest.approx(1.0, rel=1e-12)
+    assert scattering_profile_3d(1.0, 0.01, ELLIS, CS) == 0.0
+    r_star = asymptote_radius(0.01, ELLIS, CS)
+    assert scattering_profile_3d(r_star, 0.01, ELLIS, CS) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_scattering_profile_composition():
@@ -90,20 +92,20 @@ def test_scattering_profile_composition():
         b0 = rng.uniform(0.3, 5.0)
         v_inf = rng.uniform(0.005, 0.02)
         r = b0 * (1.0 + rng.uniform(1e-3, 3.0))
-        denom = detuning_denominator(r, v_inf, b0, CS)
+        shape = ShapeFunction(b0, -1.0)
+        denom = detuning_denominator(r, v_inf, shape, CS)
         if abs(denom) < 1e-3:
             continue
-        direct = scattering_profile_3d(r, v_inf, b0, CS)
-        via_field = scattering_from_field(
-            field_profile_3d(r, v_inf, b0, CS), RES) / RES.a_bg
+        direct = scattering_profile_3d(r, v_inf, shape, CS)
+        via_field = scattering_from_field(field_profile_3d(r, v_inf, shape, CS), RES) / RES.a_bg
         assert via_field == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 
 def test_lab_profiles_reference_run():
     """R=5, b0=1, v_inf=0.01, Cs: a/a_bg at the walls is about 24, far
     above the background value."""
-    layout = LabLayout(R=5.0, b0=1.0)
-    columns = lab_profiles_3d(layout, 0.01, CS, 0.5).columns
+    layout = LabLayout(R=5.0, shape=ELLIS)
+    columns = lab_profiles_3d(layout, 0.01, CS, 0.5, pole_delta=1e-3).columns
     assert columns["x_um"][0] == 0.0
     assert columns["a_over_abg"][0] == pytest.approx(24.26, abs=0.3)
     assert columns["x_um"][-1] == 10.0
@@ -111,8 +113,8 @@ def test_lab_profiles_reference_run():
 
 
 def test_lab_profiles_throat_column():
-    layout = LabLayout(R=5.0, b0=1.0)
-    columns = lab_profiles_3d(layout, 0.01, CS, 0.5).columns
+    layout = LabLayout(R=5.0, shape=ELLIS)
+    columns = lab_profiles_3d(layout, 0.01, CS, 0.5, pole_delta=1e-3).columns
     throat = np.flatnonzero(columns["x_um"] == 5.0)
     assert len(throat) == 1
     i = throat[0]
@@ -125,8 +127,8 @@ def test_lab_profiles_throat_column():
 
 
 def test_lab_profiles_mirror_symmetry():
-    layout = LabLayout(R=5.0, b0=1.0)
-    columns = lab_profiles_3d(layout, 0.01, CS, 0.125).columns
+    layout = LabLayout(R=5.0, shape=ELLIS)
+    columns = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=1e-3).columns
     index = {x: i for i, x in enumerate(columns["x_um"].tolist())}
     mirror = [index[10.0 - x] for x in columns["x_um"].tolist()]
     for name in ("r_um", "a_over_abg", "cs0_m_per_s", "cs_m_per_s", "B_gauss",
@@ -136,7 +138,7 @@ def test_lab_profiles_mirror_symmetry():
 
 
 def test_near_asymptote_samples_carry_no_field():
-    layout = LabLayout(R=5.0, b0=1.0)
+    layout = LabLayout(R=5.0, shape=ELLIS)
     # a coarse pole_delta makes several samples near-asymptotic
     columns = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=0.2).columns
     flagged = columns["near_asymptote"]
@@ -155,22 +157,23 @@ def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
     """Every column is the recipe evaluated on floats point by point, bit
     for bit (the float and the array path of each formula agree); near-
     asymptote samples, and only they, carry a NaN field."""
-    layout = LabLayout(R=5.0, b0=1.0)
+    layout = LabLayout(R=5.0, shape=ELLIS)
     columns = lab_profiles_3d(layout, v_inf, CS, step, pole_delta=pole_delta).columns
     count = int(math.floor(10.0 / step + 1e-9)) + 1
     assert_same_bits(columns["x_um"], [k * step for k in range(count)])
-    r = [abs(x - layout.R) + layout.b0 for x in columns["x_um"].tolist()]
+    r = [abs(x - layout.R) + layout.shape.b0 for x in columns["x_um"].tolist()]
     assert_same_bits(columns["r_um"], r)
-    speeds = [sound_speed_profile_3d(ri, v_inf, 1.0) for ri in r]
+    speeds = [sound_speed_profile_3d(ri, v_inf, ELLIS) for ri in r]
     assert_same_bits(columns["cs0_m_per_s"], [cs0 for cs0, _ in speeds])
     assert_same_bits(columns["cs_m_per_s"], [cs for _, cs in speeds])
     assert_same_bits(columns["a_over_abg"],
-                     [scattering_profile_3d(ri, v_inf, 1.0, CS) for ri in r])
-    near = [abs(detuning_denominator(ri, v_inf, 1.0, CS)) < pole_delta for ri in r]
+                     [scattering_profile_3d(ri, v_inf, ELLIS, CS) for ri in r])
+    near = [abs(detuning_denominator(ri, v_inf, ELLIS, CS)) < pole_delta for ri in r]
     assert sum(near) == near_count
     assert columns["near_asymptote"].tolist() == near
     assert columns["valid"].tolist() == [not n for n in near]
-    assert_same_bits(columns["B_gauss"], [math.nan if n else field_profile_3d(ri, v_inf, 1.0, CS)
+    assert_same_bits(columns["B_gauss"], [math.nan if n else
+                                          field_profile_3d(ri, v_inf, ELLIS, CS)
                                           for ri, n in zip(r, near)])
     assert (columns["vr_m_per_s"] == v_inf).all()
 
@@ -189,7 +192,7 @@ def _ulps(values, reference):
 def test_profiles_match_40_digit_reference(q, b0, v_inf):
     """On CLI grids (1D: x in [-20, 20] at 0.1; 3D: R = 5 at 0.01) the 1D
     a/a_bg, B and c_s and the 3D cs0, cs, a/a_bg and B lie within 4 ulp of
-    40-digit mpmath evaluated at the sampled radii. The 3D B is referred
+    40-digit mpmath evaluated at the sampled radii (3D at q = -1). The 3D B is referred
     to the sampled a/a_bg: near the pole 1/(1 - a/a_bg) amplifies the
     rounding of a/a_bg, which is not an error of B."""
     mp = pytest.importorskip("mpmath")
@@ -205,7 +208,8 @@ def test_profiles_match_40_digit_reference(q, b0, v_inf):
                   (profile["B_gauss"], [t ** (1 - q) * width + b_res for t in ratio]),
                   (profile["cs_m_per_s"][valid], [speed * mp.sqrt(a_bg * ai)
                                                   for ai, ok in zip(a, valid) if ok])]
-        lab = lab_profiles_3d(LabLayout(R=5.0, b0=b0), v_inf, CS, 0.01).columns
+        lab = lab_profiles_3d(LabLayout(R=5.0, shape=ShapeFunction(b0, -1.0)), v_inf, CS, 0.01,
+                              pole_delta=1e-3).columns
         r_3d = lab["r_um"].tolist()
         term = [(mp.mpf(r) / b0m) ** 2 - 1 for r in r_3d]
         scale = (v / mp.mpf(CS.background_sound_speed)) ** 2
@@ -221,9 +225,9 @@ def test_profiles_match_40_digit_reference(q, b0, v_inf):
 
 def test_detected_asymptotes_match_analytic():
     """Sign changes of a/a_bg - 1 bracket the analytic pole positions."""
-    layout = LabLayout(R=5.0, b0=1.0)
+    layout = LabLayout(R=5.0, shape=ELLIS)
     for step in (0.5, 0.25, 0.125, 0.0625):
-        profile = lab_profiles_3d(layout, 0.01, CS, step)
+        profile = lab_profiles_3d(layout, 0.01, CS, step, pole_delta=1e-3)
         detected = detect_asymptotes(profile)
         analytic = analytic_asymptote_positions(layout, 0.01, CS)
         assert len(detected) == len(analytic) == 2
@@ -233,9 +237,9 @@ def test_detected_asymptotes_match_analytic():
 
 def test_no_asymptote_when_pole_outside_layout():
     """Small enough v_inf pushes r* beyond the branch end."""
-    layout = LabLayout(R=0.1, b0=1.0)
+    layout = LabLayout(R=0.1, shape=ELLIS)
     assert analytic_asymptote_positions(layout, 0.01, CS) == []
-    profile = lab_profiles_3d(layout, 0.01, CS, 0.01)
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.01, pole_delta=1e-3)
     assert detect_asymptotes(profile) == []
 
 
@@ -246,18 +250,18 @@ def test_composition_closure_sound_speed():
         b0 = rng.uniform(0.3, 3.0)
         v_inf = rng.uniform(0.005, 0.02)
         r = b0 * (1.0 + rng.uniform(0.01, 3.0))
-        denom = detuning_denominator(r, v_inf, b0, CS)
+        shape = ShapeFunction(b0, -1.0)
+        denom = detuning_denominator(r, v_inf, shape, CS)
         if abs(denom) < 1e-3 or denom < 0.0:
             continue  # no finite field, or beyond the pole
-        _, cs_direct = sound_speed_profile_3d(r, v_inf, b0)
-        cs_via_field = sound_speed_from_field(
-            field_profile_3d(r, v_inf, b0, CS), CS)
+        _, cs_direct = sound_speed_profile_3d(r, v_inf, shape)
+        cs_via_field = sound_speed_from_field(field_profile_3d(r, v_inf, shape, CS), CS)
         assert cs_via_field == pytest.approx(cs_direct, rel=1e-10, abs=1e-12)
 
 
 def test_resolution_audit_reference_case():
     """Cs at cs0=0.01 with a 0.4 um step: ratio about 11.8, passes."""
-    report = resolution_audit(0.01, SPECIES["Cs"], 0.4)
+    report = resolution_audit(0.01, SPECIES["Cs"], 0.4, factor=10.0)
     assert report["step_ratio"] == pytest.approx(11.8, abs=0.2)
     assert report["step_ok"]
     assert report["throat_ok"] is None
@@ -268,7 +272,8 @@ def test_resolution_audit_throat_check():
     """Li at cs0=0.02, step 1.5, b0=0.1: the throat is smaller than the
     healing length (0.1 < 0.324), and the step ratio 4.6 misses the
     one-order-of-magnitude rule."""
-    report = resolution_audit(0.02, SPECIES["Li"], 1.5, b0=0.1)
+    report = resolution_audit(0.02, SPECIES["Li"], 1.5, shape=ShapeFunction(0.1, -1.0),
+                              factor=10.0)
     assert report["healing_length_um"] == pytest.approx(0.324, abs=0.007)
     assert report["step_ratio"] == pytest.approx(4.6, abs=0.1)
     assert not report["step_ok"]
@@ -278,14 +283,14 @@ def test_resolution_audit_throat_check():
 
 def test_resolution_audit_step_equal_to_healing_length_fails():
     xi_um = healing_length(0.01, SPECIES["Cs"]) * 1e6
-    report = resolution_audit(0.01, SPECIES["Cs"], xi_um)
+    report = resolution_audit(0.01, SPECIES["Cs"], xi_um, factor=10.0)
     assert not report["step_ok"]
 
 
 def test_feasibility_report_contents():
-    layout = LabLayout(R=5.0, b0=1.0)
-    profile = lab_profiles_3d(layout, 0.01, CS, 0.125)
-    report = feasibility_report_3d(layout, 0.01, CS, profile, 0.125)
+    layout = LabLayout(R=5.0, shape=ELLIS)
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=1e-3)
+    report = feasibility_report_3d(layout, 0.01, CS, profile, 0.125, resolution_factor=10.0)
     assert report["asymptotes"]["analytic_x_um"] == pytest.approx(
         [5.0 - 0.5628, 5.0 + 0.5628], abs=2e-3)
     assert len(report["asymptotes"]["detected_x_um"]) == 2
@@ -298,14 +303,14 @@ def test_feasibility_report_contents():
 
 def test_layout_validation():
     with pytest.raises(DomainError):
-        LabLayout(R=0.0, b0=1.0)
+        LabLayout(R=0.0, shape=ELLIS)
     with pytest.raises(DomainError):
-        LabLayout(R=5.0, b0=-1.0)
+        LabLayout(R=5.0, shape=ShapeFunction(-1.0, -1.0))
 
 
 def test_profile_csv_layout(tmp_path):
-    layout = LabLayout(R=1.0, b0=1.0)
-    profile = lab_profiles_3d(layout, 0.01, CS, 0.5)
+    layout = LabLayout(R=1.0, shape=ELLIS)
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.5, pole_delta=1e-3)
     path = write_table(tmp_path / "p3", profile, "csv")
     lines = path.read_text().splitlines()
     assert lines[0] == ("x_um,r_um,cs0_m_per_s,cs_m_per_s,B_gauss,"
@@ -316,7 +321,7 @@ def test_profile_csv_layout(tmp_path):
 def test_profile_csv_leaves_near_asymptote_field_empty(tmp_path):
     """The two samples next to the poles have no B_gauss cell; no cell
     anywhere reads nan."""
-    profile = lab_profiles_3d(LabLayout(R=5.0, b0=1.0), 0.01, CS, 0.001)
+    profile = lab_profiles_3d(LabLayout(R=5.0, shape=ELLIS), 0.01, CS, 0.001, pole_delta=1e-3)
     path = write_table(tmp_path / "p3", profile, "csv")
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     blank = [row for row in rows if row[4] == ""]
@@ -328,6 +333,65 @@ def test_profile_csv_leaves_near_asymptote_field_empty(tmp_path):
 def test_profile_reaches_far_wall_despite_rounding():
     """0.3/0.1 rounds just below 3, so the last grid point 3 * 0.1 lies an
     ulp past 2R = 0.3; it is sampled rather than rejected."""
-    columns = lab_profiles_3d(LabLayout(R=0.15, b0=1.0), 0.01, CS, 0.1).columns
+    columns = lab_profiles_3d(LabLayout(R=0.15, shape=ELLIS), 0.01, CS, 0.1,
+                              pole_delta=1e-3).columns
     assert columns["x_um"].tolist() == [0.0, 0.1, 0.2, 3 * 0.1]
     assert columns["r_um"][-1] == pytest.approx(1.15, rel=1e-15)
+
+
+SHAPE_QS = (-3.0, -1.0, 0.0, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("v_inf", [0.005, 0.01, 0.02])
+@pytest.mark.parametrize("q", SHAPE_QS)
+def test_power_law_profile_formulas_equal_mpmath(q, v_inf):
+    """cs = sqrt(cs0^2 - v_inf^2) with cs0 = v_inf (r/b0)**((1-q)/2),
+    a/a_bg = (cs/c~_s)^2 and the pole radius where a/a_bg = 1, against 40
+    digits at the samples of an R = 5, b0 = 3 layout: cs0 within 4 ulp, cs
+    and a/a_bg within 6 ulp (the power of r/b0 raises the rounding of r/b0
+    to the power (1-q)/2 or 1-q), and r* within 4 ulp."""
+    mp = pytest.importorskip("mpmath")
+    shape = ShapeFunction(3.0, q)
+    columns = lab_profiles_3d(LabLayout(R=5.0, shape=shape), v_inf, CS, 0.01,
+                              pole_delta=1e-3).columns
+    r = columns["r_um"]
+    assert_same_bits(columns["cs_m_per_s"], sound_speed_profile_3d(r, v_inf, shape)[1])
+    with mp.workdps(40):
+        p, v, c_bg = 1 - mp.mpf(q), mp.mpf(v_inf), mp.mpf(CS.background_sound_speed)
+        cs0 = [v * (mp.mpf(ri) / 3) ** (p / 2) for ri in r.tolist()]
+        cs = [mp.sqrt(x * x - v * v) for x in cs0]
+        r_star = mp.findroot(lambda x: v * v * ((x / 3) ** p - 1) - c_bg ** 2, mp.mpf(4))
+        assert _ulps(columns["cs0_m_per_s"], cs0).max() <= 4.0
+        assert _ulps(columns["cs_m_per_s"], cs).max() <= 6.0
+        assert _ulps(columns["a_over_abg"], [(x / c_bg) ** 2 for x in cs]).max() <= 6.0
+        assert _ulps(np.array([asymptote_radius(v_inf, shape, CS)]), [r_star]).max() <= 4.0
+
+
+@pytest.mark.parametrize("q", [-1.0, 0.5])
+def test_lab_profiles_are_scale_covariant(q):
+    """Scaling b0, R and the step by 2**k (k = -1000 .. 1000 in steps of
+    10) scales x_um and r_um by exactly 2**k and leaves the other columns
+    bit for bit as they were: the profile sees lengths only through r/b0."""
+    def sample(scale):
+        layout = LabLayout(R=5.0 * scale, shape=ShapeFunction(scale, q))
+        return lab_profiles_3d(layout, 0.01, CS, 0.1 * scale, pole_delta=1e-3).columns
+
+    reference = sample(1.0)
+    for k in range(-1000, 1001, 10):
+        columns = sample(2.0 ** k)
+        for name, column in columns.items():
+            scale = 2.0 ** k if name in ("x_um", "r_um") else 1.0
+            assert_same_bits(column, reference[name] * scale)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_lab_profile_needs_q_below_one(q):
+    """A degenerate or signature-broken throat is a DomainError naming q."""
+    shape = ShapeFunction(1.0, q)
+    for call in (lambda: LabLayout(R=5.0, shape=shape),
+                 lambda: sound_speed_profile_3d(2.0, 0.01, shape),
+                 lambda: scattering_profile_3d(2.0, 0.01, shape, CS),
+                 lambda: field_profile_3d(2.0, 0.01, shape, CS),
+                 lambda: asymptote_radius(0.01, shape, CS)):
+        with pytest.raises(DomainError, match=f"q < 1, got q = {q!r}"):
+            call()

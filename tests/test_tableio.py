@@ -158,7 +158,7 @@ def test_mirrored_profile_and_blank_column_render_like_reference(tmp_path):
     """The q > 1 profile (NaN sound speeds) is a mirrored half, and so may
     be a table with a blank_nan column, where only NaN is blank in CSV and
     every non-finite cell is null in JSON."""
-    profile = sample_profile_1d(ShapeFunction(1.0, 2.0), cesium_condensate(), 20.0, 0.01)
+    profile = sample_profile_1d(ShapeFunction(1.0, 2.0), cesium_condensate(1e21), 20.0, 0.01)
     header, columns = list(profile.columns), list(profile.columns.values())
     assert profile.mirrored and np.isnan(profile.columns["cs_m_per_s"]).any()
     assert_renders_like_reference(tmp_path / "p", profile, header, whole(columns))
