@@ -13,8 +13,8 @@ The public names below are imported from their submodules on first
 access (PEP 562), so ``import wormbec`` alone loads no numpy. The formula
 functions (metric factor, 1D and 3D field, scattering and sound-speed
 profiles, slope, metrics and matching residuals, zero-order solution,
-embedding height) take floats or arrays: a float gives a float, an array the
-array of values. The sampling kernels return ``tableio.Table``s, the named
+proper distance, embedding height) take floats or arrays: a float gives a
+float, an array the array of values. The sampling kernels return ``tableio.Table``s, the named
 columns they are written as; the two audits return the JSON report sections
 they fill.
 """

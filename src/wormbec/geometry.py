@@ -6,7 +6,8 @@ every exponent. Everything in this module depends only on the ratio
 package) can be used throughout.
 
 Radial integrals (proper distance, whose multiple is the flow-adapted
-time offset in ``gp3d``, and embedding height) go through one quadrature,
+time offset in ``gp3d``, and embedding height) go through one helper,
+``_radial_integral``, which checks the radii and runs one quadrature,
 ``_integrate_from_throat``. The integrands behave like (r' - b0)**-1/2 at
 the throat, so they are written in u = sqrt(r' - b0), where they are
 smooth; they turn from constant to power-law behaviour around
@@ -121,6 +122,14 @@ def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
     return start + np.arange(math.floor(steps) + 1) * step
 
 
+def _check_resolved(x: np.ndarray, r: np.ndarray, same: np.ndarray, step: float) -> None:
+    """DomainError at the first lab neighbours x[k], x[k+1] that SAME marks as one radius."""
+    if same.any():
+        k = int(np.argmax(same))
+        raise DomainError(f"lab samples x = {float(x[k])!r} and {float(x[k + 1])!r} share the "
+                          f"radius r = {float(r[k])!r}: step {step!r} is below its ulp")
+
+
 def _float_or_array(value: np.ndarray) -> float | np.ndarray:
     """A float for a 0-d result (a float input), else the array."""
     return float(value) if np.ndim(value) == 0 else value
@@ -164,12 +173,6 @@ def _rise(shape: ShapeFunction, r: float | np.ndarray, what: str) -> np.ndarray:
     exponent = 1.0 - shape.q
     rise = np.expm1(exponent * np.log1p((r - shape.b0) / shape.b0))
     return np.where(rise < 1.0, rise, np.power(r / shape.b0, exponent) - 1.0)
-
-
-def _check_side(side: int) -> int:
-    if side not in (1, -1):
-        raise DomainError(f"side must be +1 or -1, got {side!r}")
-    return side
 
 
 @functools.cache
@@ -258,22 +261,25 @@ def _embedding_integrand(u: np.ndarray, b0: float, one_minus_q: float) -> np.nda
     return 2.0 * u / np.sqrt(rise)
 
 
-def proper_distance(shape: ShapeFunction, r: float, side: int = 1) -> float:
-    """Signed proper radial distance from the throat to r.
-
-    Zero at the throat, strictly increasing in r, with the sign chosen by
-    ``side`` for the two branches.
-    """
-    _require_traversable(shape, "proper distance")
-    _check_throat(shape.b0, r)
-    sign = _check_side(side)
-    if r == shape.b0:
-        return 0.0
+def _radial_integral(shape: ShapeFunction, r: float | np.ndarray, what: str,
+                     integrand: Callable) -> float | np.ndarray:
+    """INTEGRAND(u, b0, 1 - q) integrated from the throat to each radius r, for
+    q < 1 (else a DomainError naming WHAT): a float for a float r, else the array."""
+    _require_traversable(shape, what)
+    radii = _check_throat(shape.b0, r)
     b0, one_minus_q = shape.b0, 1.0 - shape.q
-    distance = _integrate_from_throat(
-        lambda u: _proper_integrand(u, b0, one_minus_q),
-        b0, math.sqrt(r - b0))
-    return sign * float(distance)
+    return _float_or_array(_integrate_from_throat(
+        lambda u: integrand(u, b0, one_minus_q), b0, np.sqrt(radii - b0)))
+
+
+def proper_distance(shape: ShapeFunction, r: float | np.ndarray) -> float | np.ndarray:
+    """Proper radial distance l(r) >= 0 from the throat to r.
+
+    Zero at the throat and strictly increasing in r; negate it for the
+    second branch. A float r gives a float; an array of radii gives the
+    array of distances, from one integration.
+    """
+    return _radial_integral(shape, r, "proper distance", _proper_integrand)
 
 
 def embedding_height(shape: ShapeFunction, r: float | np.ndarray) -> float | np.ndarray:
@@ -284,9 +290,4 @@ def embedding_height(shape: ShapeFunction, r: float | np.ndarray) -> float | np.
     the result to -z for the second sheet. A float r gives a float; an
     array of radii gives the array of heights, from one integration.
     """
-    _require_traversable(shape, "embedding")
-    radii = _check_throat(shape.b0, r)
-    b0, one_minus_q = shape.b0, 1.0 - shape.q
-    return _float_or_array(_integrate_from_throat(
-        lambda u: _embedding_integrand(u, b0, one_minus_q),
-        b0, np.sqrt(radii - b0)))
+    return _radial_integral(shape, r, "embedding", _embedding_integrand)

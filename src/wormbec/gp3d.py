@@ -19,8 +19,8 @@ k = (v_inf/c)**2, eliminating v^r leaves the quadratic
     f X**2 - g (1 - k) X + g k = 0,  discriminant D = g (g (1-k)**2 - 4 f k).
 
 ``solve_matching`` takes the larger root X = (g (1-k) + sqrt(D)) / (2 f),
-which tends to the small-velocity limit gamma_s = 1/sqrt(f)
-(c_s0 = v_inf (r/b0)**((1-q)/2), v^r = v_inf) as k -> 0, and recovers
+which tends to the small-velocity limit gamma_s = 1/sqrt(f) (c_s0 = v_inf
+(r/b0)**((1-q)/2), v^r = v_inf: profile3d's lab flow) as k -> 0, and recovers
 c_s0 = v_inf sqrt(1 + X) / sqrt(X) and
 v^r = v_inf X / (sqrt((1 + X) f) (X - k)). D vanishes at the fold radius
 r_fold = b0 ((c**2 + v_inf**2) / (2 v_inf c))**(2/(1-q)) (``fold_radius``)
@@ -162,9 +162,9 @@ def matching_residuals(r: float | np.ndarray, cs0: float | np.ndarray,
 
 def zero_order_solution(r: float | np.ndarray, v_inf: float, shape: ShapeFunction
                         ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Small-velocity limit of the matching system: c_s0 = v_inf
-    (r/b0)**((1-q)/2), linear in r for the Ellis shape (q = -1), and v^r
-    constant."""
+    """Small-velocity limit of the matching system, profile3d's lab flow:
+    c_s0 = v_inf (r/b0)**((1-q)/2), a power of r/b0 so that c_s0(b0) = v_inf
+    exactly, and v^r constant."""
     _require_traversable(shape, "the flow-adapted construction")
     r = _check_throat(shape.b0, r)
     return (_float_or_array(v_inf * np.power(r / shape.b0, 0.5 * (1.0 - shape.q))),
@@ -209,8 +209,9 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
     The grid must stay off the throat (g_rr diverges there), hence the
     r_min >= b0 * (1 + throat_epsilon) precondition. A radius counts as
     converged when both residuals are below RESIDUAL_TOL; radii past the
-    fold are flagged, and only a whole-grid failure raises. Arithmetic that
-    leaves the finite doubles raises FloatingPointError.
+    fold are flagged. A whole-grid failure raises, naming the fold if the grid
+    lies past it, else RESIDUAL_TOL; arithmetic leaving the finite doubles
+    raises FloatingPointError.
 
     The radii are solved in blocks of CHUNK_ROWS into the preallocated
     output columns, which gives the bits of solving all at once: beside
@@ -243,10 +244,12 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
         converged[block] = np.maximum(np.abs(res1[block]), np.abs(res2[block])) < RESIDUAL_TOL
 
     if not converged.any():
+        fold = fold_radius(v_inf, shape, light_speed)
+        cause = (f"no real solution beyond the fold at r = {fold!r}" if r_min > fold else
+                 f"no radius brings both residuals below RESIDUAL_TOL = {RESIDUAL_TOL!r}, "
+                 f"though the grid starts at or inside the fold at r = {fold!r}")
         raise ConvergenceError(
-            f"matching solve failed at every radius in [{r_min!r}, {r_max!r}]: "
-            f"no real solution beyond the fold at r = "
-            f"{fold_radius(v_inf, shape, light_speed)!r}")
+            f"matching solve failed at every radius in [{r_min!r}, {r_max!r}]: {cause}")
     return Table({"r_um": radii, "cs0_m_per_s": cs0, "vr_m_per_s": vr,
                   "res1": res1, "res2": res2, "converged": converged})
 

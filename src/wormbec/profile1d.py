@@ -11,7 +11,7 @@ import numpy as np
 from .exceptions import DomainError
 from .feshbach import (BOHR_RADIUS, CondensateSpec, FeshbachResonance,
                        sound_speed_from_scattering)
-from .geometry import (ShapeFunction, _check_throat, _float_or_array,
+from .geometry import (ShapeFunction, _check_resolved, _check_throat, _float_or_array,
                        metric_factor, uniform_grid)
 from .tableio import Table
 
@@ -43,16 +43,18 @@ def slope_metric(shape: ShapeFunction, res: FeshbachResonance,
                  x: float | np.ndarray) -> float | np.ndarray:
     """Analytic d[a/(100 a0)]/d|x| at lab coordinate x (per micron).
 
-    At x = 0 this evaluates to the finite one-sided throat limit
-    (1-q)/b0 * a_bg/(100 a0); the profile itself only has a kink there.
-    A coefficient that overflows gives inf, and inf times an underflowed
-    power NaN, as with Python floats (feasibility_1d never picks a NaN).
+    scale (1-q)/b0 (b0/r)**(2-q), r = |x| + b0, scale = a_bg/(100 a0): scaling
+    every length by 2**k scales it by exactly 2**-k. At x = 0 this is the
+    finite one-sided throat limit; the profile itself only has a kink there.
+    A power that underflows gives 0 (q = -299, b0 = 0.5, x = 20); a (1-q)/b0
+    that overflows inf, and inf times an underflowed power NaN (feasibility_1d
+    never picks a NaN).
     """
     scale = res.a_bg / (100.0 * BOHR_RADIUS)
-    coefficient = scale * (1.0 - shape.q) * shape.b0 ** (1.0 - shape.q)
     r = np.abs(np.asarray(x, dtype=float)) + shape.b0
     with np.errstate(over="ignore", invalid="ignore"):
-        return _float_or_array(coefficient * np.power(r, shape.q - 2.0))
+        return _float_or_array(scale * (1.0 - shape.q) / shape.b0
+                               * np.power(shape.b0 / r, 2.0 - shape.q))
 
 
 def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
@@ -64,13 +66,15 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
     even about the throat: it is returned as its x >= 0 half, declared
     mirrored (``tableio.write_table`` writes the whole table). Samples where
     the scattering length goes negative (q > 1) carry valid=False and a NaN
-    sound speed. Arithmetic that leaves the finite doubles raises
+    sound speed. Neighbours at one radius (a step below the double spacing
+    there) are a DomainError; arithmetic leaving the finite doubles,
     FloatingPointError.
     """
     x = uniform_grid(0.0, x_max, step)
     res = spec.resonance
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         r = x + shape.b0
+        _check_resolved(x, r, r[1:] == r[:-1], step)
         a_over = scattering_profile_1d(shape, r)
         valid = a_over >= 0.0
         # the scattering route keeps c_s(throat) exactly zero

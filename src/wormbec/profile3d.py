@@ -2,9 +2,10 @@
 coordinate, field-asymptote detection, and the healing-length resolution
 audit.
 
-The shape b = b0 (r/b0)**q, q < 1, enters through the rise r/b - 1, evaluated
-once per sample (``geometry._rise``): c_s0 = v_inf (r/b0)**((1-q)/2), c_s = v_inf
-sqrt(rise), a/a_bg = (v_inf/c~_s)**2 rise, and the field pole sits at
+The lab flow c_s0 = v_inf (r/b0)**((1-q)/2), v^r = v_inf is the small-velocity
+matching solution (``gp3d.zero_order_solution``). The shape b = b0 (r/b0)**q,
+q < 1, enters the rest through the rise r/b - 1 (``geometry._rise``): c_s =
+v_inf sqrt(rise), a/a_bg = (v_inf/c~_s)**2 rise, and the field pole sits at
 r* = b0 (1 + (c~_s/v_inf)**2)**(1/(1-q)). Verified against 40-digit mpmath
 for q in {-3, -1, 0, 0.5, 0.9} (c_s0 within 4 ulp, c_s and a/a_bg 6, r* 4).
 """
@@ -17,13 +18,14 @@ import numpy as np
 
 from .exceptions import DomainError, PoleError
 from .feshbach import AtomSpecies, CondensateSpec, healing_length
-from .geometry import ShapeFunction, _float_or_array, _require_traversable, _rise, uniform_grid
+from .geometry import (ShapeFunction, _check_resolved, _float_or_array, _require_traversable,
+                       _rise, uniform_grid)
+from .gp3d import zero_order_solution
 from .tableio import Table
 
 __all__ = [
     "LabLayout",
     "sound_speed_profile_3d",
-    "detuning_denominator",
     "asymptote_radius",
     "field_profile_3d",
     "scattering_profile_3d",
@@ -49,13 +51,6 @@ class LabLayout:
         _require_traversable(self.shape, "the 3+1D lab profile")
 
 
-def _sound_speeds(r: np.ndarray, rise: np.ndarray, v_inf: float,
-                  shape: ShapeFunction) -> tuple[np.ndarray, np.ndarray]:
-    # the power of the ratio keeps cs0(throat) == v_inf exact
-    return (v_inf * np.power(r / shape.b0, 0.5 * (1.0 - shape.q)),
-            v_inf * np.sqrt(rise))
-
-
 def _scattering(rise: np.ndarray, v_inf: float, spec: CondensateSpec) -> np.ndarray:
     ratio = np.float64(v_inf) / spec.background_sound_speed  # overflow obeys errstate
     return ratio * ratio * rise
@@ -63,17 +58,10 @@ def _scattering(rise: np.ndarray, v_inf: float, spec: CondensateSpec) -> np.ndar
 
 def sound_speed_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunction
                            ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """(cs0, cs) at radius r: cs0 = v_inf (r/b0)**((1-q)/2) and
-    cs = sqrt(cs0^2 - v_inf^2)."""
+    """(cs0, cs) at radius r: cs0 = v_inf (r/b0)**((1-q)/2) (the lab flow)
+    and cs = sqrt(cs0^2 - v_inf^2)."""
     rise = _rise(shape, r, "the 3+1D lab profile")
-    return tuple(map(_float_or_array, _sound_speeds(np.asarray(r, dtype=float), rise,
-                                                     v_inf, shape)))
-
-
-def detuning_denominator(r: float | np.ndarray, v_inf: float, shape: ShapeFunction,
-                         spec: CondensateSpec) -> float | np.ndarray:
-    """D(r) = 1 - (v_inf/c~_s)**2 ((r/b0)**(1-q) - 1); the field pole is D = 0."""
-    return 1.0 - scattering_profile_3d(r, v_inf, shape, spec)
+    return (zero_order_solution(r, v_inf, shape)[0], _float_or_array(v_inf * np.sqrt(rise)))
 
 
 def asymptote_radius(v_inf: float, shape: ShapeFunction, spec: CondensateSpec) -> float:
@@ -90,8 +78,9 @@ def _field(denom: np.ndarray, spec: CondensateSpec) -> np.ndarray:
 
 def field_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunction,
                      spec: CondensateSpec) -> float | np.ndarray:
-    """Magnetic field (Gauss) realizing the 3+1D sound-speed profile."""
-    denom = detuning_denominator(r, v_inf, shape, spec)
+    """Magnetic field (Gauss) realizing the 3+1D sound-speed profile; it has
+    a pole where the detuning denominator 1 - a/a_bg vanishes."""
+    denom = 1.0 - scattering_profile_3d(r, v_inf, shape, spec)
     if np.any(denom == 0.0):
         raise PoleError(f"field diverges at r* = "
                         f"{asymptote_radius(v_inf, shape, spec)!r}")
@@ -109,10 +98,11 @@ def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
                     step: float, *, pole_delta: float) -> Table:
     """Sample the 3+1D control quantities over x in [0, 2R].
 
-    Samples with |D| < pole_delta are flagged near_asymptote and carry no
-    field value (NaN ``B_gauss``, written empty in CSV); they localize the
-    experimentally unrealizable zone instead of hiding it. Arithmetic that
-    leaves the finite doubles raises FloatingPointError.
+    Samples with |1 - a/a_bg| < pole_delta are flagged near_asymptote and
+    carry no field value (NaN ``B_gauss``, written empty in CSV); they localize
+    the experimentally unrealizable zone instead of hiding it. Neighbours on
+    one branch at one radius (a step below the double spacing there) are a
+    DomainError; arithmetic leaving the finite doubles, FloatingPointError.
     """
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
@@ -120,16 +110,18 @@ def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
     shape = layout.shape
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         r = np.abs(x - layout.R) + shape.b0
+        branch = (x[1:] <= layout.R) | (x[:-1] >= layout.R)  # both x <= R, or both >= R
+        _check_resolved(x, r, (r[1:] == r[:-1]) & branch, step)
         rise = _rise(shape, r, "the 3+1D lab profile")
-        cs0, cs = _sound_speeds(r, rise, v_inf, shape)
+        cs0, vr = zero_order_solution(r, v_inf, shape)
         a_over = _scattering(rise, v_inf, spec)
         denom = 1.0 - a_over
         near = np.abs(denom) < pole_delta
         b = np.full(x.size, math.nan)
         b[~near] = _field(denom[~near], spec)
-        return Table({"x_um": x, "r_um": r, "cs0_m_per_s": cs0, "cs_m_per_s": cs,
-                      "B_gauss": b, "a_over_abg": a_over,
-                      "vr_m_per_s": np.full(x.size, v_inf), "valid": ~near,
+        return Table({"x_um": x, "r_um": r, "cs0_m_per_s": cs0,
+                      "cs_m_per_s": v_inf * np.sqrt(rise), "B_gauss": b, "a_over_abg": a_over,
+                      "vr_m_per_s": vr, "valid": ~near,
                       "near_asymptote": near}, blank_nan=("B_gauss",))
 
 
@@ -161,11 +153,11 @@ def analytic_asymptote_positions(layout: LabLayout, v_inf: float,
 
 
 def resolution_audit(reference_cs0: float, species: AtomSpecies, step: float, *,
-                     shape: ShapeFunction | None = None, factor: float) -> dict:
+                     shape: ShapeFunction, factor: float) -> dict:
     """Compare the grid step with the healing length at the reference cs0
     (m/s): the smallest relevant one, where xi is largest.
 
-    A known shape's throat radius is also checked against xi: a throat smaller
+    The shape's throat radius is also checked against xi: a throat smaller
     than the healing length sits below the scale the hydrodynamic
     description resolves. Returns the report's ``resolution`` section.
     """
@@ -174,12 +166,11 @@ def resolution_audit(reference_cs0: float, species: AtomSpecies, step: float, *,
     reference = float(reference_cs0)
     xi_um = healing_length(reference, species) * 1e6
     step_ok = step >= factor * xi_um
-    b0 = None if shape is None else shape.b0
-    throat_ok = None if b0 is None else b0 >= xi_um
+    throat_ok = shape.b0 >= xi_um
     return {"species": species.name, "reference_cs0_m_per_s": reference,
             "healing_length_um": xi_um, "step_um": step, "step_ratio": step / xi_um,
-            "step_ok": step_ok, "factor": factor, "throat_b0_um": b0,
-            "throat_ok": throat_ok, "passed": step_ok and throat_ok is not False}
+            "step_ok": step_ok, "factor": factor, "throat_b0_um": shape.b0,
+            "throat_ok": throat_ok, "passed": step_ok and throat_ok}
 
 
 def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
@@ -198,7 +189,7 @@ def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
         },
         "max_a_over_abg": float(columns["a_over_abg"].max()),
         "near_asymptote_samples": int(columns["near_asymptote"].sum()),
-        # the start-of-profile cs0, at the throat
+        # the smallest sampled cs0, nearest the throat
         "resolution": resolution_audit(float(columns["cs0_m_per_s"].min()), spec.species, step,
                                        shape=layout.shape, factor=resolution_factor),
     }

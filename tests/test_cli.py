@@ -477,7 +477,6 @@ def test_unreadable_ini_is_one_line_error(tmp_path, capsys, monkeypatch, preset,
 
 @pytest.mark.parametrize("command, override", [
     ("profile1d", "wormhole.b0_um=1e-300"),
-    ("profile1d", "wormhole.b0_um=1e300"),
     ("profile1d", "wormhole.q=1e300"),
     ("profile1d", "wormhole.q=-1e300"),
     ("solve-gp", "wormhole.q=-1e300"),
@@ -531,6 +530,35 @@ def test_solve_gp_past_the_fold_everywhere_names_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("wormbec solve-gp: error: ") and err.count("\n") == 1
     assert "fold at r = 1.083045" in err
+    assert not out.exists()
+
+
+def test_solve_gp_failing_inside_the_fold_names_the_tolerance(tmp_path, capsys):
+    """At q = 0.99999 the fold overflows to r = inf, so the grid lies inside
+    it, yet no radius meets the absolute residual tolerance: the one-line
+    error names RESIDUAL_TOL, not the fold."""
+    out = tmp_path / "out"
+    assert main(["solve-gp", "--out", str(out), "--set", "wormhole.q=0.99999"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wormbec solve-gp: error: ") and err.count("\n") == 1
+    assert f"RESIDUAL_TOL = {wormbec.gp3d.RESIDUAL_TOL!r}" in err
+    assert "beyond the fold" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, override, radius", [
+    ("profile1d", "wormhole.b0_um=1e300", "1e+300"),
+    ("profile3d", "wormhole.b0_um=1e20", "1e+20"),
+])
+def test_grid_collapsing_onto_one_radius_is_one_line_error(tmp_path, capsys, command,
+                                                           override, radius):
+    """At these b0 the 0.1 um step is below the spacing of the doubles, so
+    every sample would sit at r = b0: exit 1 with one stderr line."""
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"wormbec {command}: error: ") and err.count("\n") == 1
+    assert f"share the radius r = {radius}" in err
     assert not out.exists()
 
 
@@ -691,18 +719,27 @@ def _strict_json(path):
 
 def test_non_finite_report_values_are_json_null(tmp_path):
     """Every JSON file is strict JSON: an overflowing report value is null,
-    not Infinity or NaN."""
+    not Infinity or NaN. The 1D slope's (1-q)/b0 overflows for b0 = 1e-308
+    (inf at the throat, inf times an underflowed power at x = 10); at
+    q = -299, b0 = 10.5, where b0**(1-q) once overflowed, it is finite."""
     assert run(tmp_path / "gp", "solve-gp", "--format", "json",
                "--set", "observer.v_inf_m_per_s=1e-305") == 0
     assert run(tmp_path / "1d", "profile1d", "--format", "json",
                "--set", "wormhole.q=-299", "--set", "wormhole.b0_um=10.5") == 0
+    assert run(tmp_path / "1d-tiny", "profile1d", "--format", "json",
+               "--set", "wormhole.q=0.5", "--set", "wormhole.b0_um=1e-308",
+               "--set", "grid.x_max_um=1e-307", "--set", "grid.step_um=1e-308",
+               "--set", "grid.throat_exclusion_um=0") == 0
     assert run(tmp_path / "3d", "profile3d", "--set", "wormhole.q=0.999") == 0
     payloads = {path.stem: _strict_json(path) for path in tmp_path.glob("*/*.json")}
     assert payloads["report_R5_b01_vinf0.01"]["asymptotes"]["radius_um"] is None
     assert payloads["gp_summary_vinf1e-305_b01"]["fold_radius_um"] is None
-    feasibility = payloads["feasibility_q-299_b010.5"]
+    feasibility = payloads["feasibility_q0.5_b01e-308"]
     assert feasibility["feasibility"]["max_slope_per_um"] is None
     assert feasibility["slope_at_x10"] is None
+    feasibility = payloads["feasibility_q-299_b010.5"]
+    assert 0.0 < feasibility["feasibility"]["max_slope_per_um"] < math.inf
+    assert 0.0 < feasibility["slope_at_x10"] < math.inf
 
 
 def test_solve_gp_summary_past_the_fold_covers_converged_radii(tmp_path):
@@ -735,7 +772,7 @@ FRONT = {"wormbec", "wormbec.cli", "wormbec.config", "wormbec.exceptions",
     (["-m", "wormbec", "solve-gp", "--out", "{out}"], 0,
      {"geometry", "gp3d", "tableio"}),
     (["-m", "wormbec", "profile3d", "--out", "{out}"], 0,
-     {"geometry", "profile3d", "tableio"}),
+     {"geometry", "gp3d", "profile3d", "tableio"}),
     (["-m", "wormbec", "embed", "--out", "{out}"], 0, {"geometry", "tableio"}),
 ], ids=["import", "presets", "help", "usage-error", "config-error",
         "profile1d", "solve-gp", "profile3d", "embed"])

@@ -69,12 +69,22 @@ def test_proper_distance_ellis_closed_form():
     assert proper_distance(ShapeFunction(3.0, -1.0), 5.0) == pytest.approx(4.0, rel=1e-10)
 
 
-def test_proper_distance_throat_and_sides():
+def test_proper_distance_is_zero_at_the_throat():
     shape = ShapeFunction(3.0, -1.0)
     assert proper_distance(shape, 3.0) == 0.0
-    assert proper_distance(shape, 5.0, side=-1) == pytest.approx(-4.0, rel=1e-10)
-    with pytest.raises(DomainError):
-        proper_distance(shape, 5.0, side=0)
+    assert proper_distance(shape, np.array([3.0, 3.0])).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("q", [-3.0, -1.0, 0.5, 0.95])
+def test_proper_distance_of_one_radius_is_the_float_call(q):
+    """A 0-d or one-element array of radii integrates the same panels as
+    the float, so it gives the float call's distance bit for bit."""
+    shape = ShapeFunction(3.0, q)
+    for r in (3.0, 3.0 + 1e-9, 5.0, 3e4):
+        distance = proper_distance(shape, r)
+        assert type(distance) is float
+        assert_same_bits([proper_distance(shape, np.array(r))], [distance])
+        assert_same_bits(proper_distance(shape, np.array([r])), [distance])
 
 
 def test_proper_distance_brute_force_oracle():
@@ -190,18 +200,20 @@ def test_far_field_mpmath_reference(q, ratio):
 
 
 def test_embedding_height_array_matches_scalar_calls():
-    """One call over an array of radii equals one call per radius; the
-    panels differ, so agreement is to a few hundred ulps, not bit for bit."""
-    for q in (-1.0, 0.5, 0.95):
-        shape = ShapeFunction(3.0, q)
-        radii = 3.0 + np.linspace(0.0, 50.0, 201)
-        heights = embedding_height(shape, radii)
-        assert isinstance(heights, np.ndarray) and heights.shape == radii.shape
-        assert heights[0] == 0.0
-        scalar = [embedding_height(shape, float(r)) for r in radii]
-        np.testing.assert_allclose(heights, scalar, rtol=1e-13, atol=0.0)
-    with pytest.raises(DomainError):
-        embedding_height(ShapeFunction(3.0, 0.5), np.array([3.0, 2.9]))
+    """For embedding height and proper distance alike, one call over an
+    array of radii equals one call per radius; the panels differ, so
+    agreement is to a few hundred ulps, not bit for bit."""
+    for integral in (embedding_height, proper_distance):
+        for q in (-1.0, 0.5, 0.95):
+            shape = ShapeFunction(3.0, q)
+            radii = 3.0 + np.linspace(0.0, 50.0, 201)
+            values = integral(shape, radii)
+            assert isinstance(values, np.ndarray) and values.shape == radii.shape
+            assert values[0] == 0.0
+            scalar = [integral(shape, float(r)) for r in radii]
+            np.testing.assert_allclose(values, scalar, rtol=1e-13, atol=0.0)
+        with pytest.raises(DomainError):
+            integral(ShapeFunction(3.0, 0.5), np.array([3.0, 2.9]))
 
 
 def test_quadrature_check_rejects_jump():

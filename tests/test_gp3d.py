@@ -18,8 +18,8 @@ from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, bec_metric,
                           metric_congruence_check, solve_matching,
                           zero_order_solution)
 from wormbec.profile1d import field_profile_1d, slope_metric
-from wormbec.profile3d import (detuning_denominator, field_profile_3d,
-                               scattering_profile_3d, sound_speed_profile_3d)
+from wormbec.profile3d import (field_profile_3d, scattering_profile_3d,
+                               sound_speed_profile_3d)
 from wormbec.tableio import CHUNK_ROWS, Table
 
 CS = cesium_condensate(1e21)
@@ -398,7 +398,7 @@ def test_matching_residuals_arrays_match_floats():
         lambda r: sound_speed_from_scattering(1e-8 * r, spec),
         lambda r: sound_speed_profile_3d(r, 0.01, ellis),
         lambda r: scattering_profile_3d(r, 0.01, ellis, spec),
-        lambda r: detuning_denominator(r, 0.01, ellis, spec),
+        lambda r: 1.0 - scattering_profile_3d(r, 0.01, ellis, spec),
         lambda r: field_profile_3d(r, 0.01, ellis, spec),
         lambda r: gp_metric(r, 1.25, 0.02, ShapeFunction(1.0, -0.7)),
         lambda r: zero_order_solution(r, 0.01, shape),

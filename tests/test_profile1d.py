@@ -191,8 +191,8 @@ def test_feasibility_max_matches_finite_difference_oracle():
 def test_feasibility_equals_slope_metric_scan(q, b0):
     """The audit returns, bit for bit, what a strict > scan of slope_metric
     over the candidates returns: the first maximum and its position (at
-    q = 1 every slope is zero, so the first candidate; at q = -299 and
-    b0 = 10.5 the slopes overflow to inf and then NaN, which never wins)."""
+    q = 1 every slope is zero, so the first candidate; at q = -299 the far
+    slopes underflow to 0)."""
     shape = ShapeFunction(b0, q)
     audit = feasibility_1d(shape, CS, 20.0, 0.01, threshold=CAPABILITY, window=1.0)
     best, best_at = -math.inf, None

@@ -10,10 +10,10 @@ from wormbec.exceptions import DomainError, PoleError
 from wormbec.feshbach import (HBAR, SPECIES, cesium_condensate, healing_length,
                               scattering_from_field, sound_speed_from_field)
 from wormbec.geometry import ShapeFunction
+from wormbec.gp3d import zero_order_solution
 from wormbec.profile1d import sample_profile_1d
 from wormbec.profile3d import (LabLayout, analytic_asymptote_positions,
-                               asymptote_radius, detect_asymptotes,
-                               detuning_denominator, feasibility_report_3d,
+                               asymptote_radius, detect_asymptotes, feasibility_report_3d,
                                field_profile_3d, lab_profiles_3d,
                                resolution_audit, scattering_profile_3d,
                                sound_speed_profile_3d)
@@ -61,7 +61,7 @@ def test_field_profile_branches_around_pole():
     beyond = field_profile_3d(r_star * 1.001, 0.01, ELLIS, CS)
     assert before > RES.b_res          # +detuned branch, huge positive field
     assert beyond < RES.b_res          # beyond the pole B drops below B_res
-    assert detuning_denominator(r_star * 1.001, 0.01, ELLIS, CS) < 0.0
+    assert 1.0 - scattering_profile_3d(r_star * 1.001, 0.01, ELLIS, CS) < 0.0
 
 
 def test_field_profile_pole_error():
@@ -72,7 +72,7 @@ def test_field_profile_pole_error():
     # choose term = ratio**2 exactly: r such that (r-b0)(r+b0)/b0^2 == ratio^2
     r = math.sqrt(ratio * ratio + 1.0)
     shape = ShapeFunction(b0, -1.0)
-    if detuning_denominator(r, v_inf, shape, CS) == 0.0:
+    if 1.0 - scattering_profile_3d(r, v_inf, shape, CS) == 0.0:
         with pytest.raises(PoleError):
             field_profile_3d(r, v_inf, shape, CS)
     else:  # rounding moved us off the exact pole: nearby values are finite
@@ -93,7 +93,7 @@ def test_scattering_profile_composition():
         v_inf = rng.uniform(0.005, 0.02)
         r = b0 * (1.0 + rng.uniform(1e-3, 3.0))
         shape = ShapeFunction(b0, -1.0)
-        denom = detuning_denominator(r, v_inf, shape, CS)
+        denom = 1.0 - scattering_profile_3d(r, v_inf, shape, CS)
         if abs(denom) < 1e-3:
             continue
         direct = scattering_profile_3d(r, v_inf, shape, CS)
@@ -168,7 +168,7 @@ def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
     assert_same_bits(columns["cs_m_per_s"], [cs for _, cs in speeds])
     assert_same_bits(columns["a_over_abg"],
                      [scattering_profile_3d(ri, v_inf, ELLIS, CS) for ri in r])
-    near = [abs(detuning_denominator(ri, v_inf, ELLIS, CS)) < pole_delta for ri in r]
+    near = [abs(1.0 - scattering_profile_3d(ri, v_inf, ELLIS, CS)) < pole_delta for ri in r]
     assert sum(near) == near_count
     assert columns["near_asymptote"].tolist() == near
     assert columns["valid"].tolist() == [not n for n in near]
@@ -251,7 +251,7 @@ def test_composition_closure_sound_speed():
         v_inf = rng.uniform(0.005, 0.02)
         r = b0 * (1.0 + rng.uniform(0.01, 3.0))
         shape = ShapeFunction(b0, -1.0)
-        denom = detuning_denominator(r, v_inf, shape, CS)
+        denom = 1.0 - scattering_profile_3d(r, v_inf, shape, CS)
         if abs(denom) < 1e-3 or denom < 0.0:
             continue  # no finite field, or beyond the pole
         _, cs_direct = sound_speed_profile_3d(r, v_inf, shape)
@@ -260,11 +260,12 @@ def test_composition_closure_sound_speed():
 
 
 def test_resolution_audit_reference_case():
-    """Cs at cs0=0.01 with a 0.4 um step: ratio about 11.8, passes."""
-    report = resolution_audit(0.01, SPECIES["Cs"], 0.4, factor=10.0)
+    """Cs at cs0=0.01 with a 0.4 um step: ratio about 11.8, passes; so does
+    the b0 = 1 throat, some 30 healing lengths wide."""
+    report = resolution_audit(0.01, SPECIES["Cs"], 0.4, shape=ELLIS, factor=10.0)
     assert report["step_ratio"] == pytest.approx(11.8, abs=0.2)
     assert report["step_ok"]
-    assert report["throat_ok"] is None
+    assert report["throat_ok"] is True
     assert report["passed"]
 
 
@@ -283,7 +284,7 @@ def test_resolution_audit_throat_check():
 
 def test_resolution_audit_step_equal_to_healing_length_fails():
     xi_um = healing_length(0.01, SPECIES["Cs"]) * 1e6
-    report = resolution_audit(0.01, SPECIES["Cs"], xi_um, factor=10.0)
+    report = resolution_audit(0.01, SPECIES["Cs"], xi_um, shape=ELLIS, factor=10.0)
     assert not report["step_ok"]
 
 
@@ -365,6 +366,33 @@ def test_power_law_profile_formulas_equal_mpmath(q, v_inf):
         assert _ulps(columns["cs_m_per_s"], cs).max() <= 6.0
         assert _ulps(columns["a_over_abg"], [(x / c_bg) ** 2 for x in cs]).max() <= 6.0
         assert _ulps(np.array([asymptote_radius(v_inf, shape, CS)]), [r_star]).max() <= 4.0
+
+
+@pytest.mark.parametrize("b0", [0.37, 1.0, 12.5])
+@pytest.mark.parametrize("q", SHAPE_QS)
+def test_lab_flow_is_the_zero_order_matching_solution(q, b0):
+    """The lab columns cs0 and v^r are gp3d's small-velocity solution at the
+    sampled radii, bit for bit, and so is sound_speed_profile_3d's cs0."""
+    shape = ShapeFunction(b0, q)
+    columns = lab_profiles_3d(LabLayout(R=5.0, shape=shape), 0.01, CS, 0.01,
+                              pole_delta=1e-3).columns
+    cs0, vr = zero_order_solution(columns["r_um"], 0.01, shape)
+    assert_same_bits(columns["cs0_m_per_s"], cs0)
+    assert_same_bits(columns["vr_m_per_s"], vr)
+    assert_same_bits(sound_speed_profile_3d(columns["r_um"], 0.01, shape)[0], cs0)
+
+
+def test_lab_grid_collapsing_onto_one_radius_is_domain_error():
+    """Two neighbours on one branch with one radius (the step is below the
+    spacing of the doubles at b0 = 1e20) raise; two neighbours either side
+    of the throat share a radius by symmetry, and that is kept."""
+    with pytest.raises(DomainError, match=r"x = 0\.0 and 0\.1 share the radius r = 1e\+20"):
+        lab_profiles_3d(LabLayout(R=5.0, shape=ShapeFunction(1e20, -1.0)), 0.01, CS, 0.1,
+                        pole_delta=1e-3)
+    columns = lab_profiles_3d(LabLayout(R=0.25, shape=ELLIS), 0.01, CS, 0.5,
+                              pole_delta=1e-3).columns
+    assert columns["x_um"].tolist() == [0.0, 0.5]
+    assert columns["r_um"].tolist() == [1.25, 1.25]
 
 
 @pytest.mark.parametrize("q", [-1.0, 0.5])
