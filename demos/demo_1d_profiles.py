@@ -43,10 +43,11 @@ def main() -> None:
     if plt is not None:
         fig, axes = plt.subplots(2, len(Q_VALUES), figsize=(16, 7), sharex=True)
 
+    profiles = {}
     for col, q in enumerate(Q_VALUES):
         for b0 in B0_VALUES:
             shape = ShapeFunction(b0=b0, q=q)
-            profile = sample_profile_1d(shape, spec, x_max=20.0, step=0.1)
+            profile = profiles[q, b0] = sample_profile_1d(shape, spec, x_max=20.0, step=0.1)
             write_table(out / f"profile1d_q{q:g}_b0{b0:g}", profile, "csv")
             if plt is not None:  # the table holds x >= 0; the profile is even in x
                 columns = profile.columns
@@ -70,7 +71,7 @@ def main() -> None:
     for q in Q_VALUES:
         for b0 in B0_VALUES:
             shape = ShapeFunction(b0=b0, q=q)
-            audit = feasibility_1d(shape, spec, 20.0, 0.1, threshold=0.067, window=10.0)
+            audit = feasibility_1d(shape, spec, profiles[q, b0], threshold=0.067, window=10.0)
             at_ten = slope_metric(shape, spec.resonance, 10.0)
             verdict = "feasible" if audit["feasible"] else "NOT feasible"
             print(f"  q={q:>5g} b0={b0:>4g}: max slope "

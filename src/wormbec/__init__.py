@@ -35,7 +35,7 @@ _EXPORTS = {
     **dict.fromkeys(("ShapeFunction", "ThroatClass", "classify_throat",
                      "embedding_height", "metric_factor", "proper_distance"),
                     "geometry"),
-    **dict.fromkeys(("DEFAULT_LIGHT_SPEED", "bec_metric", "fold_radius",
+    **dict.fromkeys(("LIGHT_SPEED", "bec_metric", "fold_radius",
                      "gp_metric", "gp_time_offset", "matching_residuals",
                      "metric_congruence_check", "solve_matching",
                      "zero_order_solution"), "gp3d"),

@@ -2,9 +2,10 @@
 
 Subcommands: profile1d, solve-gp, profile3d, embed, presets (solve-gp and
 profile3d take one b0 and one q, profile1d and embed lists). Each takes
---config PATH, --out DIR, --strict, --format csv|json, and repeatable
---set SECTION.KEY=VALUE overrides. --set accepts any key of
-``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
+--config PATH, --out DIR (default .), --strict, --format csv|json (default
+csv), and repeatable --set SECTION.KEY=VALUE overrides. Only --out and
+--format set where a run writes and its table format. --set accepts any
+key of ``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
 ``species:NAME.mass_u=7`` for a preset); an unknown section or key is an
 error. Each command reads a setting by that section and key from the
 settings ``config.load_config`` resolves. Exit codes: 0 success, 1
@@ -36,6 +37,7 @@ import math
 import os
 import sys
 from itertools import product
+from pathlib import Path
 from typing import Callable, Sequence
 
 from .config import RunConfig, load_config
@@ -74,11 +76,12 @@ def _check_tags(key: str, values: Sequence[float]) -> None:
 def _add_common(parser: argparse.ArgumentParser, command: Callable[..., int]) -> None:
     parser.set_defaults(run=command)
     parser.add_argument("--config", metavar="PATH", help="INI config file")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--out", metavar="DIR", type=Path, default=".",
+                        help="output directory (default: .)")
     parser.add_argument("--strict", action="store_true",
                         help="exit 2 when the feasibility audit fails")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="profile table format (reports are always JSON)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="profile table format, default csv (reports are always JSON)")
     parser.add_argument("--set", dest="overrides", action="append",
                         metavar="SECTION.KEY=VALUE", default=[],
                         help="override one config value (repeatable)")
@@ -124,9 +127,9 @@ def _bound(grid: dict, key: str, default: float, b0: float) -> float:
     return default
 
 
-def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
+def cmd_profile1d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     from . import geometry, profile1d, tableio
-    wormhole, grid, output = (cfg.settings[s] for s in ("wormhole", "grid", "output"))
+    wormhole, grid = cfg.settings["wormhole"], cfg.settings["grid"]
     _check_tags("q", wormhole["q"])
     _check_tags("b0_um", wormhole["b0_um"])
     x_max, step = grid["x_max_um"], grid["step_um"]
@@ -141,31 +144,30 @@ def cmd_profile1d(cfg: RunConfig, strict: bool) -> int:
             "species": cfg.spec.species.name,
             "a_bg_a0": m_to_bohr(cfg.spec.resonance.a_bg),
             "feasibility": profile1d.feasibility_1d(
-                shape, cfg.spec, x_max, step,
+                shape, cfg.spec, profile,
                 threshold=cfg.settings["thresholds"]["slope_per_um"],
                 window=grid["throat_exclusion_um"]),
             "slope_at_x10": profile1d.slope_metric(shape, cfg.spec.resonance, 10.0),
         }
         all_feasible = all_feasible and report["feasibility"]["feasible"]
         tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
-        tableio.write_table(output["dir"] / f"profile1d_{tag}", profile, output["format"])
-        tableio.write_json(output["dir"] / f"feasibility_{tag}.json", report)
+        tableio.write_table(out / f"profile1d_{tag}", profile, fmt)
+        tableio.write_json(out / f"feasibility_{tag}.json", report)
     if strict and not all_feasible:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
-def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
+def cmd_solve_gp(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     from . import gp3d, tableio
-    grid, output = cfg.settings["grid"], cfg.settings["output"]
+    grid = cfg.settings["grid"]
     v_inf = cfg.settings["observer"]["v_inf_m_per_s"]
     shape = _one_shape(cfg.settings["wormhole"])
     b0 = shape.b0
-    r_min = _bound(grid, "r_min_um", b0 * max(1.1, 1.0 + grid["throat_epsilon"]), b0)
+    r_min = _bound(grid, "r_min_um", 1.1 * b0, b0)
     r_max = _bound(grid, "r_max_um", 10.0 * b0, b0)
     r_step = _bound(grid, "r_step_um", 0.05 * b0, b0)
-    solution = gp3d.solve_matching(v_inf, shape, r_min, r_max, r_step,
-                                   throat_epsilon=grid["throat_epsilon"])
+    solution = gp3d.solve_matching(v_inf, shape, r_min, r_max, r_step)
     summary = {
         "v_inf_m_per_s": v_inf,
         "b0_um": b0,
@@ -175,16 +177,16 @@ def cmd_solve_gp(cfg: RunConfig, strict: bool) -> int:
         **gp3d.matching_summary(solution, v_inf, shape),
     }
     tag = f"vinf{_fmt(v_inf)}_b0{_fmt(b0)}"
-    tableio.write_table(output["dir"] / f"gp_solution_{tag}", solution, output["format"])
-    tableio.write_json(output["dir"] / f"gp_summary_{tag}.json", summary)
+    tableio.write_table(out / f"gp_solution_{tag}", solution, fmt)
+    tableio.write_json(out / f"gp_summary_{tag}.json", summary)
     if strict and summary["points_converged"] < summary["points"]:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
-def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
+def cmd_profile3d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     from . import profile3d, tableio
-    thresholds, output = cfg.settings["thresholds"], cfg.settings["output"]
+    thresholds = cfg.settings["thresholds"]
     v_inf, step = cfg.settings["observer"]["v_inf_m_per_s"], cfg.settings["grid"]["step_um"]
     R, shape = cfg.settings["layout"]["R_um"], _one_shape(cfg.settings["wormhole"])
     layout = profile3d.LabLayout(R=R, shape=shape)
@@ -194,8 +196,8 @@ def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
         layout, v_inf, cfg.spec, profile, step,
         resolution_factor=thresholds["resolution_factor"])
     tag = f"R{_fmt(R)}_b0{_fmt(shape.b0)}_vinf{_fmt(v_inf)}"
-    tableio.write_table(output["dir"] / f"profile3d_{tag}", profile, output["format"])
-    tableio.write_json(output["dir"] / f"report_{tag}.json", report)
+    tableio.write_table(out / f"profile3d_{tag}", profile, fmt)
+    tableio.write_json(out / f"report_{tag}.json", report)
     feasible = (report["near_asymptote_samples"] == 0
                 and report["resolution"]["passed"])
     if strict and not feasible:
@@ -203,9 +205,9 @@ def cmd_profile3d(cfg: RunConfig, strict: bool) -> int:
     return EXIT_OK
 
 
-def cmd_embed(cfg: RunConfig, strict: bool) -> int:
+def cmd_embed(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     from . import geometry, tableio
-    wormhole, grid, output = (cfg.settings[s] for s in ("wormhole", "grid", "output"))
+    wormhole, grid = cfg.settings["wormhole"], cfg.settings["grid"]
     if grid["r_max_um"] is not None and grid["r_max_um"] <= max(wormhole["b0_um"]):
         raise ConfigError(f"[grid] r_max_um must exceed b0, got {grid['r_max_um']!r}")
     _check_tags("q", wormhole["q"])
@@ -216,12 +218,11 @@ def cmd_embed(cfg: RunConfig, strict: bool) -> int:
         r_step = _bound(grid, "r_step_um", (r_max - b0) / 200.0, b0)
         radii = geometry.uniform_grid(b0, r_max - b0, r_step)
         table = tableio.Table({"r_um": radii, "z_um": geometry.embedding_height(shape, radii)})
-        tableio.write_table(output["dir"] / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}", table,
-                            output["format"])
+        tableio.write_table(out / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}", table, fmt)
     return EXIT_OK
 
 
-def cmd_presets(cfg: RunConfig, strict: bool) -> int:
+def cmd_presets(cfg: RunConfig) -> int:
     thresholds = cfg.settings["thresholds"]
     lines = ["species (mass from standard atomic weight):"]
     for name in sorted(cfg.species_registry):
@@ -244,10 +245,9 @@ def cmd_presets(cfg: RunConfig, strict: bool) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(config_path=args.config, overrides=args.overrides,
-                          out_dir=args.out, out_format=args.format)
+        cfg = load_config(config_path=args.config, overrides=args.overrides)
         if args.run is cmd_presets:  # writes no file, so needs no tableio (numpy)
-            return cmd_presets(cfg, args.strict)
+            return cmd_presets(cfg)
         # the first module to import numpy: one BLAS thread (module docstring)
         one_thread = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
         if one_thread:
@@ -258,7 +258,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if one_thread:
                 os.environ.pop("OPENBLAS_NUM_THREADS", None)
         with tableio.staged():
-            return args.run(cfg, args.strict)
+            return args.run(cfg, args.out, args.format, args.strict)
     except (ConfigError, DomainError, ConvergenceError, ArithmeticError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, ArithmeticError):  # name the inputs that overflowed

@@ -7,7 +7,9 @@ value in one pass. It returns a ``RunConfig``: the parsed settings keyed
 as in ``SCHEMA`` (``settings["grid"]["step_um"]``, one dict per section
 that is not a preset), the species and resonance registries, and, on
 reading ``spec``, the ``CondensateSpec`` they name. No setting rewrites
-another: ``settings`` holds the given values laid over the defaults.
+another: ``settings`` holds the given values laid over the defaults. Where
+a run writes and in which table format are not settings: the command
+line's ``--out`` and ``--format`` alone state them (``cli``).
 
 A section or key outside ``SCHEMA`` is a ``ConfigError``, as is an INI
 ``[DEFAULT]`` section and a value that does not parse, is not finite or
@@ -79,7 +81,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "r_min_um": (None, _parse_float, None),
         "r_max_um": (None, _parse_float, None),
         "r_step_um": (None, _parse_float, POSITIVE),
-        "throat_epsilon": ("1e-3", _parse_float, POSITIVE),
         "throat_exclusion_um": ("1.0", _parse_float, NON_NEGATIVE),
     },
     "layout": {"R_um": ("5.0", _parse_float, POSITIVE)},
@@ -88,9 +89,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "resolution_factor": ("10", _parse_float, POSITIVE),
         "pole_delta": ("1e-3", _parse_float, POSITIVE),
     },
-    "output": {"dir": (".", Path, None),
-               "format": ("csv", lambda raw: raw.strip().lower(),
-                          ("csv or json", lambda v: v in ("csv", "json")))},
     "species:": {"mass_u": (None, _parse_float, POSITIVE)},
     "resonance:": {"a_bg_a0": (None, _parse_float, POSITIVE),
                    "width_g": (None, _parse_float, POSITIVE),
@@ -180,11 +178,9 @@ def _lookup(registry: dict[str, Any], kind: str, name: str, fix: str = "") -> An
 
 
 def load_config(config_path: str | None = None,
-                overrides: list[str] | None = None,
-                out_dir: str | None = None,
-                out_format: str | None = None) -> RunConfig:
-    """Lay the config file, SECTION.KEY=VALUE overrides and the output
-    arguments over the schema defaults; resolve presets; validate all."""
+                overrides: list[str] | None = None) -> RunConfig:
+    """Lay the config file and SECTION.KEY=VALUE overrides over the schema
+    defaults; resolve presets; validate all."""
     data: dict[str, dict[str, str]] = {}
     preset_dir = os.environ.get(PRESET_DIR_ENV)
     if preset_dir:
@@ -206,9 +202,6 @@ def load_config(config_path: str | None = None,
         key_part, value = item.split("=", 1)
         section, key = key_part.split(".", 1)
         data.setdefault(section.strip(), {})[key.strip()] = value.strip()
-    for key, value in (("dir", out_dir), ("format", out_format)):
-        if value is not None:
-            data.setdefault("output", {})[key] = value
 
     species_registry: dict[str, AtomSpecies] = dict(SPECIES)
     resonance_registry: dict[str, FeshbachResonance] = dict(RESONANCES)

@@ -110,7 +110,8 @@ class ShapeFunction:
 
 def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
     """start + k*step for k = 0 .. floor(span/step + 1e-9); the slack keeps
-    the far end when span/step rounds just below an integer."""
+    the far end when span/step rounds just below an integer. Neighbours that
+    round to one value (a step below their ulp) are a DomainError."""
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
     if not span >= 0.0:
@@ -119,7 +120,13 @@ def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
     if not steps < MAX_GRID_POINTS:  # before allocating; also inf and nan
         raise DomainError(f"a grid over {span!r} at step {step!r} exceeds "
                           f"{MAX_GRID_POINTS} points")
-    return start + np.arange(math.floor(steps) + 1) * step
+    grid = start + np.arange(math.floor(steps) + 1) * step
+    same = grid[1:] == grid[:-1]
+    if same.any():
+        k = int(np.argmax(same))
+        raise DomainError(f"grid points {k} and {k + 1} both round to {float(grid[k])!r}: "
+                          f"step {step!r} is below its ulp")
+    return grid
 
 
 def _check_resolved(x: np.ndarray, r: np.ndarray, same: np.ndarray, step: float) -> None:

@@ -13,8 +13,9 @@ dOmega^2: floats for float inputs, else arrays of one shape.
 
 The shape enters only through f = 1 - b/r (``geometry.metric_factor``)
 and g = b/r = (b0/r)**(1-q) = 1 - f; q >= 1 is a DomainError. With
-gamma_s = 1/sqrt(1 - (v_inf/c_s0)**2), X = gamma_s**2 - 1 and
-k = (v_inf/c)**2, eliminating v^r leaves the quadratic
+gamma_s = 1/sqrt(1 - (v_inf/c_s0)**2), X = gamma_s**2 - 1, c the speed of
+light (the constant ``LIGHT_SPEED``) and k = (v_inf/c)**2, eliminating v^r
+leaves the quadratic
 
     f X**2 - g (1 - k) X + g k = 0,  discriminant D = g (g (1-k)**2 - 4 f k).
 
@@ -27,9 +28,14 @@ r_fold = b0 ((c**2 + v_inf**2) / (2 v_inf c))**(2/(1-q)) (``fold_radius``)
 and is negative beyond it, where no real solution exists. D is clamped at
 0, so a grid radius on the fold still solves; past it the clamped double
 root misses the residual tolerance and the radius is flagged unconverged
-with finite values. Every radius is checked by evaluating both residuals.
-The time-offset integrand is sqrt(E**2 - 1) times the proper-distance one,
-so ``gp_time_offset`` is sqrt(E**2 - 1) times ``geometry.proper_distance``.
+with finite values. The grid's one precondition is r_min > b0. Every radius
+is checked against the absolute RESIDUAL_TOL by evaluating both residuals,
+so radii close to the throat are flagged although c_s0 and v^r there are
+the root to rounding: the dt*dr residual magnifies the rounding of c_s0 by
+about f**-1.5 (to 1e-12 at r = 1.001 b0, q = -1). As q nears 1 every radius
+is flagged. The time-offset integrand is sqrt(E**2 - 1) times the
+proper-distance one, so ``gp_time_offset`` is sqrt(E**2 - 1) times
+``geometry.proper_distance``.
 
 Verified against 40-digit mpmath.findroot of the residual system for q in
 {-3, -1, 0, 0.5, 0.9} and v_inf in {0.01, 3e7, 1e8} m/s: c_s0 to 9.1e-16
@@ -48,7 +54,7 @@ from .geometry import (ShapeFunction, _check_throat, _float_or_array, _require_t
 from .tableio import CHUNK_ROWS, Table
 
 __all__ = [
-    "DEFAULT_LIGHT_SPEED",
+    "LIGHT_SPEED",
     "gp_time_offset",
     "gp_metric",
     "metric_congruence_check",
@@ -60,7 +66,7 @@ __all__ = [
     "matching_summary",
 ]
 
-DEFAULT_LIGHT_SPEED = 299792458.0  # m/s, exact
+LIGHT_SPEED = 299792458.0  # c in m/s, exact
 RESIDUAL_TOL = 1e-12  # a radius is solved when both residuals are below it
 
 
@@ -121,23 +127,22 @@ def metric_congruence_check(r: float, gamma: float, c_ref: float,
     return float(np.max(np.abs(transformed - target)) / scale)
 
 
-def bec_metric(r: float | np.ndarray, c_s: float | np.ndarray, v_r: float | np.ndarray,
-               light_speed: float = DEFAULT_LIGHT_SPEED) -> tuple:
+def bec_metric(r: float | np.ndarray, c_s: float | np.ndarray,
+               v_r: float | np.ndarray) -> tuple:
     """Effective metric (g_tt, g_tr, g_rr) of a condensate with sound speed
     c_s and radial flow v_r, as line-element components (conformal
     prefactor dropped)."""
     c_s = np.asarray(c_s, dtype=float)
     if np.any(c_s <= 0.0):
         raise DomainError(f"sound speed must be positive, got {float(c_s.min())!r}")
-    speed = c_s / light_speed
+    speed = c_s / LIGHT_SPEED
     coupling = 1.0 - speed * speed
-    flow = np.asarray(v_r, dtype=float) / light_speed
+    flow = np.asarray(v_r, dtype=float) / LIGHT_SPEED
     return _metric(r, -c_s * c_s, -coupling * v_r, 1.0 + coupling * (flow * flow))
 
 
 def matching_residuals(r: float | np.ndarray, cs0: float | np.ndarray,
-                       v_r: float | np.ndarray, v_inf: float, shape: ShapeFunction,
-                       light_speed: float = DEFAULT_LIGHT_SPEED
+                       v_r: float | np.ndarray, v_inf: float, shape: ShapeFunction
                        ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Residuals of the exact component matching at radius r: gp_metric
     (acoustic mode: c_ref = cs0, gamma = gamma_s) minus bec_metric (sound
@@ -155,7 +160,7 @@ def matching_residuals(r: float | np.ndarray, cs0: float | np.ndarray,
     ratio = v_inf / cs0
     gs = 1.0 / np.sqrt(1.0 - ratio * ratio)
     _, wormhole_tr, wormhole_rr = gp_metric(r, gs, cs0, shape)
-    _, condensate_tr, condensate_rr = bec_metric(r, cs0 / gs, np.negative(v_r), light_speed)
+    _, condensate_tr, condensate_rr = bec_metric(r, cs0 / gs, np.negative(v_r))
     return (_float_or_array((wormhole_tr - condensate_tr) * (gs / cs0)),
             _float_or_array(wormhole_rr - condensate_rr))
 
@@ -171,20 +176,19 @@ def zero_order_solution(r: float | np.ndarray, v_inf: float, shape: ShapeFunctio
             _float_or_array(np.full(r.shape, v_inf)))
 
 
-def fold_radius(v_inf: float, shape: ShapeFunction,
-                light_speed: float = DEFAULT_LIGHT_SPEED) -> float:
+def fold_radius(v_inf: float, shape: ShapeFunction) -> float:
     """Radius where the matching discriminant vanishes; beyond it the
     system has no real solution. A radius that overflows is inf."""
     _require_traversable(shape, "the flow-adapted construction")
-    ratio = (light_speed ** 2 + v_inf ** 2) / (2.0 * v_inf * light_speed)
+    ratio = (LIGHT_SPEED ** 2 + v_inf ** 2) / (2.0 * v_inf * LIGHT_SPEED)
     with np.errstate(over="ignore"):
         return shape.b0 * float(np.power(ratio, 2.0 / (1.0 - shape.q)))
 
 
-def _closed_form(radii: np.ndarray, v_inf: float, shape: ShapeFunction, k: float,
-                 light_speed: float) -> tuple[np.ndarray, ...]:
+def _closed_form(radii: np.ndarray, v_inf: float, shape: ShapeFunction,
+                 k: float) -> tuple[np.ndarray, ...]:
     """(cs0, vr, res1, res2) of the closed-form root at each radius, with
-    k = (v_inf/light_speed)**2 (module docstring)."""
+    k = (v_inf/c)**2 (module docstring)."""
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         f = metric_factor(shape, radii)
         g = (shape.b0 / radii) ** (1.0 - shape.q)
@@ -198,20 +202,21 @@ def _closed_form(radii: np.ndarray, v_inf: float, shape: ShapeFunction, k: float
         gap = x - k
         gap[gap == 0.0] = np.spacing(k)
         vr = v_inf * (x / gap) / np.sqrt(gs2f)
-        return (cs0, vr, *matching_residuals(radii, cs0, vr, v_inf, shape, light_speed))
+        return (cs0, vr, *matching_residuals(radii, cs0, vr, v_inf, shape))
 
 
 def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: float,
-                   step: float, *, light_speed: float = DEFAULT_LIGHT_SPEED,
-                   throat_epsilon: float) -> Table:
-    """Solve the exact matching system on a radial grid, in closed form.
+                   step: float) -> Table:
+    """Solve the exact matching system on a radial grid, in closed form,
+    with c = LIGHT_SPEED and v_inf < c.
 
-    The grid must stay off the throat (g_rr diverges there), hence the
-    r_min >= b0 * (1 + throat_epsilon) precondition. A radius counts as
-    converged when both residuals are below RESIDUAL_TOL; radii past the
-    fold are flagged. A whole-grid failure raises, naming the fold if the grid
-    lies past it, else RESIDUAL_TOL; arithmetic leaving the finite doubles
-    raises FloatingPointError.
+    The one grid precondition is r_min > b0 (g_rr diverges at the throat):
+    a grid starting at or inside the throat is a DomainError. A radius
+    converges when both residuals are below RESIDUAL_TOL; radii past the
+    fold are flagged, and as the check is absolute so are radii close to
+    the throat (module docstring). A whole-grid failure raises, naming the
+    fold if the grid lies past it, else RESIDUAL_TOL; arithmetic leaving the
+    finite doubles raises FloatingPointError.
 
     The radii are solved in blocks of CHUNK_ROWS into the preallocated
     output columns, which gives the bits of solving all at once: beside
@@ -221,30 +226,26 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
     _require_traversable(shape, "the flow-adapted construction")
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
-    if not v_inf < light_speed:
-        raise DomainError(f"need v_inf < light_speed, got v_inf = {v_inf!r}, "
-                          f"light_speed = {light_speed!r}")
+    if not v_inf < LIGHT_SPEED:
+        raise DomainError(f"need v_inf < c = {LIGHT_SPEED!r} m/s, got v_inf = {v_inf!r}")
     if r_max < r_min:
         raise DomainError(f"need r_max >= r_min, got [{r_min!r}, {r_max!r}]")
-    if r_min < shape.b0 * (1.0 + throat_epsilon):
-        raise DomainError(
-            f"grid must start at r >= b0 * (1 + {throat_epsilon!r}) = "
-            f"{shape.b0 * (1.0 + throat_epsilon)!r}, got r_min = {r_min!r}")
-    if r_min == shape.b0:
-        raise PoleError(f"cannot solve at the throat r = {shape.b0!r}")
+    if not r_min > shape.b0:
+        raise DomainError(f"grid must start outside the throat r = b0 = {shape.b0!r}, "
+                          f"got r_min = {r_min!r}")
 
     radii = uniform_grid(r_min, r_max - r_min, step)
-    k = (v_inf / light_speed) ** 2
+    k = (v_inf / LIGHT_SPEED) ** 2
     cs0, vr, res1, res2 = (np.empty_like(radii) for _ in range(4))
     converged = np.empty(radii.shape, dtype=bool)
     for start in range(0, radii.size, CHUNK_ROWS):
         block = slice(start, start + CHUNK_ROWS)
         cs0[block], vr[block], res1[block], res2[block] = _closed_form(
-            radii[block], v_inf, shape, k, light_speed)
+            radii[block], v_inf, shape, k)
         converged[block] = np.maximum(np.abs(res1[block]), np.abs(res2[block])) < RESIDUAL_TOL
 
     if not converged.any():
-        fold = fold_radius(v_inf, shape, light_speed)
+        fold = fold_radius(v_inf, shape)
         cause = (f"no real solution beyond the fold at r = {fold!r}" if r_min > fold else
                  f"no radius brings both residuals below RESIDUAL_TOL = {RESIDUAL_TOL!r}, "
                  f"though the grid starts at or inside the fold at r = {fold!r}")

@@ -85,16 +85,14 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
                       "valid": valid}, mirrored=True)
 
 
-def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec,
-                   x_max: float, step: float, *, threshold: float,
-                   window: float) -> dict:
-    """Audit the profile slope against the capability threshold: the
-    ``feasibility`` section of the 1+1D report.
-
-    The max of |slope_metric| is taken over grid points with |x| >= window
-    (the profile is even in x, so only the x >= 0 half needs scanning).
+def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec, profile: Table, *,
+                   threshold: float, window: float) -> dict:
+    """Audit the slope of ``profile``, the ``sample_profile_1d`` table of
+    (shape, spec), against the capability threshold: the ``feasibility``
+    section of the 1+1D report. The max of |slope_metric| is taken over the
+    table's x >= 0 half (the profile is even in x) where |x| >= window.
     """
-    half = uniform_grid(0.0, x_max, step)
+    half = profile.columns["x_um"]
     candidates = half[half >= window]
     if not candidates.size:
         raise DomainError("exclusion window leaves no grid points")

@@ -105,10 +105,10 @@ def _replacing(path: Path) -> Iterator[TextIO]:
         raise
 
 
-def _layout(out_format: str, header: Sequence[str], rows: int) -> tuple:
-    """The text before the rows of a table in OUT_FORMAT, between its cells,
+def _layout(fmt: str, header: Sequence[str], rows: int) -> tuple:
+    """The text before the rows of a table in format FMT, between its cells,
     between its rows, after them, and of a non-finite float (None: repr)."""
-    if out_format == "csv":
+    if fmt == "csv":
         return ",".join(header) + "\n", ",", "\n", "\n" if rows else "", None
     empty = json.dumps({"columns": list(header), "rows": []}, indent=2, sort_keys=True)
     if not rows:
@@ -175,7 +175,7 @@ def write_json(path: str | Path, payload: dict) -> Path:
     return path
 
 
-def write_table(stem: Path, table: Table, out_format: str) -> Path:
+def write_table(stem: Path, table: Table, fmt: str) -> Path:
     """Write TABLE as STEM.csv or STEM.json (module docstring)."""
     header = list(table.columns)
     columns = [np.asarray(column) for column in table.columns.values()]
@@ -185,9 +185,9 @@ def write_table(stem: Path, table: Table, out_format: str) -> Path:
         _check_mirror(columns[0])
     stem.parent.mkdir(parents=True, exist_ok=True)
     # extensions are appended, not with_suffix: stems carry dots (q0.95)
-    path = stem.parent / f"{stem.name}.{out_format}"
+    path = stem.parent / f"{stem.name}.{fmt}"
     rows = len(columns[0]) if columns else 0
-    head, cell_sep, row_sep, tail, null = _layout(out_format, header, rows)
+    head, cell_sep, row_sep, tail, null = _layout(fmt, header, rows)
     non_finite = [dict.fromkeys(("nan", "inf", "-inf"), null) if null is not None
                   else {"nan": ""} if name in table.blank_nan else {} for name in header]
 

@@ -16,7 +16,7 @@ from wormbec.feshbach import (SPECIES, cesium_condensate, healing_length,
                               sound_speed_from_scattering)
 from wormbec.geometry import (ShapeFunction, embedding_height, metric_factor,
                               proper_distance)
-from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, gp_time_offset, matching_summary,
+from wormbec.gp3d import (LIGHT_SPEED, gp_time_offset, matching_summary,
                           metric_congruence_check, solve_matching)
 from wormbec.profile1d import (field_profile_1d, sample_profile_1d,
                                scattering_profile_1d, slope_metric)
@@ -106,7 +106,7 @@ def test_criterion_4_gp_congruence():
         b0 = rng.uniform(0.1, 5.0)
         r = b0 * (1.0 + rng.uniform(1e-6, 100.0))
         gamma = 1.0 + rng.uniform(1e-6, 9.0)
-        c_ref = 1.0 if rng.uniform() < 0.5 else DEFAULT_LIGHT_SPEED
+        c_ref = 1.0 if rng.uniform() < 0.5 else LIGHT_SPEED
         dev = metric_congruence_check(r, gamma, c_ref, ShapeFunction(b0, -1.0))
         worst = max(worst, dev)
         c.check(dev < 1e-12, f"deviation {dev:.2e} at r={r!r}, gamma={gamma!r}")
@@ -122,8 +122,7 @@ def test_criterion_5_exact_system_solver():
                      "parameter sets", budget_s=10.0)
     for v_inf, b0 in ((0.001, 0.1), (0.009, 1.0), (0.01, 1.0), (0.01, 3.0)):
         shape = ShapeFunction(b0, -1.0)
-        solution = solve_matching(v_inf, shape, 1.1 * b0, 10.0 * b0, 0.05 * b0,
-                                  throat_epsilon=1e-3)
+        solution = solve_matching(v_inf, shape, 1.1 * b0, 10.0 * b0, 0.05 * b0)
         columns = solution.columns
         tag = f"(v_inf={v_inf}, b0={b0})"
         c.check(bool(columns["converged"].all()), f"{tag}: unconverged points")

@@ -144,13 +144,25 @@ def test_solve_gp_strict_flags_unconverged_radius(tmp_path, monkeypatch):
     assert run(tmp_path / "real", *args, "--strict") == 0
 
 
-@pytest.mark.parametrize("epsilon, r_min", [("1e-3", 1.1), ("0.1", 1.1), ("0.2", 1.2), ("1.5", 2.5)])
-def test_solve_gp_default_grid_starts_clear_of_throat_epsilon(tmp_path, epsilon, r_min):
-    """Without r_min_um the grid starts at b0 * max(1.1, 1 + throat_epsilon)."""
-    assert run(tmp_path, "solve-gp", "--set", "wormhole.b0_um=2",
-               "--set", f"grid.throat_epsilon={epsilon}") == 0
+def test_solve_gp_default_grid_starts_at_1_1_b0(tmp_path):
+    assert run(tmp_path, "solve-gp", "--set", "wormhole.b0_um=2") == 0
     summary = json.loads((tmp_path / "gp_summary_vinf0.01_b02.json").read_text())
-    assert summary["grid"]["r_min_um"] == 2 * r_min
+    assert summary["grid"]["r_min_um"] == 2.2
+
+
+@pytest.mark.parametrize("r_min", ["1.0005", "1", "0.5"])
+def test_solve_gp_r_min_outside_the_throat_is_the_one_precondition(tmp_path, capsys, r_min):
+    """r_min_um = 1.0005 (b0 = 1) runs; a grid starting on the throat or
+    inside it exits 1 with one line that names the throat."""
+    out = tmp_path / "out"
+    code = main(["solve-gp", "--out", str(out), "--set", f"grid.r_min_um={r_min}"])
+    err = capsys.readouterr().err
+    if float(r_min) > 1.0:
+        assert code == 0 and err == ""
+        return
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("wormbec solve-gp: error: ") and "throat" in err
+    assert not out.exists()
 
 
 def test_solve_gp_rejects_multiple_b0(tmp_path):
@@ -559,6 +571,22 @@ def test_grid_collapsing_onto_one_radius_is_one_line_error(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith(f"wormbec {command}: error: ") and err.count("\n") == 1
     assert f"share the radius r = {radius}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, r_max", [
+    ("embed", "1.0000000000000164e20"),
+    ("solve-gp", "1.1000000000000164e20"),   # from r_min = 1.1 b0
+])
+def test_radial_step_below_the_ulp_is_one_line_error(tmp_path, capsys, command, r_max):
+    """A 1000 um step is below the 16384 um spacing of the doubles near
+    1e20 um, so neighbouring radii would repeat: exit 1 with one stderr line."""
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", "wormhole.b0_um=1e20",
+                 "--set", f"grid.r_max_um={r_max}", "--set", "grid.r_step_um=1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"wormbec {command}: error: ") and err.count("\n") == 1
+    assert "step 1000.0 is below its ulp" in err
     assert not out.exists()
 
 

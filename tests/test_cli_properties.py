@@ -46,7 +46,7 @@ ANY_OVERRIDES = st.lists(st.tuples(st.sampled_from(KNOWN + UNKNOWN), VALUES), ma
 # Numeric keys with plausible or extreme numbers: mostly reach the kernels,
 # the mass of the default species among them.
 NUMERIC_KEYS = [(section, key) for section, key in KNOWN if ":" not in section
-                and section != "output" and key not in ("species", "resonance")
+                and key not in ("species", "resonance")
                 ] + [("species:Cs", "mass_u")]
 NUMERIC_OVERRIDES = st.lists(
     st.tuples(st.sampled_from(NUMERIC_KEYS),
@@ -163,8 +163,7 @@ def test_any_override_gives_a_result_or_one_line_error(monkeypatch, command, out
     # a small cap keeps every drawn grid cheap
     monkeypatch.setattr("wormbec.geometry.MAX_GRID_POINTS", 1000)
     monkeypatch.delenv("WORMBEC_PRESET_DIR", raising=False)
-    # the format goes first, so a drawn output.format override still wins
-    argv = [command, f"--set=output.format={out_format}",
+    argv = [command, "--format", out_format,
             *(f"--set={section}.{key}={value}" for (section, key), value in overrides)]
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr), \

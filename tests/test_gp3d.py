@@ -12,7 +12,7 @@ from wormbec import gp3d
 from wormbec.exceptions import ConvergenceError, DomainError, PoleError
 from wormbec.feshbach import cesium_condensate, sound_speed_from_scattering
 from wormbec.geometry import ShapeFunction, metric_factor
-from wormbec.gp3d import (DEFAULT_LIGHT_SPEED, bec_metric,
+from wormbec.gp3d import (LIGHT_SPEED, bec_metric,
                           fold_radius, gp_metric, gp_time_offset,
                           matching_residuals, matching_summary,
                           metric_congruence_check, solve_matching,
@@ -97,7 +97,7 @@ def test_congruence_random_sweep():
         b0 = rng.uniform(0.1, 5.0)
         r = b0 * (1.0 + rng.uniform(1e-6, 100.0))
         gamma = 1.0 + rng.uniform(1e-6, 9.0)
-        c_ref = 1.0 if rng.uniform() < 0.5 else DEFAULT_LIGHT_SPEED
+        c_ref = 1.0 if rng.uniform() < 0.5 else LIGHT_SPEED
         assert metric_congruence_check(r, gamma, c_ref, ShapeFunction(b0, -1.0)) < 1e-12
 
 
@@ -108,7 +108,7 @@ def test_bec_metric_no_flow_is_diagonal():
 
 
 def test_bec_metric_sound_at_light_speed_is_flat():
-    _, g_tr, g_rr = bec_metric(3.0, 2.0, 0.7, light_speed=2.0)
+    _, g_tr, g_rr = bec_metric(3.0, LIGHT_SPEED, 0.35 * LIGHT_SPEED)
     assert g_tr == 0.0
     assert g_rr == 1.0
 
@@ -116,16 +116,16 @@ def test_bec_metric_sound_at_light_speed_is_flat():
 def test_bec_metric_duplicate_implementation_oracle():
     """Components match an independent outer-product construction.
 
-    Run at order-one speeds: in the eta + v v form, g_tt is the remainder
-    of -1 + (1 - (cs/c)^2) and underflows to zero at lab scale where
-    (cs/c)^2 < eps, so only O(1) ratios exercise the algebra.
+    Run at order-one fractions of c: in the eta + v v form, g_tt is the
+    remainder of -1 + (1 - (cs/c)^2) and underflows to zero at lab scale
+    where (cs/c)^2 < eps, so only O(1) ratios exercise the algebra.
     """
     rng = np.random.default_rng(23)
+    c = LIGHT_SPEED
     for _ in range(200):
-        c = rng.uniform(1.5, 10.0)
         c_s = rng.uniform(0.05, 0.95) * c
         v_r = rng.uniform(-0.5, 0.5) * c
-        g_tt, g_tr, g_rr = bec_metric(2.0, c_s, v_r, light_speed=c)
+        g_tt, g_tr, g_rr = bec_metric(2.0, c_s, v_r)
         # eta + (1 - cs^2/c^2) v_mu v_nu / c^2 with v_mu = (-c, v_r)
         v_cov = np.array([-c, v_r])
         block = (np.diag([-1.0, 1.0])
@@ -187,8 +187,7 @@ def test_solver_agrees_with_zero_order():
     """Exact solutions sit on the small-velocity limit to solver tolerance."""
     for v_inf, b0 in ((0.01, 1.0), (0.009, 1.0)):
         shape = ShapeFunction(b0, -1.0)
-        solution = solve_matching(v_inf, shape, 1.1 * b0, 10.0 * b0, 0.1 * b0,
-                                  throat_epsilon=1e-3)
+        solution = solve_matching(v_inf, shape, 1.1 * b0, 10.0 * b0, 0.1 * b0)
         columns = solution.columns
         assert bool(columns["converged"].all())
         assert float(np.abs(columns["res1"]).max()) < 1e-12
@@ -199,12 +198,12 @@ def test_solver_agrees_with_zero_order():
         assert bool((columns["cs0_m_per_s"] > v_inf).all())
 
 
-def mpmath_matching_root(r, v_inf, b0, light_speed, start, q=-1.0):
+def mpmath_matching_root(r, v_inf, b0, start, q=-1.0):
     """(cs0, v_r) solving the residual system of the shape (b0, q) to 40
     digits, found by mpmath.findroot from ``start``."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    r, v_inf, b0, c = map(mp.mpf, (r, v_inf, b0, light_speed))
+    r, v_inf, b0, c = map(mp.mpf, (r, v_inf, b0, LIGHT_SPEED))
     factor = 1 - (b0 / r) ** (1 - mp.mpf(q))
 
     def residuals(cs0, vr):
@@ -215,37 +214,49 @@ def mpmath_matching_root(r, v_inf, b0, light_speed, start, q=-1.0):
     return mp.findroot(residuals, tuple(map(mp.mpf, start)), tol=mp.mpf(10) ** -35)
 
 
-@pytest.mark.parametrize("v_inf, light_speed", [
-    (1e3, DEFAULT_LIGHT_SPEED), (3e7, DEFAULT_LIGHT_SPEED), (1e8, DEFAULT_LIGHT_SPEED),
-    (0.01, 0.1), (0.01, 0.05), (0.01, 1.0), (0.01, DEFAULT_LIGHT_SPEED),
+def speed(v, c):
+    """The v_inf whose fraction of LIGHT_SPEED is v/c: v itself when c is
+    LIGHT_SPEED. Both residuals depend on the speeds only through v_inf/c."""
+    return v * (LIGHT_SPEED / c)
+
+
+# (v, c) pairs: v_inf = speed(v, c), so the (v_inf/c)**2 of a pair is (v/c)**2
+@pytest.mark.parametrize("v, c", [
+    (1e3, LIGHT_SPEED), (3e7, LIGHT_SPEED), (1e8, LIGHT_SPEED),
+    (0.01, 0.1), (0.01, 0.05), (0.01, 1.0), (0.01, LIGHT_SPEED),
 ])
-def test_solve_matching_equals_mpmath_root(v_inf, light_speed):
+def test_solve_matching_equals_mpmath_root(v, c):
     """Every converged radius carries the root of the residual system to
     1e-13 relative, near light speed and at O(1) corrections alike."""
-    columns = solve_matching(v_inf, ELLIS, 1.101, 4.9, 0.19, light_speed=light_speed,
-                             throat_epsilon=1e-3).columns
+    v_inf = speed(v, c)
+    columns = solve_matching(v_inf, ELLIS, 1.101, 4.9, 0.19).columns
     ok = columns["converged"]
     assert ok.any()
     for r, cs0, vr in zip(columns["r_um"][ok].tolist(), columns["cs0_m_per_s"][ok].tolist(),
                           columns["vr_m_per_s"][ok].tolist()):
-        cs0_ref, vr_ref = mpmath_matching_root(r, v_inf, 1.0, light_speed, (cs0, vr))
+        cs0_ref, vr_ref = mpmath_matching_root(r, v_inf, 1.0, (cs0, vr))
         assert cs0 == pytest.approx(float(cs0_ref), rel=1e-13)
         assert vr == pytest.approx(float(vr_ref), rel=1e-13)
 
 
-@pytest.mark.parametrize("v_inf, light_speed, converged", [
-    (1e3, DEFAULT_LIGHT_SPEED, 179), (3e7, DEFAULT_LIGHT_SPEED, 79),
-    (1e8, DEFAULT_LIGHT_SPEED, 12), (0.01, 0.1, 80), (0.01, 0.05, 31),
+@pytest.mark.parametrize("v, c, converged", [
+    (1e3, LIGHT_SPEED, 179), (3e7, LIGHT_SPEED, 79),
+    (1e8, LIGHT_SPEED, 12), (0.01, 0.1, 80), (0.01, 0.05, 31),
     (0.01, 1.0, 179),
 ])
-def test_converged_exactly_up_to_the_fold(v_inf, light_speed, converged):
+def test_converged_exactly_up_to_the_fold(v, c, converged):
     """A radius converges exactly when it lies at or below the fold radius,
-    where the discriminant vanishes; beyond it the values stay finite."""
-    columns = solve_matching(v_inf, ELLIS, 1.1, 10.0, 0.05, light_speed=light_speed,
-                             throat_epsilon=1e-3).columns
+    where the discriminant vanishes; beyond it the values stay finite.
+
+    At v/c = 0.1 and 0.2 a grid radius lies on the fold (5.05 and 2.6), 1-2
+    ulp above the rounded r_fold: the clamped discriminant solves it, and the
+    count pins it as converged; every other radius is compared with r_fold."""
+    v_inf = speed(v, c)
+    columns = solve_matching(v_inf, ELLIS, 1.1, 10.0, 0.05).columns
     assert int(columns["converged"].sum()) == converged
-    r_fold = fold_radius(v_inf, ELLIS, light_speed)
-    assert columns["converged"].tolist() == (columns["r_um"] <= r_fold).tolist()
+    r_fold = fold_radius(v_inf, ELLIS)
+    away = np.abs(columns["r_um"] - r_fold) > 4.0 * np.spacing(r_fold)
+    assert (columns["converged"] == (columns["r_um"] <= r_fold))[away].all()
     for column in columns.values():
         assert np.isfinite(column.astype(float)).all()
 
@@ -261,7 +272,7 @@ def test_power_law_solve_converges_up_to_the_general_fold(q, v_inf):
     radius past it is unconverged, and the converged cs0 (every tenth
     radius) and v^r are the 40-digit root of the residual system."""
     shape = ShapeFunction(1.0, q)
-    columns = solve_matching(v_inf, shape, 1.1, 10.0, 0.05, throat_epsilon=1e-3).columns
+    columns = solve_matching(v_inf, shape, 1.1, 10.0, 0.05).columns
     inside = columns["r_um"] <= fold_radius(v_inf, shape)
     assert columns["converged"].tolist() == inside.tolist()
     assert np.abs(columns["res1"][inside]).max() < gp3d.RESIDUAL_TOL
@@ -269,33 +280,32 @@ def test_power_law_solve_converges_up_to_the_general_fold(q, v_inf):
     for r, cs0, vr in list(zip(columns["r_um"][inside].tolist(),
                                columns["cs0_m_per_s"][inside].tolist(),
                                columns["vr_m_per_s"][inside].tolist()))[::10]:
-        cs0_ref, vr_ref = mpmath_matching_root(r, v_inf, 1.0, DEFAULT_LIGHT_SPEED, (cs0, vr), q)
+        cs0_ref, vr_ref = mpmath_matching_root(r, v_inf, 1.0, (cs0, vr), q)
         assert cs0 == pytest.approx(float(cs0_ref), rel=1e-13)
         assert vr == pytest.approx(float(vr_ref), rel=1e-13)
 
 
-@pytest.mark.parametrize("v_inf, light_speed", [
-    (0.01, DEFAULT_LIGHT_SPEED), (3e7, DEFAULT_LIGHT_SPEED), (1e8, DEFAULT_LIGHT_SPEED),
-    (0.01, 0.05),
+@pytest.mark.parametrize("v, c", [
+    (0.01, LIGHT_SPEED), (3e7, LIGHT_SPEED), (1e8, LIGHT_SPEED), (0.01, 0.05),
 ])
 @pytest.mark.parametrize("q", SHAPE_QS)
-def test_fold_and_zero_order_closed_forms_equal_mpmath(q, v_inf, light_speed):
+def test_fold_and_zero_order_closed_forms_equal_mpmath(q, v, c):
     """The fold radius is the 40-digit root of the discriminant
     g (1-k)^2 - 4 f k, to (8 + ln(r_fold/b0)) units of 2**-52: a rounding
     of the exponent 2/(1-q) moves r_fold by ln(r_fold/b0) times it (ln 470
     at q = 0.9, v_inf = 0.01). The small-velocity limit is the cs0 of
     gamma_s = 1/sqrt(f), i.e. v_inf / sqrt(g), at radii out to 1e4 b0."""
     mp = pytest.importorskip("mpmath")
-    b0 = 3.0
+    b0, v_inf = 3.0, speed(v, c)
     shape = ShapeFunction(b0, q)
     with mp.workdps(40):
-        p, k = 1 - mp.mpf(q), (mp.mpf(v_inf) / mp.mpf(light_speed)) ** 2
+        p, k = 1 - mp.mpf(q), (mp.mpf(v_inf) / mp.mpf(LIGHT_SPEED)) ** 2
 
         def excess(log_r):   # D / (4 f k) in log r: the fold lies out to 1e205 b0
             g = (b0 / mp.exp(log_r)) ** p
             return g * (1 - k) ** 2 / (4 * (1 - g) * k) - 1
 
-        r_fold = fold_radius(v_inf, shape, light_speed)
+        r_fold = fold_radius(v_inf, shape)
         root = mp.exp(mp.findroot(excess, mp.log(r_fold)))
         assert r_fold == pytest.approx(float(root), rel=2.2e-16 * (8 + math.log(r_fold / b0)))
         radii = b0 * np.geomspace(1.0, 1e4, 41)
@@ -309,7 +319,7 @@ def test_fold_and_zero_order_closed_forms_equal_mpmath(q, v_inf, light_speed):
 def test_flow_adapted_construction_needs_q_below_one(q):
     """A degenerate or signature-broken throat is a DomainError naming q."""
     shape = ShapeFunction(1.0, q)
-    for call in (lambda: solve_matching(0.01, shape, 1.1, 10.0, 0.05, throat_epsilon=1e-3),
+    for call in (lambda: solve_matching(0.01, shape, 1.1, 10.0, 0.05),
                  lambda: fold_radius(0.01, shape),
                  lambda: zero_order_solution(2.0, 0.01, shape),
                  lambda: gp_metric(2.0, 1.25, 1.0, shape),
@@ -333,24 +343,24 @@ def test_time_offset_is_energy_term_times_proper_distance():
         assert gp_time_offset(7.0, 1.5, shape) == pytest.approx(float(exact), rel=1e-12)
 
 
-@pytest.mark.parametrize("r, v_inf, light_speed", [
+@pytest.mark.parametrize("r, v, c", [
     (5.0, 1e8, 2.998e8),   # near light speed
-    (8.15, 0.01, 0.05),    # O(1) corrections, API only
+    (8.15, 0.01, 0.05),    # O(1) corrections
 ])
-def test_newton_stops_where_gamma_s_would_leave_its_domain(r, v_inf, light_speed):
+def test_newton_stops_where_gamma_s_would_leave_its_domain(r, v, c):
     """These radii, where a finite-difference Newton step once left the
     domain gamma_s > 1, lie past the fold: on a grid that reaches them they
     come back flagged unconverged with finite values, and a one-point grid
     at r raises ConvergenceError naming the fold."""
-    columns = solve_matching(v_inf, ELLIS, 1.5, r, r - 1.5, light_speed=light_speed,
-                             throat_epsilon=1e-3).columns
+    v_inf = speed(v, c)
+    columns = solve_matching(v_inf, ELLIS, 1.5, r, r - 1.5).columns
     assert columns["r_um"].tolist() == [1.5, r]
     assert columns["converged"].tolist() == [True, False]
     for name in ("cs0_m_per_s", "vr_m_per_s", "res1", "res2"):
         assert np.isfinite(columns[name]).all()
-    r_fold = fold_radius(v_inf, ELLIS, light_speed)
+    r_fold = fold_radius(v_inf, ELLIS)
     with pytest.raises(ConvergenceError, match=f"fold at r = {r_fold!r}"):
-        solve_matching(v_inf, ELLIS, r, r, 1.0, light_speed=light_speed, throat_epsilon=1e-3)
+        solve_matching(v_inf, ELLIS, r, r, 1.0)
 
 
 def test_radius_where_no_vr_exists_stays_finite():
@@ -358,7 +368,7 @@ def test_radius_where_no_vr_exists_stays_finite():
     radius, so no v^r balances the cross terms: the radius comes back
     flagged with finite values instead of failing the grid."""
     r = 7.101467683736689
-    columns = solve_matching(3e7, ELLIS, 1.5, r, r - 1.5, throat_epsilon=1e-3).columns
+    columns = solve_matching(3e7, ELLIS, 1.5, r, r - 1.5).columns
     assert columns["r_um"].tolist() == [1.5, r]
     assert columns["converged"].tolist() == [True, False]
     for name in ("cs0_m_per_s", "vr_m_per_s", "res1", "res2"):
@@ -374,16 +384,17 @@ def test_matching_residuals_arrays_match_floats():
     for the elements one by one: matching_residuals, the two metrics, and
     the 1D and 3D profile formulas the kernels call."""
     radii = np.array([1.2, 2.0, 7.5])
-    cs0 = np.array([0.013, 0.021, 0.07])
-    vr = np.array([0.011, 0.0099, 0.01])
-    res1, res2 = matching_residuals(radii, cs0, vr, 0.01, ELLIS, 0.1)
-    pointwise = [matching_residuals(*args, 0.01, ELLIS, 0.1)
+    cs0 = speed(np.array([0.013, 0.021, 0.07]), 0.1)
+    vr = speed(np.array([0.011, 0.0099, 0.01]), 0.1)
+    v_inf = speed(0.01, 0.1)
+    res1, res2 = matching_residuals(radii, cs0, vr, v_inf, ELLIS)
+    pointwise = [matching_residuals(*args, v_inf, ELLIS)
                  for args in zip(radii.tolist(), cs0.tolist(), vr.tolist())]
     assert all(type(value) is float for pair in pointwise for value in pair)
     assert_same_bits(res1, [pair[0] for pair in pointwise])
     assert_same_bits(res2, [pair[1] for pair in pointwise])
     with pytest.raises(DomainError):
-        matching_residuals(radii, cs0 - 0.005, vr, 0.01, ELLIS)   # one cs0 <= v_inf
+        matching_residuals(radii, cs0 - speed(0.005, 0.1), vr, v_inf, ELLIS)   # one cs0 <= v_inf
 
     spec = CS
     res = spec.resonance
@@ -391,7 +402,7 @@ def test_matching_residuals_arrays_match_floats():
     ellis = ShapeFunction(1.5, -1.0)
     formulas = [
         lambda r: gp_metric(r, 1.25, 0.02, ELLIS),
-        lambda r: bec_metric(r, 0.001 * r, 0.01 * r, 0.1),
+        lambda r: bec_metric(r, speed(0.001, 0.1) * r, speed(0.01, 0.1) * r),
         lambda r: metric_factor(shape, r),
         lambda r: field_profile_1d(shape, res, r),
         lambda r: slope_metric(shape, res, r - 1.5),
@@ -416,16 +427,15 @@ def test_matching_residuals_arrays_match_floats():
 
 def test_solver_grid_preconditions():
     with pytest.raises(DomainError):
-        solve_matching(0.01, ELLIS, 1.0, 10.0, 0.1, throat_epsilon=1e-3)   # touches the throat
+        solve_matching(0.01, ELLIS, 1.0, 10.0, 0.1)   # starts on the throat
     with pytest.raises(DomainError):
-        solve_matching(0.01, ELLIS, 1.1, 10.0, -0.1, throat_epsilon=1e-3)
+        solve_matching(0.01, ELLIS, 1.1, 10.0, -0.1)
     with pytest.raises(DomainError):
-        solve_matching(-0.01, ELLIS, 1.1, 10.0, 0.1, throat_epsilon=1e-3)
-    with pytest.raises(DomainError):
-        solve_matching(0.2, ELLIS, 1.1, 10.0, 0.1, light_speed=0.2,
-                       throat_epsilon=1e-3)   # v_inf = c
-    with pytest.raises(PoleError):
-        solve_matching(0.01, ELLIS, 1.0, 10.0, 0.1, throat_epsilon=0.0)
+        solve_matching(-0.01, ELLIS, 1.1, 10.0, 0.1)
+    with pytest.raises(DomainError, match="v_inf < c"):
+        solve_matching(LIGHT_SPEED, ELLIS, 1.1, 10.0, 0.1)
+    with pytest.raises(DomainError, match="outside the throat"):
+        solve_matching(0.01, ELLIS, 0.5, 10.0, 0.1)
 
 
 def whole_grid(monkeypatch, compute):
@@ -471,8 +481,7 @@ def test_blocked_solve_keeps_the_bits(monkeypatch, v_inf, b0, r_min, r_max, step
     """Solving the radii CHUNK_ROWS at a time gives bit for bit the table
     of one block over the whole grid, converged flags included."""
     def solve():
-        return solve_matching(v_inf, ShapeFunction(b0, -1.0), r_min, r_max, step,
-                              throat_epsilon=1e-3).columns
+        return solve_matching(v_inf, ShapeFunction(b0, -1.0), r_min, r_max, step).columns
 
     assert blocks_of(monkeypatch, solve) == [
         min(CHUNK_ROWS, radii - start) for start in range(0, radii, CHUNK_ROWS)]
@@ -495,8 +504,7 @@ def assert_whole_grid_error(monkeypatch, v_inf, shape, error):
     block over the whole grid; returns that text."""
     def message():
         with pytest.raises(error) as failure:
-            solve_matching(v_inf, shape, 1.1 * shape.b0, 10.0 * shape.b0, 0.0005 * shape.b0,
-                           throat_epsilon=1e-3)
+            solve_matching(v_inf, shape, 1.1 * shape.b0, 10.0 * shape.b0, 0.0005 * shape.b0)
         return str(failure.value)
 
     assert message() == whole_grid(monkeypatch, message)
@@ -546,7 +554,7 @@ def test_blocked_summary_equals_the_unblocked_one(v_inf, b0, r_min, r_max, step,
     also with the rows reversed, where the first blocks of a fold-crossing
     grid hold no converged radius."""
     shape = ShapeFunction(b0, -1.0)
-    solution = solve_matching(v_inf, shape, r_min, r_max, step, throat_epsilon=1e-3)
+    solution = solve_matching(v_inf, shape, r_min, r_max, step)
     reversed_rows = Table({name: column[::-1] for name, column in solution.columns.items()})
     for table in (solution, reversed_rows):
         summary = matching_summary(table, v_inf, shape)
@@ -564,7 +572,7 @@ def test_solve_matching_memory_is_bounded():
     evaluated at once)."""
     tracemalloc.start()
     try:
-        solution = solve_matching(0.01, ELLIS, 1.1, 10.0, 0.00005, throat_epsilon=1e-3)
+        solution = solve_matching(0.01, ELLIS, 1.1, 10.0, 0.00005)
         matching_summary(solution, 0.01, ELLIS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -580,7 +588,7 @@ def test_solve_matching_is_scale_covariant(q):
     for bit as they were: the solve sees lengths only through r/b0."""
     def solve(scale):
         return solve_matching(1e8, ShapeFunction(scale, q), 1.1 * scale, 10.0 * scale,
-                              0.05 * scale, throat_epsilon=1e-3).columns
+                              0.05 * scale).columns
 
     reference = solve(1.0)
     assert 0 < int(reference["converged"].sum()) < reference["r_um"].size

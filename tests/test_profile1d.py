@@ -10,10 +10,10 @@ from wormbec.exceptions import DomainError
 from wormbec.feshbach import (BOHR_RADIUS, cesium_condensate, m_to_bohr,
                               scattering_from_field, sound_speed_from_field,
                               sound_speed_from_scattering)
-from wormbec.geometry import ShapeFunction, metric_factor
+from wormbec.geometry import ShapeFunction, metric_factor, uniform_grid
 from wormbec.profile1d import (feasibility_1d, field_profile_1d, sample_profile_1d,
                                scattering_profile_1d, slope_metric)
-from wormbec.tableio import write_table
+from wormbec.tableio import Table, write_table
 
 CS = cesium_condensate(1e21)
 CAPABILITY = 0.067  # demonstrated control of a/(100 a0), per micron
@@ -174,13 +174,16 @@ def test_profile_consistency_with_field_route():
 
 
 def test_feasibility_threshold_zero_always_fails():
-    audit = feasibility_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.5, threshold=0.0, window=1.0)
+    shape = ShapeFunction(1.0, 0.95)
+    profile = sample_profile_1d(shape, CS, 20.0, 0.5)
+    audit = feasibility_1d(shape, CS, profile, threshold=0.0, window=1.0)
     assert not audit["feasible"]
 
 
 def test_feasibility_max_matches_finite_difference_oracle():
     shape = ShapeFunction(10.0, -1.0)
-    audit = feasibility_1d(shape, CS, 20.0, 0.5, threshold=CAPABILITY, window=1.0)
+    audit = feasibility_1d(shape, CS, sample_profile_1d(shape, CS, 20.0, 0.5),
+                           threshold=CAPABILITY, window=1.0)
     xs = [k * 0.5 for k in range(2, 41)]
     oracle = max(abs(fd_slope(shape, RES, x)) for x in xs)
     assert audit["max_slope_per_um"] == pytest.approx(oracle, rel=1e-6)
@@ -192,9 +195,11 @@ def test_feasibility_equals_slope_metric_scan(q, b0):
     """The audit returns, bit for bit, what a strict > scan of slope_metric
     over the candidates returns: the first maximum and its position (at
     q = 1 every slope is zero, so the first candidate; at q = -299 the far
-    slopes underflow to 0)."""
+    slopes underflow to 0). The audit reads only the table's x_um column,
+    so it is given that column alone: at q = -299 the field overflows."""
     shape = ShapeFunction(b0, q)
-    audit = feasibility_1d(shape, CS, 20.0, 0.01, threshold=CAPABILITY, window=1.0)
+    half = Table({"x_um": uniform_grid(0.0, 20.0, 0.01)}, mirrored=True)
+    audit = feasibility_1d(shape, CS, half, threshold=CAPABILITY, window=1.0)
     best, best_at = -math.inf, None
     for x in (k * 0.01 for k in range(2001)):
         if x >= 1.0 and abs(slope_metric(shape, RES, x)) > best:
@@ -210,12 +215,13 @@ def test_feasibility_reference_case():
     nearer the throat exceed the capability (0.229 at 1 um), so the
     1 um window (the CLI default) is not."""
     shape = ShapeFunction(1.0, 0.95)
-    wide = feasibility_1d(shape, CS, 20.0, 0.1, threshold=CAPABILITY, window=10.0)
+    profile = sample_profile_1d(shape, CS, 20.0, 0.1)
+    wide = feasibility_1d(shape, CS, profile, threshold=CAPABILITY, window=10.0)
     assert wide["feasible"]
     assert wide["max_slope_per_um"] == pytest.approx(0.038, abs=1e-3)
     assert wide["slope_at_x_um"] == pytest.approx(10.0, abs=1e-12)
 
-    narrow = feasibility_1d(shape, CS, 20.0, 0.1, threshold=CAPABILITY, window=1.0)
+    narrow = feasibility_1d(shape, CS, profile, threshold=CAPABILITY, window=1.0)
     assert not narrow["feasible"]
     assert narrow["max_slope_per_um"] == pytest.approx(0.2294, abs=1e-3)
     assert narrow["slope_at_x_um"] == pytest.approx(1.0, abs=1e-12)
