@@ -198,7 +198,7 @@ def cmd_profile3d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     tag = f"R{_fmt(R)}_b0{_fmt(shape.b0)}_vinf{_fmt(v_inf)}"
     tableio.write_table(out / f"profile3d_{tag}", profile, fmt)
     tableio.write_json(out / f"report_{tag}.json", report)
-    feasible = (report["near_asymptote_samples"] == 0
+    feasible = (report["near_asymptote_samples"] == 0 and not report["asymptotes"]["analytic_x_um"]
                 and report["resolution"]["passed"])
     if strict and not feasible:
         return EXIT_INFEASIBLE

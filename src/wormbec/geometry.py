@@ -66,7 +66,8 @@ __all__ = [
     "uniform_grid",
 ]
 
-# Largest point count of one grid walk; a symmetric grid mirrors one walk.
+# Largest point count of one grid walk. Both lab tables, 1+1D and 3+1D, are
+# a half of one walk mirrored about the throat: at most 2 * 10**6 - 1 rows.
 MAX_GRID_POINTS = 10**6
 QUAD_REL_TOL, QUAD_ABS_TOL = 1e-10, 1e-12
 # Panels whose nodes are evaluated at once (module docstring). A power of
@@ -129,12 +130,12 @@ def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
     return grid
 
 
-def _check_resolved(x: np.ndarray, r: np.ndarray, same: np.ndarray, step: float) -> None:
-    """DomainError at the first lab neighbours x[k], x[k+1] that SAME marks as one radius."""
-    if same.any():
+def _check_resolved(d: np.ndarray, r: np.ndarray, step: float) -> None:
+    """DomainError at the first neighbours, D[k] and D[k+1] from the throat, at one radius."""
+    if (same := r[1:] == r[:-1]).any():
         k = int(np.argmax(same))
-        raise DomainError(f"lab samples x = {float(x[k])!r} and {float(x[k + 1])!r} share the "
-                          f"radius r = {float(r[k])!r}: step {step!r} is below its ulp")
+        raise DomainError(f"lab samples {float(d[k])!r} and {float(d[k + 1])!r} um from the throat"
+                          f" share the radius r = {float(r[k])!r}: step {step!r} is below its ulp")
 
 
 def _float_or_array(value: np.ndarray) -> float | np.ndarray:

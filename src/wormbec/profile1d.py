@@ -63,8 +63,8 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
     that holds x = 0.
 
     Every quantity depends on x only through r = |x| + b0, so the table is
-    even about the throat: it is returned as its x >= 0 half, declared
-    mirrored (``tableio.write_table`` writes the whole table). Samples where
+    even about the throat: it is returned as its x >= 0 half, mirrored at
+    x = 0 (``tableio.write_table`` writes the whole table). Samples where
     the scattering length goes negative (q > 1) carry valid=False and a NaN
     sound speed. Neighbours at one radius (a step below the double spacing
     there) are a DomainError; arithmetic leaving the finite doubles,
@@ -74,7 +74,7 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
     res = spec.resonance
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         r = x + shape.b0
-        _check_resolved(x, r, r[1:] == r[:-1], step)
+        _check_resolved(x, r, step)
         a_over = scattering_profile_1d(shape, r)
         valid = a_over >= 0.0
         # the scattering route keeps c_s(throat) exactly zero
@@ -82,7 +82,7 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
         return Table({"x_um": x, "r_um": r, "a_over_abg": a_over,
                       "a_over_100a0": a_over * res.a_bg / (100.0 * BOHR_RADIUS),
                       "B_gauss": field_profile_1d(shape, res, r), "cs_m_per_s": c_s,
-                      "valid": valid}, mirrored=True)
+                      "valid": valid}, mirror_at=0.0)
 
 
 def feasibility_1d(shape: ShapeFunction, spec: CondensateSpec, profile: Table, *,

@@ -1,6 +1,6 @@
-"""3+1D lab profiles: c_s0(x), B(x), a(x) over the two-branch lab
-coordinate, field-asymptote detection, and the healing-length resolution
-audit.
+"""3+1D lab profiles: c_s0(x), B(x), a(x) over the lab coordinate x = R -+ d
+sampled from the throat out, field-asymptote detection, and the
+healing-length resolution audit.
 
 The lab flow c_s0 = v_inf (r/b0)**((1-q)/2), v^r = v_inf is the small-velocity
 matching solution (``gp3d.zero_order_solution``). The shape b = b0 (r/b0)**q,
@@ -39,15 +39,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabLayout:
-    """Two-branch lab coordinate: x in [0, 2R] with the throat at x = R,
-    so r = |x - R| + b0 spans [b0, R + b0] on each branch."""
+    """Two-branch lab coordinate x = R -+ d, the throat at x = R, so r = d + b0
+    spans [b0, R + b0] on each branch; 2R must be finite."""
 
     R: float
     shape: ShapeFunction
 
     def __post_init__(self) -> None:
-        if not self.R > 0.0:
-            raise DomainError(f"branch length R must be positive, got {self.R!r}")
+        if not 0.0 < 2.0 * self.R < math.inf:
+            raise DomainError(f"branch length R must be positive, 2R finite, got {self.R!r}")
         _require_traversable(self.shape, "the 3+1D lab profile")
 
 
@@ -96,49 +96,46 @@ def scattering_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunct
 
 def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
                     step: float, *, pole_delta: float) -> Table:
-    """Sample the 3+1D control quantities over x in [0, 2R].
-
-    Samples with |1 - a/a_bg| < pole_delta are flagged near_asymptote and
-    carry no field value (NaN ``B_gauss``, written empty in CSV); they localize
-    the experimentally unrealizable zone instead of hiding it. Neighbours on
-    one branch at one radius (a step below the double spacing there) are a
-    DomainError; arithmetic leaving the finite doubles, FloatingPointError.
-    """
+    """Sample the 3+1D control quantities at d = k*step, k = 0 .. floor(R/step),
+    from the throat: they depend on x only through r = d + b0, so the table is
+    the half from the throat out (x_um holds d) mirrored at x = R, written
+    whole with x_um = R -+ d. Samples with |1 - a/a_bg| < pole_delta are
+    flagged near_asymptote and carry no field (NaN ``B_gauss``, empty in CSV):
+    they localize the unrealizable zone instead of hiding it. Neighbours at one
+    radius (a step below the double spacing there) are a DomainError;
+    arithmetic leaving the finite doubles, FloatingPointError."""
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
-    x = uniform_grid(0.0, 2.0 * layout.R, step)
+    d = uniform_grid(0.0, layout.R, step)
     shape = layout.shape
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        r = np.abs(x - layout.R) + shape.b0
-        branch = (x[1:] <= layout.R) | (x[:-1] >= layout.R)  # both x <= R, or both >= R
-        _check_resolved(x, r, (r[1:] == r[:-1]) & branch, step)
+        r = d + shape.b0
+        _check_resolved(d, r, step)
         rise = _rise(shape, r, "the 3+1D lab profile")
-        cs0, vr = zero_order_solution(r, v_inf, shape)
         a_over = _scattering(rise, v_inf, spec)
         denom = 1.0 - a_over
         near = np.abs(denom) < pole_delta
-        b = np.full(x.size, math.nan)
+        b = np.full(d.size, math.nan)
         b[~near] = _field(denom[~near], spec)
-        return Table({"x_um": x, "r_um": r, "cs0_m_per_s": cs0,
+        return Table({"x_um": d, "r_um": r, "cs0_m_per_s": zero_order_solution(r, v_inf, shape)[0],
                       "cs_m_per_s": v_inf * np.sqrt(rise), "B_gauss": b, "a_over_abg": a_over,
-                      "vr_m_per_s": vr, "valid": ~near,
-                      "near_asymptote": near}, blank_nan=("B_gauss",))
+                      "near_asymptote": near}, mirror_at=layout.R, blank_nan=("B_gauss",))
 
 
 def detect_asymptotes(profile: Table) -> list[float]:
-    """Locate field poles from the sampled profile.
+    """Locate field poles from the ``lab_profiles_3d`` half.
 
     Poles sit exactly where a/a_bg crosses 1, so sign changes of
     (a/a_bg - 1) between neighbouring samples localize them to one grid
-    step; the midpoint of the bracketing pair is reported.
+    step; for the midpoint d of each bracketing pair x = R -+ d is reported.
     """
-    x = profile.columns["x_um"]
+    d = profile.columns["x_um"]
     gap = profile.columns["a_over_abg"] - 1.0
     exact = gap == 0.0
     crossing = np.concatenate(([False], gap[:-1] * gap[1:] < 0.0))
     found = np.flatnonzero(exact | crossing)
-    midpoints = 0.5 * (x[found - 1] + x[found])
-    return np.where(exact[found], x[found], midpoints).tolist()
+    offsets = np.where(exact[found], d[found], 0.5 * (d[found - 1] + d[found]))
+    return (profile.mirror_at - offsets[::-1]).tolist() + (profile.mirror_at + offsets).tolist()
 
 
 def analytic_asymptote_positions(layout: LabLayout, v_inf: float,
@@ -178,6 +175,7 @@ def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
                           resolution_factor: float) -> dict:
     """Assemble the JSON-ready feasibility report for a sampled profile."""
     columns = profile.columns
+    near = columns["near_asymptote"]
     return {
         "layout": {"R_um": layout.R, "b0_um": layout.shape.b0, "q": layout.shape.q},
         "v_inf_m_per_s": v_inf,
@@ -188,9 +186,9 @@ def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
             "radius_um": asymptote_radius(v_inf, layout.shape, spec),
         },
         "max_a_over_abg": float(columns["a_over_abg"].max()),
-        "near_asymptote_samples": int(columns["near_asymptote"].sum()),
-        # the smallest sampled cs0, nearest the throat
-        "resolution": resolution_audit(float(columns["cs0_m_per_s"].min()), spec.species, step,
+        # the written table: each row of the half but the throat's twice
+        "near_asymptote_samples": 2 * int(near.sum()) - int(near[0]),
+        "resolution": resolution_audit(float(columns["cs0_m_per_s"][0]), spec.species, step,
                                        shape=layout.shape, factor=resolution_factor),
     }
 

@@ -13,19 +13,18 @@ cells (``_layout``). Output is byte-identical across runs:
 
 Cells are formatted column by column in chunks of CHUNK_ROWS = 1024 rows,
 so the cell and line text held at once stays small enough for the cache:
-a mirrored 3-column half writes with a tracemalloc peak of 0.48 MiB (1.8
-MiB at 4096 rows a chunk), whatever its row count. A
-mirrored table declares that its rows are the x >= 0 half of a table even
-about its first column's +0.0 row: the written table is the half's rows
-after x = 0, reversed, with x negated, then the half. Each row below the
-centre is then ``-`` followed by the text of its mirror row, which starts
-with its first cell: ``repr`` of a negated positive float is ``-`` plus
-``repr`` of the float, and the other cells are the same values, so in
-either format the file is byte for byte the plain rendering of the whole
-table while each cell is formatted once. That holds when the first column
-is a float column that is +0.0 in its first row and finite and positive
-after it; ``write_table`` checks this and raises ValueError, writing
-nothing, when it fails. The 1+1D profile is such a table.
+a mirrored 3-column half writes with a tracemalloc peak of 0.59 MiB (2.3
+MiB at 4096 rows a chunk), whatever its row count. A table mirrored at c
+(``mirror_at``) holds one half of a table even about its centre row at
+x = c, the first column giving each row's distance d from c: +0.0, then
+finite and positive (else ``write_table`` raises ValueError and writes
+nothing). The written table is the half's rows after the centre, reversed,
+with x = c - d, then the half with x = c + d: in either format byte for
+byte the plain rendering of the whole table. A row below the centre
+formats its x alone and reuses the rest of its mirror row's text; at c = 0
+it is ``-`` plus that text, as ``repr(-d)`` is ``-`` plus ``repr(d)``.
+Both lab profiles are such halves: the 1+1D one at x = 0, the 3+1D one at
+its throat x = R.
 
 Every file is written under a temporary name in its directory and moved onto
 its name with ``os.replace`` once complete; a write that raises removes the
@@ -61,13 +60,13 @@ _staged: ContextVar[list | None] = ContextVar("_staged", default=None)  # (tempo
 
 @dataclass(frozen=True)
 class Table:
-    """Named 1-D columns of one length, in file order. ``mirrored``: the rows
-    are the x >= 0 half of a table even about its first column's +0.0 row
-    (module docstring). CSV writes the NaN cells of the ``blank_nan``
-    columns empty."""
+    """Named 1-D columns of one length, in file order. ``mirror_at``: the rows
+    are one half of a table even about x = mirror_at, and the first column
+    holds their distance from it (module docstring). CSV writes the NaN
+    cells of the ``blank_nan`` columns empty."""
 
     columns: dict[str, np.ndarray]
-    mirrored: bool = False
+    mirror_at: float | None = None
     blank_nan: tuple[str, ...] = ()
 
 
@@ -138,20 +137,19 @@ def _check_mirror(x: np.ndarray) -> None:
                          "first row and finite and positive after it")
 
 
-def _write_mirrored(out: TextIO, chunk: Callable[[int], list[str]], rows: int,
-                    row_sep: str, directory: Path) -> None:
+def _write_mirrored(out: TextIO, chunk: Callable[[int], tuple[list[str], list[str]]],
+                    rows: int, row_sep: str, directory: Path) -> None:
     """Write the whole table of a mirrored half of ROWS rows (module docstring)."""
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=directory) as spill:
         spans = []  # (offset, length) in the spill of each chunk's text
         # from the far end in, so the rows below the centre come out in order
         for start in reversed(range(0, rows, CHUNK_ROWS)):
-            lines = chunk(start)
+            lines, twins = chunk(start)
             # the far end's chunk holds the last row; the others lead on to a row
             text = row_sep.join(lines) + (row_sep if spans else "")
             spans.append((spill.tell(), len(text)))
             spill.write(text)
-            twins = lines[1:] if start == 0 else lines
-            out.write("".join(f"-{line}{row_sep}" for line in reversed(twins)))
+            out.write("".join(reversed(twins[1:] if start == 0 else twins)))  # no centre twin
         for offset, length in reversed(spans):
             spill.seek(offset)
             out.write(spill.read(length))
@@ -181,7 +179,7 @@ def write_table(stem: Path, table: Table, fmt: str) -> Path:
     columns = [np.asarray(column) for column in table.columns.values()]
     if len({c.shape for c in columns}) > 1:
         raise ValueError(f"the columns {header} must all be of one length")
-    if table.mirrored:
+    if (centre := table.mirror_at) is not None:
         _check_mirror(columns[0])
     stem.parent.mkdir(parents=True, exist_ok=True)
     # extensions are appended, not with_suffix: stems carry dots (q0.95)
@@ -191,18 +189,26 @@ def write_table(stem: Path, table: Table, fmt: str) -> Path:
     non_finite = [dict.fromkeys(("nan", "inf", "-inf"), null) if null is not None
                   else {"nan": ""} if name in table.blank_nan else {} for name in header]
 
-    def chunk(start: int) -> list[str]:
-        """The text of rows START .. START + CHUNK_ROWS - 1, one string a row."""
-        cells = [_cells(column[start:start + CHUNK_ROWS], texts)
-                 for column, texts in zip(columns, non_finite)]
-        return list(map(cell_sep.join, zip(*cells)))
+    def chunk(start: int) -> tuple[list[str], list[str]]:
+        """The text of rows START .. START + CHUNK_ROWS - 1, one string a row, and of
+        the rows below a mirrored half's centre that mirror them, each ending in row_sep."""
+        part = [column[start:start + CHUNK_ROWS] for column in columns]
+        if centre is not None:  # the first column holds d; x = centre + d
+            part[0] = centre + (d := part[0])
+        lines = list(map(cell_sep.join, zip(*[_cells(column, texts)
+                                               for column, texts in zip(part, non_finite)])))
+        if centre == 0.0:  # repr(-d) is "-" + repr(d)
+            return lines, [f"-{line}{row_sep}" for line in lines]
+        lows = [] if centre is None else _cells(centre - d, non_finite[0])
+        return lines, [f"{low}{sep}{rest}{row_sep}" for low, (_, sep, rest)
+                       in zip(lows, (line.partition(cell_sep) for line in lines))]
 
     with _replacing(path) as out:
         out.write(head)
-        if table.mirrored:
+        if centre is not None:
             _write_mirrored(out, chunk, rows, row_sep, path.parent)
         else:
             for start in range(0, rows, CHUNK_ROWS):
-                out.write((row_sep if start else "") + row_sep.join(chunk(start)))
+                out.write((row_sep if start else "") + row_sep.join(chunk(start)[0]))
         out.write(tail)
     return path

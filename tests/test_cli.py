@@ -259,6 +259,18 @@ def test_profile3d_strict_flags_asymptotes(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("v_inf, code", [("0.0018", 0), ("0.0021", 2), ("0.01", 2)])
+def test_profile3d_strict_fails_with_a_pole_in_the_layout(tmp_path, v_inf, code):
+    """At step 2.5 um both audits pass and no sample lands near a pole, so
+    --strict exits 0 without a field pole in the layout and 2 with one
+    (analytic_x_um non-empty)."""
+    assert run(tmp_path, "profile3d", "--strict", "--set", "grid.step_um=2.5",
+               "--set", f"observer.v_inf_m_per_s={v_inf}") == code
+    report = json.loads((tmp_path / f"report_R5_b01_vinf{v_inf}.json").read_text())
+    assert report["near_asymptote_samples"] == 0 and report["resolution"]["passed"]
+    assert bool(report["asymptotes"]["analytic_x_um"]) == (code == 2)
+
+
 def test_embed_closed_form(tmp_path):
     code = run(tmp_path, "embed",
                "--set", "wormhole.q=-1", "--set", "wormhole.b0_um=3",

@@ -136,6 +136,16 @@ def test_bec_metric_duplicate_implementation_oracle():
         assert g_rr == pytest.approx(block[1, 1], rel=1e-12)
 
 
+@pytest.mark.parametrize("c_s", [0.0, -0.01, np.array([0.01, 0.0]), np.array([0.01, -0.01])],
+                         ids=["zero", "negative", "array-zero", "array-negative"])
+def test_bec_metric_needs_a_positive_sound_speed(c_s):
+    """A sound speed at or below zero, as a float or anywhere in an array,
+    is a DomainError naming the smallest one."""
+    smallest = float(np.min(c_s))
+    with pytest.raises(DomainError, match=f"sound speed must be positive, got {smallest!r}"):
+        bec_metric(2.0, c_s, 0.01)
+
+
 def test_bec_metric_lab_scale_components():
     """At lab scale the direct formulas stay exact: g_tt = -cs^2."""
     g_tt, g_tr, g_rr = bec_metric(2.0, 0.012, 0.01)

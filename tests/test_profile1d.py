@@ -112,7 +112,7 @@ def test_sample_profile_reference_shape():
     0 at the throat, strictly increasing with |x|, saturating toward
     a_bg/(100 a0) = 9.5."""
     profile = sample_profile_1d(ShapeFunction(1.0, 0.95), CS, 20.0, 0.1)
-    assert profile.mirrored
+    assert profile.mirror_at == 0.0
     columns = profile.columns
     assert len(columns["x_um"]) == 201 and columns["x_um"][0] == 0.0
     values = columns["a_over_100a0"].tolist()
@@ -198,7 +198,7 @@ def test_feasibility_equals_slope_metric_scan(q, b0):
     slopes underflow to 0). The audit reads only the table's x_um column,
     so it is given that column alone: at q = -299 the field overflows."""
     shape = ShapeFunction(b0, q)
-    half = Table({"x_um": uniform_grid(0.0, 20.0, 0.01)}, mirrored=True)
+    half = Table({"x_um": uniform_grid(0.0, 20.0, 0.01)}, mirror_at=0.0)
     audit = feasibility_1d(shape, CS, half, threshold=CAPABILITY, window=1.0)
     best, best_at = -math.inf, None
     for x in (k * 0.01 for k in range(2001)):

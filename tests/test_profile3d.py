@@ -1,5 +1,6 @@
 """3+1D lab profiles, asymptote detection, and the resolution audit."""
 
+import json
 import math
 
 import numpy as np
@@ -102,39 +103,56 @@ def test_scattering_profile_composition():
 
 
 def test_lab_profiles_reference_run():
-    """R=5, b0=1, v_inf=0.01, Cs: a/a_bg at the walls is about 24, far
-    above the background value."""
+    """R=5, b0=1, v_inf=0.01, Cs: the half from the throat out, mirrored at
+    x = R; a/a_bg at the wall is about 24, far above the background value."""
     layout = LabLayout(R=5.0, shape=ELLIS)
-    columns = lab_profiles_3d(layout, 0.01, CS, 0.5, pole_delta=1e-3).columns
+    profile = lab_profiles_3d(layout, 0.01, CS, 0.5, pole_delta=1e-3)
+    columns = profile.columns
+    assert profile.mirror_at == 5.0
     assert columns["x_um"][0] == 0.0
-    assert columns["a_over_abg"][0] == pytest.approx(24.26, abs=0.3)
-    assert columns["x_um"][-1] == 10.0
+    assert columns["x_um"][-1] == 5.0
+    assert columns["a_over_abg"][-1] == pytest.approx(24.26, abs=0.3)
     assert columns["a_over_abg"].max() > 1.0
 
 
-def test_lab_profiles_throat_column():
-    layout = LabLayout(R=5.0, shape=ELLIS)
-    columns = lab_profiles_3d(layout, 0.01, CS, 0.5, pole_delta=1e-3).columns
-    throat = np.flatnonzero(columns["x_um"] == 5.0)
-    assert len(throat) == 1
-    i = throat[0]
-    assert columns["r_um"][i] == 1.0
-    assert columns["a_over_abg"][i] == 0.0
-    assert columns["B_gauss"][i] == THROAT_FIELD
-    assert columns["cs_m_per_s"][i] == 0.0
-    assert columns["cs0_m_per_s"][i] == 0.01
-    assert columns["valid"][i] and not columns["near_asymptote"][i]
+def test_lab_profiles_throat_column(tmp_path):
+    """Row 0 of the half is the throat; whether or not R/step is an integer,
+    the written table has exactly one row at r = b0, at x = R: a = 0,
+    c_s = 0, B = B_res + width and cs0 = v_inf."""
+    for step in (0.5, 0.3, 0.7):
+        profile = lab_profiles_3d(LabLayout(R=5.0, shape=ELLIS), 0.01, CS, step,
+                                  pole_delta=1e-3)
+        columns = profile.columns
+        assert columns["x_um"][0] == 0.0 and not columns["near_asymptote"][0]
+        lines = write_table(tmp_path / "p3", profile, "csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        throat = [row for row in rows if float(row["r_um"]) == 1.0]
+        assert len(throat) == 1
+        assert {name: float(throat[0][name]) for name in header[:-1]} == {
+            "x_um": 5.0, "r_um": 1.0, "cs0_m_per_s": 0.01, "cs_m_per_s": 0.0,
+            "B_gauss": THROAT_FIELD, "a_over_abg": 0.0}
+        assert throat[0]["near_asymptote"] == "false"
 
 
-def test_lab_profiles_mirror_symmetry():
-    layout = LabLayout(R=5.0, shape=ELLIS)
-    columns = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=1e-3).columns
-    index = {x: i for i, x in enumerate(columns["x_um"].tolist())}
-    mirror = [index[10.0 - x] for x in columns["x_um"].tolist()]
-    for name in ("r_um", "a_over_abg", "cs0_m_per_s", "cs_m_per_s", "B_gauss",
-                 "near_asymptote"):
-        assert np.array_equal(columns[name][mirror], columns[name], equal_nan=True)
-    assert (columns["vr_m_per_s"] == 0.01).all()
+def test_lab_profiles_mirror_symmetry(tmp_path):
+    """At steps 0.125, 0.1, 0.3 and 0.001 every row below the throat equals
+    its mirror row cell for cell, apart from x_um, in CSV and JSON; x_um is
+    R -+ d, the lab coordinate, and the table has 2 floor(R/step) + 1 rows."""
+    for step in (0.125, 0.1, 0.3, 0.001):
+        profile = lab_profiles_3d(LabLayout(R=5.0, shape=ELLIS), 0.01, CS, step,
+                                  pole_delta=1e-3)
+        d = profile.columns["x_um"].tolist()
+        assert len(d) == math.floor(5.0 / step + 1e-9) + 1
+        csv_rows = [line.split(",") for line in
+                    write_table(tmp_path / "p3", profile, "csv").read_text().splitlines()[1:]]
+        json_rows = json.loads(write_table(tmp_path / "p3", profile, "json").read_text())["rows"]
+        for rows in (csv_rows, json_rows):
+            n = len(rows)
+            assert n == 2 * len(d) - 1
+            assert all(rows[k][1:] == rows[n - 1 - k][1:] for k in range(n))
+            assert [float(row[0]) for row in rows] == ([5.0 - x for x in d[:0:-1]]
+                                                       + [5.0 + x for x in d])
 
 
 def test_near_asymptote_samples_carry_no_field():
@@ -144,7 +162,6 @@ def test_near_asymptote_samples_carry_no_field():
     flagged = columns["near_asymptote"]
     assert flagged.any()
     assert np.isnan(columns["B_gauss"][flagged]).all()
-    assert not columns["valid"][flagged].any()
 
 
 @pytest.mark.parametrize("v_inf, step, pole_delta, near_count", [
@@ -154,14 +171,16 @@ def test_near_asymptote_samples_carry_no_field():
 ])
 def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
                                                     near_count):
-    """Every column is the recipe evaluated on floats point by point, bit
-    for bit (the float and the array path of each formula agree); near-
-    asymptote samples, and only they, carry a NaN field."""
+    """Every column of the half is the recipe evaluated on floats point by
+    point, bit for bit (the float and the array path of each formula
+    agree); near-asymptote samples, and only they, carry a NaN field. The
+    report counts them in the written table, the throat row once."""
     layout = LabLayout(R=5.0, shape=ELLIS)
-    columns = lab_profiles_3d(layout, v_inf, CS, step, pole_delta=pole_delta).columns
-    count = int(math.floor(10.0 / step + 1e-9)) + 1
+    profile = lab_profiles_3d(layout, v_inf, CS, step, pole_delta=pole_delta)
+    columns = profile.columns
+    count = int(math.floor(5.0 / step + 1e-9)) + 1
     assert_same_bits(columns["x_um"], [k * step for k in range(count)])
-    r = [abs(x - layout.R) + layout.shape.b0 for x in columns["x_um"].tolist()]
+    r = [d + layout.shape.b0 for d in columns["x_um"].tolist()]
     assert_same_bits(columns["r_um"], r)
     speeds = [sound_speed_profile_3d(ri, v_inf, ELLIS) for ri in r]
     assert_same_bits(columns["cs0_m_per_s"], [cs0 for cs0, _ in speeds])
@@ -169,13 +188,13 @@ def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
     assert_same_bits(columns["a_over_abg"],
                      [scattering_profile_3d(ri, v_inf, ELLIS, CS) for ri in r])
     near = [abs(1.0 - scattering_profile_3d(ri, v_inf, ELLIS, CS)) < pole_delta for ri in r]
-    assert sum(near) == near_count
+    assert 2 * sum(near) - near[0] == near_count
     assert columns["near_asymptote"].tolist() == near
-    assert columns["valid"].tolist() == [not n for n in near]
     assert_same_bits(columns["B_gauss"], [math.nan if n else
                                           field_profile_3d(ri, v_inf, ELLIS, CS)
                                           for ri, n in zip(r, near)])
-    assert (columns["vr_m_per_s"] == v_inf).all()
+    report = feasibility_report_3d(layout, v_inf, CS, profile, step, resolution_factor=10.0)
+    assert report["near_asymptote_samples"] == near_count
 
 
 def _ulps(values, reference):
@@ -302,9 +321,23 @@ def test_feasibility_report_contents():
     assert report["background_sound_speed_m_per_s"] == pytest.approx(0.0120, rel=0.01)
 
 
+@pytest.mark.parametrize("step", [0.3, 0.7])
+def test_resolution_reference_is_the_throat_sound_speed(step):
+    """The audit's reference cs0 is the throat's, v_inf exactly, also where
+    R/step is not an integer; so the healing length is the throat's."""
+    layout = LabLayout(R=5.0, shape=ELLIS)
+    profile = lab_profiles_3d(layout, 0.05, CS, step, pole_delta=1e-3)
+    resolution = feasibility_report_3d(layout, 0.05, CS, profile, step,
+                                       resolution_factor=10.0)["resolution"]
+    assert resolution["reference_cs0_m_per_s"] == 0.05
+    assert resolution["healing_length_um"] == healing_length(0.05, SPECIES["Cs"]) * 1e6
+
+
 def test_layout_validation():
     with pytest.raises(DomainError):
         LabLayout(R=0.0, shape=ELLIS)
+    with pytest.raises(DomainError, match="2R finite"):  # the far wall's x = 2R overflows
+        LabLayout(R=1e308, shape=ELLIS)
     with pytest.raises(DomainError):
         LabLayout(R=5.0, shape=ShapeFunction(-1.0, -1.0))
 
@@ -315,8 +348,9 @@ def test_profile_csv_layout(tmp_path):
     path = write_table(tmp_path / "p3", profile, "csv")
     lines = path.read_text().splitlines()
     assert lines[0] == ("x_um,r_um,cs0_m_per_s,cs_m_per_s,B_gauss,"
-                        "a_over_abg,vr_m_per_s,valid,near_asymptote")
-    assert len(lines) == 1 + len(profile.columns["x_um"])
+                        "a_over_abg,near_asymptote")
+    assert len(lines) == 1 + 2 * len(profile.columns["x_um"]) - 1 == 6
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.5", "1.0", "1.5", "2.0"]
 
 
 def test_profile_csv_leaves_near_asymptote_field_empty(tmp_path):
@@ -327,17 +361,19 @@ def test_profile_csv_leaves_near_asymptote_field_empty(tmp_path):
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     blank = [row for row in rows if row[4] == ""]
     assert len(blank) == 2
-    assert all(row[7:] == ["false", "true"] for row in blank)
+    assert all(row[6:] == ["true"] for row in blank)
     assert not any("nan" in row for row in rows)
 
 
-def test_profile_reaches_far_wall_despite_rounding():
+def test_profile_reaches_far_wall_despite_rounding(tmp_path):
     """0.3/0.1 rounds just below 3, so the last grid point 3 * 0.1 lies an
-    ulp past 2R = 0.3; it is sampled rather than rejected."""
-    columns = lab_profiles_3d(LabLayout(R=0.15, shape=ELLIS), 0.01, CS, 0.1,
-                              pole_delta=1e-3).columns
-    assert columns["x_um"].tolist() == [0.0, 0.1, 0.2, 3 * 0.1]
-    assert columns["r_um"][-1] == pytest.approx(1.15, rel=1e-15)
+    ulp past R = 0.3; it is sampled rather than rejected, on both walls."""
+    profile = lab_profiles_3d(LabLayout(R=0.3, shape=ELLIS), 0.01, CS, 0.1, pole_delta=1e-3)
+    assert profile.columns["x_um"].tolist() == [0.0, 0.1, 0.2, 3 * 0.1]
+    assert profile.columns["r_um"][-1] == pytest.approx(1.3, rel=1e-15)
+    lines = write_table(tmp_path / "p3", profile, "csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[0]) for line in (lines[0], lines[-1])] == [0.3 - 3 * 0.1,
+                                                                            0.3 + 3 * 0.1]
 
 
 SHAPE_QS = (-3.0, -1.0, 0.0, 0.5, 0.9)
@@ -371,28 +407,29 @@ def test_power_law_profile_formulas_equal_mpmath(q, v_inf):
 @pytest.mark.parametrize("b0", [0.37, 1.0, 12.5])
 @pytest.mark.parametrize("q", SHAPE_QS)
 def test_lab_flow_is_the_zero_order_matching_solution(q, b0):
-    """The lab columns cs0 and v^r are gp3d's small-velocity solution at the
-    sampled radii, bit for bit, and so is sound_speed_profile_3d's cs0."""
+    """The lab column cs0 is gp3d's small-velocity solution at the sampled
+    radii, bit for bit, and so is sound_speed_profile_3d's cs0."""
     shape = ShapeFunction(b0, q)
     columns = lab_profiles_3d(LabLayout(R=5.0, shape=shape), 0.01, CS, 0.01,
                               pole_delta=1e-3).columns
-    cs0, vr = zero_order_solution(columns["r_um"], 0.01, shape)
+    cs0 = zero_order_solution(columns["r_um"], 0.01, shape)[0]
     assert_same_bits(columns["cs0_m_per_s"], cs0)
-    assert_same_bits(columns["vr_m_per_s"], vr)
     assert_same_bits(sound_speed_profile_3d(columns["r_um"], 0.01, shape)[0], cs0)
 
 
-def test_lab_grid_collapsing_onto_one_radius_is_domain_error():
-    """Two neighbours on one branch with one radius (the step is below the
-    spacing of the doubles at b0 = 1e20) raise; two neighbours either side
-    of the throat share a radius by symmetry, and that is kept."""
-    with pytest.raises(DomainError, match=r"x = 0\.0 and 0\.1 share the radius r = 1e\+20"):
+def test_lab_grid_collapsing_onto_one_radius_is_domain_error(tmp_path):
+    """Two neighbours with one radius (the step is below the spacing of the
+    doubles at b0 = 1e20) raise; a step beyond R leaves the throat row
+    alone, one row at x = R."""
+    with pytest.raises(DomainError, match=r"lab samples 0\.0 and 0\.1 um from the throat "
+                                          r"share the radius r = 1e\+20"):
         lab_profiles_3d(LabLayout(R=5.0, shape=ShapeFunction(1e20, -1.0)), 0.01, CS, 0.1,
                         pole_delta=1e-3)
-    columns = lab_profiles_3d(LabLayout(R=0.25, shape=ELLIS), 0.01, CS, 0.5,
-                              pole_delta=1e-3).columns
-    assert columns["x_um"].tolist() == [0.0, 0.5]
-    assert columns["r_um"].tolist() == [1.25, 1.25]
+    profile = lab_profiles_3d(LabLayout(R=0.25, shape=ELLIS), 0.01, CS, 0.5, pole_delta=1e-3)
+    assert profile.columns["x_um"].tolist() == [0.0]
+    assert profile.columns["r_um"].tolist() == [1.0]
+    lines = write_table(tmp_path / "p3", profile, "csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.25,1.0,0.01,0.0,")
 
 
 @pytest.mark.parametrize("q", [-1.0, 0.5])

@@ -115,11 +115,6 @@ def even(half):
     return np.concatenate((half[:0:-1], half))
 
 
-def odd(half):
-    """As even, but negated below the centre row."""
-    return np.concatenate((-half[:0:-1], half))
-
-
 def mirrored_half(half_rows):
     """x, a float64 column with NaN and inf cells, a float32 column and a
     flag: HALF_ROWS rows from x = 0 up."""
@@ -131,10 +126,12 @@ def mirrored_half(half_rows):
     return ("x", "y", "single", "flag"), [x, y, single, flag]
 
 
-def whole(columns):
-    """The whole table of a mirrored half: the rows below x = 0 are the
-    rows above it, reversed, with x negated."""
-    return [odd(columns[0]), *map(even, columns[1:])]
+def whole(columns, centre=0.0):
+    """The whole table of a half mirrored at CENTRE: the rows below the
+    centre are the rows above it, reversed, with x = centre - d, and the
+    rows from it have x = centre + d."""
+    d = columns[0]
+    return [np.concatenate((centre - d[:0:-1], centre + d)), *map(even, columns[1:])]
 
 
 # around the first chunk's edge, and a later one's, where the spill holds
@@ -150,8 +147,20 @@ def test_mirrored_table_renders_like_reference(tmp_path, half_rows):
     edges."""
     header, columns = mirrored_half(half_rows)
     assert [column.dtype for column in columns] == [np.float64, np.float64, np.float32, bool]
-    assert_renders_like_reference(tmp_path, named_table(header, columns, mirrored=True),
+    assert_renders_like_reference(tmp_path, named_table(header, columns, mirror_at=0.0),
                                   header, whole(columns))
+
+
+@pytest.mark.parametrize("centre", [5.0, 0.3, -2.5])
+@pytest.mark.parametrize("half_rows", [1, 3, CHUNK_ROWS + 1])
+def test_table_mirrored_off_zero_renders_like_reference(tmp_path, half_rows, centre):
+    """A half mirrored at a nonzero centre c is written as the whole table,
+    x = c - d below the centre and c + d from it, byte for byte as the
+    plain rendering in CSV and JSON (0.3 + 0.1 is not 0.4: the written x
+    is the rounded sum, as in the reference)."""
+    header, columns = mirrored_half(half_rows)
+    assert_renders_like_reference(tmp_path, named_table(header, columns, mirror_at=centre),
+                                  header, whole(columns, centre))
 
 
 def test_mirrored_profile_and_blank_column_render_like_reference(tmp_path):
@@ -160,12 +169,12 @@ def test_mirrored_profile_and_blank_column_render_like_reference(tmp_path):
     every non-finite cell is null in JSON."""
     profile = sample_profile_1d(ShapeFunction(1.0, 2.0), cesium_condensate(1e21), 20.0, 0.01)
     header, columns = list(profile.columns), list(profile.columns.values())
-    assert profile.mirrored and np.isnan(profile.columns["cs_m_per_s"]).any()
+    assert profile.mirror_at == 0.0 and np.isnan(profile.columns["cs_m_per_s"]).any()
     assert_renders_like_reference(tmp_path / "p", profile, header, whole(columns))
 
     header, columns = mirrored_half(CHUNK_ROWS + 1)
     assert_renders_like_reference(
-        tmp_path / "b", named_table(header, columns, mirrored=True, blank_nan=("y",)),
+        tmp_path / "b", named_table(header, columns, mirror_at=0.0, blank_nan=("y",)),
         header, whole(columns), blank_nan=("y",))
     text = (tmp_path / "b" / "csv" / "t.csv").read_text()
     assert ",," in text and ",inf," in text
@@ -194,7 +203,7 @@ def _near_misses():
 def test_near_mirrored_table_is_rejected(tmp_path, name, columns):
     """A half declared mirrored whose first column is not +0.0 and then
     finite and positive raises ValueError and writes no file."""
-    half = named_table(("x", "y", "single", "flag"), columns, mirrored=True)
+    half = named_table(("x", "y", "single", "flag"), columns, mirror_at=0.0)
     for out_format in FORMATS:
         with pytest.raises(ValueError, match="mirrored"):
             write_table(tmp_path / "t", half, out_format)
@@ -206,7 +215,7 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, kind):
     """A write that fails after its first chunk leaves no temporary file,
     and no target, or the target as it was before, in either format."""
     x = np.arange(2 * CHUNK_ROWS) * 0.5
-    written = Table({"x": x + 1.0}) if kind == "plain" else Table({"x": x}, mirrored=True)
+    written = Table({"x": x + 1.0}) if kind == "plain" else Table({"x": x}, mirror_at=0.0)
     calls = []
     real = tableio._cells
 
@@ -257,17 +266,18 @@ def test_staged_files_take_their_names_when_the_block_completes(tmp_path):
     assert table.read_bytes() == before
 
 
-@pytest.mark.parametrize("kind", ["plain", "mirrored"])
-def test_json_table_is_formatted_chunk_by_chunk(tmp_path, monkeypatch, kind):
+@pytest.mark.parametrize("centre", [None, 0.0, 5.0], ids=["plain", "mirrored", "mirrored-at-5"])
+def test_json_table_is_formatted_chunk_by_chunk(tmp_path, monkeypatch, centre):
     """A JSON table longer than 2 CHUNK_ROWS streams: no cell-formatting
     call sees more than CHUNK_ROWS values, and a mirrored half formats
-    each of its cells once."""
+    each of its cells once, and off x = 0 also each row's x below the
+    centre."""
     header, half = mirrored_half(2 * CHUNK_ROWS + 7)
-    columns = whole(half)
+    columns = whole(half, centre or 0.0)
     rows = len(columns[0])
     assert rows > 2 * CHUNK_ROWS
-    mirrored = kind == "mirrored"
-    written = named_table(header, half if mirrored else columns, mirrored=mirrored)
+    mirrored = centre is not None
+    written = named_table(header, half if mirrored else columns, mirror_at=centre)
     seen = []
     real = tableio._cells
 
@@ -278,16 +288,19 @@ def test_json_table_is_formatted_chunk_by_chunk(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(tableio, "_cells", counting)
     path = write_table(tmp_path / "t", written, "json")
     assert max(seen) <= CHUNK_ROWS
-    assert sum(seen) == len(header) * (len(half[0]) if mirrored else rows)
+    formatted = {None: len(header) * rows, 0.0: len(header) * len(half[0]),
+                 5.0: (len(header) + 1) * len(half[0])}
+    assert sum(seen) == formatted[centre]
     assert path.read_text() == reference("json", header, columns)
 
 
 def test_mirrored_write_memory_is_bounded(tmp_path):
-    """A mirrored half's write holds O(CHUNK_ROWS) rows of text: at 16
-    CHUNK_ROWS rows it peaks within 1.1x of its peak at 4 CHUNK_ROWS."""
-    def peak(rows, out_format):
+    """A mirrored half's write holds O(CHUNK_ROWS) rows of text, mirrored at
+    x = 0 or off it: at 16 CHUNK_ROWS rows it peaks within 1.1x of its peak
+    at 4 CHUNK_ROWS."""
+    def peak(rows, out_format, centre):
         x = np.arange(rows) * 0.1
-        half = Table({"x": x, "y": np.sqrt(x + 2.0), "z": x / 3.0}, mirrored=True)
+        half = Table({"x": x, "y": np.sqrt(x + 2.0), "z": x / 3.0}, mirror_at=centre)
         tracemalloc.start()
         try:
             write_table(tmp_path / f"t{rows}", half, out_format)
@@ -296,4 +309,6 @@ def test_mirrored_write_memory_is_bounded(tmp_path):
             tracemalloc.stop()
 
     for out_format in FORMATS:
-        assert peak(16 * CHUNK_ROWS, out_format) <= 1.1 * peak(4 * CHUNK_ROWS, out_format)
+        for centre in (0.0, 5.0):
+            assert (peak(16 * CHUNK_ROWS, out_format, centre)
+                    <= 1.1 * peak(4 * CHUNK_ROWS, out_format, centre))
