@@ -167,14 +167,14 @@ def cmd_solve_gp(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     r_min = _bound(grid, "r_min_um", 1.1 * b0, b0)
     r_max = _bound(grid, "r_max_um", 10.0 * b0, b0)
     r_step = _bound(grid, "r_step_um", 0.05 * b0, b0)
-    solution = gp3d.solve_matching(v_inf, shape, r_min, r_max, r_step)
+    solution, statistics = gp3d.solve_matching(v_inf, shape, r_min, r_max, r_step)
     summary = {
         "v_inf_m_per_s": v_inf,
         "b0_um": b0,
         "q": shape.q,
         "fold_radius_um": gp3d.fold_radius(v_inf, shape),
         "grid": {"r_min_um": r_min, "r_max_um": r_max, "step_um": r_step},
-        **gp3d.matching_summary(solution, v_inf, shape),
+        **statistics,
     }
     tag = f"vinf{_fmt(v_inf)}_b0{_fmt(b0)}"
     tableio.write_table(out / f"gp_solution_{tag}", solution, fmt)

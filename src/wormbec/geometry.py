@@ -112,7 +112,8 @@ class ShapeFunction:
 def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
     """start + k*step for k = 0 .. floor(span/step + 1e-9); the slack keeps
     the far end when span/step rounds just below an integer. Neighbours that
-    round to one value (a step below their ulp) are a DomainError."""
+    round to one value (a step below their ulp) are a DomainError: this is
+    the one collapse check of every table, radial and lab grids alike."""
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
     if not span >= 0.0:
@@ -128,14 +129,6 @@ def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
         raise DomainError(f"grid points {k} and {k + 1} both round to {float(grid[k])!r}: "
                           f"step {step!r} is below its ulp")
     return grid
-
-
-def _check_resolved(d: np.ndarray, r: np.ndarray, step: float) -> None:
-    """DomainError at the first neighbours, D[k] and D[k+1] from the throat, at one radius."""
-    if (same := r[1:] == r[:-1]).any():
-        k = int(np.argmax(same))
-        raise DomainError(f"lab samples {float(d[k])!r} and {float(d[k + 1])!r} um from the throat"
-                          f" share the radius r = {float(r[k])!r}: step {step!r} is below its ulp")
 
 
 def _float_or_array(value: np.ndarray) -> float | np.ndarray:

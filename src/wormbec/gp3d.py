@@ -32,8 +32,10 @@ with finite values. The grid's one precondition is r_min > b0. Every radius
 is checked against the absolute RESIDUAL_TOL by evaluating both residuals,
 so radii close to the throat are flagged although c_s0 and v^r there are
 the root to rounding: the dt*dr residual magnifies the rounding of c_s0 by
-about f**-1.5 (to 1e-12 at r = 1.001 b0, q = -1). As q nears 1 every radius
-is flagged. The time-offset integrand is sqrt(E**2 - 1) times the
+about f**-1.5 (to 1e-12 at r = 1.001 b0, q = -1). Within an ulp or two of
+the throat c_s0 rounds to v_inf, where gamma_s is not real: such a c_s0 is
+written as the next double up and flagged. As q nears 1 every radius is
+flagged. The time-offset integrand is sqrt(E**2 - 1) times the
 proper-distance one, so ``gp_time_offset`` is sqrt(E**2 - 1) times
 ``geometry.proper_distance``.
 
@@ -63,7 +65,6 @@ __all__ = [
     "zero_order_solution",
     "fold_radius",
     "solve_matching",
-    "matching_summary",
 ]
 
 LIGHT_SPEED = 299792458.0  # c in m/s, exact
@@ -166,14 +167,13 @@ def matching_residuals(r: float | np.ndarray, cs0: float | np.ndarray,
 
 
 def zero_order_solution(r: float | np.ndarray, v_inf: float, shape: ShapeFunction
-                        ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Small-velocity limit of the matching system, profile3d's lab flow:
-    c_s0 = v_inf (r/b0)**((1-q)/2), a power of r/b0 so that c_s0(b0) = v_inf
-    exactly, and v^r constant."""
+                        ) -> float | np.ndarray:
+    """c_s0 of the small-velocity limit of the matching system, profile3d's
+    lab flow: c_s0 = v_inf (r/b0)**((1-q)/2), a power of r/b0 so that
+    c_s0(b0) = v_inf exactly. Its v^r is v_inf at every radius."""
     _require_traversable(shape, "the flow-adapted construction")
     r = _check_throat(shape.b0, r)
-    return (_float_or_array(v_inf * np.power(r / shape.b0, 0.5 * (1.0 - shape.q))),
-            _float_or_array(np.full(r.shape, v_inf)))
+    return _float_or_array(v_inf * np.power(r / shape.b0, 0.5 * (1.0 - shape.q)))
 
 
 def fold_radius(v_inf: float, shape: ShapeFunction) -> float:
@@ -196,7 +196,9 @@ def _closed_form(radii: np.ndarray, v_inf: float, shape: ShapeFunction,
         xf = 0.5 * (g * (1.0 - k) + np.sqrt(disc))   # X f
         x = xf / f
         gs2f = 1.0 + (xf - g)   # (1 + X) f, as f + g = 1
-        cs0 = v_inf * np.sqrt(gs2f) / np.sqrt(xf)
+        # within an ulp or two of the throat c_s0 rounds to v_inf, where no
+        # real gamma_s exists: the next double up keeps that flagged radius finite
+        cs0 = np.maximum(v_inf * np.sqrt(gs2f) / np.sqrt(xf), np.nextafter(v_inf, math.inf))
         # x > k up to the fold; past it the clamped root can equal k, where
         # no v^r balances the cross terms: keep that flagged radius finite
         gap = x - k
@@ -206,9 +208,10 @@ def _closed_form(radii: np.ndarray, v_inf: float, shape: ShapeFunction,
 
 
 def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: float,
-                   step: float) -> Table:
+                   step: float) -> tuple[Table, dict]:
     """Solve the exact matching system on a radial grid, in closed form,
-    with c = LIGHT_SPEED and v_inf < c.
+    with c = LIGHT_SPEED and v_inf < c; returns the table and its solver
+    statistics.
 
     The one grid precondition is r_min > b0 (g_rr diverges at the throat):
     a grid starting at or inside the throat is a DomainError. A radius
@@ -218,8 +221,12 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
     fold if the grid lies past it, else RESIDUAL_TOL; arithmetic leaving the
     finite doubles raises FloatingPointError.
 
-    The radii are solved in blocks of CHUNK_ROWS into the preallocated
-    output columns, which gives the bits of solving all at once: beside
+    The statistics are the point counts, the largest residuals and the
+    largest relative deviation of (cs0, vr) from the small-velocity limit,
+    all maxima over the converged radii (past the fold the values solve
+    nothing). The radii are solved in blocks of CHUNK_ROWS into the
+    preallocated output columns, which gives the bits of solving all at
+    once, and each block's maxima are taken as the block is solved: beside
     the six columns, the working set is one block's ~25 temporaries,
     about 0.2 MiB whatever the grid size.
     """
@@ -238,45 +245,29 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
     k = (v_inf / LIGHT_SPEED) ** 2
     cs0, vr, res1, res2 = (np.empty_like(radii) for _ in range(4))
     converged = np.empty(radii.shape, dtype=bool)
+    maxima = []
     for start in range(0, radii.size, CHUNK_ROWS):
         block = slice(start, start + CHUNK_ROWS)
         cs0[block], vr[block], res1[block], res2[block] = _closed_form(
             radii[block], v_inf, shape, k)
-        converged[block] = np.maximum(np.abs(res1[block]), np.abs(res2[block])) < RESIDUAL_TOL
+        keep = converged[block] = np.maximum(np.abs(res1[block]),
+                                             np.abs(res2[block])) < RESIDUAL_TOL
+        if keep.any():
+            cs0_ref = zero_order_solution(radii[block][keep], v_inf, shape)
+            maxima.append((np.abs(res1[block][keep]).max(), np.abs(res2[block][keep]).max(),
+                           np.max(np.abs(cs0[block][keep] - cs0_ref) / cs0_ref),
+                           np.max(np.abs(vr[block][keep] - v_inf) / v_inf)))
 
-    if not converged.any():
+    if not maxima:
         fold = fold_radius(v_inf, shape)
         cause = (f"no real solution beyond the fold at r = {fold!r}" if r_min > fold else
                  f"no radius brings both residuals below RESIDUAL_TOL = {RESIDUAL_TOL!r}, "
                  f"though the grid starts at or inside the fold at r = {fold!r}")
         raise ConvergenceError(
             f"matching solve failed at every radius in [{r_min!r}, {r_max!r}]: {cause}")
-    return Table({"r_um": radii, "cs0_m_per_s": cs0, "vr_m_per_s": vr,
-                  "res1": res1, "res2": res2, "converged": converged})
-
-
-def matching_summary(solution: Table, v_inf: float, shape: ShapeFunction) -> dict:
-    """Point counts, the largest residuals and the largest relative deviation
-    of (cs0, vr) from the small-velocity limit of a ``solve_matching`` table:
-    the solver statistics of the solve-gp summary. Maxima are over the
-    converged radii (past the fold the values solve nothing). They are
-    taken block by block, CHUNK_ROWS radii at a time, so the working set is
-    one block's converged values whatever the grid size."""
-    columns = solution.columns
-    ok = columns["converged"]
-    maxima = []
-    for start in range(0, ok.size, CHUNK_ROWS):
-        block = slice(start, start + CHUNK_ROWS)
-        keep = ok[block]
-        if not keep.any():
-            continue
-        cs0, vr = columns["cs0_m_per_s"][block][keep], columns["vr_m_per_s"][block][keep]
-        cs0_ref, vr_ref = zero_order_solution(columns["r_um"][block][keep], v_inf, shape)
-        maxima.append((abs(columns["res1"][block][keep]).max(),
-                       abs(columns["res2"][block][keep]).max(),
-                       np.max(np.abs(cs0 - cs0_ref) / cs0_ref),
-                       np.max(np.abs(vr - vr_ref) / vr_ref)))
-    res1, res2, dev_cs0, dev_vr = np.max(maxima, axis=0).tolist()
-    return {"points": int(ok.size), "points_converged": int(ok.sum()),
-            "max_abs_residual1": res1, "max_abs_residual2": res2,
-            "max_rel_deviation_from_zero_order": {"cs0": dev_cs0, "vr": dev_vr}}
+    max_res1, max_res2, dev_cs0, dev_vr = np.max(maxima, axis=0).tolist()
+    return (Table({"r_um": radii, "cs0_m_per_s": cs0, "vr_m_per_s": vr,
+                   "res1": res1, "res2": res2, "converged": converged}),
+            {"points": int(radii.size), "points_converged": int(converged.sum()),
+             "max_abs_residual1": max_res1, "max_abs_residual2": max_res2,
+             "max_rel_deviation_from_zero_order": {"cs0": dev_cs0, "vr": dev_vr}})

@@ -11,7 +11,7 @@ import numpy as np
 from .exceptions import DomainError
 from .feshbach import (BOHR_RADIUS, CondensateSpec, FeshbachResonance,
                        sound_speed_from_scattering)
-from .geometry import (ShapeFunction, _check_resolved, _check_throat, _float_or_array,
+from .geometry import (ShapeFunction, _check_throat, _float_or_array,
                        metric_factor, uniform_grid)
 from .tableio import Table
 
@@ -70,11 +70,9 @@ def sample_profile_1d(shape: ShapeFunction, spec: CondensateSpec,
     there) are a DomainError; arithmetic leaving the finite doubles,
     FloatingPointError.
     """
-    x = uniform_grid(0.0, x_max, step)
     res = spec.resonance
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        r = x + shape.b0
-        _check_resolved(x, r, step)
+        x, r = uniform_grid(0.0, x_max, step), uniform_grid(shape.b0, x_max, step)
         a_over = scattering_profile_1d(shape, r)
         valid = a_over >= 0.0
         # the scattering route keeps c_s(throat) exactly zero

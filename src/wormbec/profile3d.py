@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import DomainError, PoleError
 from .feshbach import AtomSpecies, CondensateSpec, healing_length
-from .geometry import (ShapeFunction, _check_resolved, _float_or_array, _require_traversable,
+from .geometry import (ShapeFunction, _float_or_array, _require_traversable,
                        _rise, uniform_grid)
 from .gp3d import zero_order_solution
 from .tableio import Table
@@ -61,7 +61,7 @@ def sound_speed_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunc
     """(cs0, cs) at radius r: cs0 = v_inf (r/b0)**((1-q)/2) (the lab flow)
     and cs = sqrt(cs0^2 - v_inf^2)."""
     rise = _rise(shape, r, "the 3+1D lab profile")
-    return (zero_order_solution(r, v_inf, shape)[0], _float_or_array(v_inf * np.sqrt(rise)))
+    return (zero_order_solution(r, v_inf, shape), _float_or_array(v_inf * np.sqrt(rise)))
 
 
 def asymptote_radius(v_inf: float, shape: ShapeFunction, spec: CondensateSpec) -> float:
@@ -106,18 +106,16 @@ def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
     arithmetic leaving the finite doubles, FloatingPointError."""
     if v_inf <= 0.0:
         raise DomainError(f"v_inf must be positive, got {v_inf!r}")
-    d = uniform_grid(0.0, layout.R, step)
     shape = layout.shape
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        r = d + shape.b0
-        _check_resolved(d, r, step)
+        d, r = uniform_grid(0.0, layout.R, step), uniform_grid(shape.b0, layout.R, step)
         rise = _rise(shape, r, "the 3+1D lab profile")
         a_over = _scattering(rise, v_inf, spec)
         denom = 1.0 - a_over
         near = np.abs(denom) < pole_delta
         b = np.full(d.size, math.nan)
         b[~near] = _field(denom[~near], spec)
-        return Table({"x_um": d, "r_um": r, "cs0_m_per_s": zero_order_solution(r, v_inf, shape)[0],
+        return Table({"x_um": d, "r_um": r, "cs0_m_per_s": zero_order_solution(r, v_inf, shape),
                       "cs_m_per_s": v_inf * np.sqrt(rise), "B_gauss": b, "a_over_abg": a_over,
                       "near_asymptote": near}, mirror_at=layout.R, blank_nan=("B_gauss",))
 

@@ -1,7 +1,6 @@
 """Command-line front end: subcommands, config handling, exit codes,
 deterministic output."""
 
-import dataclasses
 import importlib
 import json
 import math
@@ -18,7 +17,6 @@ import wormbec.gp3d
 from wormbec.cli import main
 from wormbec.config import load_config
 from wormbec.exceptions import ConfigError
-from wormbec.gp3d import solve_matching
 
 
 def run(tmp_path, *args):
@@ -124,24 +122,33 @@ def test_solve_gp_table_layout(tmp_path):
         assert row[:5] == [float(v) for v in line.split(",")[:5]]
 
 
-def test_solve_gp_strict_flags_unconverged_radius(tmp_path, monkeypatch):
+def test_solve_gp_strict_flags_unconverged_radius(tmp_path):
     """--strict exits 2 once any radius is unconverged, after writing the
-    tables; without --strict the same run exits 0."""
-    def one_unconverged(*args, **kwargs):
-        solution = solve_matching(*args, **kwargs)
-        converged = solution.columns["converged"].copy()
-        converged[3] = False
-        return dataclasses.replace(solution, columns={**solution.columns, "converged": converged})
-
-    monkeypatch.setattr(wormbec.gp3d, "solve_matching", one_unconverged)
-    args = ("solve-gp", "--set", "grid.r_step_um=0.5")
+    tables; without --strict the same run exits 0. At q = 0.9 the radius
+    r_min = 1.0000000000000004, two ulp off the throat, misses the residual
+    tolerance and the other 180 radii converge."""
+    args = ("solve-gp", "--set", "wormhole.q=0.9", "--set", "grid.r_min_um=1.0000000000000004")
     assert run(tmp_path / "strict", *args, "--strict") == 2
     summary = json.loads(
         (tmp_path / "strict" / "gp_summary_vinf0.01_b01.json").read_text())
-    assert summary["points_converged"] == summary["points"] - 1
+    assert summary["points_converged"] == summary["points"] - 1 == 180
     assert run(tmp_path / "plain", *args) == 0
-    monkeypatch.setattr(wormbec.gp3d, "solve_matching", solve_matching)
-    assert run(tmp_path / "real", *args, "--strict") == 0
+    assert run(tmp_path / "real", "solve-gp", "--set", "grid.r_step_um=0.5", "--strict") == 0
+
+
+def test_solve_gp_flags_a_radius_whose_cs0_rounds_to_v_inf(tmp_path):
+    """At q = 0.9 and r_min = 1.0000000000000002 the closed-form cs0 rounds
+    to v_inf: the row is written with the next double up, finite residuals
+    and converged = false, and the other 180 radii still solve."""
+    args = ("solve-gp", "--set", "wormhole.q=0.9", "--set", "grid.r_min_um=1.0000000000000002")
+    assert run(tmp_path / "plain", *args) == 0
+    assert run(tmp_path / "strict", *args, "--strict") == 2
+    lines = (tmp_path / "plain" / "gp_solution_vinf0.01_b01.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    assert cells[:3] == ["1.0000000000000002", "0.010000000000000002", "0.01"]
+    assert cells[5] == "false" and all(math.isfinite(float(cell)) for cell in cells[3:5])
+    summary = json.loads((tmp_path / "plain" / "gp_summary_vinf0.01_b01.json").read_text())
+    assert (summary["points"], summary["points_converged"]) == (181, 180)
 
 
 def test_solve_gp_default_grid_starts_at_1_1_b0(tmp_path):
@@ -582,7 +589,7 @@ def test_grid_collapsing_onto_one_radius_is_one_line_error(tmp_path, capsys, com
     assert main([command, "--out", str(out), "--set", override]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"wormbec {command}: error: ") and err.count("\n") == 1
-    assert f"share the radius r = {radius}" in err
+    assert f"grid points 0 and 1 both round to {radius}: step 0.1 is below its ulp" in err
     assert not out.exists()
 
 
