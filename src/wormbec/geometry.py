@@ -16,31 +16,42 @@ target and at the graded points sqrt(b0) * 2**k (k >= 0) below the
 largest target; each panel gets a 16-node Gauss-Legendre rule and the
 panel sums are accumulated, so one pass yields the integral at every
 target. The rules are literals in this module (``_gauss_rules``), not
-built from numpy.polynomial. They are evaluated over blocks of 1024
-consecutive panels (``_PANEL_BLOCK``) into one array of panel sums,
-accumulated by a single cumsum, which gives the bits of evaluating all
-panels at once. Beside about 9 arrays of one double per target (for
-200001 radii a tracemalloc peak of 13.7 MiB, 9x the radii), the working
-memory is one block's nodes and their temporaries, about 1 MiB whatever
-the target count. The grading matters: a single 32-node rule on
+built from numpy.polynomial. The panels are integrated in blocks of 1024
+(``_PANEL_BLOCK``): each rule's panel sums of a block are accumulated by
+one cumsum led by that rule's sum carried from the block before. A cumsum
+adds left to right, so this gives the bits of one cumsum over all panels,
+which are also the bits of evaluating all panels at once. Each block is
+checked as soon as it is integrated, in the one array of integrals.
+Beside about 4 arrays of one double per target (targets, edges,
+integrals, result), the working memory is one block's nodes and their
+temporaries (three arrays of nodes), about 0.5 MiB whatever the target
+count: a tracemalloc peak of 6.1 MiB (4x the radii) for 200001 radii and
+0.97 MiB (6x) for 20001. The grading matters: a single 32-node rule on
 [0, u_max] is off by 7e-8 at r/b0 = 1e3 and by 1e-4 at 1e4. As a check,
 the same sums are taken with 20 nodes; where the two differ by more than
 max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|), or are not finite,
-ConvergenceError is raised.
+ConvergenceError is raised at the first such target.
 
 Error state: the quadrature runs with numpy's overflow, divide-by-zero and
-invalid-operation warnings off. A rise (r/b0)**(1-q) - 1 that overflows
-(q below about -440 at r = 5 b0) makes the embedding integrand 0, its true
-limit, so the integral stays exact. Any other overflow, zero division or
+invalid-operation warnings off. Where the rise (r/b0)**(1-q) - 1 overflows
+(q below about -440 at r = 5 b0; for q >= -1 from r/b0 ~ 1.3e154 on), the
+embedding integrand 2u/sqrt(rise) is taken as 2u * (1 + u**2/b0)**(-(1-q)/2)
+through the logarithm (2 ln u - ln b0 where u**2/b0 overflows too): the
+rise's -1 is below an ulp there, and the tail is not negligible for
+q >= -1, so it cannot be dropped. Any other overflow, zero division or
 invalid operation leaves an inf or NaN sum, which fails the check (the
 check's own inf - inf gives a NaN, which counts as failed). So the
 quadrature gives a value or a ConvergenceError, never a RuntimeWarning.
 
 Verified against 30-digit mpmath tanh-sinh quadrature for q in
 [-3, 0.99], b0 in {0.01, 1, 100} and r/b0 from 1 + 1e-9 to 1e9: both
-integrals agree to 8.9e-16 relative (at most 16 graded panels). The
-check raised no ConvergenceError for q up to 0.999999, b0 from 1e-6 to
-1e6 and r/b0 up to 1e12.
+integrals agree to 8.9e-16 relative (at most 16 graded panels). Past
+that, up to r = 1e300, the embedding height agrees to 8.5e-15 with
+b0 arccosh(r/b0) (q = -1) and 2 sqrt(b0 (r - b0)) (q = 0) for b0 in
+{1e-10, 1, 1e10}, and to 4.3e-15 with 20-digit mpmath for q in
+{-3, -0.5, 0.5}, b0 = 1 and r in {1e200, 1e250, 1e300}. The check
+raised no ConvergenceError for q up to 0.999999, b0 from 1e-6 to 1e6 and
+r/b0 up to 1e12.
 """
 
 from __future__ import annotations
@@ -211,6 +222,7 @@ def _integrate_from_throat(integrand: Callable[[np.ndarray], np.ndarray],
     ``u_targets`` (graded Gauss-Legendre panels, see the module docstring).
 
     The result has the shape of ``u_targets``; a target of 0 gives exactly 0.
+    The traced peak is 6.1 MiB for 200001 targets and 0.97 MiB for 20001.
     """
     u_targets = np.asarray(u_targets, dtype=float)
     graded = [0.0]
@@ -221,45 +233,72 @@ def _integrate_from_throat(integrand: Callable[[np.ndarray], np.ndarray],
         point *= 2.0
     # Sorted and deduplicated; np.unique would import numpy.ma (~10 ms)
     # on its first call in a process.
-    edges = np.sort(np.concatenate((graded, u_targets.ravel())))
+    edges = np.concatenate((graded, u_targets.ravel()))
+    edges.sort()
     edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    integral = _integral_at_edges(integrand, b0, edges)
+    at = np.searchsorted(edges, u_targets)
+    del edges  # one whole-grid array fewer beside the result
+    return integral[at]
 
-    def cumulative(rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        nodes, weights = rule
-        panels = np.empty(len(half))
-        for start in range(0, len(panels), _PANEL_BLOCK):
-            block = slice(start, start + _PANEL_BLOCK)
-            panels[block] = integrand(mid[block] + half[block] * nodes) @ weights
-        panels *= half[:, 0]
-        # one cumsum over all panels: a per-block sum plus a carry would
-        # round differently
-        return np.concatenate(([0.0], np.cumsum(panels)))
 
-    rule, check_rule = _gauss_rules()
+def _integral_at_edges(integrand: Callable[[np.ndarray], np.ndarray],
+                       b0: float, edges: np.ndarray) -> np.ndarray:
+    """Integral of ``integrand`` from edges[0] = 0 to each of the sorted
+    ``edges``. Each block of panels is integrated by both rules; each
+    rule's cumsum over the block starts from its sum carried from the
+    block before, so it adds left to right exactly as one cumsum over all
+    panels would. The block is checked at once: ConvergenceError at the
+    first edge where the two rules disagree (module docstring)."""
+    rules = _gauss_rules()
+    integral = np.empty(len(edges))
+    integral[0] = check_sum = 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # module docstring
-        integral = cumulative(rule)
-        check = cumulative(check_rule)
-        failed = ~(np.abs(check - integral)
-                   <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(integral)))
-    if failed.any():
-        k = int(np.argmax(failed))
-        raise ConvergenceError(
-            f"quadrature failed on [{b0!r}, {b0 + float(edges[k]) ** 2!r}]: "
-            f"the 16- and 20-node rules give {float(integral[k])!r} and "
-            f"{float(check[k])!r}")
-    return integral[np.searchsorted(edges, u_targets)]
+        for start in range(0, len(edges) - 1, _PANEL_BLOCK):
+            stop = min(start + _PANEL_BLOCK, len(edges) - 1)
+            left, right = edges[start:stop], edges[start + 1:stop + 1]
+            half = 0.5 * (right - left)
+            mid = (0.5 * (left + right))[:, None]
+            # each rule's sums at the block's edges, led by the carried sum
+            sums = integral[start:stop + 1]
+            check = np.empty_like(sums)
+            check[0] = check_sum
+            for (nodes, weights), cumulative in zip(rules, (sums, check)):
+                cumulative[1:] = integrand(mid + half[:, None] * nodes) @ weights
+                cumulative[1:] *= half
+                np.cumsum(cumulative, out=cumulative)
+            check_sum = check[-1]
+            failed = ~(np.abs(check - sums)
+                       <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(sums)))
+            if failed.any():
+                k = int(np.argmax(failed))
+                edge = float(edges[start + k])
+                raise ConvergenceError(
+                    f"quadrature failed on [{b0!r}, {b0 + edge * edge!r}]: "
+                    f"the 16- and 20-node rules give {float(sums[k])!r} and "
+                    f"{float(check[k])!r}")
+    return integral
 
 
 def _proper_integrand(u: np.ndarray, b0: float, one_minus_q: float) -> np.ndarray:
     factor = -np.expm1(-one_minus_q * np.log1p(u * u / b0))
-    return 2.0 * u / np.sqrt(factor)
+    value = 2.0 * u
+    value /= np.sqrt(factor, out=factor)  # in place: two node-sized arrays beside u
+    return value
 
 
 def _embedding_integrand(u: np.ndarray, b0: float, one_minus_q: float) -> np.ndarray:
     rise = np.expm1(one_minus_q * np.log1p(u * u / b0))
-    return 2.0 * u / np.sqrt(rise)
+    over = rise == np.inf
+    height = 2.0 * u
+    height /= np.sqrt(rise, out=rise)  # as in _proper_integrand
+    if over.any():  # module docstring: 1/sqrt(rise) from the log of 1 + u**2/b0
+        u = u[over]
+        stretch = u * u / b0
+        log_stretch = np.where(stretch < np.inf, np.log1p(stretch),
+                               2.0 * np.log(u) - math.log(b0))
+        height[over] = 2.0 * u * np.exp(-0.5 * one_minus_q * log_stretch)
+    return height
 
 
 def _radial_integral(shape: ShapeFunction, r: float | np.ndarray, what: str,

@@ -294,6 +294,18 @@ def test_embed_closed_form(tmp_path):
         assert z == pytest.approx(exact, rel=1e-8, abs=1e-12)
 
 
+def test_embed_closed_form_where_the_rise_overflows(tmp_path):
+    """Past r/b0 ~ 1.3e154 the rise (r/b0)**2 - 1 of the default q = -1
+    overflows; the heights keep to b0 arccosh(r/b0) up to r = 1e300."""
+    code = run(tmp_path, "embed", "--set", "grid.r_max_um=1e300", "--set", "grid.r_step_um=1e298")
+    assert code == 0
+    lines = (tmp_path / "embedding_q-1_b01.csv").read_text().splitlines()[1:]
+    assert len(lines) == 101
+    for line in lines:
+        r, z = (float(v) for v in line.split(","))
+        assert z == pytest.approx(math.acosh(r), rel=2e-14, abs=0.0)
+
+
 def test_embed_monotone_flare_for_q_half(tmp_path):
     code = run(tmp_path, "embed",
                "--set", "wormhole.q=0.5", "--set", "wormhole.b0_um=3")

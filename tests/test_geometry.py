@@ -199,6 +199,45 @@ def test_far_field_mpmath_reference(q, ratio):
         mpmath_reference("z", b0, q, r), rel=1e-12)
 
 
+@pytest.mark.parametrize("b0", [1e-10, 1.0, 1e10])
+def test_embedding_height_closed_forms_where_the_rise_overflows(b0):
+    """The rise (r/b0)**(1-q) - 1 overflows past r/b0 ~ 1.3e154 at q = -1,
+    and u**2/b0 itself past r/b0 ~ 1.8e308 (b0 = 1e-10); the heights keep
+    to b0 arccosh(r/b0) and 2 sqrt(b0 (r - b0)) up to r = 1e300."""
+    radii = np.geomspace(2.0 * b0, 1e300, 80)
+    ellis = [b0 * (math.acosh(r / b0) if r < 1e150 * b0 else math.log(2.0 * r) - math.log(b0))
+             for r in radii]
+    np.testing.assert_allclose(embedding_height(ShapeFunction(b0, -1.0), radii), ellis,
+                               rtol=2e-14, atol=0.0)
+    np.testing.assert_allclose(embedding_height(ShapeFunction(b0, 0.0), radii),
+                               2.0 * np.sqrt(b0) * np.sqrt(radii - b0), rtol=2e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [-3.0, -0.5, 0.5])
+def test_embedding_height_far_tail_is_the_power_law(q):
+    """Once the rise passes 1e40, dz/dr = (r/b0)**(-(1-q)/2) to double
+    precision, so z grows from there by the power law's integral, also
+    where the rise overflows (r/b0 past about 1e205 at q = -0.5)."""
+    b0 = 2.5
+    r1 = b0 * 10.0 ** (40.0 / (1.0 - q))
+    radii = np.array([r1, 1e200, 1e250, 1e300])
+    z = embedding_height(ShapeFunction(b0, q), radii)
+    power = (1.0 + q) / 2.0
+    tail = b0 ** ((1.0 - q) / 2.0) * (radii[1:] ** power - r1 ** power) / power
+    np.testing.assert_allclose(z[1:], z[0] + tail, rtol=2e-14, atol=0.0)
+
+
+def test_infinite_radius_is_a_one_line_convergence_error():
+    """The failing interval's end b0 + u*u overflows to inf, not to an
+    OverflowError, for the integral and for the time offset built on it."""
+    ellis = ShapeFunction(1.0, -1.0)
+    for call in (lambda: proper_distance(ellis, math.inf),
+                 lambda: gp_time_offset(math.inf, 1.5, ellis)):
+        with pytest.raises(ConvergenceError, match=r"^quadrature failed on \[1\.0, inf\]") as failure:
+            call()
+        assert "\n" not in str(failure.value)
+
+
 def test_embedding_height_array_matches_scalar_calls():
     """For embedding height and proper distance alike, one call over an
     array of radii equals one call per radius; the panels differ, so
@@ -298,17 +337,18 @@ def test_blocked_quadrature_names_the_first_failing_panel(monkeypatch):
 
 
 def test_embedding_height_memory_is_bounded():
-    """200001 radii integrate within 12x the radii's bytes of traced memory
-    (85x when every panel's nodes were evaluated at once)."""
-    shape = ShapeFunction(1.0, -1.0)
+    """200001 radii integrate within 7x the radii's bytes of traced memory
+    (85x when every panel's nodes were evaluated at once, 9x when the
+    panel sums of both rules were kept for the whole grid)."""
     radii = 1.0 + np.arange(200001) * 5e-5
-    tracemalloc.start()
-    try:
-        embedding_height(shape, radii)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * radii.nbytes
+    for integral in (embedding_height, proper_distance):
+        tracemalloc.start()
+        try:
+            integral(ShapeFunction(1.0, -1.0), radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * radii.nbytes
 
 
 def test_uniform_grid_points():
