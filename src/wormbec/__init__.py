@@ -14,9 +14,11 @@ access (PEP 562), so ``import wormbec`` alone loads no numpy. The formula
 functions (metric factor, 1D and 3D field, scattering and sound-speed
 profiles, slope, metrics and matching residuals, zero-order solution,
 proper distance, embedding height) take floats or arrays: a float gives a
-float, an array the array of values. The sampling kernels return ``tableio.Table``s, the named
-columns they are written as; the two audits return the JSON report sections
-they fill.
+float, an array the array of values. Four take floats only:
+``scattering_from_field``, ``field_from_scattering``,
+``sound_speed_from_field`` and ``metric_congruence_check``. The sampling
+kernels return ``tableio.Table``s, the named columns they are written as;
+the two audits return the JSON report sections they fill.
 """
 
 import importlib

@@ -18,16 +18,18 @@ Environment: WORMBEC_PRESET_DIR names a directory of preset *.ini files.
 Each command imports the kernels it runs, so ``presets``, --help and usage
 or config errors never import numpy.
 
-BLAS threads: no wormbec code path uses them, yet OpenBLAS starts a pool
-of them inside ``import numpy`` (60-70 ms of a cold call on two cores)
-unless OPENBLAS_NUM_THREADS says otherwise. So when ``main`` makes a
-process's first numpy import, it sets OPENBLAS_NUM_THREADS=1 for that
-import only and removes it afterwards; this covers ``python -m wormbec``,
-the installed script and in-process ``main()`` calls alike, and
-``os.environ`` is left as it was. A value the user has set wins, and a
-process that has loaded numpy already keeps its BLAS pool. The trade-off:
-a process whose first numpy import happens inside a ``main()`` call keeps
-one BLAS thread for the rest of its life.
+BLAS threads: OpenBLAS starts a pool of them inside ``import numpy``
+(60-70 ms of a cold call on two cores) unless OPENBLAS_NUM_THREADS says
+otherwise. The one BLAS call, ``integrand(...) @ weights`` in
+``geometry._integral_at_edges``, multiplies 1024 panels by 16 or 20 nodes
+in about 4 us with one thread or two, so one thread loses nothing. When
+``main`` makes a process's first numpy import, it sets
+OPENBLAS_NUM_THREADS=1 for that import only and removes it afterwards;
+this covers ``python -m wormbec``, the installed script and in-process
+``main()`` calls alike, and ``os.environ`` is left as it was. A value the
+user has set wins, and a process that has loaded numpy already keeps its
+BLAS pool. The trade-off: a process whose first numpy import happens
+inside a ``main()`` call keeps one BLAS thread for the rest of its life.
 """
 
 from __future__ import annotations
@@ -60,17 +62,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value: float) -> str:
     return f"{value:g}"
-
-
-def _check_tags(key: str, values: Sequence[float]) -> None:
-    """Reject two distinct [wormhole] KEY values that print alike (``_fmt``),
-    since their tables would be written to one file name."""
-    seen: dict[str, float] = {}
-    for value in values:
-        other = seen.setdefault(_fmt(value), value)
-        if other != value:
-            raise ConfigError(f"[wormhole] {key} values {other!r} and {value!r} "
-                              f"share the file tag {_fmt(value)}")
 
 
 def _add_common(parser: argparse.ArgumentParser, command: Callable[..., int]) -> None:
@@ -108,13 +99,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _one_shape(wormhole: dict):
+def _shapes(wormhole: dict, sweep: bool) -> list:
+    """The ShapeFunction of each (q, b0) pair in [wormhole], q outermost. A
+    sweep rejects two values of one key that print alike (``_fmt``), as their
+    tables would share a file name; other commands take one b0_um and one q."""
     from .geometry import ShapeFunction
-    for key in ("b0_um", "q"):
-        if len(wormhole[key]) != 1:
+    for key in ("q", "b0_um") if sweep else ("b0_um", "q"):
+        if not sweep and len(wormhole[key]) != 1:
             raise ConfigError(f"this subcommand needs exactly one {key} value, "
                               f"got {list(wormhole[key])}")
-    return ShapeFunction(b0=wormhole["b0_um"][0], q=wormhole["q"][0])
+        seen: dict[str, float] = {}
+        for value in wormhole[key]:
+            other = seen.setdefault(_fmt(value), value)
+            if other != value:
+                raise ConfigError(f"[wormhole] {key} values {other!r} and {value!r} "
+                                  f"share the file tag {_fmt(value)}")
+    return [ShapeFunction(b0=b0, q=q) for q, b0 in product(wormhole["q"], wormhole["b0_um"])]
 
 
 def _bound(grid: dict, key: str, default: float, b0: float) -> float:
@@ -128,17 +128,14 @@ def _bound(grid: dict, key: str, default: float, b0: float) -> float:
 
 
 def cmd_profile1d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
-    from . import geometry, profile1d, tableio
-    wormhole, grid = cfg.settings["wormhole"], cfg.settings["grid"]
-    _check_tags("q", wormhole["q"])
-    _check_tags("b0_um", wormhole["b0_um"])
+    from . import profile1d, tableio
+    grid = cfg.settings["grid"]
     x_max, step = grid["x_max_um"], grid["step_um"]
     all_feasible = True
-    for q, b0 in product(wormhole["q"], wormhole["b0_um"]):
-        shape = geometry.ShapeFunction(b0=b0, q=q)
+    for shape in _shapes(cfg.settings["wormhole"], sweep=True):
         profile = profile1d.sample_profile_1d(shape, cfg.spec, x_max, step)
         report = {
-            "wormhole": {"b0_um": b0, "q": q,
+            "wormhole": {"b0_um": shape.b0, "q": shape.q,
                          "throat_class": shape.throat_class.value},
             "grid": {"x_max_um": x_max, "step_um": step},
             "species": cfg.spec.species.name,
@@ -150,7 +147,7 @@ def cmd_profile1d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
             "slope_at_x10": profile1d.slope_metric(shape, cfg.spec.resonance, 10.0),
         }
         all_feasible = all_feasible and report["feasibility"]["feasible"]
-        tag = f"q{_fmt(q)}_b0{_fmt(b0)}"
+        tag = f"q{_fmt(shape.q)}_b0{_fmt(shape.b0)}"
         tableio.write_table(out / f"profile1d_{tag}", profile, fmt)
         tableio.write_json(out / f"feasibility_{tag}.json", report)
     if strict and not all_feasible:
@@ -162,7 +159,7 @@ def cmd_solve_gp(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     from . import gp3d, tableio
     grid = cfg.settings["grid"]
     v_inf = cfg.settings["observer"]["v_inf_m_per_s"]
-    shape = _one_shape(cfg.settings["wormhole"])
+    shape, = _shapes(cfg.settings["wormhole"], sweep=False)
     b0 = shape.b0
     r_min = _bound(grid, "r_min_um", 1.1 * b0, b0)
     r_max = _bound(grid, "r_max_um", 10.0 * b0, b0)
@@ -188,7 +185,7 @@ def cmd_profile3d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     from . import profile3d, tableio
     thresholds = cfg.settings["thresholds"]
     v_inf, step = cfg.settings["observer"]["v_inf_m_per_s"], cfg.settings["grid"]["step_um"]
-    R, shape = cfg.settings["layout"]["R_um"], _one_shape(cfg.settings["wormhole"])
+    R, (shape,) = cfg.settings["layout"]["R_um"], _shapes(cfg.settings["wormhole"], sweep=False)
     layout = profile3d.LabLayout(R=R, shape=shape)
     profile = profile3d.lab_profiles_3d(layout, v_inf, cfg.spec, step,
                                         pole_delta=thresholds["pole_delta"])
@@ -210,15 +207,13 @@ def cmd_embed(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     wormhole, grid = cfg.settings["wormhole"], cfg.settings["grid"]
     if grid["r_max_um"] is not None and grid["r_max_um"] <= max(wormhole["b0_um"]):
         raise ConfigError(f"[grid] r_max_um must exceed b0, got {grid['r_max_um']!r}")
-    _check_tags("q", wormhole["q"])
-    _check_tags("b0_um", wormhole["b0_um"])
-    for q, b0 in product(wormhole["q"], wormhole["b0_um"]):
-        shape = geometry.ShapeFunction(b0=b0, q=q)
+    for shape in _shapes(wormhole, sweep=True):
+        b0 = shape.b0
         r_max = _bound(grid, "r_max_um", 5.0 * b0, b0)
         r_step = _bound(grid, "r_step_um", (r_max - b0) / 200.0, b0)
         radii = geometry.uniform_grid(b0, r_max - b0, r_step)
         table = tableio.Table({"r_um": radii, "z_um": geometry.embedding_height(shape, radii)})
-        tableio.write_table(out / f"embedding_q{_fmt(q)}_b0{_fmt(b0)}", table, fmt)
+        tableio.write_table(out / f"embedding_q{_fmt(shape.q)}_b0{_fmt(b0)}", table, fmt)
     return EXIT_OK
 
 

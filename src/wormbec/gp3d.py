@@ -28,20 +28,20 @@ r_fold = b0 ((c**2 + v_inf**2) / (2 v_inf c))**(2/(1-q)) (``fold_radius``)
 and is negative beyond it, where no real solution exists. D is clamped at
 0, so a grid radius on the fold still solves; past it the clamped double
 root misses the residual tolerance and the radius is flagged unconverged
-with finite values. The grid's one precondition is r_min > b0. Every radius
-is checked against the absolute RESIDUAL_TOL by evaluating both residuals,
-so radii close to the throat are flagged although c_s0 and v^r there are
-the root to rounding: the dt*dr residual magnifies the rounding of c_s0 by
-about f**-1.5 (to 1e-12 at r = 1.001 b0, q = -1). Within an ulp or two of
-the throat c_s0 rounds to v_inf, where gamma_s is not real: such a c_s0 is
-written as the next double up and flagged. As q nears 1 every radius is
-flagged. The time-offset integrand is sqrt(E**2 - 1) times the
-proper-distance one, so ``gp_time_offset`` is sqrt(E**2 - 1) times
-``geometry.proper_distance``.
+with finite values. The grid's one precondition is r_min > b0. The
+residuals magnify the rounding of c_s0 by about f**-1.5 (res1) and f**-1
+(res2), without bound near the throat and as q nears 1, so a radius
+converges when max(|res1| f**1.5, |res2| f) < RESIDUAL_TOL: at most 1.3e-14
+inside the fold, at least 1.3e-5 past it. Within an ulp or two of the
+throat c_s0 rounds to v_inf, where gamma_s is not real: such a c_s0 is
+written as the next double up and flagged. The time-offset integrand is
+sqrt(E**2 - 1) times the proper-distance one, so ``gp_time_offset`` is
+sqrt(E**2 - 1) times ``geometry.proper_distance``.
 
 Verified against 40-digit mpmath.findroot of the residual system for q in
-{-3, -1, 0, 0.5, 0.9} and v_inf in {0.01, 3e7, 1e8} m/s: c_s0 to 9.1e-16
-and v^r to 1.7e-15 relative, and every radius past the fold unconverged.
+{-3, -1, 0, 0.5, 0.9} and v_inf in {0.01, 3e7, 1e8} m/s (c_s0 to 9.1e-16,
+v^r to 1.7e-15 relative, every radius past the fold unconverged), for q up
+to 0.99999 and at r = b0 (1 + d), d down to 1e-12 (both to 2.2e-16).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 LIGHT_SPEED = 299792458.0  # c in m/s, exact
-RESIDUAL_TOL = 1e-12  # a radius is solved when both residuals are below it
+RESIDUAL_TOL = 1e-12  # a radius is solved when both conditioned residuals are below it
 
 
 def gp_time_offset(r: float, energy: float, shape: ShapeFunction) -> float:
@@ -187,8 +187,8 @@ def fold_radius(v_inf: float, shape: ShapeFunction) -> float:
 
 def _closed_form(radii: np.ndarray, v_inf: float, shape: ShapeFunction,
                  k: float) -> tuple[np.ndarray, ...]:
-    """(cs0, vr, res1, res2) of the closed-form root at each radius, with
-    k = (v_inf/c)**2 (module docstring)."""
+    """(cs0, vr, res1, res2, converged) of the closed-form root at each
+    radius, with k = (v_inf/c)**2 (module docstring)."""
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         f = metric_factor(shape, radii)
         g = (shape.b0 / radii) ** (1.0 - shape.q)
@@ -196,15 +196,17 @@ def _closed_form(radii: np.ndarray, v_inf: float, shape: ShapeFunction,
         xf = 0.5 * (g * (1.0 - k) + np.sqrt(disc))   # X f
         x = xf / f
         gs2f = 1.0 + (xf - g)   # (1 + X) f, as f + g = 1
-        # within an ulp or two of the throat c_s0 rounds to v_inf, where no
-        # real gamma_s exists: the next double up keeps that flagged radius finite
-        cs0 = np.maximum(v_inf * np.sqrt(gs2f) / np.sqrt(xf), np.nextafter(v_inf, math.inf))
+        # a c_s0 that rounds to v_inf has no real gamma_s: the next double up, flagged
+        root = v_inf * np.sqrt(gs2f) / np.sqrt(xf)
+        cs0 = np.maximum(root, np.nextafter(v_inf, math.inf))
         # x > k up to the fold; past it the clamped root can equal k, where
         # no v^r balances the cross terms: keep that flagged radius finite
         gap = x - k
         gap[gap == 0.0] = np.spacing(k)
         vr = v_inf * (x / gap) / np.sqrt(gs2f)
-        return (cs0, vr, *matching_residuals(radii, cs0, vr, v_inf, shape))
+        res1, res2 = matching_residuals(radii, cs0, vr, v_inf, shape)
+        conditioned = np.maximum(np.abs(res1) * (f * np.sqrt(f)), np.abs(res2) * f)
+        return cs0, vr, res1, res2, (root > v_inf) & (conditioned < RESIDUAL_TOL)
 
 
 def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: float,
@@ -215,20 +217,20 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
 
     The one grid precondition is r_min > b0 (g_rr diverges at the throat):
     a grid starting at or inside the throat is a DomainError. A radius
-    converges when both residuals are below RESIDUAL_TOL; radii past the
-    fold are flagged, and as the check is absolute so are radii close to
-    the throat (module docstring). A whole-grid failure raises, naming the
-    fold if the grid lies past it, else RESIDUAL_TOL; arithmetic leaving the
-    finite doubles raises FloatingPointError.
+    converges when its residuals conditioned by f are below RESIDUAL_TOL
+    and its c_s0 does not round to v_inf; radii past the fold are flagged
+    (module docstring). A whole-grid failure raises, naming the fold if the
+    grid lies past it, else RESIDUAL_TOL; arithmetic leaving the finite
+    doubles raises FloatingPointError.
 
-    The statistics are the point counts, the largest residuals and the
-    largest relative deviation of (cs0, vr) from the small-velocity limit,
-    all maxima over the converged radii (past the fold the values solve
-    nothing). The radii are solved in blocks of CHUNK_ROWS into the
-    preallocated output columns, which gives the bits of solving all at
-    once, and each block's maxima are taken as the block is solved: beside
-    the six columns, the working set is one block's ~25 temporaries,
-    about 0.2 MiB whatever the grid size.
+    The statistics are the point counts, the largest raw (not conditioned)
+    residuals and the largest relative deviation of (cs0, vr) from the
+    small-velocity limit, all maxima over the converged radii (past the
+    fold the values solve nothing). The radii are solved in blocks of
+    CHUNK_ROWS into the preallocated output columns, which gives the bits
+    of solving all at once, and each block's maxima are taken as the block
+    is solved: beside the six columns, the working set is one block's ~25
+    temporaries, about 0.2 MiB whatever the grid size.
     """
     _require_traversable(shape, "the flow-adapted construction")
     if v_inf <= 0.0:
@@ -248,10 +250,9 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
     maxima = []
     for start in range(0, radii.size, CHUNK_ROWS):
         block = slice(start, start + CHUNK_ROWS)
-        cs0[block], vr[block], res1[block], res2[block] = _closed_form(
+        cs0[block], vr[block], res1[block], res2[block], converged[block] = _closed_form(
             radii[block], v_inf, shape, k)
-        keep = converged[block] = np.maximum(np.abs(res1[block]),
-                                             np.abs(res2[block])) < RESIDUAL_TOL
+        keep = converged[block]
         if keep.any():
             cs0_ref = zero_order_solution(radii[block][keep], v_inf, shape)
             maxima.append((np.abs(res1[block][keep]).max(), np.abs(res2[block][keep]).max(),
@@ -261,8 +262,8 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
     if not maxima:
         fold = fold_radius(v_inf, shape)
         cause = (f"no real solution beyond the fold at r = {fold!r}" if r_min > fold else
-                 f"no radius brings both residuals below RESIDUAL_TOL = {RESIDUAL_TOL!r}, "
-                 f"though the grid starts at or inside the fold at r = {fold!r}")
+                 f"no radius converges to RESIDUAL_TOL = {RESIDUAL_TOL!r} with c_s0 above "
+                 f"v_inf, though the grid starts at or inside the fold at r = {fold!r}")
         raise ConvergenceError(
             f"matching solve failed at every radius in [{r_min!r}, {r_max!r}]: {cause}")
     max_res1, max_res2, dev_cs0, dev_vr = np.max(maxima, axis=0).tolist()

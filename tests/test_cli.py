@@ -37,6 +37,23 @@ def test_profile1d_reference_sweep(tmp_path):
     assert len(sorted(tmp_path.glob("feasibility_*.json"))) == 12
 
 
+def test_demo_writes_the_tables_of_the_cli_sweep(tmp_path):
+    """demos/demo_1d_profiles.py, run as a script, writes byte for byte the
+    12 tables of the CLI's 4x3 (q, b0) sweep at the default grid."""
+    demo = Path(__file__).resolve().parents[1] / "demos" / "demo_1d_profiles.py"
+    package_dir = str(Path(wormbec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_dir, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, str(demo), "--out", str(tmp_path / "demo")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert run(tmp_path / "cli", "profile1d", "--set", "wormhole.q=2,0.95,-0.5,-1",
+               "--set", "wormhole.b0_um=0.5,1,10") == 0
+    tables = [{path.name: path.read_bytes() for path in (tmp_path / out).glob("*.csv")}
+              for out in ("demo", "cli")]
+    assert len(tables[0]) == 12 and tables[0] == tables[1]
+
+
 def test_profile1d_feasibility_json_slope(tmp_path):
     code = run(tmp_path, "profile1d",
                "--set", "wormhole.q=0.95", "--set", "wormhole.b0_um=1",
@@ -125,9 +142,9 @@ def test_solve_gp_table_layout(tmp_path):
 def test_solve_gp_strict_flags_unconverged_radius(tmp_path):
     """--strict exits 2 once any radius is unconverged, after writing the
     tables; without --strict the same run exits 0. At q = 0.9 the radius
-    r_min = 1.0000000000000004, two ulp off the throat, misses the residual
-    tolerance and the other 180 radii converge."""
-    args = ("solve-gp", "--set", "wormhole.q=0.9", "--set", "grid.r_min_um=1.0000000000000004")
+    r_min = 1.0000000000000002, one ulp off the throat, has a c_s0 that
+    rounds to v_inf and is flagged, and the other 180 radii converge."""
+    args = ("solve-gp", "--set", "wormhole.q=0.9", "--set", "grid.r_min_um=1.0000000000000002")
     assert run(tmp_path / "strict", *args, "--strict") == 2
     summary = json.loads(
         (tmp_path / "strict" / "gp_summary_vinf0.01_b01.json").read_text())
@@ -226,23 +243,25 @@ def test_overflowing_default_bound_names_its_setting(tmp_path, capsys, command, 
 
 
 def test_profile3d_outputs(tmp_path):
-    code = run(tmp_path, "profile3d",
-               "--set", "wormhole.b0_um=1",
-               "--set", "observer.v_inf_m_per_s=0.01",
-               "--set", "layout.R_um=5",
-               "--set", "grid.step_um=0.125")
-    assert code == 0
-    report = json.loads((tmp_path / "report_R5_b01_vinf0.01.json").read_text())
+    """The throat x = R = 5 is sampled at every step, whether R/step is an
+    integer (0.125 um) or not (0.3 um): exactly one row is the throat, with
+    r = b0, cs0 = v_inf, c_s = 0 and a/a_bg = 0."""
+    for step in ("0.125", "0.3"):
+        code = run(tmp_path / step, "profile3d",
+                   "--set", "wormhole.b0_um=1",
+                   "--set", "observer.v_inf_m_per_s=0.01",
+                   "--set", "layout.R_um=5",
+                   "--set", f"grid.step_um={step}")
+        assert code == 0
+        throat_rows = [line for line in
+                       (tmp_path / step / "profile3d_R5_b01_vinf0.01.csv").read_text().splitlines()
+                       if line.startswith("5.0,")]
+        assert len(throat_rows) == 1
+        assert throat_rows[0].startswith("5.0,1.0,0.01,0.0,")   # x = R, r = b0, cs0 = v_inf, c_s
+        assert float(throat_rows[0].split(",")[5]) == 0.0      # a/a_bg
+    report = json.loads((tmp_path / "0.125" / "report_R5_b01_vinf0.01.json").read_text())
     detected = report["asymptotes"]["detected_x_um"]
     assert detected == pytest.approx([4.44, 5.56], abs=0.13)
-    throat_rows = [line for line in
-                   (tmp_path / "profile3d_R5_b01_vinf0.01.csv").read_text().splitlines()
-                   if line.startswith("5.0,")]
-    assert len(throat_rows) == 1
-    fields = throat_rows[0].split(",")
-    assert float(fields[1]) == 1.0      # r = b0
-    assert float(fields[5]) == 0.0      # a/a_bg
-    assert float(fields[2]) == 0.01     # cs0 = v_inf
 
 
 def test_profile3d_asymptotes_move_outward_for_smaller_v_inf(tmp_path):
@@ -314,6 +333,15 @@ def test_embed_monotone_flare_for_q_half(tmp_path):
     heights = [float(line.split(",")[1]) for line in lines]
     assert heights[0] == 0.0
     assert all(b > a for a, b in zip(heights, heights[1:]))
+
+
+def test_embed_at_strongly_negative_q(tmp_path):
+    """At q = -50 the integrand turns over at u = sqrt(b0/51): a 2 um step
+    leaves no target below sqrt(b0), and the graded panels still integrate."""
+    assert run(tmp_path, "embed", "--set", "wormhole.q=-50", "--set", "grid.r_step_um=2") == 0
+    lines = (tmp_path / "embedding_q-50_b01.csv").read_text().splitlines()[1:]
+    heights = [float(line.split(",")[1]) for line in lines]
+    assert len(heights) == 3 and heights[0] == 0.0 < heights[1] < heights[2]
 
 
 def test_embed_rejects_broken_signature(tmp_path):
@@ -576,17 +604,22 @@ def test_solve_gp_past_the_fold_everywhere_names_it(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solve_gp_failing_inside_the_fold_names_the_tolerance(tmp_path, capsys):
-    """At q = 0.99999 the fold overflows to r = inf, so the grid lies inside
-    it, yet no radius meets the absolute residual tolerance: the one-line
-    error names RESIDUAL_TOL, not the fold."""
-    out = tmp_path / "out"
-    assert main(["solve-gp", "--out", str(out), "--set", "wormhole.q=0.99999"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("wormbec solve-gp: error: ") and err.count("\n") == 1
-    assert f"RESIDUAL_TOL = {wormbec.gp3d.RESIDUAL_TOL!r}" in err
-    assert "beyond the fold" not in err
-    assert not out.exists()
+@pytest.mark.parametrize("overrides, points", [
+    (("wormhole.q=0.99999",), 179),
+    (("wormhole.q=0.9", "grid.r_min_um=1.0000000000000004"), 181),
+], ids=["q-0.99999", "two-ulp-off-the-throat"])
+def test_solve_gp_converges_as_q_nears_1_and_near_the_throat(tmp_path, capsys, overrides,
+                                                             points):
+    """At q = 0.99999, and two ulp off the throat at q = 0.9, rounding lifts
+    the raw residuals far above RESIDUAL_TOL, but the residuals conditioned
+    by f are below it: every radius converges, --strict exits 0 with nothing
+    on stderr, and the summary states the raw maxima."""
+    args = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["solve-gp", "--strict", "--out", str(tmp_path), *args]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "gp_summary_vinf0.01_b01.json").read_text())
+    assert summary["points_converged"] == summary["points"] == points
+    assert summary["max_abs_residual1"] > wormbec.gp3d.RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("command, override, radius", [
@@ -726,12 +759,18 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
-    """python -m wormbec works end to end in a fresh interpreter."""
-    result = subprocess.run(
-        [sys.executable, "-m", "wormbec", "presets"],
-        capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0
-    assert "Cs" in result.stdout
+    """python -m wormbec runs every subcommand end to end in a fresh
+    interpreter, in CSV and JSON, and a successful run writes nothing to
+    stderr: embed at q = -500, whose embedding rise overflows, included."""
+    runs = [[sub, "--format", fmt] for sub in ("profile1d", "solve-gp", "profile3d", "embed",
+                                               "presets") for fmt in ("csv", "json")]
+    for args in [*runs, ["embed", "--set", "wormhole.q=-500"]]:
+        result = subprocess.run(
+            [sys.executable, "-m", "wormbec", *args, "--out", str(tmp_path / "-".join(args))],
+            capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, ""), args
+        if args[0] == "presets":
+            assert "Cs" in result.stdout
 
 
 def _imported_modules(argv, expect_rc=0):
@@ -870,10 +909,13 @@ def no_blas_setting(monkeypatch):
     return monkeypatch
 
 
-# Runs `profile1d` through one CLI entry in a fresh interpreter, since tier-1
-# has numpy loaded already. Prints the exit code, the OS thread count before
-# the call (after numpy, if that is imported first) and after it, and whether
-# os.environ came out as it went in.
+TABLE_COMMANDS = ("profile1d", "solve-gp", "profile3d", "embed")
+
+# Runs each table command, into OUT/<command>, through one CLI entry in a
+# fresh interpreter, since tier-1 has numpy loaded already. Prints the exit
+# codes, the OS thread count before the calls (after numpy, if that is
+# imported first) and after them, and whether os.environ came out as it
+# went in.
 _THREAD_PROBE = r"""
 import importlib, json, os, runpy, sys
 entry, out, numpy_first = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
@@ -881,23 +923,37 @@ before = dict(os.environ)
 if numpy_first:
     import numpy
 threads = len(os.listdir("/proc/self/task"))
-sys.argv = ["wormbec", "profile1d", "--out", out]
-if entry == "-m":  # what python -m wormbec runs
-    try:
-        runpy.run_module("wormbec", run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        rc = exc.code
-else:  # what a console-script wrapper runs for the target MODULE:NAME
-    module, name = entry.split(":")
-    rc = getattr(importlib.import_module(module), name)()
-print(json.dumps({"rc": rc, "threads_before": threads,
+codes = []
+for command in ("profile1d", "solve-gp", "profile3d", "embed"):
+    sys.argv = ["wormbec", command, "--out", os.path.join(out, command)]
+    if entry == "-m":  # what python -m wormbec runs
+        try:
+            runpy.run_module("wormbec", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            codes.append(exc.code)
+    else:  # what a console-script wrapper runs for the target MODULE:NAME
+        module, name = entry.split(":")
+        codes.append(getattr(importlib.import_module(module), name)())
+print(json.dumps({"codes": codes, "threads_before": threads,
                   "threads": len(os.listdir("/proc/self/task")),
                   "environ_kept": dict(os.environ) == before}))
 """
 MULTI_CORE = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-def _thread_probe(tmp_path, entry, blas_threads=None, numpy_first=False):
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """Each table command's files at the defaults, from this process, whose
+    numpy keeps the BLAS threads it started with."""
+    out = tmp_path_factory.mktemp("tables")
+    for command in TABLE_COMMANDS:
+        assert main([command, "--out", str(out / command)]) == 0
+    return {command: _files(out / command) for command in TABLE_COMMANDS}
+
+
+def _thread_probe(tmp_path, tables, entry, blas_threads=None, numpy_first=False):
+    """The probe's report, after checking that its runs wrote the tables of
+    this process: the files do not depend on the BLAS thread count."""
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("no /proc/self/task to count threads in")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -908,16 +964,18 @@ def _thread_probe(tmp_path, entry, blas_threads=None, numpy_first=False):
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
     probe = json.loads(result.stdout)
-    assert probe["rc"] == 0
+    assert probe["codes"] == [0] * len(TABLE_COMMANDS)
     assert probe["environ_kept"]
+    assert {command: _files(tmp_path / command) for command in TABLE_COMMANDS} == tables
     return probe
 
 
-@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])
-def test_module_entry_defaults_to_one_blas_thread(tmp_path, user_value, expected):
+@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3"), ("4", "4")])
+def test_module_entry_defaults_to_one_blas_thread(tmp_path, tables, user_value, expected):
     """python -m wormbec runs with one BLAS thread unless the user set a
-    count, and leaves os.environ as it found it."""
-    threads = _thread_probe(tmp_path, "-m", user_value)["threads"]
+    count, writes the same tables either way, and leaves os.environ as it
+    found it."""
+    threads = _thread_probe(tmp_path, tables, "-m", user_value)["threads"]
     if expected == "1":
         assert threads == 1
     elif MULTI_CORE:
@@ -927,12 +985,12 @@ def test_module_entry_defaults_to_one_blas_thread(tmp_path, user_value, expected
 @pytest.mark.parametrize("user_value, numpy_first, one_thread", [
     (None, False, True), ("2", False, False), (None, True, False),
 ], ids=["unset", "user-value", "numpy-loaded"])
-def test_in_process_main_defaults_to_one_blas_thread(tmp_path, user_value, numpy_first,
-                                                     one_thread):
+def test_in_process_main_defaults_to_one_blas_thread(tmp_path, tables, user_value,
+                                                     numpy_first, one_thread):
     """main() makes a process's first numpy import with one BLAS thread;
     a user value wins, and a process that loaded numpy first keeps its BLAS
     pool. os.environ is unchanged after every call."""
-    probe = _thread_probe(tmp_path, "wormbec.cli:main", user_value, numpy_first)
+    probe = _thread_probe(tmp_path, tables, "wormbec.cli:main", user_value, numpy_first)
     if one_thread:
         assert probe["threads"] == 1
     elif MULTI_CORE:
@@ -941,13 +999,13 @@ def test_in_process_main_defaults_to_one_blas_thread(tmp_path, user_value, numpy
         assert probe["threads"] == probe["threads_before"]
 
 
-def test_installed_script_defaults_to_one_blas_thread(tmp_path):
+def test_installed_script_defaults_to_one_blas_thread(tmp_path, tables):
     """The [project.scripts] target runs as a console-script wrapper would
     run it: exit 0 with one BLAS thread."""
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["wormbec"]
-    assert _thread_probe(tmp_path, target)["threads"] == 1
+    assert _thread_probe(tmp_path, tables, target)["threads"] == 1
 
 
 def test_imports_and_in_process_calls_leave_the_environment_alone(

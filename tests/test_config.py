@@ -59,23 +59,23 @@ def test_setting_lands_under_its_own_name(name):
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     """Each subcommand's exit code and digest of stdout, stderr and written
-    files under a list of overrides, cached by that list."""
+    files under a list of overrides (and a config file), cached by them."""
     cache = {}
 
-    def run(overrides):
-        if overrides not in cache:
-            cache[overrides] = {}
+    def run(overrides, config=None):
+        if (overrides, config) not in cache:
+            cache[overrides, config] = {}
             for sub in SUBCOMMANDS:
                 out = tmp_path_factory.mktemp("out")
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main([sub, "--out", str(out),
+                    code = main([sub, "--out", str(out), *(["--config", config] if config else []),
                                  *(arg for item in overrides for arg in ("--set", item))])
                 digest = hashlib.sha256(f"{stdout.getvalue()}\0{stderr.getvalue()}".encode())
                 for path in sorted(out.iterdir()):
                     digest.update(path.name.encode() + b"\0" + path.read_bytes())
-                cache[overrides][sub] = (code, digest.hexdigest())
-        return cache[overrides]
+                cache[overrides, config][sub] = (code, digest.hexdigest())
+        return cache[overrides, config]
     return run
 
 
@@ -90,6 +90,20 @@ def test_setting_changes_some_output(name, outputs):
     assert all(code == 0 for code, _ in after.values())
     changed = [sub for sub in SUBCOMMANDS if after[sub] != before[sub]]
     assert changed, f"{name}={raw} changed no output"
+
+
+def test_ini_of_the_schema_defaults_changes_no_output(outputs, tmp_path):
+    """Writing every SCHEMA default out changes nothing: an INI holding each
+    default that is not None (preset sections aside) gives every subcommand
+    the same exit code, files, presets listing and stderr as no config."""
+    ini = tmp_path / "defaults.ini"
+    ini.write_text("".join(
+        f"[{section}]\n" + "".join(f"{key} = {default}\n"
+                                   for key, (default, _, _) in keys.items() if default is not None)
+        for section, keys in SCHEMA.items() if not section.endswith(":")))
+    assert "[grid]\nx_max_um = 20.0\nstep_um = 0.1\n" in ini.read_text()
+    assert outputs((), str(ini)) == outputs(())
+    assert all(code == 0 for code, _ in outputs(()).values())
 
 
 # Keys that restated a value stated elsewhere, each with a value it took.

@@ -199,6 +199,23 @@ def test_far_field_mpmath_reference(q, ratio):
         mpmath_reference("z", b0, q, r), rel=1e-12)
 
 
+@pytest.mark.parametrize("b0", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("q", [-50.0, -440.0, -1e4])
+def test_strongly_negative_q_grades_panels_down_to_the_turnover(q, b0):
+    """Below q = -3 the integrands turn over at u = sqrt(b0/(1-q)), below the
+    first graded point sqrt(b0), where one panel on [0, sqrt(b0)] failed the
+    16/20-node check. Graded down to the turnover, 400 geometric radii from
+    b0 (1 + 1e-12) to 1e300 integrate to rising values, and the first four
+    agree with mpmath."""
+    shape = ShapeFunction(b0, q)
+    radii = np.geomspace(b0 * (1.0 + 1e-12), 1e300, 400)
+    for kind, integral in (("z", embedding_height), ("l", proper_distance)):
+        values = integral(shape, radii)
+        assert values[0] > 0.0 and (np.diff(values) >= 0.0).all()
+        for r, value in zip(radii[:4].tolist(), values[:4].tolist()):
+            assert value == pytest.approx(mpmath_reference(kind, b0, q, r), rel=1e-12)
+
+
 @pytest.mark.parametrize("b0", [1e-10, 1.0, 1e10])
 def test_embedding_height_closed_forms_where_the_rise_overflows(b0):
     """The rise (r/b0)**(1-q) - 1 overflows past r/b0 ~ 1.3e154 at q = -1,
@@ -261,9 +278,9 @@ def test_quadrature_check_rejects_jump():
         return np.where(u < 0.3, 0.0, 1.0)
 
     with pytest.raises(ConvergenceError):
-        _integrate_from_throat(step, 1.0, 0.7)
+        _integrate_from_throat(step, 1.0, 0.7, one_minus_q=1.0)
     # the same jump on a panel edge integrates exactly
-    value = _integrate_from_throat(step, 1.0, np.array([0.3, 0.7]))
+    value = _integrate_from_throat(step, 1.0, np.array([0.3, 0.7]), one_minus_q=1.0)
     np.testing.assert_allclose(value, [0.0, 0.4], rtol=1e-14, atol=1e-15)
 
 
@@ -328,7 +345,7 @@ def test_blocked_quadrature_names_the_first_failing_panel(monkeypatch):
 
     def message():
         with pytest.raises(ConvergenceError) as failure:
-            _integrate_from_throat(step, 1.0, u)
+            _integrate_from_throat(step, 1.0, u, one_minus_q=1.0)
         return str(failure.value)
 
     expected = one_block(monkeypatch, message)

@@ -292,6 +292,49 @@ def test_power_law_solve_converges_up_to_the_general_fold(q, v_inf):
         assert vr == pytest.approx(float(vr_ref), rel=1e-13)
 
 
+@pytest.mark.parametrize("q", [0.99, 0.999, 0.9999, 0.99999])
+def test_solve_converges_inside_the_fold_as_q_nears_1(q):
+    """As q nears 1, f = 1 - (b0/r)**(1-q) shrinks and rounding lifts the raw
+    residuals past RESIDUAL_TOL (res1 to 1.1e-7 at q = 0.99999), though the
+    root is right: judged by the residuals conditioned by f, every radius
+    inside the fold converges, and cs0 and v^r (every tenth radius) are the
+    40-digit root of the residual system."""
+    shape = ShapeFunction(1.0, q)
+    columns = solve_matching(0.01, shape, 1.1, 10.0, 0.05)[0].columns
+    assert (columns["r_um"] <= fold_radius(0.01, shape)).all()
+    assert columns["converged"].all()
+    for r, cs0, vr in list(zip(columns["r_um"].tolist(), columns["cs0_m_per_s"].tolist(),
+                               columns["vr_m_per_s"].tolist()))[::10]:
+        cs0_ref, vr_ref = mpmath_matching_root(r, 0.01, 1.0, (cs0, vr), q)
+        assert cs0 == pytest.approx(float(cs0_ref), rel=1e-13)
+        assert vr == pytest.approx(float(vr_ref), rel=1e-13)
+
+
+@pytest.mark.parametrize("v_inf", [0.01, 3e7, 1e8])
+@pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_solve_converges_near_the_throat(d, v_inf):
+    """At r = b0 (1 + d) the dt*dr residual magnifies the rounding of cs0
+    by about f**-1.5 (res1 to 1.7e-5 at d = 1e-9), yet the radius
+    converges, with cs0 and v^r the 40-digit root."""
+    r = 1.0 + d
+    columns = solve_matching(v_inf, ELLIS, r, r, 1.0)[0].columns
+    assert columns["converged"].tolist() == [True]
+    cs0, vr = columns["cs0_m_per_s"][0], columns["vr_m_per_s"][0]
+    cs0_ref, vr_ref = mpmath_matching_root(r, v_inf, 1.0, (cs0, vr))
+    assert cs0 == pytest.approx(float(cs0_ref), rel=1e-13)
+    assert vr == pytest.approx(float(vr_ref), rel=1e-13)
+
+
+def test_grid_of_radii_whose_cs0_rounds_to_v_inf_names_the_tolerance():
+    """One ulp off the throat at q = 0.9, c_s0 rounds to v_inf and the radius
+    is flagged; a grid of only that radius lies inside the fold, so the
+    whole-grid error names RESIDUAL_TOL and not the fold."""
+    r = 1.0000000000000002
+    with pytest.raises(ConvergenceError, match="RESIDUAL_TOL = 1e-12") as failure:
+        solve_matching(0.01, ShapeFunction(1.0, 0.9), r, r, 1.0)
+    assert "beyond the fold" not in str(failure.value)
+
+
 @pytest.mark.parametrize("v, c", [
     (0.01, LIGHT_SPEED), (3e7, LIGHT_SPEED), (1e8, LIGHT_SPEED), (0.01, 0.05),
 ])
