@@ -10,19 +10,19 @@ key of ``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
 error. Each command reads a setting by that section and key from the
 settings ``config.load_config`` resolves. Exit codes: 0 success, 1
 usage/config/numeric failure (one line on stderr), 2 feasibility failure
-under --strict. A run's files reach --out only when its command returns
-(``tableio.staged``): a run that exits 1 writes no file and leaves an
-earlier run's files as they were.
+under --strict (each command returns whether its audit passed; ``main``
+maps that to the code). A run's files reach --out only when its command
+returns (``tableio.staged``): a run that exits 1 writes no file and leaves
+an earlier run's files as they were.
 
 Environment: WORMBEC_PRESET_DIR names a directory of preset *.ini files.
 Each command imports the kernels it runs, so ``presets``, --help and usage
 or config errors never import numpy.
 
 BLAS threads: OpenBLAS starts a pool of them inside ``import numpy``
-(60-70 ms of a cold call on two cores) unless OPENBLAS_NUM_THREADS says
-otherwise. The one BLAS call, ``integrand(...) @ weights`` in
-``geometry._integral_at_edges``, multiplies 1024 panels by 16 or 20 nodes
-in about 4 us with one thread or two, so one thread loses nothing. When
+unless OPENBLAS_NUM_THREADS says otherwise, though no CLI run calls BLAS.
+One thread only spares the import that start-up: on two cores ``import
+numpy`` took a median 166 ms with one thread against 236 ms without. When
 ``main`` makes a process's first numpy import, it sets
 OPENBLAS_NUM_THREADS=1 for that import only and removes it afterwards;
 this covers ``python -m wormbec``, the installed script and in-process
@@ -127,7 +127,7 @@ def _bound(grid: dict, key: str, default: float, b0: float) -> float:
     return default
 
 
-def cmd_profile1d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
+def cmd_profile1d(cfg: RunConfig, out: Path, fmt: str) -> bool:
     from . import profile1d, tableio
     grid = cfg.settings["grid"]
     x_max, step = grid["x_max_um"], grid["step_um"]
@@ -150,12 +150,10 @@ def cmd_profile1d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
         tag = f"q{_fmt(shape.q)}_b0{_fmt(shape.b0)}"
         tableio.write_table(out / f"profile1d_{tag}", profile, fmt)
         tableio.write_json(out / f"feasibility_{tag}.json", report)
-    if strict and not all_feasible:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return all_feasible
 
 
-def cmd_solve_gp(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
+def cmd_solve_gp(cfg: RunConfig, out: Path, fmt: str) -> bool:
     from . import gp3d, tableio
     grid = cfg.settings["grid"]
     v_inf = cfg.settings["observer"]["v_inf_m_per_s"]
@@ -176,12 +174,10 @@ def cmd_solve_gp(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     tag = f"vinf{_fmt(v_inf)}_b0{_fmt(b0)}"
     tableio.write_table(out / f"gp_solution_{tag}", solution, fmt)
     tableio.write_json(out / f"gp_summary_{tag}.json", summary)
-    if strict and summary["points_converged"] < summary["points"]:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return summary["points_converged"] == summary["points"]
 
 
-def cmd_profile3d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
+def cmd_profile3d(cfg: RunConfig, out: Path, fmt: str) -> bool:
     from . import profile3d, tableio
     thresholds = cfg.settings["thresholds"]
     v_inf, step = cfg.settings["observer"]["v_inf_m_per_s"], cfg.settings["grid"]["step_um"]
@@ -195,14 +191,11 @@ def cmd_profile3d(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
     tag = f"R{_fmt(R)}_b0{_fmt(shape.b0)}_vinf{_fmt(v_inf)}"
     tableio.write_table(out / f"profile3d_{tag}", profile, fmt)
     tableio.write_json(out / f"report_{tag}.json", report)
-    feasible = (report["near_asymptote_samples"] == 0 and not report["asymptotes"]["analytic_x_um"]
-                and report["resolution"]["passed"])
-    if strict and not feasible:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return (report["near_asymptote_samples"] == 0 and not report["asymptotes"]["analytic_x_um"]
+            and report["resolution"]["passed"])
 
 
-def cmd_embed(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
+def cmd_embed(cfg: RunConfig, out: Path, fmt: str) -> bool:
     from . import geometry, tableio
     wormhole, grid = cfg.settings["wormhole"], cfg.settings["grid"]
     if grid["r_max_um"] is not None and grid["r_max_um"] <= max(wormhole["b0_um"]):
@@ -214,10 +207,10 @@ def cmd_embed(cfg: RunConfig, out: Path, fmt: str, strict: bool) -> int:
         radii = geometry.uniform_grid(b0, r_max - b0, r_step)
         table = tableio.Table({"r_um": radii, "z_um": geometry.embedding_height(shape, radii)})
         tableio.write_table(out / f"embedding_q{_fmt(shape.q)}_b0{_fmt(b0)}", table, fmt)
-    return EXIT_OK
+    return True
 
 
-def cmd_presets(cfg: RunConfig) -> int:
+def cmd_presets(cfg: RunConfig) -> bool:
     thresholds = cfg.settings["thresholds"]
     lines = ["species (mass from standard atomic weight):"]
     for name in sorted(cfg.species_registry):
@@ -234,7 +227,7 @@ def cmd_presets(cfg: RunConfig) -> int:
     lines.append(f"  slope capability = {thresholds['slope_per_um']!r} per um")
     lines.append(f"  resolution factor = {thresholds['resolution_factor']!r}")
     print("\n".join(lines))
-    return EXIT_OK
+    return True
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -242,18 +235,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(config_path=args.config, overrides=args.overrides)
         if args.run is cmd_presets:  # writes no file, so needs no tableio (numpy)
-            return cmd_presets(cfg)
-        # the first module to import numpy: one BLAS thread (module docstring)
-        one_thread = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
-        if one_thread:
-            os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
-            from . import tableio
-        finally:
+            passed = cmd_presets(cfg)
+        else:
+            # the first module to import numpy: one BLAS thread (module docstring)
+            one_thread = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
             if one_thread:
-                os.environ.pop("OPENBLAS_NUM_THREADS", None)
-        with tableio.staged():
-            return args.run(cfg, args.out, args.format, args.strict)
+                os.environ["OPENBLAS_NUM_THREADS"] = "1"
+            try:
+                from . import tableio
+            finally:
+                if one_thread:
+                    os.environ.pop("OPENBLAS_NUM_THREADS", None)
+            with tableio.staged():
+                passed = args.run(cfg, args.out, args.format)
+        return EXIT_OK if passed or not args.strict else EXIT_INFEASIBLE
     except (ConfigError, DomainError, ConvergenceError, ArithmeticError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, ArithmeticError):  # name the inputs that overflowed

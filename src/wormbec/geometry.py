@@ -17,21 +17,23 @@ every k >= 0, and k < 0 while the point stays above that turnover (for
 q < -3 only); each panel gets a 16-node Gauss-Legendre rule and the
 panel sums are accumulated, so one pass yields the integral at every
 target. The rules are literals in this module (``_gauss_rules``), not
-built from numpy.polynomial. The panels are integrated in blocks of 1024
-(``_PANEL_BLOCK``): each rule's panel sums of a block are accumulated by
-one cumsum led by that rule's sum carried from the block before. A cumsum
-adds left to right, so this gives the bits of one cumsum over all panels,
-which are also the bits of evaluating all panels at once. Each block is
-checked as soon as it is integrated, in the one array of integrals.
-Beside about 4 arrays of one double per target (targets, edges,
-integrals, result), the working memory is one block's nodes and their
-temporaries (three arrays of nodes), about 0.5 MiB whatever the target
-count: a tracemalloc peak of 6.1 MiB (4x the radii) for 200001 radii and
-0.97 MiB (6x) for 20001. The grading matters: a single 32-node rule on
-[0, u_max] is off by 7e-8 at r/b0 = 1e3 and by 1e-4 at 1e4. As a check,
-the same sums are taken with 20 nodes; where the two differ by more than
-max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|), or are not finite,
-ConvergenceError is raised at the first such target.
+built from numpy.polynomial. A panel's weighted node values are summed
+node after node in elementwise numpy, not by a BLAS product, so neither
+the BLAS kernel nor the block size sets its bits. The panels are
+integrated in blocks of 1024 (``_PANEL_BLOCK``): each rule's panel sums of
+a block are accumulated by one cumsum led by that rule's sum carried from
+the block before. A cumsum adds left to right, so this gives the bits of
+one cumsum over all panels, which are also the bits of evaluating all
+panels at once. Each block is checked as soon as it is integrated, in the
+one array of integrals. Beside about 4 arrays of one double per target
+(targets, edges, integrals, result), the working memory is one block's
+nodes and their temporaries (three arrays of nodes), about 0.5 MiB
+whatever the target count: a tracemalloc peak of 6.1 MiB (4x the radii)
+for 200001 radii and 0.97 MiB (6x) for 20001. The grading matters: a
+single 32-node rule on [0, u_max] is off by 7e-8 at r/b0 = 1e3 and by 1e-4
+at 1e4. As a check, the same sums are taken with 20 nodes; where the two
+differ by more than max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|), or are not
+finite, ConvergenceError is raised at the first such target.
 
 Error state: the quadrature runs with numpy's overflow, divide-by-zero and
 invalid-operation warnings off. Where the rise (r/b0)**(1-q) - 1 overflows
@@ -83,10 +85,7 @@ __all__ = [
 # a half of one walk mirrored about the throat: at most 2 * 10**6 - 1 rows.
 MAX_GRID_POINTS = 10**6
 QUAD_REL_TOL, QUAD_ABS_TOL = 1e-10, 1e-12
-# Panels whose nodes are evaluated at once (module docstring). A power of
-# two: a block whose length is not a multiple of the BLAS kernel's unroll
-# sends a different set of panels down its tail path and changes low bits.
-_PANEL_BLOCK = 1024
+_PANEL_BLOCK = 1024  # panels whose nodes are evaluated at once (module docstring)
 
 
 class ThroatClass(enum.Enum):
@@ -260,13 +259,15 @@ def _integral_at_edges(integrand: Callable[[np.ndarray], np.ndarray],
             stop = min(start + _PANEL_BLOCK, len(edges) - 1)
             left, right = edges[start:stop], edges[start + 1:stop + 1]
             half = 0.5 * (right - left)
-            mid = (0.5 * (left + right))[:, None]
+            mid = 0.5 * (left + right)
             # each rule's sums at the block's edges, led by the carried sum
             sums = integral[start:stop + 1]
             check = np.empty_like(sums)
             check[0] = check_sum
             for (nodes, weights), cumulative in zip(rules, (sums, check)):
-                cumulative[1:] = integrand(mid + half[:, None] * nodes) @ weights
+                values = integrand(mid + nodes[:, None] * half)   # one row per node
+                values *= weights[:, None]
+                values.sum(axis=0, out=cumulative[1:])   # row by row, node order
                 cumulative[1:] *= half
                 np.cumsum(cumulative, out=cumulative)
             check_sum = check[-1]

@@ -25,23 +25,25 @@ which tends to the small-velocity limit gamma_s = 1/sqrt(f) (c_s0 = v_inf
 c_s0 = v_inf sqrt(1 + X) / sqrt(X) and
 v^r = v_inf X / (sqrt((1 + X) f) (X - k)). D vanishes at the fold radius
 r_fold = b0 ((c**2 + v_inf**2) / (2 v_inf c))**(2/(1-q)) (``fold_radius``)
-and is negative beyond it, where no real solution exists. D is clamped at
-0, so a grid radius on the fold still solves; past it the clamped double
-root misses the residual tolerance and the radius is flagged unconverged
-with finite values. The grid's one precondition is r_min > b0. The
-residuals magnify the rounding of c_s0 by about f**-1.5 (res1) and f**-1
-(res2), without bound near the throat and as q nears 1, so a radius
-converges when max(|res1| f**1.5, |res2| f) < RESIDUAL_TOL: at most 1.3e-14
-inside the fold, at least 1.3e-5 past it. Within an ulp or two of the
-throat c_s0 rounds to v_inf, where gamma_s is not real: such a c_s0 is
-written as the next double up and flagged. The time-offset integrand is
-sqrt(E**2 - 1) times the proper-distance one, so ``gp_time_offset`` is
-sqrt(E**2 - 1) times ``geometry.proper_distance``.
+and is negative beyond it, where no real solution exists. So a radius
+converges where its root exists: D / g = g (1-k)**2 - 4 f k >= 0 and
+c_s0 > v_inf. Past the fold D is clamped at 0, leaving finite flagged
+values. Within an ulp or two of the throat c_s0 rounds to v_inf, where
+gamma_s is not real: it is written as the next double up and flagged.
+Where g * g underflows (g < 1.5e-154: past the fold unless v_inf < 2e-69
+m/s), D loses its digits: g is floored there and the radius flagged. The
+grid's one precondition is r_min > b0. The residuals judge no radius: they
+magnify the rounding of the root by about f**-1.5 (res1) and f**-1 (res2),
+without bound near the throat and as q nears 1, and reach 1.2e-8 at
+q = -30. The time-offset integrand is sqrt(E**2 - 1) times the
+proper-distance one, so ``gp_time_offset`` is sqrt(E**2 - 1) times
+``geometry.proper_distance``.
 
 Verified against 40-digit mpmath.findroot of the residual system for q in
 {-3, -1, 0, 0.5, 0.9} and v_inf in {0.01, 3e7, 1e8} m/s (c_s0 to 9.1e-16,
-v^r to 1.7e-15 relative, every radius past the fold unconverged), for q up
-to 0.99999 and at r = b0 (1 + d), d down to 1e-12 (both to 2.2e-16).
+v^r to 1.7e-15 relative, every radius past the fold unconverged), for q in
+{-10, -30, -100, -300} where those grids reach inside the fold (7.1e-15),
+for q up to 0.99999 and at r = b0 (1 + d), d down to 1e-12 (2.2e-16).
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ __all__ = [
 ]
 
 LIGHT_SPEED = 299792458.0  # c in m/s, exact
-RESIDUAL_TOL = 1e-12  # a radius is solved when both conditioned residuals are below it
+_G_FLOOR = math.sqrt(np.finfo(float).tiny)  # below it g * g underflows
 
 
 def gp_time_offset(r: float, energy: float, shape: ShapeFunction) -> float:
@@ -191,8 +193,10 @@ def _closed_form(radii: np.ndarray, v_inf: float, shape: ShapeFunction,
     radius, with k = (v_inf/c)**2 (module docstring)."""
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         f = metric_factor(shape, radii)
-        g = (shape.b0 / radii) ** (1.0 - shape.q)
-        disc = np.maximum(g * (g * (1.0 - k) ** 2 - 4.0 * f * k), 0.0)
+        # floored where g * g underflows, so the flagged cells stay finite
+        g = np.maximum((shape.b0 / radii) ** (1.0 - shape.q), _G_FLOOR)
+        bracket = g * (1.0 - k) ** 2 - 4.0 * f * k   # D / g, negative past the fold
+        disc = np.maximum(g * bracket, 0.0)
         xf = 0.5 * (g * (1.0 - k) + np.sqrt(disc))   # X f
         x = xf / f
         gs2f = 1.0 + (xf - g)   # (1 + X) f, as f + g = 1
@@ -205,8 +209,7 @@ def _closed_form(radii: np.ndarray, v_inf: float, shape: ShapeFunction,
         gap[gap == 0.0] = np.spacing(k)
         vr = v_inf * (x / gap) / np.sqrt(gs2f)
         res1, res2 = matching_residuals(radii, cs0, vr, v_inf, shape)
-        conditioned = np.maximum(np.abs(res1) * (f * np.sqrt(f)), np.abs(res2) * f)
-        return cs0, vr, res1, res2, (root > v_inf) & (conditioned < RESIDUAL_TOL)
+        return cs0, vr, res1, res2, (root > v_inf) & (bracket >= 0.0) & (g > _G_FLOOR)
 
 
 def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: float,
@@ -217,16 +220,16 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
 
     The one grid precondition is r_min > b0 (g_rr diverges at the throat):
     a grid starting at or inside the throat is a DomainError. A radius
-    converges when its residuals conditioned by f are below RESIDUAL_TOL
-    and its c_s0 does not round to v_inf; radii past the fold are flagged
-    (module docstring). A whole-grid failure raises, naming the fold if the
-    grid lies past it, else RESIDUAL_TOL; arithmetic leaving the finite
-    doubles raises FloatingPointError.
+    converges where it lies at or inside the fold and its c_s0 does not
+    round to v_inf (module docstring). A whole-grid failure is a
+    ConvergenceError naming its cause, the fold if the grid lies past it,
+    else c_s0 rounding to v_inf; arithmetic leaving the finite doubles
+    raises FloatingPointError.
 
-    The statistics are the point counts, the largest raw (not conditioned)
-    residuals and the largest relative deviation of (cs0, vr) from the
-    small-velocity limit, all maxima over the converged radii (past the
-    fold the values solve nothing). The radii are solved in blocks of
+    The statistics are the point counts, the largest absolute residuals
+    and the largest relative deviation of (cs0, vr) from the small-velocity
+    limit, all maxima over the converged radii (past the fold the values
+    solve nothing). The radii are solved in blocks of
     CHUNK_ROWS into the preallocated output columns, which gives the bits
     of solving all at once, and each block's maxima are taken as the block
     is solved: beside the six columns, the working set is one block's ~25
@@ -262,8 +265,8 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
     if not maxima:
         fold = fold_radius(v_inf, shape)
         cause = (f"no real solution beyond the fold at r = {fold!r}" if r_min > fold else
-                 f"no radius converges to RESIDUAL_TOL = {RESIDUAL_TOL!r} with c_s0 above "
-                 f"v_inf, though the grid starts at or inside the fold at r = {fold!r}")
+                 f"at every radius c_s0 rounds to v_inf = {v_inf!r} or (b0/r)**(2-2q) "
+                 f"underflows, though the grid starts at or inside the fold at r = {fold!r}")
         raise ConvergenceError(
             f"matching solve failed at every radius in [{r_min!r}, {r_max!r}]: {cause}")
     max_res1, max_res2, dev_cs0, dev_vr = np.max(maxima, axis=0).tolist()

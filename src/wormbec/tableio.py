@@ -1,6 +1,7 @@
 """Tables (named 1-D columns, ``Table``) as CSV or JSON, and JSON reports.
 One loop writes both table formats; they differ only in the text around the
-cells (``_layout``). Output is byte-identical across runs:
+cells (``_layout``). Output is byte-identical across runs on one host (one
+numpy build at one SIMD level; elsewhere float cells may move by ulps):
 
 - a float cell is ``repr`` of the Python float (shortest round-trip form);
   a boolean cell is ``true`` or ``false``;

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import wormbec
-import wormbec.gp3d
 from wormbec.cli import main
 from wormbec.config import load_config
 from wormbec.exceptions import ConfigError
@@ -546,11 +545,27 @@ def test_unreadable_ini_is_one_line_error(tmp_path, capsys, monkeypatch, preset,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["missing", "file.ini"])
+def test_preset_dir_that_is_not_a_directory_is_one_line_error(tmp_path, capsys, monkeypatch,
+                                                              name):
+    """WORMBEC_PRESET_DIR naming a missing path or a file exits 1 with one
+    stderr line naming the variable, and writes nothing."""
+    path = tmp_path / name
+    if name.endswith(".ini"):
+        path.write_text("[species:A]\nmass_u = 3\n")
+    monkeypatch.setenv("WORMBEC_PRESET_DIR", str(path))
+    out = tmp_path / "out"
+    assert main(["profile1d", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"wormbec profile1d: error: WORMBEC_PRESET_DIR={str(path)!r} "
+                   "is not a directory\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, override", [
     ("profile1d", "wormhole.b0_um=1e-300"),
     ("profile1d", "wormhole.q=1e300"),
     ("profile1d", "wormhole.q=-1e300"),
-    ("solve-gp", "wormhole.q=-1e300"),
     ("profile3d", "observer.v_inf_m_per_s=1e160"),
     ("profile3d", "wormhole.q=-1e300"),
     ("profile3d", "observer.v_inf_m_per_s=1e-320"),
@@ -592,16 +607,43 @@ def test_solve_gp_near_light_speed_flags_instead_of_raising(tmp_path, capsys):
     assert summary["fold_radius_um"] == pytest.approx(1.6657443376, rel=1e-10)
 
 
+def assert_past_the_fold_everywhere(tmp_path, capsys, override, fold):
+    """solve-gp with OVERRIDE exits 1, writes nothing, and its one stderr
+    line names the fold at r = FOLD."""
+    out = tmp_path / "out"
+    assert main(["solve-gp", "--out", str(out), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wormbec solve-gp: error: ") and err.count("\n") == 1
+    assert f"beyond the fold at r = {fold}" in err
+    assert not out.exists()
+
+
 def test_solve_gp_past_the_fold_everywhere_names_it(tmp_path, capsys):
     """At v_inf = 2e8 m/s the fold lies at r = 1.083 b0, below the default
     r_min = 1.1 b0: no radius solves, and the one-line error names the fold."""
-    out = tmp_path / "out"
-    assert main(["solve-gp", "--out", str(out),
-                 "--set", "observer.v_inf_m_per_s=2e8"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("wormbec solve-gp: error: ") and err.count("\n") == 1
-    assert "fold at r = 1.083045" in err
-    assert not out.exists()
+    assert_past_the_fold_everywhere(tmp_path, capsys, "observer.v_inf_m_per_s=2e8", "1.083045")
+
+
+def test_solve_gp_past_a_steep_fold_everywhere_names_it(tmp_path, capsys):
+    """At q = -1e300, (b0/r)**(1-q) underflows at every radius and the fold
+    rounds to r = b0: every radius is flagged, and the one-line error names
+    the fold, not an arithmetic failure."""
+    assert_past_the_fold_everywhere(tmp_path, capsys, "wormhole.q=-1e300", "1.0\n")
+
+
+@pytest.mark.parametrize("q, strict, code, converged", [
+    ("-10", True, 0, 179), ("-30", True, 2, 69), ("-440", False, 0, 1),
+])
+def test_solve_gp_converges_up_to_a_steep_fold(tmp_path, capsys, q, strict, code, converged):
+    """At steep q a radius converges where it lies inside the fold: all 179
+    default radii at q = -10 (so --strict exits 0), 69 at q = -30 (so it
+    exits 2), and 1 at q = -440, where (b0/r)**(1-q) underflows at the far
+    radii, which are flagged instead of failing the run."""
+    args = ["solve-gp", "--out", str(tmp_path), "--set", f"wormhole.q={q}"]
+    assert main([*args, *(["--strict"] if strict else [])]) == code
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "gp_summary_vinf0.01_b01.json").read_text())
+    assert (summary["points_converged"], summary["points"]) == (converged, 179)
 
 
 @pytest.mark.parametrize("overrides, points", [
@@ -611,15 +653,15 @@ def test_solve_gp_past_the_fold_everywhere_names_it(tmp_path, capsys):
 def test_solve_gp_converges_as_q_nears_1_and_near_the_throat(tmp_path, capsys, overrides,
                                                              points):
     """At q = 0.99999, and two ulp off the throat at q = 0.9, rounding lifts
-    the raw residuals far above RESIDUAL_TOL, but the residuals conditioned
-    by f are below it: every radius converges, --strict exits 0 with nothing
-    on stderr, and the summary states the raw maxima."""
+    the raw residuals far above criterion 5's 1e-12, but every radius lies
+    inside the fold with c_s0 above v_inf: every radius converges, --strict
+    exits 0 with nothing on stderr, and the summary states the raw maxima."""
     args = [arg for item in overrides for arg in ("--set", item)]
     assert main(["solve-gp", "--strict", "--out", str(tmp_path), *args]) == 0
     assert capsys.readouterr().err == ""
     summary = json.loads((tmp_path / "gp_summary_vinf0.01_b01.json").read_text())
     assert summary["points_converged"] == summary["points"] == points
-    assert summary["max_abs_residual1"] > wormbec.gp3d.RESIDUAL_TOL
+    assert summary["max_abs_residual1"] > 1e-12
 
 
 @pytest.mark.parametrize("command, override, radius", [

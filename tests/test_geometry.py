@@ -307,13 +307,12 @@ def one_block(monkeypatch, compute):
 def test_blocked_quadrature_keeps_the_bits(monkeypatch, panels):
     """Integrating the panels block by block gives bit for bit the heights
     of one block over all of them, at and around the block edges; so do
-    the scalar integrals. (A block of 7 panels changes low bits: BLAS
-    handles the tail of a matrix-vector product in another order.)"""
+    the scalar integrals."""
     seen = []
     real = geometry._embedding_integrand
 
     def recording(u, b0, one_minus_q):
-        seen.append(len(u))
+        seen.append(u.shape[-1])   # u holds one row of panels per node
         return real(u, b0, one_minus_q)
 
     monkeypatch.setattr(geometry, "_embedding_integrand", recording)
@@ -332,6 +331,32 @@ def test_blocked_quadrature_keeps_the_bits(monkeypatch, panels):
         ellis = ShapeFunction(1.0, -1.0)
         assert_same_bits(gp_time_offset(r, 1.5, ellis),
                          one_block(monkeypatch, lambda: gp_time_offset(r, 1.5, ellis)))
+
+
+def test_panel_sums_add_the_nodes_in_order(monkeypatch):
+    """Each panel's sum adds its weighted node values one node after
+    another, and the panel sums accumulate left to right: the bits of a
+    plain loop, over two blocks, whatever BLAS or SIMD the host has."""
+    monkeypatch.setattr(geometry, "_PANEL_BLOCK", 5)
+    values_seen = []
+
+    def integrand(u):
+        values = (1.0 + u) * np.exp(-u)
+        values_seen.append(values.copy())
+        return values
+
+    edges = np.concatenate(([0.0], np.geomspace(0.01, 3.0, 8)))
+    integral = geometry._integral_at_edges(integrand, 1.0, edges)
+    weights = geometry._gauss_rules()[0][1].tolist()
+    values = np.concatenate(values_seen[::2], axis=1)   # the 16-node rule's rows
+    expected, total = [0.0], 0.0
+    for j, half in enumerate((0.5 * (edges[1:] - edges[:-1])).tolist()):
+        panel = values[0, j] * weights[0]
+        for i in range(1, 16):
+            panel += values[i, j] * weights[i]
+        total += panel * half
+        expected.append(total)
+    assert_same_bits(integral, expected)
 
 
 def test_blocked_quadrature_names_the_first_failing_panel(monkeypatch):

@@ -48,6 +48,14 @@ def test_gp_time_offset_riemann_oracle():
         assert value == pytest.approx(riemann_offset(b0, energy, r), rel=1e-8)
 
 
+@pytest.mark.parametrize("energy", [0.999, 0.0, -2.0])
+def test_gp_time_offset_needs_energy_of_at_least_one(energy):
+    """An observer bound below E = 1 per unit mass never falls in from
+    infinity: a DomainError naming the energy."""
+    with pytest.raises(DomainError, match=f"energy per unit mass must be >= 1, got {energy!r}"):
+        gp_time_offset(2.0, energy, ELLIS)
+
+
 def test_gp_metric_reference_point():
     """b0=1, gamma=1.25, c_ref=1, r=2."""
     g_tt, g_tr, g_rr = gp_metric(2.0, 1.25, 1.0, ELLIS)
@@ -248,7 +256,7 @@ def test_solve_matching_equals_mpmath_root(v, c):
 
 @pytest.mark.parametrize("v, c, converged", [
     (1e3, LIGHT_SPEED, 179), (3e7, LIGHT_SPEED, 79),
-    (1e8, LIGHT_SPEED, 12), (0.01, 0.1, 80), (0.01, 0.05, 31),
+    (1e8, LIGHT_SPEED, 12), (0.01, 0.1, 79), (0.01, 0.05, 30),
     (0.01, 1.0, 179),
 ])
 def test_converged_exactly_up_to_the_fold(v, c, converged):
@@ -256,34 +264,40 @@ def test_converged_exactly_up_to_the_fold(v, c, converged):
     where the discriminant vanishes; beyond it the values stay finite.
 
     At v/c = 0.1 and 0.2 a grid radius lies on the fold (5.05 and 2.6), 1-2
-    ulp above the rounded r_fold: the clamped discriminant solves it, and the
-    count pins it as converged; every other radius is compared with r_fold."""
+    ulp above the rounded r_fold, where the discriminant rounds below 0:
+    the count pins it as flagged, and every radius is compared with r_fold."""
     v_inf = speed(v, c)
     columns = solve_matching(v_inf, ELLIS, 1.1, 10.0, 0.05)[0].columns
     assert int(columns["converged"].sum()) == converged
     r_fold = fold_radius(v_inf, ELLIS)
-    away = np.abs(columns["r_um"] - r_fold) > 4.0 * np.spacing(r_fold)
-    assert (columns["converged"] == (columns["r_um"] <= r_fold))[away].all()
+    assert columns["converged"].tolist() == (columns["r_um"] <= r_fold).tolist()
     for column in columns.values():
         assert np.isfinite(column.astype(float)).all()
 
 
 SHAPE_QS = (-3.0, -1.0, 0.0, 0.5, 0.9)
+# steep exponents at each v_inf whose default grid reaches inside the fold
+STEEP_FOLDS = [(-10.0, 0.01), (-10.0, 3e7), (-30.0, 0.01), (-30.0, 3e7),
+               (-100.0, 0.01), (-300.0, 0.01)]
 
 
-@pytest.mark.parametrize("v_inf", [0.01, 3e7, 1e8])
-@pytest.mark.parametrize("q", SHAPE_QS)
+@pytest.mark.parametrize("q, v_inf", [(q, v) for q in SHAPE_QS for v in (0.01, 3e7, 1e8)]
+                         + STEEP_FOLDS)
 def test_power_law_solve_converges_up_to_the_general_fold(q, v_inf):
-    """For each shape exponent, both residuals are below RESIDUAL_TOL at
-    every radius up to the fold b0 ((c^2 + v^2)/(2 v c))**(2/(1-q)), every
-    radius past it is unconverged, and the converged cs0 (every tenth
-    radius) and v^r are the 40-digit root of the residual system."""
+    """For each shape exponent, every radius up to the fold
+    b0 ((c^2 + v^2)/(2 v c))**(2/(1-q)) converges and every radius past it
+    is flagged, and the converged cs0 (every tenth radius) and v^r are the
+    40-digit root of the residual system. For q >= -3 both residuals are
+    also below criterion 5's 1e-12 inside the fold; at q <= -10 they are
+    not (res1 to 1.2e-8 at q = -30), though the root is right."""
     shape = ShapeFunction(1.0, q)
     columns = solve_matching(v_inf, shape, 1.1, 10.0, 0.05)[0].columns
     inside = columns["r_um"] <= fold_radius(v_inf, shape)
+    assert inside.any()
     assert columns["converged"].tolist() == inside.tolist()
-    assert np.abs(columns["res1"][inside]).max() < gp3d.RESIDUAL_TOL
-    assert np.abs(columns["res2"][inside]).max() < gp3d.RESIDUAL_TOL
+    if q in SHAPE_QS:
+        assert np.abs(columns["res1"][inside]).max() < 1e-12
+        assert np.abs(columns["res2"][inside]).max() < 1e-12
     for r, cs0, vr in list(zip(columns["r_um"][inside].tolist(),
                                columns["cs0_m_per_s"][inside].tolist(),
                                columns["vr_m_per_s"][inside].tolist()))[::10]:
@@ -294,11 +308,10 @@ def test_power_law_solve_converges_up_to_the_general_fold(q, v_inf):
 
 @pytest.mark.parametrize("q", [0.99, 0.999, 0.9999, 0.99999])
 def test_solve_converges_inside_the_fold_as_q_nears_1(q):
-    """As q nears 1, f = 1 - (b0/r)**(1-q) shrinks and rounding lifts the raw
-    residuals past RESIDUAL_TOL (res1 to 1.1e-7 at q = 0.99999), though the
-    root is right: judged by the residuals conditioned by f, every radius
-    inside the fold converges, and cs0 and v^r (every tenth radius) are the
-    40-digit root of the residual system."""
+    """As q nears 1, f = 1 - (b0/r)**(1-q) shrinks and rounding lifts the
+    residuals past 1e-12 (res1 to 1.1e-7 at q = 0.99999), though the root
+    is right: every radius inside the fold converges, and cs0 and v^r
+    (every tenth radius) are the 40-digit root of the residual system."""
     shape = ShapeFunction(1.0, q)
     columns = solve_matching(0.01, shape, 1.1, 10.0, 0.05)[0].columns
     assert (columns["r_um"] <= fold_radius(0.01, shape)).all()
@@ -325,12 +338,12 @@ def test_solve_converges_near_the_throat(d, v_inf):
     assert vr == pytest.approx(float(vr_ref), rel=1e-13)
 
 
-def test_grid_of_radii_whose_cs0_rounds_to_v_inf_names_the_tolerance():
+def test_grid_of_radii_whose_cs0_rounds_to_v_inf_names_that_cause():
     """One ulp off the throat at q = 0.9, c_s0 rounds to v_inf and the radius
     is flagged; a grid of only that radius lies inside the fold, so the
-    whole-grid error names RESIDUAL_TOL and not the fold."""
+    whole-grid error names c_s0 rounding to v_inf and not the fold."""
     r = 1.0000000000000002
-    with pytest.raises(ConvergenceError, match="RESIDUAL_TOL = 1e-12") as failure:
+    with pytest.raises(ConvergenceError, match="c_s0 rounds to v_inf = 0.01") as failure:
         solve_matching(0.01, ShapeFunction(1.0, 0.9), r, r, 1.0)
     assert "beyond the fold" not in str(failure.value)
 
@@ -575,12 +588,39 @@ def test_blocked_solve_raises_the_whole_grid_error(monkeypatch, v_inf, b0, error
 
 
 @pytest.mark.parametrize("q", [-2000.0, -1e300])
-def test_blocked_solve_raises_the_whole_grid_float_error(monkeypatch, q):
-    """g = (b0/r)**(1-q) underflows to 0 at the far radii (q = -2000) or at
-    every radius (q = -1e300), where cs0 divides by zero: FloatingPointError
-    with the text of one block over the whole grid. (b0 = 1e200 and 1e-200
-    used to fail this way at q = -1; the solve now works in r/b0.)"""
-    assert_whole_grid_error(monkeypatch, 0.01, ShapeFunction(1.0, q), FloatingPointError)
+def test_blocked_solve_past_a_steep_fold_raises_the_whole_grid_error(monkeypatch, q):
+    """g = (b0/r)**(1-q) underflows at the far radii (q = -2000) or at every
+    radius (q = -1e300), where it is floored so that the flagged cells stay
+    finite: every radius lies past the fold, and the ConvergenceError naming
+    it has the text of one block over the whole grid."""
+    shape = ShapeFunction(1.0, q)
+    message = assert_whole_grid_error(monkeypatch, 0.01, shape, ConvergenceError)
+    fold = fold_radius(0.01, shape)
+    assert message.endswith(f"no real solution beyond the fold at r = {fold!r}")
+
+
+@pytest.mark.parametrize("v_inf, q, converged", [
+    (0.01, -440.0, 1), (1e-100, -1000.0, 7),
+])
+def test_radii_where_g_squared_underflows_are_flagged(v_inf, q, converged):
+    """Where g * g underflows (g below 1.5e-154), D = g (g (1-k)^2 - 4 f k)
+    loses its digits: those radii are flagged with finite cells, whether
+    they lie past the fold (q = -440) or, at an observer speed below 2e-69
+    m/s, inside it; the other radii inside the fold converge, and a grid of only
+    flagged radii inside the fold names both causes."""
+    shape = ShapeFunction(1.0, q)
+    columns = solve_matching(v_inf, shape, 1.1, 10.0, 0.05)[0].columns
+    g = (1.0 / columns["r_um"]) ** (1.0 - q)
+    assert columns["converged"].tolist() == (
+        (columns["r_um"] <= fold_radius(v_inf, shape)) & (g > gp3d._G_FLOOR)).tolist()
+    assert int(columns["converged"].sum()) == converged
+    for column in columns.values():
+        assert np.isfinite(column.astype(float)).all()
+    if v_inf < 2e-69:
+        assert (1.0 / 1.5) ** (1.0 - q) < gp3d._G_FLOOR and fold_radius(v_inf, shape) > 1.5
+        with pytest.raises(ConvergenceError, match=r"\(b0/r\)\*\*\(2-2q\) underflows, "
+                                                   "though the grid starts at or inside"):
+            solve_matching(v_inf, shape, 1.5, 1.5, 1.0)
 
 
 def unblocked_summary(solution, v_inf, shape):

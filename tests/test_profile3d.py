@@ -307,6 +307,18 @@ def test_resolution_audit_step_equal_to_healing_length_fails():
     assert not report["step_ok"]
 
 
+@pytest.mark.parametrize("step", [0.0, -0.5])
+def test_resolution_audit_needs_a_positive_step(step):
+    with pytest.raises(DomainError, match=f"step must be positive, got {step!r}"):
+        resolution_audit(0.01, SPECIES["Cs"], step, shape=ELLIS, factor=10.0)
+
+
+@pytest.mark.parametrize("v_inf", [0.0, -0.01])
+def test_lab_profiles_need_a_positive_observer_speed(v_inf):
+    with pytest.raises(DomainError, match=f"v_inf must be positive, got {v_inf!r}"):
+        lab_profiles_3d(LabLayout(R=5.0, shape=ELLIS), v_inf, CS, 0.5, pole_delta=1e-3)
+
+
 def test_feasibility_report_contents():
     layout = LabLayout(R=5.0, shape=ELLIS)
     profile = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=1e-3)
