@@ -20,7 +20,7 @@ target. The rules are literals in this module (``_gauss_rules``), not
 built from numpy.polynomial. A panel's weighted node values are summed
 node after node in elementwise numpy, not by a BLAS product, so neither
 the BLAS kernel nor the block size sets its bits. The panels are
-integrated in blocks of 1024 (``_PANEL_BLOCK``): each rule's panel sums of
+integrated in blocks of 1024 (``_KERNEL_BLOCK``): each rule's panel sums of
 a block are accumulated by one cumsum led by that rule's sum carried from
 the block before. A cumsum adds left to right, so this gives the bits of
 one cumsum over all panels, which are also the bits of evaluating all
@@ -46,16 +46,22 @@ invalid operation leaves an inf or NaN sum, which fails the check (the
 check's own inf - inf gives a NaN, which counts as failed). So the
 quadrature gives a value or a ConvergenceError, never a RuntimeWarning.
 
-Verified against 30-digit mpmath tanh-sinh quadrature for q in
-[-3, 0.99], b0 in {0.01, 1, 100} and r/b0 from 1 + 1e-9 to 1e9: both
-integrals agree to 8.9e-16 relative (at most 16 graded panels). Past
-that, up to r = 1e300, the embedding height agrees to 8.5e-15 with
-b0 arccosh(r/b0) (q = -1) and 2 sqrt(b0 (r - b0)) (q = 0) for b0 in
-{1e-10, 1, 1e10}, and to 4.3e-15 with 20-digit mpmath for q in
-{-3, -0.5, 0.5}, b0 = 1 and r in {1e200, 1e250, 1e300}. The check
-raised no ConvergenceError for q up to 0.999999, b0 from 1e-6 to 1e6 and
-r/b0 up to 1e12, nor for q in {-50, -440, -1e4}, b0 in {1e-3, 1, 1e3} and r
-from b0 (1 + 1e-12) to 1e300 (there mpmath agrees to 4e-16 up to 200 b0).
+Verified against the closed forms. With a = 1/(1-q) and f = 1 - b/r,
+both integrals are incomplete beta functions:
+z = 2 a b0 sqrt(f) 2F1(1/2, a + 1/2; 3/2; f) and
+l = 2 a b0 sqrt(f) 2F1(1/2, a + 1; 3/2; f), elementary at q = -1
+(b0 arccosh(r/b0), sqrt(r**2 - b0**2)) and q = 0 (2 sqrt(b0 (r - b0)),
+sqrt(r (r - b0)) + b0 arccosh(sqrt(r/b0))). Evaluated with mpmath, they
+check in tier-1. For q in {-3.3, -2, -1, -0.5, 0, 0.25, 1/3, 0.5, 0.9,
+0.999999}, b0 in {1e-3, 1, 1e3} and r from b0 (1 + 1e-9) out to 1e300,
+both integrals agree to 2.2e-14 (z at q = 1/3 and r = 1e300), to
+5.9e-15 at the other q and to 6.6e-16 for q <= -2 and q >= 0.9. For q in
+{-50, -440, -1e4}, b0 in {1e-3, 1, 1e3} and 400 radii from b0 (1 + 1e-12)
+to 1e300, they agree to 4.4e-16. Against 30-digit mpmath tanh-sinh
+quadrature, for q in [-3, 0.99], b0 in {0.01, 1, 100} and r/b0 from
+1 + 1e-9 to 1e9, they agree to 8.9e-16 (at most 16 graded panels). The
+check raised no ConvergenceError for q up to 0.999999, b0 from 1e-6 to
+1e6 and r/b0 up to 1e12.
 """
 
 from __future__ import annotations
@@ -85,7 +91,9 @@ __all__ = [
 # a half of one walk mirrored about the throat: at most 2 * 10**6 - 1 rows.
 MAX_GRID_POINTS = 10**6
 QUAD_REL_TOL, QUAD_ABS_TOL = 1e-10, 1e-12
-_PANEL_BLOCK = 1024  # panels whose nodes are evaluated at once (module docstring)
+# Elements a kernel evaluates at once: the panels of the radial integrals
+# (module docstring) and the radii of gp3d.solve_matching.
+_KERNEL_BLOCK = 1024
 
 
 class ThroatClass(enum.Enum):
@@ -255,8 +263,8 @@ def _integral_at_edges(integrand: Callable[[np.ndarray], np.ndarray],
     integral = np.empty(len(edges))
     integral[0] = check_sum = 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # module docstring
-        for start in range(0, len(edges) - 1, _PANEL_BLOCK):
-            stop = min(start + _PANEL_BLOCK, len(edges) - 1)
+        for start in range(0, len(edges) - 1, _KERNEL_BLOCK):
+            stop = min(start + _KERNEL_BLOCK, len(edges) - 1)
             left, right = edges[start:stop], edges[start + 1:stop + 1]
             half = 0.5 * (right - left)
             mid = 0.5 * (left + right)

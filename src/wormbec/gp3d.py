@@ -53,9 +53,9 @@ import math
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, PoleError
-from .geometry import (ShapeFunction, _check_throat, _float_or_array, _require_traversable,
-                       metric_factor, proper_distance, uniform_grid)
-from .tableio import CHUNK_ROWS, Table
+from .geometry import (ShapeFunction, _KERNEL_BLOCK, _check_throat, _float_or_array,
+                       _require_traversable, metric_factor, proper_distance, uniform_grid)
+from .tableio import Table
 
 __all__ = [
     "LIGHT_SPEED",
@@ -229,11 +229,16 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
     The statistics are the point counts, the largest absolute residuals
     and the largest relative deviation of (cs0, vr) from the small-velocity
     limit, all maxima over the converged radii (past the fold the values
-    solve nothing). The radii are solved in blocks of
-    CHUNK_ROWS into the preallocated output columns, which gives the bits
-    of solving all at once, and each block's maxima are taken as the block
-    is solved: beside the six columns, the working set is one block's ~25
-    temporaries, about 0.2 MiB whatever the grid size.
+    solve nothing). The residual maxima summarize the written res1 and res2
+    cells but judge no radius: they magnify the rounding of the root near
+    the throat, as q nears 1 and at strongly negative q (module docstring),
+    and the converged flags alone say which radii solve. The radii are
+    solved in blocks of 1024 (``_KERNEL_BLOCK``, the quadrature's panel
+    block, not the table writer's text chunk) into the preallocated output
+    columns, which gives the bits of solving all at once, and each block's
+    maxima are taken as the block is solved: beside the six columns, the
+    working set is one block's ~25 temporaries, about 0.2 MiB whatever the
+    grid size.
     """
     _require_traversable(shape, "the flow-adapted construction")
     if v_inf <= 0.0:
@@ -251,8 +256,8 @@ def solve_matching(v_inf: float, shape: ShapeFunction, r_min: float, r_max: floa
     cs0, vr, res1, res2 = (np.empty_like(radii) for _ in range(4))
     converged = np.empty(radii.shape, dtype=bool)
     maxima = []
-    for start in range(0, radii.size, CHUNK_ROWS):
-        block = slice(start, start + CHUNK_ROWS)
+    for start in range(0, radii.size, _KERNEL_BLOCK):
+        block = slice(start, start + _KERNEL_BLOCK)
         cs0[block], vr[block], res1[block], res2[block], converged[block] = _closed_form(
             radii[block], v_inf, shape, k)
         keep = converged[block]

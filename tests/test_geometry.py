@@ -166,23 +166,35 @@ def test_flare_out_matches_shape_derivative_at_throat():
 
 
 def mpmath_reference(kind, b0, q, r):
-    """Proper distance ("l") or embedding height ("z") by tanh-sinh
-    quadrature at 20 digits, in u = sqrt(r'-b0) on doubling panels."""
+    """Proper distance ("l") or embedding height ("z") in closed form with
+    mpmath. With a = 1/(1-q) and w = (b0/r)**(1-q) = 1 - f, both are
+    a b0 times the integral of t**(p-1) (1-t)**(-1/2) from w to 1, an
+    incomplete beta function with p = 1/2 - a (z) or -a (l): that is
+    2 a b0 sqrt(f) 2F1(1/2, 1-p; 3/2; f), taken at 30 digits more than
+    -log10(w) so that f holds w. Where that is over 60 digits and
+    -1 < p != 0, it is a b0 (B(p, 1/2) - w**p/p 2F1(p, 1/2; p+1; w)),
+    with w itself as the argument. At q = -1 and 0 the elementary forms."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(20):
-        b0m, one_minus_q = mp.mpf(b0), 1 - mp.mpf(q)
-        sign = 1 if kind == "z" else -1
-
-        def integrand(u):
-            rise = sign * mp.expm1(sign * one_minus_q * mp.log1p(u * u / b0m))
-            return 2 * u / mp.sqrt(rise)
-
-        u_max = mp.sqrt(mp.mpf(r) - b0m)
-        points = [mp.mpf(0), mp.sqrt(b0m)]
-        while points[-1] < u_max:
-            points.append(2 * points[-1])
-        points[-1] = u_max
-        return float(mp.quad(integrand, points))
+    if q in (-1.0, 0.0):
+        with mp.workdps(30):
+            b0, r = mp.mpf(b0), mp.mpf(r)
+            if kind == "l":
+                value = (mp.sqrt((r - b0) * (r + b0)) if q == -1.0
+                         else mp.sqrt(r * (r - b0)) + b0 * mp.acosh(mp.sqrt(r / b0)))
+            else:
+                value = b0 * mp.acosh(r / b0) if q == -1.0 else 2 * mp.sqrt(b0 * (r - b0))
+            return float(value)
+    with mp.workdps(40):
+        a = 1 / (1 - mp.mpf(q))
+        log_w = -(1 - mp.mpf(q)) * mp.log(mp.mpf(r) / b0)
+        p = (0.5 if kind == "z" else 0) - a
+        digits = 30 + int(-log_w / mp.ln10)
+        if digits > 60 and -1 < p != 0:
+            w = mp.exp(log_w)
+            return float(a * b0 * (mp.beta(p, 0.5) - w**p / p * mp.hyp2f1(p, 0.5, p + 1, w)))
+    with mp.workdps(digits):
+        f = -mp.expm1(log_w)
+        return float(2 * a * b0 * mp.sqrt(f) * mp.hyp2f1(0.5, 1 - p, 1.5, f))
 
 
 @pytest.mark.parametrize("q", [-2.0, 0.5, 0.95])
@@ -199,20 +211,33 @@ def test_far_field_mpmath_reference(q, ratio):
         mpmath_reference("z", b0, q, r), rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [-3.3, -2.0, -1.0, -0.5, 0.0, 0.25, 1 / 3, 0.5, 0.9, 0.999999])
+def test_both_integrals_follow_the_closed_forms_out_to_1e300(q):
+    """From r/b0 = 1 + 1e-9 out to r = 1e300, for b0 in {1e-3, 1, 1e3},
+    both integrals agree with the closed forms to 5e-14 (2.2e-14 at worst,
+    z at q = 1/3 and r = 1e300)."""
+    for b0 in (1e-3, 1.0, 1e3):
+        shape = ShapeFunction(b0, q)
+        radii = np.array([b0 * (1.0 + 1e-9), 1.5 * b0, 1e3 * b0, 1e9 * b0, 1e100, 1e200, 1e300])
+        for kind, integral in (("z", embedding_height), ("l", proper_distance)):
+            expected = [mpmath_reference(kind, b0, q, r) for r in radii.tolist()]
+            np.testing.assert_allclose(integral(shape, radii), expected, rtol=5e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("b0", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("q", [-50.0, -440.0, -1e4])
 def test_strongly_negative_q_grades_panels_down_to_the_turnover(q, b0):
     """Below q = -3 the integrands turn over at u = sqrt(b0/(1-q)), below the
     first graded point sqrt(b0), where one panel on [0, sqrt(b0)] failed the
     16/20-node check. Graded down to the turnover, 400 geometric radii from
-    b0 (1 + 1e-12) to 1e300 integrate to rising values, and the first four
-    agree with mpmath."""
+    b0 (1 + 1e-12) to 1e300 integrate to rising values that agree with the
+    closed forms (4.4e-16 at worst)."""
     shape = ShapeFunction(b0, q)
     radii = np.geomspace(b0 * (1.0 + 1e-12), 1e300, 400)
     for kind, integral in (("z", embedding_height), ("l", proper_distance)):
         values = integral(shape, radii)
         assert values[0] > 0.0 and (np.diff(values) >= 0.0).all()
-        for r, value in zip(radii[:4].tolist(), values[:4].tolist()):
+        for r, value in zip(radii.tolist(), values.tolist()):
             assert value == pytest.approx(mpmath_reference(kind, b0, q, r), rel=1e-12)
 
 
@@ -284,7 +309,7 @@ def test_quadrature_check_rejects_jump():
     np.testing.assert_allclose(value, [0.0, 0.4], rtol=1e-14, atol=1e-15)
 
 
-BLOCK = geometry._PANEL_BLOCK
+BLOCK = geometry._KERNEL_BLOCK
 
 
 def panel_radii(b0, panels):
@@ -299,7 +324,7 @@ def panel_radii(b0, panels):
 def one_block(monkeypatch, compute):
     """COMPUTE() with every panel of each rule evaluated in one block."""
     with monkeypatch.context() as patch:
-        patch.setattr(geometry, "_PANEL_BLOCK", 2**62)
+        patch.setattr(geometry, "_KERNEL_BLOCK", 2**62)
         return compute()
 
 
@@ -337,7 +362,7 @@ def test_panel_sums_add_the_nodes_in_order(monkeypatch):
     """Each panel's sum adds its weighted node values one node after
     another, and the panel sums accumulate left to right: the bits of a
     plain loop, over two blocks, whatever BLAS or SIMD the host has."""
-    monkeypatch.setattr(geometry, "_PANEL_BLOCK", 5)
+    monkeypatch.setattr(geometry, "_KERNEL_BLOCK", 5)
     values_seen = []
 
     def integrand(u):

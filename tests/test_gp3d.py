@@ -20,9 +20,9 @@ from wormbec.gp3d import (LIGHT_SPEED, bec_metric,
 from wormbec.profile1d import field_profile_1d, slope_metric
 from wormbec.profile3d import (field_profile_3d, scattering_profile_3d,
                                sound_speed_profile_3d)
-from wormbec.tableio import CHUNK_ROWS
 
 CS = cesium_condensate(1e21)
+BLOCK = gp3d._KERNEL_BLOCK   # radii solved at once
 ELLIS = ShapeFunction(1.0, -1.0)   # b(r) = b0**2 / r at b0 = 1
 
 
@@ -503,7 +503,7 @@ def test_solver_grid_preconditions():
 def whole_grid(monkeypatch, compute):
     """COMPUTE() with every radius of the grid solved in one block."""
     with monkeypatch.context() as patch:
-        patch.setattr(gp3d, "CHUNK_ROWS", 2**62)
+        patch.setattr(gp3d, "_KERNEL_BLOCK", 2**62)
         return compute()
 
 
@@ -529,9 +529,9 @@ def blocks_of(monkeypatch, compute):
 # root equal to k, so the gap == 0 clamp keeps v^r finite.
 BLOCKED_GRIDS = [
     (0.01, 1.0, 1.1, 1.1, 0.0005, 1),
-    (0.01, 1.0, 1.1, 1.1 + (CHUNK_ROWS - 2) * 0.0005, 0.0005, CHUNK_ROWS - 1),
-    (0.01, 1.0, 1.1, 1.1 + (CHUNK_ROWS - 1) * 0.0005, 0.0005, CHUNK_ROWS),
-    (0.01, 1.0, 1.1, 1.1 + CHUNK_ROWS * 0.0005, 0.0005, CHUNK_ROWS + 1),
+    (0.01, 1.0, 1.1, 1.1 + (BLOCK - 2) * 0.0005, 0.0005, BLOCK - 1),
+    (0.01, 1.0, 1.1, 1.1 + (BLOCK - 1) * 0.0005, 0.0005, BLOCK),
+    (0.01, 1.0, 1.1, 1.1 + BLOCK * 0.0005, 0.0005, BLOCK + 1),
     (0.01, 1.0, 1.1, 10.0, 0.0005, 17801),
     (1e8, 1.0, 1.1, 10.0, 0.0005, 17801),
     (1e8, 3.0, 3.3, 9.0, 0.002269351583254147, 2512),
@@ -540,13 +540,13 @@ BLOCKED_GRIDS = [
 
 @pytest.mark.parametrize("v_inf, b0, r_min, r_max, step, radii", BLOCKED_GRIDS)
 def test_blocked_solve_keeps_the_bits(monkeypatch, v_inf, b0, r_min, r_max, step, radii):
-    """Solving the radii CHUNK_ROWS at a time gives bit for bit the table
+    """Solving the radii BLOCK at a time gives bit for bit the table
     of one block over the whole grid, converged flags included."""
     def solve():
         return solve_matching(v_inf, ShapeFunction(b0, -1.0), r_min, r_max, step)[0].columns
 
     assert blocks_of(monkeypatch, solve) == [
-        min(CHUNK_ROWS, radii - start) for start in range(0, radii, CHUNK_ROWS)]
+        min(BLOCK, radii - start) for start in range(0, radii, BLOCK)]
     columns, reference = solve(), whole_grid(monkeypatch, solve)
     assert list(columns) == list(reference)
     assert columns["r_um"].size == radii
@@ -650,8 +650,8 @@ def test_blocked_summary_equals_the_unblocked_one(v_inf, b0, r_min, r_max, step,
         statistics["max_abs_residual1"], statistics["max_abs_residual2"], *deviation.values()))
     if v_inf == 1e8:
         converged = solution.columns["converged"]
-        empty = [not converged[start:start + CHUNK_ROWS].any()
-                 for start in range(0, radii, CHUNK_ROWS)]
+        empty = [not converged[start:start + BLOCK].any()
+                 for start in range(0, radii, BLOCK)]
         assert (sum(empty), len(empty)) == {1.0: (16, 18), 3.0: (2, 3)}[b0]
 
 
