@@ -15,7 +15,8 @@ maps that to the code). A run's files reach --out only when its command
 returns (``tableio.staged``): a run that exits 1 writes no file and leaves
 an earlier run's files as they were.
 
-Environment: WORMBEC_PRESET_DIR names a directory of preset *.ini files.
+Environment: the one variable read is OPENBLAS_NUM_THREADS (below), and it
+changes no byte; the argv states every setting and preset (``config``).
 Each command imports the kernels it runs, so ``presets``, --help and usage
 or config errors never import numpy.
 

@@ -13,21 +13,21 @@ line's ``--out`` and ``--format`` alone state them (``cli``).
 
 A section or key outside ``SCHEMA`` is a ``ConfigError``, as is an INI
 ``[DEFAULT]`` section and a value that does not parse, is not finite or
-breaks its constraint. Preset sections, in the config file or in the
-``*.ini`` files under ``$WORMBEC_PRESET_DIR``, add to the built-in
-species and resonances; a preset name is looked up as given, then
-capitalized (``cs`` finds ``Cs``). A custom species or resonance is a
-preset section, which may replace a built-in one: for example
-``--set species:Cs.mass_u=140``, or the three ``resonance:NAME`` keys with
-``condensate.resonance=NAME`` (the species' own name needs no
-``condensate.resonance``).
+breaks its constraint. Presets come only from the config file and the
+overrides (the command line's ``--config`` and ``--set``), never from the
+environment: their preset sections add to the built-in species and
+resonances. A preset name is looked up exactly as given (``cs`` does not
+find ``Cs``), so ``settings`` holds the name that resolved. A custom
+species or resonance is a preset section, which may replace a built-in
+one: for example ``--set species:Cs.mass_u=140``, or the three
+``resonance:NAME`` keys with ``condensate.resonance=NAME`` (the species'
+own name needs no ``condensate.resonance``).
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import os
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -35,9 +35,7 @@ from .exceptions import ConfigError
 from .feshbach import (ATOMIC_MASS, AtomSpecies, CondensateSpec,
                        FeshbachResonance, RESONANCES, SPECIES)
 
-__all__ = ["RunConfig", "load_config", "PRESET_DIR_ENV", "SCHEMA"]
-
-PRESET_DIR_ENV = "WORMBEC_PRESET_DIR"
+__all__ = ["RunConfig", "load_config", "SCHEMA"]
 
 
 def _parse_float(raw: str) -> float:
@@ -171,9 +169,8 @@ def _needs(section: str, values: dict[str, Any], keys) -> list[Any]:
 
 
 def _lookup(registry: dict[str, Any], kind: str, name: str, fix: str = "") -> Any:
-    for key in (name, name.capitalize()):
-        if key in registry:
-            return registry[key]
+    if name in registry:
+        return registry[name]
     raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(sorted(registry))}{fix}")
 
 
@@ -182,20 +179,10 @@ def load_config(config_path: str | None = None,
     """Lay the config file and SECTION.KEY=VALUE overrides over the schema
     defaults; resolve presets; validate all."""
     data: dict[str, dict[str, str]] = {}
-    preset_dir = os.environ.get(PRESET_DIR_ENV)
-    if preset_dir:
-        if not Path(preset_dir).is_dir():
-            raise ConfigError(f"{PRESET_DIR_ENV}={preset_dir!r} is not a directory")
-        for path in sorted(Path(preset_dir).glob("*.ini")):
-            for section, raw in _read_ini(path).items():
-                if ":" not in section:
-                    raise ConfigError(f"{path}: [{section}] is not a preset section")
-                data.setdefault(section, {}).update(raw)
     if config_path is not None:
         if not Path(config_path).is_file():
             raise ConfigError(f"config file not found: {config_path}")
-        for section, raw in _read_ini(Path(config_path)).items():
-            data.setdefault(section, {}).update(raw)
+        data = _read_ini(Path(config_path))
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like SECTION.KEY=VALUE, got {item!r}")

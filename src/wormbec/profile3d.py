@@ -8,6 +8,10 @@ q < 1, enters the rest through the rise r/b - 1 (``geometry._rise``): c_s =
 v_inf sqrt(rise), a/a_bg = (v_inf/c~_s)**2 rise, and the field pole sits at
 r* = b0 (1 + (c~_s/v_inf)**2)**(1/(1-q)). Verified against 40-digit mpmath
 for q in {-3, -1, 0, 0.5, 0.9} (c_s0 within 4 ulp, c_s and a/a_bg 6, r* 4).
+
+``lab_profiles_3d`` is built from the three public formulas: a/a_bg from
+``scattering_profile_3d``, then B outside the pole band from
+``field_profile_3d``, then (c_s0, c_s) from ``sound_speed_profile_3d``.
 """
 
 from __future__ import annotations
@@ -51,11 +55,6 @@ class LabLayout:
         _require_traversable(self.shape, "the 3+1D lab profile")
 
 
-def _scattering(rise: np.ndarray, v_inf: float, spec: CondensateSpec) -> np.ndarray:
-    ratio = np.float64(v_inf) / spec.background_sound_speed  # overflow obeys errstate
-    return ratio * ratio * rise
-
-
 def sound_speed_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunction
                            ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(cs0, cs) at radius r: cs0 = v_inf (r/b0)**((1-q)/2) (the lab flow)
@@ -72,10 +71,6 @@ def asymptote_radius(v_inf: float, shape: ShapeFunction, spec: CondensateSpec) -
         return shape.b0 * float(np.power(1.0 + ratio * ratio, 1.0 / (1.0 - shape.q)))
 
 
-def _field(denom: np.ndarray, spec: CondensateSpec) -> np.ndarray:
-    return spec.resonance.width / denom + spec.resonance.b_res
-
-
 def field_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunction,
                      spec: CondensateSpec) -> float | np.ndarray:
     """Magnetic field (Gauss) realizing the 3+1D sound-speed profile; it has
@@ -84,14 +79,16 @@ def field_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunction,
     if np.any(denom == 0.0):
         raise PoleError(f"field diverges at r* = "
                         f"{asymptote_radius(v_inf, shape, spec)!r}")
-    return _field(denom, spec)
+    return spec.resonance.width / denom + spec.resonance.b_res
 
 
 def scattering_profile_3d(r: float | np.ndarray, v_inf: float, shape: ShapeFunction,
                           spec: CondensateSpec) -> float | np.ndarray:
     """a(r)/a_bg = (v_inf/c~_s)**2 ((r/b0)**(1-q) - 1); grows without bound
     in r and is reported as-is."""
-    return _float_or_array(_scattering(_rise(shape, r, "the 3+1D lab profile"), v_inf, spec))
+    rise = _rise(shape, r, "the 3+1D lab profile")
+    ratio = np.float64(v_inf) / spec.background_sound_speed  # overflow obeys errstate
+    return _float_or_array(ratio * ratio * rise)
 
 
 def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
@@ -109,15 +106,14 @@ def lab_profiles_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
     shape = layout.shape
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         d, r = uniform_grid(0.0, layout.R, step), uniform_grid(shape.b0, layout.R, step)
-        rise = _rise(shape, r, "the 3+1D lab profile")
-        a_over = _scattering(rise, v_inf, spec)
-        denom = 1.0 - a_over
-        near = np.abs(denom) < pole_delta
+        a_over = scattering_profile_3d(r, v_inf, shape, spec)
+        near = np.abs(1.0 - a_over) < pole_delta
         b = np.full(d.size, math.nan)
-        b[~near] = _field(denom[~near], spec)
-        return Table({"x_um": d, "r_um": r, "cs0_m_per_s": zero_order_solution(r, v_inf, shape),
-                      "cs_m_per_s": v_inf * np.sqrt(rise), "B_gauss": b, "a_over_abg": a_over,
-                      "near_asymptote": near}, mirror_at=layout.R, blank_nan=("B_gauss",))
+        b[~near] = field_profile_3d(r[~near], v_inf, shape, spec)
+        cs0, cs = sound_speed_profile_3d(r, v_inf, shape)
+        return Table({"x_um": d, "r_um": r, "cs0_m_per_s": cs0, "cs_m_per_s": cs, "B_gauss": b,
+                      "a_over_abg": a_over, "near_asymptote": near},
+                     mirror_at=layout.R, blank_nan=("B_gauss",))
 
 
 def detect_asymptotes(profile: Table) -> list[float]:
@@ -126,11 +122,12 @@ def detect_asymptotes(profile: Table) -> list[float]:
     Poles sit exactly where a/a_bg crosses 1, so sign changes of
     (a/a_bg - 1) between neighbouring samples localize them to one grid
     step; for the midpoint d of each bracketing pair x = R -+ d is reported.
+    Neighbours are compared by sign: a product of two gaps can overflow.
     """
     d = profile.columns["x_um"]
     gap = profile.columns["a_over_abg"] - 1.0
     exact = gap == 0.0
-    crossing = np.concatenate(([False], gap[:-1] * gap[1:] < 0.0))
+    crossing = np.concatenate(([False], np.sign(gap[:-1]) * np.sign(gap[1:]) < 0.0))
     found = np.flatnonzero(exact | crossing)
     offsets = np.where(exact[found], d[found], 0.5 * (d[found - 1] + d[found]))
     return (profile.mirror_at - offsets[::-1]).tolist() + (profile.mirror_at + offsets).tolist()

@@ -1,7 +1,9 @@
 """Tables (named 1-D columns, ``Table``) as CSV or JSON, and JSON reports.
 One loop writes both table formats; they differ only in the text around the
-cells (``_layout``). Output is byte-identical across runs on one host (one
-numpy build at one SIMD level; elsewhere float cells may move by ulps):
+cells (``_layout``). Any other format, or a column that is not 1-D, is a
+ValueError raised before any file is made. Output is byte-identical across
+runs on one host (one numpy build at one SIMD level; elsewhere float cells
+may move by ulps):
 
 - a float cell is ``repr`` of the Python float (shortest round-trip form);
   a boolean cell is ``true`` or ``false``;
@@ -177,10 +179,14 @@ def write_json(path: str | Path, payload: dict) -> Path:
 
 def write_table(stem: Path, table: Table, fmt: str) -> Path:
     """Write TABLE as STEM.csv or STEM.json (module docstring)."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"a table's format is 'csv' or 'json', got {fmt!r}")
     header = list(table.columns)
     columns = [np.asarray(column) for column in table.columns.values()]
-    if len({c.shape for c in columns}) > 1:
-        raise ValueError(f"the columns {header} must all be of one length")
+    for name, column in zip(header, columns):
+        if column.ndim != 1 or len(column) != len(columns[0]):
+            raise ValueError(f"column {name!r} must be 1-D and as long as the first "
+                             f"column, got shape {column.shape}")
     if (centre := table.mirror_at) is not None:
         _check_mirror(columns[0])
     stem.parent.mkdir(parents=True, exist_ok=True)

@@ -460,13 +460,16 @@ def test_preset_override_sections(tmp_path):
     assert "Cs" in cfg.species_registry  # builtins still present
 
 
-def test_preset_env_directory(tmp_path, monkeypatch):
+def test_presets_come_only_from_the_command_line(tmp_path, monkeypatch):
+    """A WORMBEC_PRESET_DIR whose *.ini replaces [species:Cs] changes no
+    byte: the argv states every preset."""
     preset_dir = tmp_path / "presets"
     preset_dir.mkdir()
-    (preset_dir / "custom.ini").write_text("[species:He]\nmass_u = 4.0026\n")
+    (preset_dir / "cs.ini").write_text("[species:Cs]\nmass_u = 140\n")
+    assert main(["profile1d", "--out", str(tmp_path / "defaults")]) == 0
     monkeypatch.setenv("WORMBEC_PRESET_DIR", str(preset_dir))
-    cfg = load_config()
-    assert "He" in cfg.species_registry
+    assert main(["profile1d", "--out", str(tmp_path / "env")]) == 0
+    assert _files(tmp_path / "env") == _files(tmp_path / "defaults")
 
 
 def test_config_validation_errors(tmp_path):
@@ -522,43 +525,22 @@ def test_unknown_setting_is_one_line_error(tmp_path, capsys, args, named):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("preset, text", [
-    (False, b"[wormhole]\nq = 5%\n"),
-    (False, b"[wormhole]\nq = \xff\n"),
-    (True, b"mass_u = 3\n"),
-    (True, b"[species:A]\nmass_u = 3\n[species:A]\nmass_u = 4\n"),
-    (True, b"[wormhole]\nq = 1\n"),
-], ids=["percent", "not-utf8", "no-header", "duplicate-section", "not-a-preset"])
-def test_unreadable_ini_is_one_line_error(tmp_path, capsys, monkeypatch, preset, text):
-    """A config or preset file that does not parse exits 1 with one stderr
-    line naming the file."""
+@pytest.mark.parametrize("text", [
+    b"[wormhole]\nq = 5%\n",
+    b"[wormhole]\nq = \xff\n",
+    b"mass_u = 3\n",
+    b"[species:A]\nmass_u = 3\n[species:A]\nmass_u = 4\n",
+], ids=["percent", "not-utf8", "no-header", "duplicate-section"])
+def test_unreadable_ini_is_one_line_error(tmp_path, capsys, text):
+    """A config file that does not parse exits 1 with one stderr line
+    naming the file."""
     path = tmp_path / "in" / "file.ini"
     path.parent.mkdir()
     path.write_bytes(text)
-    if preset:
-        monkeypatch.setenv("WORMBEC_PRESET_DIR", str(path.parent))
     out = tmp_path / "out"
-    args = [] if preset else ["--config", str(path)]
-    assert main(["profile1d", "--out", str(out), *args]) == 1
+    assert main(["profile1d", "--out", str(out), "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and err.count("\n") == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("name", ["missing", "file.ini"])
-def test_preset_dir_that_is_not_a_directory_is_one_line_error(tmp_path, capsys, monkeypatch,
-                                                              name):
-    """WORMBEC_PRESET_DIR naming a missing path or a file exits 1 with one
-    stderr line naming the variable, and writes nothing."""
-    path = tmp_path / name
-    if name.endswith(".ini"):
-        path.write_text("[species:A]\nmass_u = 3\n")
-    monkeypatch.setenv("WORMBEC_PRESET_DIR", str(path))
-    out = tmp_path / "out"
-    assert main(["profile1d", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == (f"wormbec profile1d: error: WORMBEC_PRESET_DIR={str(path)!r} "
-                   "is not a directory\n")
     assert not out.exists()
 
 

@@ -174,24 +174,17 @@ def test_species_without_resonance_names_the_fix(tmp_path, capsys, species):
         assert main(["profile1d", "--out", str(out), *(f"--set={item}" for item in overrides)]) == 0
 
 
-@pytest.mark.parametrize("where, text", [
-    ("config", "[DEFAULT]\nq = 0.5\n"),
-    ("config", "[DEFAULT]\nstep_um = 0.05\n[grid]\nx_max_um = 20\n"),
-    ("preset-dir", "[DEFAULT]\nmass_u = 4\n[species:He]\n"),
-], ids=["config-default-only", "config-default-and-grid", "preset-dir"])
-def test_ini_default_section_is_an_error(tmp_path, monkeypatch, capsys, where, text):
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nq = 0.5\n",
+    "[DEFAULT]\nstep_um = 0.05\n[grid]\nx_max_um = 20\n",
+], ids=["config-default-only", "config-default-and-grid"])
+def test_ini_default_section_is_an_error(tmp_path, capsys, text):
     """configparser would copy [DEFAULT] keys into every section, or drop
     them; the run stops with one line naming the file instead."""
-    ini = tmp_path / "presets" / "run.ini"
-    ini.parent.mkdir()
+    ini = tmp_path / "run.ini"
     ini.write_text(text)
     out = tmp_path / "out"
-    args = ["profile1d", "--out", str(out)]
-    if where == "config":
-        args += ["--config", str(ini)]
-    else:
-        monkeypatch.setenv("WORMBEC_PRESET_DIR", str(ini.parent))
-    assert main(args) == 1
+    assert main(["profile1d", "--out", str(out), "--config", str(ini)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "[DEFAULT]" in err and str(ini) in err

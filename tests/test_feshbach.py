@@ -151,16 +151,20 @@ def test_healing_length_times_speed_is_species_constant():
 
 
 def test_registry_lookup():
-    """load_config finds presets by name, as given or capitalized."""
+    """load_config finds presets by the name exactly as given; a lowercase
+    name is a one-line error that lists the known names."""
     def spec(override):
         return load_config(overrides=[override]).spec
 
     assert spec("condensate.species=Cs").species is SPECIES["Cs"]
-    assert spec("condensate.species=cs").species is SPECIES["Cs"]
     assert spec("condensate.resonance=Cs").resonance is CESIUM_RESONANCE
-    assert spec("condensate.resonance=cs").resonance is CESIUM_RESONANCE
     with pytest.raises(ConfigError):
         spec("condensate.species=Xe")
+    with pytest.raises(ConfigError) as error:
+        spec("condensate.species=cs")
+    assert str(error.value) == "unknown species 'cs'; known: Cs, K, Li, Na, Rb"
+    with pytest.raises(ConfigError, match="^unknown resonance 'cs'; known: Cs$"):
+        spec("condensate.resonance=cs")
 
 
 def test_invariant_validation():

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitcheck import assert_same_bits
 from wormbec import geometry
@@ -222,6 +224,42 @@ def test_both_integrals_follow_the_closed_forms_out_to_1e300(q):
         for kind, integral in (("z", embedding_height), ("l", proper_distance)):
             expected = [mpmath_reference(kind, b0, q, r) for r in radii.tolist()]
             np.testing.assert_allclose(integral(shape, radii), expected, rtol=5e-14, atol=0.0)
+
+
+# At a far radius one reference value takes up to 0.7 s in the log cases
+# (z at q = 1/3, l at q = 1/2), and seconds for l at a q within 1e-12 of 0
+# but not 0 (its series cancels), so the draws keep off those q.
+SHAPES = st.tuples(st.floats(-1e4, 0.999999).filter(
+    lambda q: q not in (1 / 3, 0.5) and not 0.0 < abs(q) < 1e-12), st.floats(1e-6, 1e6))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(shape=SHAPES.flatmap(lambda s: st.tuples(
+    st.just(s), st.floats(-12.0, math.log10(1e300 / s[1]) - 1e-9))))
+def test_both_integrals_follow_the_closed_forms_anywhere(shape):
+    """For q in [-1e4, 0.999999], b0 in [1e-6, 1e6] and r/b0 = 1 + 10**lift
+    in [1 + 1e-12, 1e300 / b0], both integrals agree with the closed forms
+    to 1e-13: a scan measured 5.6e-14 at worst (z at q = -0.63, b0 = 1e-6,
+    r = 1e295), the far z for -1 < q < 0 being the least accurate."""
+    (q, b0), lift = shape
+    r = b0 * (1.0 + 10.0 ** lift)
+    for kind, integral in (("z", embedding_height), ("l", proper_distance)):
+        value = integral(ShapeFunction(b0, q), r)
+        np.testing.assert_allclose(value, mpmath_reference(kind, b0, q, r), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("b0", [1e-3, 1.0, 1e3])
+def test_embedding_height_tends_to_its_finite_limit_below_q_of_minus_1(b0):
+    """For q < -1 the height has a finite limit, z_inf = a b0 B(1/2, 1/2 - a)
+    with a = 1/(1-q); at r = 1e300 it is reached to double precision, and
+    the kernel meets the 40-digit value to 2e-15 (5.9e-16 at worst)."""
+    mp = pytest.importorskip("mpmath")
+    qs = [-1.5, -2.0, -3.0, -3.3, -10.0, -50.0, -440.0, -1e4]
+    with mp.workdps(40):
+        limits = [float(a * b0 * mp.beta(0.5, 0.5 - a))
+                  for a in (1 / (1 - mp.mpf(q)) for q in qs)]
+    heights = [embedding_height(ShapeFunction(b0, q), 1e300) for q in qs]
+    np.testing.assert_allclose(heights, limits, rtol=2e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("b0", [1e-3, 1.0, 1e3])

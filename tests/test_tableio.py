@@ -81,6 +81,21 @@ def test_ragged_table_is_rejected(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out_format, columns, named", [
+    ("CSV", {"x": np.zeros(3)}, "'CSV'"),
+    ("xml", {"x": np.zeros(3)}, "'xml'"),
+    ("csv", {"x": np.zeros((3, 1)), "y": np.zeros((3, 1))}, "'x'"),
+    ("json", {"x": np.zeros((3, 1))}, "'x'"),
+    ("csv", {"x": np.float64(1.0)}, "'x'"),
+], ids=["upper-case-format", "other-format", "2-D-column", "2-D-json", "0-D-column"])
+def test_unknown_format_or_non_1d_column_is_rejected(tmp_path, out_format, columns, named):
+    """A format other than csv and json, or a column that is not 1-D, is a
+    ValueError naming it, raised before any file or directory is made."""
+    with pytest.raises(ValueError, match=named):
+        write_table(tmp_path / "out" / "t", Table(columns), out_format)
+    assert list(tmp_path.iterdir()) == []
+
+
 def reference(out_format, header, columns, blank_nan=()):
     """The rendering rules applied one row at a time: CSV, or
     ``json.dumps`` with every non-finite float as None."""
