@@ -2,12 +2,13 @@
 
 Subcommands: profile1d, solve-gp, profile3d, embed, presets (solve-gp and
 profile3d take one b0 and one q, profile1d and embed lists). Each takes
---config PATH, --out DIR (default .), --strict, --format csv|json (default
-csv), and repeatable --set SECTION.KEY=VALUE overrides. Only --out and
---format set where a run writes and its table format. --set accepts any
-key of ``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
-``species:NAME.mass_u=7`` for a preset); an unknown section or key is an
-error. Each command reads a setting by that section and key from the
+--out DIR (default .), --strict, --format csv|json (default csv), and
+repeatable --set SECTION.KEY=VALUE overrides. Only --out and --format set
+where a run writes and its table format. --set is the one route for every
+setting and preset, and no option reads a file of them: it accepts any key
+of ``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
+``species:NAME.mass_u=7`` for a preset), and an unknown section or key is
+an error. Each command reads a setting by that section and key from the
 settings ``config.load_config`` resolves. Exit codes: 0 success, 1
 usage/config/numeric failure (one line on stderr), 2 feasibility failure
 under --strict (each command returns whether its audit passed; ``main``
@@ -16,7 +17,8 @@ returns (``tableio.staged``): a run that exits 1 writes no file and leaves
 an earlier run's files as they were.
 
 Environment: the one variable read is OPENBLAS_NUM_THREADS (below), and it
-changes no byte; the argv states every setting and preset (``config``).
+changes no byte; the argv states every setting and preset (``config``), so
+an arithmetic error's line, which repeats the --set items, repeats the run.
 Each command imports the kernels it runs, so ``presets``, --help and usage
 or config errors never import numpy.
 
@@ -67,7 +69,6 @@ def _fmt(value: float) -> str:
 
 def _add_common(parser: argparse.ArgumentParser, command: Callable[..., int]) -> None:
     parser.set_defaults(run=command)
-    parser.add_argument("--config", metavar="PATH", help="INI config file")
     parser.add_argument("--out", metavar="DIR", type=Path, default=".",
                         help="output directory (default: .)")
     parser.add_argument("--strict", action="store_true",
@@ -234,7 +235,7 @@ def cmd_presets(cfg: RunConfig) -> bool:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(config_path=args.config, overrides=args.overrides)
+        cfg = load_config(args.overrides)
         if args.run is cmd_presets:  # writes no file, so needs no tableio (numpy)
             passed = cmd_presets(cfg)
         else:
@@ -253,8 +254,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, DomainError, ConvergenceError, ArithmeticError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, ArithmeticError):  # name the inputs that overflowed
-            given = ([f"--config {args.config}"] if args.config else []) + [
-                f"--set {item}" for item in args.overrides]
+            given = [f"--set {item}" for item in args.overrides]
             message += f" [{', '.join(given) or 'default settings'}]"
         message = " ".join(message.splitlines())
         print(f"wormbec {args.command}: error: {message}", file=sys.stderr)

@@ -1,37 +1,37 @@
 """Run configuration.
 
 ``SCHEMA`` is the one place a setting is declared: its default, parser
-and constraint. ``load_config`` lays an optional INI file, then
-``SECTION.KEY=VALUE`` overrides, over those defaults and parses every
-value in one pass. It returns a ``RunConfig``: the parsed settings keyed
-as in ``SCHEMA`` (``settings["grid"]["step_um"]``, one dict per section
-that is not a preset), the species and resonance registries, and, on
-reading ``spec``, the ``CondensateSpec`` they name. No setting rewrites
-another: ``settings`` holds the given values laid over the defaults. Where
-a run writes and in which table format are not settings: the command
-line's ``--out`` and ``--format`` alone state them (``cli``).
+and constraint. ``load_config`` lays ``SECTION.KEY=VALUE`` overrides (the
+command line's ``--set``) over those defaults, a later override of a key
+winning over an earlier one, and parses every value in one pass. It
+returns a ``RunConfig``: the parsed settings keyed as in ``SCHEMA``
+(``settings["grid"]["step_um"]``, one dict per section that is not a
+preset), the species and resonance registries, and, on reading ``spec``,
+the ``CondensateSpec`` they name. No setting rewrites another:
+``settings`` holds the given values laid over the defaults. Where a run
+writes and in which table format are not settings: the command line's
+``--out`` and ``--format`` alone state them (``cli``).
 
-A section or key outside ``SCHEMA`` is a ``ConfigError``, as is an INI
-``[DEFAULT]`` section and a value that does not parse, is not finite or
-breaks its constraint. Presets come only from the config file and the
-overrides (the command line's ``--config`` and ``--set``), never from the
-environment: their preset sections add to the built-in species and
-resonances. A preset name is looked up exactly as given (``cs`` does not
-find ``Cs``), so ``settings`` holds the name that resolved. A custom
-species or resonance is a preset section, which may replace a built-in
-one: for example ``--set species:Cs.mass_u=140``, or the three
-``resonance:NAME`` keys with ``condensate.resonance=NAME`` (the species'
-own name needs no ``condensate.resonance``).
+A section or key outside ``SCHEMA`` is a ``ConfigError``, as is a value
+that does not parse, is not finite or breaks its constraint, and a preset
+whose SI value underflows to zero. Presets come only from the overrides,
+never from a file or the environment: their preset sections add to the
+built-in species and resonances. An override splits its section from its
+key at the first ".", so a preset name holds no ".". A preset name is
+looked up exactly as given (``cs`` does not find ``Cs``), so ``settings``
+holds the name that resolved. A custom species or resonance is a preset
+section, which may replace a built-in one: for example
+``--set species:Cs.mass_u=140``, or the three ``resonance:NAME`` keys with
+``condensate.resonance=NAME`` (the species' own name needs no
+``condensate.resonance``).
 """
 
 from __future__ import annotations
 
-import configparser
 import math
-from pathlib import Path
 from typing import Any, NamedTuple
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DomainError
 from .feshbach import (ATOMIC_MASS, AtomSpecies, CondensateSpec,
                        FeshbachResonance, RESONANCES, SPECIES)
 
@@ -117,23 +117,6 @@ class RunConfig(NamedTuple):
         return CondensateSpec(species, resonance, condensate["density_per_m3"])
 
 
-def _read_ini(path: Path) -> dict[str, dict[str, str]]:
-    """The sections of one INI file; a parse failure is a ConfigError, as
-    is a [DEFAULT] section, whose keys configparser copies into every
-    section."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keep key case (R_um)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-        if parser.defaults():
-            raise ConfigError(f"{path}: [DEFAULT] is not allowed; "
-                              "give each key under its own section")
-        return {section: dict(parser[section]) for section in parser.sections()}
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
-
-
 def _parse_section(section: str, raw: dict[str, str]) -> dict[str, Any]:
     """Every key of the section's schema, parsed and checked; absent keys
     take their default."""
@@ -174,15 +157,10 @@ def _lookup(registry: dict[str, Any], kind: str, name: str, fix: str = "") -> An
     raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(sorted(registry))}{fix}")
 
 
-def load_config(config_path: str | None = None,
-                overrides: list[str] | None = None) -> RunConfig:
-    """Lay the config file and SECTION.KEY=VALUE overrides over the schema
+def load_config(overrides: list[str] | None = None) -> RunConfig:
+    """Lay the SECTION.KEY=VALUE overrides, in order, over the schema
     defaults; resolve presets; validate all."""
     data: dict[str, dict[str, str]] = {}
-    if config_path is not None:
-        if not Path(config_path).is_file():
-            raise ConfigError(f"config file not found: {config_path}")
-        data = _read_ini(Path(config_path))
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like SECTION.KEY=VALUE, got {item!r}")
@@ -196,10 +174,14 @@ def load_config(config_path: str | None = None,
         kind, colon, name = section.partition(":")
         if colon:
             preset = _needs(section, _parse_section(section, raw), SCHEMA[kind + ":"])
-            if kind == "species":
-                species_registry[name.strip()] = AtomSpecies(name.strip(), preset[0] * ATOMIC_MASS)
-            else:
-                resonance_registry[name.strip()] = FeshbachResonance.from_lab_units(*preset)
+            try:  # SCHEMA's POSITIVE check leaves only an SI underflow to fail here
+                if kind == "species":
+                    species_registry[name.strip()] = AtomSpecies(name.strip(),
+                                                                 preset[0] * ATOMIC_MASS)
+                else:
+                    resonance_registry[name.strip()] = FeshbachResonance.from_lab_units(*preset)
+            except DomainError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
 
     settings = {section: _parse_section(section, data.get(section, {}))
                 for section in dict.fromkeys([*SCHEMA, *data]) if ":" not in section}

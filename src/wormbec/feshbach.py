@@ -116,7 +116,8 @@ def sound_speed_from_scattering(a: float | np.ndarray,
     if np.any(a < 0.0):
         raise DomainError(f"attractive regime a = {float(a[a < 0.0].min())!r} < 0 "
                           "has no real sound speed")
-    c_s = HBAR / spec.species.mass * np.sqrt(4.0 * math.pi * spec.density * a)
+    # a numpy scalar first, so an overflowing density obeys np.errstate
+    c_s = HBAR / spec.species.mass * np.sqrt(np.float64(4.0 * math.pi) * spec.density * a)
     return float(c_s) if c_s.ndim == 0 else c_s
 
 

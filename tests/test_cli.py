@@ -448,13 +448,11 @@ def test_presets_ignores_the_condensate(capsys, species):
     assert "  density = 1e+21 m^-3" in captured.out
 
 
-def test_preset_override_sections(tmp_path):
-    config = tmp_path / "run.ini"
-    config.write_text(
-        "[species:Na2]\nmass_u = 45.98\n"
-        "[resonance:Na2]\na_bg_a0 = 60\nwidth_g = 1.0\nb_res_g = 900\n"
-        "[condensate]\nspecies = Na2\nresonance = Na2\n")
-    cfg = load_config(config_path=str(config))
+def test_preset_override_sections():
+    cfg = load_config(overrides=[
+        "species:Na2.mass_u=45.98",
+        "resonance:Na2.a_bg_a0=60", "resonance:Na2.width_g=1.0", "resonance:Na2.b_res_g=900",
+        "condensate.species=Na2", "condensate.resonance=Na2"])
     assert cfg.spec.species.name == "Na2"
     assert cfg.spec.resonance.width == 1.0
     assert "Cs" in cfg.species_registry  # builtins still present
@@ -472,15 +470,13 @@ def test_presets_come_only_from_the_command_line(tmp_path, monkeypatch):
     assert _files(tmp_path / "env") == _files(tmp_path / "defaults")
 
 
-def test_config_validation_errors(tmp_path):
+def test_config_validation_errors():
     with pytest.raises(ConfigError):
         load_config(overrides=["wormhole.b0_um=-1"])
     with pytest.raises(ConfigError):
         load_config(overrides=["observer.v_inf_m_per_s=0"])
     with pytest.raises(ConfigError):
         load_config(overrides=["bogus"])
-    with pytest.raises(ConfigError):
-        load_config(config_path=str(tmp_path / "missing.ini"))
     with pytest.raises(ConfigError):
         load_config(overrides=["condensate.species=Xe"]).spec
     assert main(["profile1d", "--set", "wormhole.b0_um=-1"]) == 1
@@ -510,37 +506,45 @@ def test_non_finite_setting_is_config_error(tmp_path, capsys, command, override)
     (["--set", "grid.stepum=0.01"], "'stepum'"),
     (["--set", "bogus.x=1"], "'bogus'"),
     (["--set", "species:He.mass=4"], "'mass'"),
-    (["--config", "{ini}"], "'b0'"),
-], ids=["key", "section", "preset-key", "config-file-key"])
+], ids=["key", "section", "preset-key"])
 def test_unknown_setting_is_one_line_error(tmp_path, capsys, args, named):
     """A section or key outside config.SCHEMA exits 1 with one stderr line
     naming it, and writes nothing."""
-    ini = tmp_path / "run.ini"
-    ini.write_text("[wormhole]\nb0 = 2\n")
     out = tmp_path / "out"
-    assert main(["profile1d", "--out", str(out), *(a.format(ini=ini) for a in args)]) == 1
+    assert main(["profile1d", "--out", str(out), *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("wormbec profile1d: error: unknown ")
     assert named in err and err.count("\n") == 1
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [
-    b"[wormhole]\nq = 5%\n",
-    b"[wormhole]\nq = \xff\n",
-    b"mass_u = 3\n",
-    b"[species:A]\nmass_u = 3\n[species:A]\nmass_u = 4\n",
-], ids=["percent", "not-utf8", "no-header", "duplicate-section"])
-def test_unreadable_ini_is_one_line_error(tmp_path, capsys, text):
-    """A config file that does not parse exits 1 with one stderr line
-    naming the file."""
-    path = tmp_path / "in" / "file.ini"
-    path.parent.mkdir()
-    path.write_bytes(text)
+def test_config_option_is_a_usage_error(tmp_path, capsys):
+    """No option reads a config file: --config, even naming a valid one, is
+    an unrecognized argument, so the run exits 1 and writes nothing."""
+    ini = tmp_path / "run.ini"
+    ini.write_text("[wormhole]\nb0_um = 2\n")
     out = tmp_path / "out"
-    assert main(["profile1d", "--out", str(out), "--config", str(path)]) == 1
+    with pytest.raises(SystemExit) as excinfo:
+        main(["profile1d", "--out", str(out), "--config", str(ini)])
+    assert excinfo.value.code == 1
     err = capsys.readouterr().err
-    assert str(path) in err and err.count("\n") == 1
+    assert err.endswith(f"wormbec: error: unrecognized arguments: --config {ini}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["species:X.mass_u=1e-300"], "[species:X] mass must be positive, got 0.0"),
+    (["resonance:X.a_bg_a0=1e-320", "resonance:X.width_g=1", "resonance:X.b_res_g=1"],
+     "[resonance:X] a_bg must be positive, got 0.0"),
+], ids=["mass", "a_bg"])
+@pytest.mark.parametrize("command", ["presets", "solve-gp"])
+def test_preset_that_underflows_names_its_section(tmp_path, capsys, command, overrides,
+                                                  message):
+    """A positive preset value whose SI value underflows to zero exits 1
+    with one line naming the preset section, and writes nothing."""
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *(f"--set={item}" for item in overrides)]) == 1
+    assert capsys.readouterr().err == f"wormbec {command}: error: {message}\n"
     assert not out.exists()
 
 
@@ -551,6 +555,8 @@ def test_unreadable_ini_is_one_line_error(tmp_path, capsys, text):
     ("profile3d", "observer.v_inf_m_per_s=1e160"),
     ("profile3d", "wormhole.q=-1e300"),
     ("profile3d", "observer.v_inf_m_per_s=1e-320"),
+    ("profile1d", "condensate.density_per_m3=1.7e308"),
+    ("profile3d", "condensate.density_per_m3=1.7e308"),
 ])
 def test_arithmetic_failure_is_one_line_error(tmp_path, capsys, command, override):
     """Finite settings whose arithmetic overflows or divides by zero exit 1
@@ -564,13 +570,13 @@ def test_arithmetic_failure_is_one_line_error(tmp_path, capsys, command, overrid
 
 
 def test_arithmetic_failure_names_the_config_file(tmp_path, capsys):
-    config = tmp_path / "run.ini"
-    config.write_text("[wormhole]\nb0_um = 1e-300\n")
+    """The run's config is its --set items: the error line names each, in
+    the order given."""
     assert main(["profile1d", "--out", str(tmp_path / "out"),
-                 "--config", str(config), "--set", "grid.step_um=0.5"]) == 1
+                 "--set", "wormhole.b0_um=1e-300", "--set", "grid.step_um=0.5"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert f"[--config {config}, --set grid.step_um=0.5]" in err
+    assert "[--set wormhole.b0_um=1e-300, --set grid.step_um=0.5]" in err
 
 
 def test_solve_gp_near_light_speed_flags_instead_of_raising(tmp_path, capsys):
@@ -746,12 +752,11 @@ def test_profile1d_csv_cells_render_their_json_values(tmp_path):
                 else repr(v) for v in row)
 
 
-def test_config_file_plus_override(tmp_path):
-    config = tmp_path / "run.ini"
-    config.write_text("[wormhole]\nb0_um = 2.0\nq = 0.5\n"
-                      "[observer]\nv_inf_m_per_s = 0.012\n")
-    cfg = load_config(config_path=str(config),
-                      overrides=["observer.v_inf_m_per_s=0.015"])
+def test_config_file_plus_override():
+    """A later override of a key wins over an earlier one."""
+    cfg = load_config(overrides=["wormhole.b0_um=2.0", "wormhole.q=0.5",
+                                 "observer.v_inf_m_per_s=0.012",
+                                 "observer.v_inf_m_per_s=0.015"])
     assert cfg.settings["wormhole"]["b0_um"] == (2.0,)
     assert cfg.settings["wormhole"]["q"] == (0.5,)
     assert cfg.settings["observer"]["v_inf_m_per_s"] == 0.015
@@ -900,8 +905,10 @@ FRONT = {"wormbec", "wormbec.cli", "wormbec.config", "wormbec.exceptions",
         "profile1d", "solve-gp", "profile3d", "embed"])
 def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels):
     """The package import loads nothing but itself; a CLI call loads the
-    front end and its own kernel modules, and numpy only with a kernel."""
+    front end and its own kernel modules, numpy only with a kernel, and no
+    config-file parser."""
     modules = _imported_modules([a.format(out=tmp_path) for a in argv], rc)
+    assert "configparser" not in modules
     loaded = {m for m in modules if m == "wormbec" or m.startswith("wormbec.")}
     if kernels is None:
         assert loaded == {"wormbec"}

@@ -1,6 +1,7 @@
 """Run settings: every SCHEMA key is read under its own name and rewrites
-no other, a custom species or resonance is a preset section, an INI file
-holds named sections only, and the kernels restate no SCHEMA default."""
+no other, restating a default with --set changes no output, a custom
+species or resonance is a preset section, and the kernels restate no
+SCHEMA default."""
 
 import contextlib
 import hashlib
@@ -59,23 +60,23 @@ def test_setting_lands_under_its_own_name(name):
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     """Each subcommand's exit code and digest of stdout, stderr and written
-    files under a list of overrides (and a config file), cached by them."""
+    files under a list of overrides, cached by them."""
     cache = {}
 
-    def run(overrides, config=None):
-        if (overrides, config) not in cache:
-            cache[overrides, config] = {}
+    def run(overrides):
+        if overrides not in cache:
+            cache[overrides] = {}
             for sub in SUBCOMMANDS:
                 out = tmp_path_factory.mktemp("out")
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main([sub, "--out", str(out), *(["--config", config] if config else []),
+                    code = main([sub, "--out", str(out),
                                  *(arg for item in overrides for arg in ("--set", item))])
                 digest = hashlib.sha256(f"{stdout.getvalue()}\0{stderr.getvalue()}".encode())
                 for path in sorted(out.iterdir()):
                     digest.update(path.name.encode() + b"\0" + path.read_bytes())
-                cache[overrides, config][sub] = (code, digest.hexdigest())
-        return cache[overrides, config]
+                cache[overrides][sub] = (code, digest.hexdigest())
+        return cache[overrides]
     return run
 
 
@@ -92,17 +93,15 @@ def test_setting_changes_some_output(name, outputs):
     assert changed, f"{name}={raw} changed no output"
 
 
-def test_ini_of_the_schema_defaults_changes_no_output(outputs, tmp_path):
-    """Writing every SCHEMA default out changes nothing: an INI holding each
+def test_ini_of_the_schema_defaults_changes_no_output(outputs):
+    """Writing every SCHEMA default out changes nothing: --set of each
     default that is not None (preset sections aside) gives every subcommand
-    the same exit code, files, presets listing and stderr as no config."""
-    ini = tmp_path / "defaults.ini"
-    ini.write_text("".join(
-        f"[{section}]\n" + "".join(f"{key} = {default}\n"
-                                   for key, (default, _, _) in keys.items() if default is not None)
-        for section, keys in SCHEMA.items() if not section.endswith(":")))
-    assert "[grid]\nx_max_um = 20.0\nstep_um = 0.1\n" in ini.read_text()
-    assert outputs((), str(ini)) == outputs(())
+    the same exit code, files, presets listing and stderr as no --set."""
+    defaults = tuple(f"{section}.{key}={default}" for section, keys in SCHEMA.items()
+                     if not section.endswith(":")
+                     for key, (default, _, _) in keys.items() if default is not None)
+    assert "grid.x_max_um=20.0" in defaults and "grid.step_um=0.1" in defaults
+    assert outputs(defaults) == outputs(())
     assert all(code == 0 for code, _ in outputs(()).values())
 
 
@@ -119,21 +118,14 @@ REMOVED_KEYS = {
 }
 
 
-@pytest.mark.parametrize("given", ["set", "ini"])
-@pytest.mark.parametrize("name", REMOVED_KEYS)
-def test_removed_key_is_one_line_error(tmp_path, capsys, name, given):
+@pytest.mark.parametrize("name", REMOVED_KEYS, ids=[f"{name}-set" for name in REMOVED_KEYS])
+def test_removed_key_is_one_line_error(tmp_path, capsys, name):
     """A key that restated another input is unknown: exit 1, one stderr
     line naming it (or its section, when the whole section went), no
     output directory."""
     section, key = name.split(".")
-    if given == "set":
-        args = ["--set", f"{name}={REMOVED_KEYS[name]}"]
-    else:
-        ini = tmp_path / "run.ini"
-        ini.write_text(f"[{section}]\n{key} = {REMOVED_KEYS[name]}\n")
-        args = ["--config", str(ini)]
     out = tmp_path / "out"
-    assert main(["profile1d", "--out", str(out), *args]) == 1
+    assert main(["profile1d", "--out", str(out), "--set", f"{name}={REMOVED_KEYS[name]}"]) == 1
     err = capsys.readouterr().err
     unknown = (f"unknown key {key!r} in [{section}]" if section in SCHEMA
                else f"unknown section {section!r}")
@@ -172,23 +164,6 @@ def test_species_without_resonance_names_the_fix(tmp_path, capsys, species):
         overrides = [f"condensate.species={species}", *fix]
         assert load_config(overrides=overrides).spec.species is feshbach.SPECIES[species]
         assert main(["profile1d", "--out", str(out), *(f"--set={item}" for item in overrides)]) == 0
-
-
-@pytest.mark.parametrize("text", [
-    "[DEFAULT]\nq = 0.5\n",
-    "[DEFAULT]\nstep_um = 0.05\n[grid]\nx_max_um = 20\n",
-], ids=["config-default-only", "config-default-and-grid"])
-def test_ini_default_section_is_an_error(tmp_path, capsys, text):
-    """configparser would copy [DEFAULT] keys into every section, or drop
-    them; the run stops with one line naming the file instead."""
-    ini = tmp_path / "run.ini"
-    ini.write_text(text)
-    out = tmp_path / "out"
-    assert main(["profile1d", "--out", str(out), "--config", str(ini)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "[DEFAULT]" in err and str(ini) in err
-    assert not out.exists()
 
 
 def _schema_default(section, key):
