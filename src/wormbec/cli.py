@@ -10,11 +10,14 @@ of ``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
 ``species:NAME.mass_u=7`` for a preset), and an unknown section or key is
 an error. Each command reads a setting by that section and key from the
 settings ``config.load_config`` resolves. Exit codes: 0 success, 1
-usage/config/numeric failure (one line on stderr), 2 feasibility failure
-under --strict (each command returns whether its audit passed; ``main``
-maps that to the code). A run's files reach --out only when its command
-returns (``tableio.staged``): a run that exits 1 writes no file and leaves
-an earlier run's files as they were.
+usage/config/numeric failure, 2 feasibility failure under --strict (each
+command returns whether its audit passed). ``main`` returns every code;
+only --help leaves through argparse's SystemExit(0). An exit 1 prints one
+stderr line, from ``main``: ``wormbec SUB: error: MESSAGE`` once argparse
+has chosen a subcommand, else ``wormbec: error: MESSAGE``; a usage error's
+message ends with ``; see wormbec[ SUB] --help``. A run's files reach
+--out only when its command returns (``tableio.staged``): a run that exits
+1 writes no file and leaves an earlier run's files as they were.
 
 Environment: the one variable read is OPENBLAS_NUM_THREADS (below), and it
 changes no byte; the argv states every setting and preset (``config``), so
@@ -57,10 +60,17 @@ EXIT_INFEASIBLE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors exit 1; exit 2 is reserved for --strict feasibility
+    # a usage error is a ConfigError, whose line main prints (exit 1; exit 2
+    # is reserved for --strict feasibility)
     def error(self, message: str):  # noqa: D102 - argparse hook
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        raise ConfigError(f"{message}; see {self.prog} --help")
+
+
+def _directory(text: str) -> Path:
+    # an in-process argv can hold a NUL, which no path call takes
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"a path cannot hold a NUL byte: {text!r}")
+    return Path(text)
 
 
 def _fmt(value: float) -> str:
@@ -69,7 +79,7 @@ def _fmt(value: float) -> str:
 
 def _add_common(parser: argparse.ArgumentParser, command: Callable[..., int]) -> None:
     parser.set_defaults(run=command)
-    parser.add_argument("--out", metavar="DIR", type=Path, default=".",
+    parser.add_argument("--out", metavar="DIR", type=_directory, default=".",
                         help="output directory (default: .)")
     parser.add_argument("--strict", action="store_true",
                         help="exit 2 when the feasibility audit fails")
@@ -233,8 +243,14 @@ def cmd_presets(cfg: RunConfig) -> bool:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # argparse names the subcommand here before it parses the subcommand's
+    # options, so a usage error among them is reported under that name
+    args = argparse.Namespace(command=None, overrides=[])
     try:
+        extra = _build_parser().parse_known_args(argv, args)[1]
+        if extra:  # argparse itself would report these under "wormbec"
+            raise ConfigError(f"unrecognized arguments: {' '.join(extra)}; "
+                              f"see wormbec {args.command} --help")
         cfg = load_config(args.overrides)
         if args.run is cmd_presets:  # writes no file, so needs no tableio (numpy)
             passed = cmd_presets(cfg)
@@ -257,5 +273,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             given = [f"--set {item}" for item in args.overrides]
             message += f" [{', '.join(given) or 'default settings'}]"
         message = " ".join(message.splitlines())
-        print(f"wormbec {args.command}: error: {message}", file=sys.stderr)
+        prog = f"wormbec {args.command}" if args.command else "wormbec"
+        print(f"{prog}: error: {message}", file=sys.stderr)
         return EXIT_ERROR

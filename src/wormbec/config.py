@@ -180,8 +180,10 @@ def load_config(overrides: list[str] | None = None) -> RunConfig:
                                                                  preset[0] * ATOMIC_MASS)
                 else:
                     resonance_registry[name.strip()] = FeshbachResonance.from_lab_units(*preset)
-            except DomainError as exc:
-                raise ConfigError(f"[{section}] {exc}") from None
+            except DomainError:
+                key, unit = ("mass_u", "kg") if kind == "species" else ("a_bg_a0", "m")
+                raise ConfigError(f"[{section}] {key} = {raw[key]} "
+                                  f"underflows to 0 {unit}") from None
 
     settings = {section: _parse_section(section, data.get(section, {}))
                 for section in dict.fromkeys([*SCHEMA, *data]) if ":" not in section}

@@ -520,28 +520,29 @@ def test_unknown_setting_is_one_line_error(tmp_path, capsys, args, named):
 
 def test_config_option_is_a_usage_error(tmp_path, capsys):
     """No option reads a config file: --config, even naming a valid one, is
-    an unrecognized argument, so the run exits 1 and writes nothing."""
+    an unrecognized argument, so main returns 1 with one line under the
+    subcommand, and the run writes nothing."""
     ini = tmp_path / "run.ini"
     ini.write_text("[wormhole]\nb0_um = 2\n")
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["profile1d", "--out", str(out), "--config", str(ini)])
-    assert excinfo.value.code == 1
-    err = capsys.readouterr().err
-    assert err.endswith(f"wormbec: error: unrecognized arguments: --config {ini}\n")
+    assert main(["profile1d", "--out", str(out), "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == (
+        f"wormbec profile1d: error: unrecognized arguments: --config {ini}; "
+        "see wormbec profile1d --help\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides, message", [
-    (["species:X.mass_u=1e-300"], "[species:X] mass must be positive, got 0.0"),
+    (["species:X.mass_u=1e-300"], "[species:X] mass_u = 1e-300 underflows to 0 kg"),
     (["resonance:X.a_bg_a0=1e-320", "resonance:X.width_g=1", "resonance:X.b_res_g=1"],
-     "[resonance:X] a_bg must be positive, got 0.0"),
+     "[resonance:X] a_bg_a0 = 1e-320 underflows to 0 m"),
 ], ids=["mass", "a_bg"])
 @pytest.mark.parametrize("command", ["presets", "solve-gp"])
 def test_preset_that_underflows_names_its_section(tmp_path, capsys, command, overrides,
                                                   message):
     """A positive preset value whose SI value underflows to zero exits 1
-    with one line naming the preset section, and writes nothing."""
+    with one line naming the preset section, the key and the text given,
+    and writes nothing."""
     out = tmp_path / "out"
     assert main([command, "--out", str(out), *(f"--set={item}" for item in overrides)]) == 1
     assert capsys.readouterr().err == f"wormbec {command}: error: {message}\n"
@@ -569,7 +570,7 @@ def test_arithmetic_failure_is_one_line_error(tmp_path, capsys, command, overrid
     assert not out.exists()
 
 
-def test_arithmetic_failure_names_the_config_file(tmp_path, capsys):
+def test_arithmetic_failure_names_each_override_in_order(tmp_path, capsys):
     """The run's config is its --set items: the error line names each, in
     the order given."""
     assert main(["profile1d", "--out", str(tmp_path / "out"),
@@ -752,7 +753,7 @@ def test_profile1d_csv_cells_render_their_json_values(tmp_path):
                 else repr(v) for v in row)
 
 
-def test_config_file_plus_override():
+def test_later_override_wins():
     """A later override of a key wins over an earlier one."""
     cfg = load_config(overrides=["wormhole.b0_um=2.0", "wormhole.q=0.5",
                                  "observer.v_inf_m_per_s=0.012",
@@ -832,10 +833,25 @@ def test_embed_never_imports_numpy_polynomial(tmp_path):
     assert not [m for m in modules if m == "numpy.polynomial" or m.startswith("numpy.polynomial.")]
 
 
-def test_usage_error_exits_1():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["no-such-command"])
-    assert excinfo.value.code == 1
+def test_usage_error_exits_1(capsys):
+    """A usage error is one stderr line, returned as exit 1: under bare
+    wormbec until argparse has chosen a subcommand."""
+    assert main(["no-such-command"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wormbec: error: argument command: invalid choice: 'no-such-command'")
+    assert err.endswith("; see wormbec --help\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["--out", "a\0b"], ["--out=\0"]])
+def test_nul_in_out_is_a_usage_error(tmp_path, monkeypatch, capsys, args):
+    """No path call takes a NUL byte, which an in-process argv can hold:
+    --out rejects it with one line, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["profile1d", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wormbec profile1d: error: argument --out: ")
+    assert err.endswith("; see wormbec profile1d --help\n") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 def _strict_json(path):

@@ -1,4 +1,14 @@
-"""Property test of the CLI: whatever SECTION.KEY=VALUE overrides it is
+"""Property tests of the CLI, at two levels.
+
+Over any argv of raw tokens (subcommand names, option spellings, missing
+values, repeated options, "--", malformed --set items and free text, NUL
+included), ``main`` returns 0, 1 or 2 and raises nothing but a help flag's
+SystemExit(0); an exit 1 is one stderr line, ``wormbec[ SUB]: error:
+MESSAGE``, and writes no file. Only the line's shape is checked, as
+argparse words its messages differently from one Python version to the
+next.
+
+Over well-formed argvs: whatever SECTION.KEY=VALUE overrides it is
 given, every subcommand returns 0, 1 or 2, raises nothing, and an exit 1
 says why in exactly one stderr line. After any exit the output directory
 holds only the command's table and report files, no temporary file. After
@@ -13,6 +23,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -181,3 +192,74 @@ def test_any_override_gives_a_result_or_one_line_error(monkeypatch, command, out
             assert not _non_canonical_cells(out)
             assert not _uneven_profiles(out)
             assert not _non_canonical_json(out)
+
+
+# Raw argv tokens: subcommand names and a bogus one, option spellings (an
+# abbreviation, an ambiguous prefix, "=" forms, help flags and options the
+# CLI does not have), "--", --set items without "=" or ".", relative --out
+# names and free text, NUL included. No token holds "/" but the named
+# relative ones, so every --out a run can take stays inside its temporary
+# directory (".." included: the run starts two levels down).
+COMMANDS = list(OUTPUT_NAME)
+OPTIONS = ["--out", "--o", "--strict", "--s", "--format", "--form", "--set", "--",
+           "-h", "--help", "--bogus", "--config", "-x"]
+ITEMS = ["grid.step_um=0.5", "grid.step_um", "grid", "step_um=1", "=", ".", "",
+         "grid.stepum=1", "wormhole.q=2", "wormhole.b0_um=1e-300",
+         "species:X.mass_u=1e-300", "observer.v_inf_m_per_s=1e160"]
+NAMES = ["out", "out/sub", ".", "..", "", "a\0b", "\0"]
+FREE_TEXT = st.text(max_size=6).map(lambda text: text.replace("/", ""))
+TOKENS = st.one_of(
+    st.sampled_from([*COMMANDS, "profile2d"]), st.sampled_from(OPTIONS),
+    st.sampled_from(["csv", "json", "xml"]),
+    st.sampled_from(ITEMS), st.sampled_from(ITEMS).map("--set={}".format),
+    st.sampled_from(NAMES), st.sampled_from(NAMES).map("--out={}".format), FREE_TEXT)
+ARGV = st.builds(lambda head, tail: head + tail,
+                 st.sampled_from([[]] + [[name] for name in COMMANDS]),
+                 st.lists(TOKENS, max_size=6))
+PROG = rf"wormbec(?: (?:{'|'.join(COMMANDS)}))?"
+ERROR_LINE = re.compile(rf"({PROG}): error: (.+)\n")
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ARGV)
+@example(argv=["profile1d", "--bogus"])
+@example(argv=[])
+@example(argv=["solve-gp", "--set"])
+@example(argv=["profile1d", "--format", "xml"])
+@example(argv=["profile1d", "--out", "a\0b"])
+@example(argv=["profile1d", "--out", "out", "profile1d"])
+@example(argv=["--help"])
+@example(argv=["presets", "--set=species:X.mass_u=1e-300"])
+def test_any_argv_gives_a_result_or_one_line_error(monkeypatch, argv):
+    """main returns 0, 1 or 2 for any argv and raises nothing but a help
+    flag's SystemExit(0). On exit 1 it writes one stderr line, as
+    ``wormbec[ SUB]: error: MESSAGE`` (SUB once argparse has chosen it),
+    whose --help pointer, if any, names the same prog, and no file."""
+    # a small cap keeps every drawn grid cheap
+    monkeypatch.setattr("wormbec.geometry.MAX_GRID_POINTS", 1000)
+    stderr = io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        cwd = Path(root, "a", "b")
+        cwd.mkdir(parents=True)
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0 and any(token.startswith(("-h", "--h")) for token in argv)
+            return
+        finally:
+            os.chdir(home)
+        assert code in (0, 1, 2)
+        if code == 1:
+            line = ERROR_LINE.fullmatch(stderr.getvalue())
+            assert line, stderr.getvalue()
+            prog, message = line.groups()
+            pointer = re.search(r"; see (.*) --help$", message)
+            assert pointer.group(1) == prog if pointer else prog != "wormbec", message
+            left = sorted(path for path in Path(root).rglob("*") if path not in cwd.parents)
+            assert left == [cwd], left
+        else:
+            assert not stderr.getvalue()

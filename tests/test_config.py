@@ -93,7 +93,7 @@ def test_setting_changes_some_output(name, outputs):
     assert changed, f"{name}={raw} changed no output"
 
 
-def test_ini_of_the_schema_defaults_changes_no_output(outputs):
+def test_setting_every_schema_default_changes_no_output(outputs):
     """Writing every SCHEMA default out changes nothing: --set of each
     default that is not None (preset sections aside) gives every subcommand
     the same exit code, files, presets listing and stderr as no --set."""
