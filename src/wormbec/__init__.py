@@ -34,9 +34,8 @@ _EXPORTS = {
                      "field_from_scattering", "healing_length",
                      "scattering_from_field", "sound_speed_from_field",
                      "sound_speed_from_scattering"), "feshbach"),
-    **dict.fromkeys(("ShapeFunction", "ThroatClass", "classify_throat",
-                     "embedding_height", "metric_factor", "proper_distance"),
-                    "geometry"),
+    **dict.fromkeys(("ShapeFunction", "embedding_height", "metric_factor",
+                     "proper_distance"), "geometry"),
     **dict.fromkeys(("LIGHT_SPEED", "bec_metric", "fold_radius",
                      "gp_metric", "gp_time_offset", "matching_residuals",
                      "metric_congruence_check", "solve_matching",

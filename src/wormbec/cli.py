@@ -3,21 +3,30 @@
 Subcommands: profile1d, solve-gp, profile3d, embed, presets (solve-gp and
 profile3d take one b0 and one q, profile1d and embed lists). Each takes
 --out DIR (default .), --strict, --format csv|json (default csv), and
-repeatable --set SECTION.KEY=VALUE overrides. Only --out and --format set
-where a run writes and its table format. --set is the one route for every
-setting and preset, and no option reads a file of them: it accepts any key
-of ``config.SCHEMA`` (for example ``grid.step_um=0.05``, or
-``species:NAME.mass_u=7`` for a preset), and an unknown section or key is
-an error. Each command reads a setting by that section and key from the
-settings ``config.load_config`` resolves. Exit codes: 0 success, 1
-usage/config/numeric failure, 2 feasibility failure under --strict (each
-command returns whether its audit passed). ``main`` returns every code;
-only --help leaves through argparse's SystemExit(0). An exit 1 prints one
-stderr line, from ``main``: ``wormbec SUB: error: MESSAGE`` once argparse
-has chosen a subcommand, else ``wormbec: error: MESSAGE``; a usage error's
-message ends with ``; see wormbec[ SUB] --help``. A run's files reach
---out only when its command returns (``tableio.staged``): a run that exits
-1 writes no file and leaves an earlier run's files as they were.
+repeatable --set SECTION.KEY=VALUE overrides. Options are spelled in
+full (``allow_abbrev=False``): ``--o`` is an unrecognized argument, not
+--out; ``--out=DIR`` and ``--set=ITEM`` are full spellings. Only --out and
+--format set where a run writes and its table format. --set is the one
+route for every setting and preset, and no option reads a file of them: it
+accepts any key of ``config.SCHEMA`` (for example ``grid.step_um=0.05``,
+or ``species:NAME.mass_u=7`` for a preset), and an unknown section or key
+is an error. Each command reads a setting by that section and key from the
+settings ``config.load_config`` resolves.
+
+Each command composes its JSON reports from plain values (numbers,
+strings, lists and the audits' sections) and returns the verdict that
+--strict reads from them, so one function knows each report. Exit codes:
+0 success, 1 usage/config/numeric failure, 2 feasibility failure under
+--strict. ``main`` returns every code; only --help leaves through
+argparse's SystemExit(0). An exit 1 prints one stderr line, from
+``main``: ``wormbec SUB: error: MESSAGE`` once argparse has chosen a
+subcommand, else ``wormbec: error: MESSAGE``; a usage error's message ends
+with ``; see wormbec[ SUB] --help``. A run's files reach --out only when
+its command returns (``tableio.staged``): a run that exits 1 writes no
+file and leaves an earlier run's files as they were. The directories
+--out lacks are made with the first file; a run that exits 1 removes
+those it made (a directory that was there before stays), and presets,
+which writes no file, makes none.
 
 Environment: the one variable read is OPENBLAS_NUM_THREADS (below), and it
 changes no byte; the argv states every setting and preset (``config``), so
@@ -92,7 +101,7 @@ def _add_common(parser: argparse.ArgumentParser, command: Callable[..., int]) ->
 
 def _build_parser() -> _Parser:
     parser = _Parser(
-        prog="wormbec",
+        prog="wormbec", allow_abbrev=False,
         description="Synthesize and audit condensate control profiles that "
                     "make phonons propagate on wormhole spacetimes.")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -107,7 +116,8 @@ def _build_parser() -> _Parser:
             ("embed", cmd_embed, "embedding diagram (r, z) table"),
             ("presets", cmd_presets, "list species and resonance presets"),
     ):
-        _add_common(sub.add_parser(name, help=text, description=text), command)
+        _add_common(sub.add_parser(name, help=text, description=text, allow_abbrev=False),
+                    command)
     return parser
 
 
@@ -148,7 +158,7 @@ def cmd_profile1d(cfg: RunConfig, out: Path, fmt: str) -> bool:
         profile = profile1d.sample_profile_1d(shape, cfg.spec, x_max, step)
         report = {
             "wormhole": {"b0_um": shape.b0, "q": shape.q,
-                         "throat_class": shape.throat_class.value},
+                         "throat_class": shape.throat_class},
             "grid": {"x_max_um": x_max, "step_um": step},
             "species": cfg.spec.species.name,
             "a_bg_a0": m_to_bohr(cfg.spec.resonance.a_bg),
@@ -191,15 +201,30 @@ def cmd_solve_gp(cfg: RunConfig, out: Path, fmt: str) -> bool:
 
 def cmd_profile3d(cfg: RunConfig, out: Path, fmt: str) -> bool:
     from . import profile3d, tableio
-    thresholds = cfg.settings["thresholds"]
+    thresholds, spec = cfg.settings["thresholds"], cfg.spec
     v_inf, step = cfg.settings["observer"]["v_inf_m_per_s"], cfg.settings["grid"]["step_um"]
     R, (shape,) = cfg.settings["layout"]["R_um"], _shapes(cfg.settings["wormhole"], sweep=False)
     layout = profile3d.LabLayout(R=R, shape=shape)
-    profile = profile3d.lab_profiles_3d(layout, v_inf, cfg.spec, step,
+    profile = profile3d.lab_profiles_3d(layout, v_inf, spec, step,
                                         pole_delta=thresholds["pole_delta"])
-    report = profile3d.feasibility_report_3d(
-        layout, v_inf, cfg.spec, profile, step,
-        resolution_factor=thresholds["resolution_factor"])
+    columns = profile.columns
+    near = columns["near_asymptote"]
+    report = {
+        "layout": {"R_um": R, "b0_um": shape.b0, "q": shape.q},
+        "v_inf_m_per_s": v_inf,
+        "background_sound_speed_m_per_s": spec.background_sound_speed,
+        "asymptotes": {
+            "analytic_x_um": profile3d.analytic_asymptote_positions(layout, v_inf, spec),
+            "detected_x_um": profile3d.detect_asymptotes(profile),
+            "radius_um": profile3d.asymptote_radius(v_inf, shape, spec),
+        },
+        "max_a_over_abg": float(columns["a_over_abg"].max()),
+        # the written table: each row of the half but the throat's twice
+        "near_asymptote_samples": 2 * int(near.sum()) - int(near[0]),
+        "resolution": profile3d.resolution_audit(
+            float(columns["cs0_m_per_s"][0]), spec.species, step, shape=shape,
+            factor=thresholds["resolution_factor"]),
+    }
     tag = f"R{_fmt(R)}_b0{_fmt(shape.b0)}_vinf{_fmt(v_inf)}"
     tableio.write_table(out / f"profile3d_{tag}", profile, fmt)
     tableio.write_json(out / f"report_{tag}.json", report)

@@ -70,7 +70,6 @@ check raised no ConvergenceError for q up to 0.999999, b0 from 1e-6 to
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -82,8 +81,6 @@ from .exceptions import ConvergenceError, DomainError
 
 __all__ = [
     "ShapeFunction",
-    "ThroatClass",
-    "classify_throat",
     "metric_factor",
     "proper_distance",
     "embedding_height",
@@ -100,24 +97,6 @@ QUAD_REL_TOL, QUAD_ABS_TOL = 1e-10, 1e-12
 _KERNEL_BLOCK = 1024
 
 
-class ThroatClass(enum.Enum):
-    """Throat geometry class as a function of the shape exponent."""
-
-    TRAVERSABLE = "traversable"            # q < 1
-    DEGENERATE = "degenerate"              # q = 1
-    SIGNATURE_BROKEN = "signature_broken"  # q > 1
-
-
-def classify_throat(q: float) -> ThroatClass:
-    """Classify the throat: the metric factor outside it is positive only
-    for q < 1, identically zero for q = 1, and negative for q > 1."""
-    if q < 1.0:
-        return ThroatClass.TRAVERSABLE
-    if q == 1.0:
-        return ThroatClass.DEGENERATE
-    return ThroatClass.SIGNATURE_BROKEN
-
-
 @dataclass(frozen=True)
 class ShapeFunction:
     """Power-law shape function with throat radius ``b0`` and exponent ``q``."""
@@ -129,8 +108,14 @@ class ShapeFunction:
         _check_throat(self.b0)
 
     @property
-    def throat_class(self) -> ThroatClass:
-        return classify_throat(self.q)
+    def throat_class(self) -> str:
+        """The throat's class, as reports print it: the metric factor outside
+        the throat is positive only for q < 1 ("traversable"), identically
+        zero for q = 1 ("degenerate") and negative for q > 1
+        ("signature_broken")."""
+        if self.q < 1.0:
+            return "traversable"
+        return "degenerate" if self.q == 1.0 else "signature_broken"
 
 
 def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
@@ -173,7 +158,7 @@ def _check_throat(b0: float, r: float | np.ndarray = ()) -> np.ndarray:
 def _require_traversable(shape: ShapeFunction, what: str) -> None:
     if shape.q >= 1.0:
         raise DomainError(f"{what} requires q < 1, got q = {shape.q!r} "
-                          f"({shape.throat_class.value})")
+                          f"({shape.throat_class})")
 
 
 def metric_factor(shape: ShapeFunction, r: float | np.ndarray) -> float | np.ndarray:

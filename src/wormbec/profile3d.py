@@ -1,6 +1,8 @@
 """3+1D lab profiles: c_s0(x), B(x), a(x) over the lab coordinate x = R -+ d
 sampled from the throat out, field-asymptote detection, and the
-healing-length resolution audit.
+healing-length resolution audit. The parts return plain values (a
+``Table``, lists of positions, a radius, the ``resolution`` section);
+``cli.cmd_profile3d`` composes the run's report from them.
 
 The lab flow c_s0 = v_inf (r/b0)**((1-q)/2), v^r = v_inf is the small-velocity
 matching solution (``gp3d.zero_order_solution``). The shape b = b0 (r/b0)**q,
@@ -37,7 +39,6 @@ __all__ = [
     "detect_asymptotes",
     "analytic_asymptote_positions",
     "resolution_audit",
-    "feasibility_report_3d",
 ]
 
 
@@ -163,27 +164,3 @@ def resolution_audit(reference_cs0: float, species: AtomSpecies, step: float, *,
             "healing_length_um": xi_um, "step_um": step, "step_ratio": step / xi_um,
             "step_ok": step_ok, "factor": factor, "throat_b0_um": shape.b0,
             "throat_ok": throat_ok, "passed": step_ok and throat_ok}
-
-
-def feasibility_report_3d(layout: LabLayout, v_inf: float, spec: CondensateSpec,
-                          profile: Table, step: float, *,
-                          resolution_factor: float) -> dict:
-    """Assemble the JSON-ready feasibility report for a sampled profile."""
-    columns = profile.columns
-    near = columns["near_asymptote"]
-    return {
-        "layout": {"R_um": layout.R, "b0_um": layout.shape.b0, "q": layout.shape.q},
-        "v_inf_m_per_s": v_inf,
-        "background_sound_speed_m_per_s": spec.background_sound_speed,
-        "asymptotes": {
-            "analytic_x_um": analytic_asymptote_positions(layout, v_inf, spec),
-            "detected_x_um": detect_asymptotes(profile),
-            "radius_um": asymptote_radius(v_inf, layout.shape, spec),
-        },
-        "max_a_over_abg": float(columns["a_over_abg"].max()),
-        # the written table: each row of the half but the throat's twice
-        "near_asymptote_samples": 2 * int(near.sum()) - int(near[0]),
-        "resolution": resolution_audit(float(columns["cs0_m_per_s"][0]), spec.species, step,
-                                       shape=layout.shape, factor=resolution_factor),
-    }
-

@@ -33,13 +33,16 @@ its throat x = R.
 Every file is written under a temporary name in its directory and moved onto
 its name with ``os.replace`` once complete; a write that raises removes the
 temporary file, so no half-written file is ever left. A target that is a
-directory fails the write before it starts, naming the target. Inside a
-``staged()`` block the moves wait for the block to complete; if it raises,
-all its files are removed instead, and an earlier file of the same name
-keeps its bytes. Beside its columns, a table write holds O(CHUNK_ROWS) rows
-of text in either format: a mirrored table spills its half's text to an
-unnamed temporary file in the same directory and copies it back in reverse
-chunk order.
+directory fails the write before it starts, naming the target. Both writers
+make the file's missing directories first, as ``mkdir(parents=True)``
+would. Inside a ``staged()`` block the moves wait for the block to
+complete; if it raises, all its files are removed instead, and an earlier
+file of the same name keeps its bytes; then the directories made inside
+the block are removed, deepest first, each only if empty. A directory
+that existed before the block is never touched. Beside its columns, a
+table write holds O(CHUNK_ROWS) rows of text in either format: a mirrored
+table spills its half's text to an unnamed temporary file in the same
+directory and copies it back in reverse chunk order.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import json
 import math
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +62,8 @@ import numpy as np
 
 CHUNK_ROWS = 256
 
-_staged: ContextVar[list | None] = ContextVar("_staged", default=None)  # (temporary, final) pairs
+# the open staged() block's (temporary, final) pairs and the directories it made
+_staged: ContextVar[tuple[list, list] | None] = ContextVar("_staged", default=None)
 
 
 @dataclass(frozen=True)
@@ -78,31 +82,51 @@ class Table:
 def staged() -> Iterator[None]:
     """Hold back the files written in the block (module docstring)."""
     moves: list[tuple[Path, Path]] = []
-    token = _staged.set(moves)
+    made: list[Path] = []
+    token = _staged.set((moves, made))
     try:
         yield
         for temp, path in moves:
             os.replace(temp, path)
+        made.clear()  # the block completed: its directories stay
     finally:  # a moved file's temporary name is gone already
         _staged.reset(token)
         for temp, _ in moves:
             temp.unlink(missing_ok=True)
+        for directory in reversed(made):  # deepest first; one holding a file stays
+            with suppress(OSError):
+                directory.rmdir()
+
+
+def _make_directory(directory: Path, made: list[Path]) -> None:
+    """``DIRECTORY.mkdir(parents=True)``, adding each directory made to MADE,
+    outermost first."""
+    try:
+        directory.mkdir()
+    except FileNotFoundError:
+        _make_directory(directory.parent, made)
+        directory.mkdir()
+    made.append(directory)
 
 
 @contextmanager
 def _replacing(path: Path) -> Iterator[TextIO]:
     """A new text file beside PATH that replaces PATH once the block (or an
-    open staged() block) completes; if the block raises, it is removed."""
+    open staged() block) completes; if the block raises, it is removed.
+    PATH's missing directories are made first (module docstring)."""
     if path.is_dir() and not path.is_symlink():  # no file can be moved onto it
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    stage = _staged.get()
+    if not path.parent.is_dir():
+        _make_directory(path.parent, [] if stage is None else stage[1])
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with temp.open("x", encoding="utf-8", newline="\n") as out:
             yield out
-        if (moves := _staged.get()) is None:
+        if stage is None:
             os.replace(temp, path)
         else:
-            moves.append((temp, path))
+            stage[0].append((temp, path))
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
@@ -189,7 +213,6 @@ def write_table(stem: Path, table: Table, fmt: str) -> Path:
                              f"column, got shape {column.shape}")
     if (centre := table.mirror_at) is not None:
         _check_mirror(columns[0])
-    stem.parent.mkdir(parents=True, exist_ok=True)
     # extensions are appended, not with_suffix: stems carry dots (q0.95)
     path = stem.parent / f"{stem.name}.{fmt}"
     rows = len(columns[0]) if columns else 0

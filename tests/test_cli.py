@@ -296,6 +296,25 @@ def test_profile3d_strict_fails_with_a_pole_in_the_layout(tmp_path, v_inf, code)
     assert bool(report["asymptotes"]["analytic_x_um"]) == (code == 2)
 
 
+@pytest.mark.parametrize("setting, near, resolved", [
+    ("thresholds.pole_delta=2", 5, True),
+    ("grid.step_um=1.0", 0, False),
+], ids=["near-samples", "resolution"])
+def test_profile3d_strict_fails_on_each_condition_alone(tmp_path, setting, near, resolved):
+    """The 3+1D verdict fails on any one of its three conditions alone. At
+    step 2.5 um and v_inf = 0.0018 m/s all three pass (the test above fails
+    the analytic pole alone); a wide pole_delta fails the near-sample count
+    alone, and a finer step the resolution audit alone."""
+    settings = ["grid.step_um=2.5", "observer.v_inf_m_per_s=0.0018", setting]
+    assert main(["profile3d", "--strict", "--out", str(tmp_path),
+                 *(f"--set={item}" for item in settings)]) == 2
+    report, = tmp_path.glob("report_*.json")
+    report = json.loads(report.read_text())
+    assert report["near_asymptote_samples"] == near
+    assert not report["asymptotes"]["analytic_x_um"]
+    assert report["resolution"]["passed"] == resolved
+
+
 def test_embed_closed_form(tmp_path):
     code = run(tmp_path, "embed",
                "--set", "wormhole.q=-1", "--set", "wormhole.b0_um=3",
@@ -405,6 +424,19 @@ def test_sweep_failing_part_way_writes_no_file(tmp_path, capsys, command, overri
     assert earlier.read_text() == "an earlier run's table\n"
 
 
+def test_failed_run_leaves_no_directory_it_made(tmp_path, capsys):
+    """--out's missing directories are made for the run's files; a run that
+    exits 1 removes the ones it made, and leaves a directory that was there
+    before as it was."""
+    before = tmp_path / "before"
+    before.mkdir()
+    for out in (tmp_path / "d1" / "a" / "b", before / "a" / "b", before):
+        assert main(["profile1d", "--out", str(out), "--set", "wormhole.b0_um=1,1e-300"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [before]
+        assert list(before.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, targets", [
     ("profile1d", ("profile1d_q-1_b01.csv", "feasibility_q-1_b01.json")),
     ("solve-gp", ("gp_solution_vinf0.01_b01.csv", "gp_summary_vinf0.01_b01.json")),
@@ -436,6 +468,13 @@ def test_presets_listing(tmp_path, capsys):
     assert "width = 0.157 G" in out
     assert "B_res = 47.766 G" in out
     assert "a_bg = 950 a0" in out
+
+
+def test_presets_makes_no_directory(tmp_path, capsys):
+    """presets writes no file, so its --out names no directory to make."""
+    assert main(["presets", "--out", str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().err == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("species", ["Li", "Na", "K", "Rb"])
@@ -842,6 +881,21 @@ def test_usage_error_exits_1(capsys):
     assert err.endswith("; see wormbec --help\n") and err.count("\n") == 1
 
 
+def test_abbreviated_option_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """Options are spelled in full: a prefix of one is an unrecognized
+    argument, not the option, so the run exits 1 with one line and writes
+    nothing. The --out=DIR and --set=ITEM forms are full spellings."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["profile1d", "--o", "t2", "--form", "json", "--st"]) == 1
+    assert capsys.readouterr().err == (
+        "wormbec profile1d: error: unrecognized arguments: --o t2 --form json --st; "
+        "see wormbec profile1d --help\n")
+    assert not any(tmp_path.iterdir())
+    assert main(["profile1d", "--out=t2", "--set=grid.step_um=1"]) == 0
+    assert sorted(p.name for p in (tmp_path / "t2").iterdir()) == [
+        "feasibility_q-1_b01.json", "profile1d_q-1_b01.csv"]
+
+
 @pytest.mark.parametrize("args", [["--out", "a\0b"], ["--out=\0"]])
 def test_nul_in_out_is_a_usage_error(tmp_path, monkeypatch, capsys, args):
     """No path call takes a NUL byte, which an in-process argv can hold:
@@ -934,9 +988,9 @@ def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels):
 
 
 def test_every_public_name_resolves():
-    """Each of the package's 43 names imports from its submodule on first
+    """Each of the package's 41 names imports from its submodule on first
     access, through `from wormbec import X` and `import *` alike."""
-    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 43
+    assert len(wormbec.__all__) == len(set(wormbec.__all__)) == 41
     star = {}
     exec("from wormbec import *", star)
     for name in wormbec.__all__:

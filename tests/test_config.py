@@ -177,7 +177,6 @@ def _schema_default(section, key):
     (profile1d.feasibility_1d, "threshold", "thresholds.slope_per_um"),
     (profile1d.feasibility_1d, "window", "grid.throat_exclusion_um"),
     (profile3d.lab_profiles_3d, "pole_delta", "thresholds.pole_delta"),
-    (profile3d.feasibility_report_3d, "resolution_factor", "thresholds.resolution_factor"),
     (profile3d.resolution_audit, "factor", "thresholds.resolution_factor"),
     (feshbach.cesium_condensate, "density", "condensate.density_per_m3"),
 ])

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from bitcheck import assert_same_bits
 from wormbec import geometry
 from wormbec.exceptions import ConvergenceError, DomainError
-from wormbec.geometry import (MAX_GRID_POINTS, ShapeFunction, ThroatClass,
-                              _integrate_from_throat, classify_throat,
+from wormbec.geometry import (MAX_GRID_POINTS, ShapeFunction, _integrate_from_throat,
                               embedding_height, metric_factor, proper_distance,
                               uniform_grid)
 from wormbec.gp3d import gp_time_offset
@@ -149,11 +148,11 @@ def test_ellis_oracle_sweep():
 
 
 def test_throat_classification():
-    assert classify_throat(0.5) is ThroatClass.TRAVERSABLE
-    assert classify_throat(-1.0) is ThroatClass.TRAVERSABLE
-    assert classify_throat(1.0) is ThroatClass.DEGENERATE
-    assert classify_throat(2.0) is ThroatClass.SIGNATURE_BROKEN
-    assert ShapeFunction(1.0, 0.95).throat_class is ThroatClass.TRAVERSABLE
+    assert ShapeFunction(1.0, 0.5).throat_class == "traversable"
+    assert ShapeFunction(1.0, -1.0).throat_class == "traversable"
+    assert ShapeFunction(1.0, 1.0).throat_class == "degenerate"
+    assert ShapeFunction(1.0, 2.0).throat_class == "signature_broken"
+    assert ShapeFunction(1.0, 0.95).throat_class == "traversable"
 
 
 def test_flare_out_matches_shape_derivative_at_throat():
@@ -164,7 +163,7 @@ def test_flare_out_matches_shape_derivative_at_throat():
         h = 1e-7
         slope = ((2.0 + h) * (1.0 - metric_factor(shape, 2.0 + h)) - 2.0) / h
         assert slope == pytest.approx(q, abs=1e-5)
-        assert (classify_throat(q) is ThroatClass.TRAVERSABLE) == (slope < 1.0 - 1e-5)
+        assert (shape.throat_class == "traversable") == (slope < 1.0 - 1e-5)
 
 
 def mpmath_reference(kind, b0, q, r):

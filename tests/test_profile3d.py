@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bitcheck import assert_same_bits
+from wormbec.cli import main
 from wormbec.exceptions import DomainError, PoleError
 from wormbec.feshbach import (HBAR, SPECIES, cesium_condensate, healing_length,
                               scattering_from_field, sound_speed_from_field)
@@ -14,7 +15,7 @@ from wormbec.geometry import ShapeFunction
 from wormbec.gp3d import zero_order_solution
 from wormbec.profile1d import sample_profile_1d
 from wormbec.profile3d import (LabLayout, analytic_asymptote_positions,
-                               asymptote_radius, detect_asymptotes, feasibility_report_3d,
+                               asymptote_radius, detect_asymptotes,
                                field_profile_3d, lab_profiles_3d,
                                resolution_audit, scattering_profile_3d,
                                sound_speed_profile_3d)
@@ -24,6 +25,19 @@ CS = cesium_condensate(1e21)
 RES = CS.resonance
 ELLIS = ShapeFunction(1.0, -1.0)   # b(r) = b0**2 / r at b0 = 1
 THROAT_FIELD = RES.b_res + RES.width
+
+
+def cli_report(tmp_path, v_inf, step, pole_delta=1e-3):
+    """The report of ``wormbec profile3d`` on ELLIS at R = 5, with CS and a
+    resolution factor of 10."""
+    out = tmp_path / "cli"
+    settings = ["layout.R_um=5", "wormhole.b0_um=1", "wormhole.q=-1",
+                "condensate.species=Cs", "condensate.density_per_m3=1e21",
+                "thresholds.resolution_factor=10", f"thresholds.pole_delta={pole_delta!r}",
+                f"observer.v_inf_m_per_s={v_inf!r}", f"grid.step_um={step!r}"]
+    assert main(["profile3d", "--out", str(out), *(f"--set={item}" for item in settings)]) == 0
+    report, = out.glob("report_*.json")
+    return json.loads(report.read_text())
 
 
 def test_sound_speed_profile_values():
@@ -169,7 +183,7 @@ def test_near_asymptote_samples_carry_no_field():
     (0.009, 0.0625, 0.2, 8),
     (0.02, 0.01, 1e-3, 0),
 ])
-def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
+def test_lab_profile_columns_equal_scalar_functions(tmp_path, v_inf, step, pole_delta,
                                                     near_count):
     """Every column of the half is the recipe evaluated on floats point by
     point, bit for bit (the float and the array path of each formula
@@ -193,8 +207,7 @@ def test_lab_profile_columns_equal_scalar_functions(v_inf, step, pole_delta,
     assert_same_bits(columns["B_gauss"], [math.nan if n else
                                           field_profile_3d(ri, v_inf, ELLIS, CS)
                                           for ri, n in zip(r, near)])
-    report = feasibility_report_3d(layout, v_inf, CS, profile, step, resolution_factor=10.0)
-    assert report["near_asymptote_samples"] == near_count
+    assert cli_report(tmp_path, v_inf, step, pole_delta)["near_asymptote_samples"] == near_count
 
 
 def _ulps(values, reference):
@@ -319,10 +332,8 @@ def test_lab_profiles_need_a_positive_observer_speed(v_inf):
         lab_profiles_3d(LabLayout(R=5.0, shape=ELLIS), v_inf, CS, 0.5, pole_delta=1e-3)
 
 
-def test_feasibility_report_contents():
-    layout = LabLayout(R=5.0, shape=ELLIS)
-    profile = lab_profiles_3d(layout, 0.01, CS, 0.125, pole_delta=1e-3)
-    report = feasibility_report_3d(layout, 0.01, CS, profile, 0.125, resolution_factor=10.0)
+def test_feasibility_report_contents(tmp_path):
+    report = cli_report(tmp_path, 0.01, 0.125)
     assert report["asymptotes"]["analytic_x_um"] == pytest.approx(
         [5.0 - 0.5628, 5.0 + 0.5628], abs=2e-3)
     assert len(report["asymptotes"]["detected_x_um"]) == 2
@@ -334,13 +345,10 @@ def test_feasibility_report_contents():
 
 
 @pytest.mark.parametrize("step", [0.3, 0.7])
-def test_resolution_reference_is_the_throat_sound_speed(step):
+def test_resolution_reference_is_the_throat_sound_speed(tmp_path, step):
     """The audit's reference cs0 is the throat's, v_inf exactly, also where
     R/step is not an integer; so the healing length is the throat's."""
-    layout = LabLayout(R=5.0, shape=ELLIS)
-    profile = lab_profiles_3d(layout, 0.05, CS, step, pole_delta=1e-3)
-    resolution = feasibility_report_3d(layout, 0.05, CS, profile, step,
-                                       resolution_factor=10.0)["resolution"]
+    resolution = cli_report(tmp_path, 0.05, step)["resolution"]
     assert resolution["reference_cs0_m_per_s"] == 0.05
     assert resolution["healing_length_um"] == healing_length(0.05, SPECIES["Cs"]) * 1e6
 

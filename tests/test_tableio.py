@@ -282,6 +282,32 @@ def test_staged_files_take_their_names_when_the_block_completes(tmp_path):
     assert table.read_bytes() == before
 
 
+def test_both_writers_make_missing_directories(tmp_path):
+    """write_json, like write_table, makes the directories its file needs."""
+    report = tableio.write_json(tmp_path / "a" / "b" / "r.json", {"a": 1.0})
+    assert report.read_text() == '{\n  "a": 1.0\n}\n'
+    table = write_table(tmp_path / "c" / "t", Table({"x": np.arange(2) * 0.5}), "csv")
+    assert table.read_text() == "x\n0.0\n0.5\n"
+
+
+def test_staged_block_that_raises_removes_the_directories_it_made(tmp_path):
+    """A staged() block that raises removes the directories made inside it,
+    deepest first and only if empty; a directory that existed before the
+    block is never touched."""
+    before = tmp_path / "before"
+    before.mkdir()
+    x = np.arange(3) * 0.5
+    with pytest.raises(RuntimeError, match="later failure"):
+        with tableio.staged():
+            write_table(before / "a" / "b" / "t", Table({"x": x}, mirror_at=0.0), "json")
+            tableio.write_json(before / "a" / "c" / "r.json", {"a": 1.0})
+            tableio.write_json(tmp_path / "d" / "e" / "r.json", {"a": 1.0})
+            (tmp_path / "d" / "kept.txt").write_text("not the block's\n")
+            raise RuntimeError("later failure")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "before", "d", "d/kept.txt"]
+
+
 @pytest.mark.parametrize("centre", [None, 0.0, 5.0], ids=["plain", "mirrored", "mirrored-at-5"])
 def test_json_table_is_formatted_chunk_by_chunk(tmp_path, monkeypatch, centre):
     """A JSON table longer than 2 CHUNK_ROWS streams: no cell-formatting
