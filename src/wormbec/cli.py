@@ -156,6 +156,7 @@ def cmd_profile1d(cfg: RunConfig, out: Path, fmt: str) -> bool:
     all_feasible = True
     for shape in _shapes(cfg.settings["wormhole"], sweep=True):
         profile = profile1d.sample_profile_1d(shape, cfg.spec, x_max, step)
+        valid = profile.columns["valid"]
         report = {
             "wormhole": {"b0_um": shape.b0, "q": shape.q,
                          "throat_class": shape.throat_class},
@@ -167,6 +168,8 @@ def cmd_profile1d(cfg: RunConfig, out: Path, fmt: str) -> bool:
                 threshold=cfg.settings["thresholds"]["slope_per_um"],
                 window=grid["throat_exclusion_um"]),
             "slope_at_x10": profile1d.slope_metric(shape, cfg.spec.resonance, 10.0),
+            # the written table: each row of the half but the throat's twice
+            "invalid_samples": 2 * int((~valid).sum()) - int(~valid[0]),
         }
         all_feasible = all_feasible and report["feasibility"]["feasible"]
         tag = f"q{_fmt(shape.q)}_b0{_fmt(shape.b0)}"

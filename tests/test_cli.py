@@ -64,6 +64,18 @@ def test_profile1d_feasibility_json_slope(tmp_path):
     assert payload["a_bg_a0"] == pytest.approx(950.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("q, invalid", [("2", 400), ("-1", 0)])
+def test_profile1d_report_counts_invalid_samples(tmp_path, q, invalid):
+    """The 1+1D report counts the rows of the written table whose valid
+    flag is false: at q = 2 every row but the throat's (400 of 401 at the
+    default grid), at q = -1 none."""
+    assert run(tmp_path, "profile1d", "--set", f"wormhole.q={q}") == 0
+    report = json.loads((tmp_path / f"feasibility_q{q}_b01.json").read_text())
+    rows = (tmp_path / f"profile1d_q{q}_b01.csv").read_text().splitlines()[1:]
+    assert len(rows) == 401
+    assert report["invalid_samples"] == invalid == sum(row.endswith(",false") for row in rows)
+
+
 def test_profile1d_empty_grid_is_config_error(tmp_path):
     code = run(tmp_path, "profile1d", "--set", "grid.step_um=0")
     assert code == 1
@@ -958,25 +970,29 @@ FRONT = {"wormbec", "wormbec.cli", "wormbec.config", "wormbec.exceptions",
          "wormbec.feshbach"}
 
 
-@pytest.mark.parametrize("argv, rc, kernels", [
-    (["-c", "import wormbec"], 0, None),
-    (["-m", "wormbec", "presets"], 0, set()),
-    (["-m", "wormbec", "--help"], 0, set()),
-    (["-m", "wormbec", "no-such-command"], 1, set()),
-    (["-m", "wormbec", "profile1d", "--set", "wormhole.b0_um=-1"], 1, set()),
+@pytest.mark.parametrize("argv, rc, kernels, orjson", [
+    (["-c", "import wormbec"], 0, None, False),
+    (["-m", "wormbec", "presets"], 0, set(), False),
+    (["-m", "wormbec", "--help"], 0, set(), False),
+    (["-m", "wormbec", "no-such-command"], 1, set(), False),
+    (["-m", "wormbec", "profile1d", "--set", "wormhole.b0_um=-1"], 1, set(), False),
     (["-m", "wormbec", "profile1d", "--out", "{out}"], 0,
-     {"geometry", "profile1d", "tableio"}),
+     {"geometry", "profile1d", "tableio"}, False),
     (["-m", "wormbec", "solve-gp", "--out", "{out}"], 0,
-     {"geometry", "gp3d", "tableio"}),
+     {"geometry", "gp3d", "tableio"}, False),
     (["-m", "wormbec", "profile3d", "--out", "{out}"], 0,
-     {"geometry", "gp3d", "profile3d", "tableio"}),
-    (["-m", "wormbec", "embed", "--out", "{out}"], 0, {"geometry", "tableio"}),
+     {"geometry", "gp3d", "profile3d", "tableio"}, False),
+    (["-m", "wormbec", "embed", "--out", "{out}"], 0, {"geometry", "tableio"}, False),
+    (["-m", "wormbec", "profile1d", "--set", "grid.step_um=0.01", "--out", "{out}"], 0,
+     {"geometry", "profile1d", "tableio"}, True),
 ], ids=["import", "presets", "help", "usage-error", "config-error",
-        "profile1d", "solve-gp", "profile3d", "embed"])
-def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels):
+        "profile1d", "solve-gp", "profile3d", "embed", "profile1d-2001-rows"])
+def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels, orjson):
     """The package import loads nothing but itself; a CLI call loads the
     front end and its own kernel modules, numpy only with a kernel, and no
-    config-file parser."""
+    config-file parser. orjson loads only for a table with a full chunk of
+    in-window floats: never at the default grid (201 rows a half at most),
+    but for profile1d's 2001-row half at step 0.01."""
     modules = _imported_modules([a.format(out=tmp_path) for a in argv], rc)
     assert "configparser" not in modules
     loaded = {m for m in modules if m == "wormbec" or m.startswith("wormbec.")}
@@ -985,6 +1001,7 @@ def test_each_call_imports_only_what_it_runs(tmp_path, argv, rc, kernels):
     else:
         assert loaded == FRONT | {f"wormbec.{name}" for name in kernels}
     assert ("numpy" in modules) == bool(kernels)
+    assert ("orjson" in modules) == orjson
 
 
 def test_every_public_name_resolves():

@@ -2,10 +2,13 @@
 
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wormbec import tableio
 from wormbec.feshbach import cesium_condensate
@@ -343,6 +346,7 @@ def test_mirrored_write_memory_is_bounded(tmp_path):
     def peak(rows, out_format, centre):
         x = np.arange(rows) * 0.1
         half = Table({"x": x, "y": np.sqrt(x + 2.0), "z": x / 3.0}, mirror_at=centre)
+        write_table(tmp_path / "warm", half, out_format)  # imports orjson, untraced
         tracemalloc.start()
         try:
             write_table(tmp_path / f"t{rows}", half, out_format)
@@ -364,6 +368,7 @@ def test_profile1d_half_writes_within_a_fixed_working_set(tmp_path):
     any chunk size; this one fails if the chunk grows back."""
     half = sample_profile_1d(ShapeFunction(1.0, -1.0), cesium_condensate(1e21), 20.0, 0.001)
     assert (len(half.columns), half.columns["x_um"].size) == (7, 20001)
+    write_table(tmp_path / "warm", half, "csv")  # imports orjson, untraced
     tracemalloc.start()
     try:
         write_table(tmp_path / "profile", half, "csv")
@@ -371,3 +376,110 @@ def test_profile1d_half_writes_within_a_fixed_working_set(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.375 * 2**20
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _bits(value):
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+# repr's positional window, [1e-4, 1e16), its edges and their neighbours,
+# and the cells that never take the orjson path: subnormals, NaN and inf
+WINDOW_EDGES = [1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0),
+                math.nextafter(1e16, 0.0), 1e16, math.nextafter(1e16, math.inf),
+                0.0, -0.0, 5e-324, math.nextafter(2.2250738585072014e-308, 0.0),
+                math.nan, math.inf, -math.inf]
+NON_FINITE_MAPS = [{}, {"nan": ""}, dict.fromkeys(("nan", "inf", "-inf"), "null")]
+
+
+def in_window_chunk(seed, kind):
+    """CHUNK_ROWS float64 cells in the window, either sign, a few of them
+    ±0.0: any bit pattern there, decade-uniform, or short (k * 10**e)."""
+    rng = np.random.default_rng(seed)
+    if kind == "bits":
+        magnitude = rng.integers(_bits(1e-4), _bits(1e16), CHUNK_ROWS,
+                                 dtype=np.uint64).view(np.float64)
+    elif kind == "decades":
+        magnitude = np.clip(10.0 ** rng.uniform(-4.0, 16.0, CHUNK_ROWS),
+                            1e-4, math.nextafter(1e16, 0.0))
+    else:
+        magnitude = (rng.integers(1, 1000, CHUNK_ROWS)
+                     * 10.0 ** rng.integers(-4, 14, CHUNK_ROWS).astype(float))
+    chunk = np.where(rng.random(CHUNK_ROWS) < 0.5, -magnitude, magnitude)
+    chunk[rng.random(CHUNK_ROWS) < 0.02] = 0.0
+    chunk[rng.random(CHUNK_ROWS) < 0.02] = -0.0
+    return chunk
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["bits", "decades", "short"]),
+       swaps=st.lists(st.tuples(st.integers(0, CHUNK_ROWS - 1),
+                                st.sampled_from(WINDOW_EDGES)
+                                | st.integers(0, 2**64 - 1).map(_double)), max_size=3))
+def test_cells_equal_repr_cell_for_cell(seed, kind, swaps):
+    """A full float64 chunk's cells are repr's text after the non-finite
+    map, whether every cell lies in repr's positional window (orjson
+    formats them) or some cell is a window edge, a neighbour of one, a
+    subnormal, NaN, inf or any bit pattern (repr formats them)."""
+    chunk = in_window_chunk(seed, kind)
+    for row, value in swaps:
+        chunk[row] = value
+    for non_finite in NON_FINITE_MAPS:
+        expected = [non_finite.get(cell, cell) for cell in map(repr, chunk.tolist())]
+        assert tableio._cells(chunk, non_finite) == expected
+
+
+def test_full_in_window_chunk_is_formatted_without_repr(monkeypatch):
+    """The property above reaches the orjson path: a full chunk of in-window
+    float64 cells never calls repr; a partial, float32 or byte-swapped one
+    does."""
+    def no_repr(value):
+        raise AssertionError("repr called")
+
+    chunk = np.sqrt(np.arange(CHUNK_ROWS) * 0.1)
+    expected = list(map(repr, chunk.tolist()))
+    monkeypatch.setattr(tableio, "repr", no_repr, raising=False)
+    assert tableio._cells(chunk, {}) == expected
+    for column in (chunk[:-1], chunk.astype(np.float32), chunk.astype(">f8")):
+        with pytest.raises(AssertionError, match="repr called"):
+            tableio._cells(column, {})
+
+
+def window_crossing_half(rows):
+    """x from 0 up, and columns that cross each window edge: inside one
+    chunk (at row 1.5 CHUNK_ROWS, which is the edge itself, between its
+    neighbours) and so between chunks 0 and 2; one with NaN and inf in
+    chunk 1 only; a float32 and an int column."""
+    i = np.arange(rows)
+    cross = 1.0 + (i - 3 * CHUNK_ROWS // 2) * 1e-4
+
+    def crossing(edge):
+        column = edge * cross
+        column[3 * CHUNK_ROWS // 2 - 1:3 * CHUNK_ROWS // 2 + 2] = [
+            math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        return column
+
+    gappy = np.sqrt(i + 2.0)
+    gappy[CHUNK_ROWS + 3::7] = math.nan
+    gappy[CHUNK_ROWS + 5] = -math.inf
+    header = ("x", "low", "high", "gappy", "single", "count")
+    return header, [i * 0.1, crossing(1e-4), -crossing(1e16), gappy,
+                    (i / 3.0).astype(np.float32), i * 3 - 10]
+
+
+@pytest.mark.parametrize("centre", [None, 0.0, 5.0], ids=["plain", "mirrored", "mirrored-at-5"])
+def test_window_crossing_table_renders_like_reference(tmp_path, centre):
+    """A table of more than 3 CHUNK_ROWS rows whose columns cross both window
+    edges, inside a chunk and between chunks, is written byte for byte as
+    the reference rendering in CSV and JSON, plain and mirrored, with a
+    blank_nan column; float32 and int cells stay repr's text."""
+    header, half = window_crossing_half(3 * CHUNK_ROWS + 7)
+    columns = half if centre is None else whole(half, centre)
+    written = named_table(header, half, mirror_at=centre, blank_nan=("gappy",))
+    assert_renders_like_reference(tmp_path, written, header, columns, blank_nan=("gappy",))
+    rows = (tmp_path / "csv" / "t.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == [repr(v) for v in columns[4].tolist()]
+    assert [row.split(",")[5] for row in rows] == [str(v) for v in columns[5].tolist()]
